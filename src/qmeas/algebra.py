@@ -31,6 +31,7 @@ from .linalg import (
     hs_inner,
     hs_norm,
     kernel_basis,
+    kernel_rank,
     kron,
     partial_trace,
     unvec,
@@ -75,8 +76,7 @@ def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> tuple[np.n
         rows.append(_embed_hermitian((m - dagger(m)) / 2j))
     a = np.stack(rows, axis=0)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    cut = tol.kernel_threshold * max(1.0, float(s[0]) if s.size else 0.0)
-    return tuple(_unembed_hermitian(vh[i], dim) for i in range(s.size) if s[i] > cut)
+    return tuple(_unembed_hermitian(vh[i], dim) for i in range(kernel_rank(s, tol)))
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     center = _center_basis(space, tol)
     projections = _minimal_central_projections(center, space, tol, rng)
 
-    avg = cesaro_average(instrument.total_channel().superoperator)
+    avg = cesaro_average(instrument.total_channel().superoperator, tol)
     rho_av = hermitianize(unvec(avg @ vec(np.eye(d) / d), d))
 
     blocks = []

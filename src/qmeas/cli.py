@@ -75,7 +75,11 @@ TABLE1_EXPECTED = {
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     atol = args.tol_atol
     if atol is None:
-        atol = float(os.environ.get("QMEAS_TOL_ATOL", Tolerances().atol_equality))
+        raw = os.environ.get("QMEAS_TOL_ATOL", Tolerances().atol_equality)
+        try:
+            atol = float(raw)
+        except ValueError:
+            raise QmeasError(f"QMEAS_TOL_ATOL={raw!r} is not a number") from None
     rank = args.tol_rank if args.tol_rank is not None else Tolerances().rank_threshold
     return Tolerances(atol_equality=atol, rank_threshold=rank)
 

@@ -9,13 +9,12 @@ Conventions, fixed once for the whole package:
   minimal number of Kraus operators.
 
 Kraus lists are the stored representation; superoperators and Choi
-matrices are derived on demand and cached on the instance.
+matrices are computed from them on every access, not stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .linalg import (
     dagger,
     hermitian_eig,
     hs_norm,
+    kernel_rank,
     kron,
     matrix_sqrt_psd,
     partial_trace,
@@ -111,7 +111,7 @@ class Observable:
             if np.abs(e).max() <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
         total = sum(effects)
-        if np.abs(total - np.eye(d)).max() > atol * len(effects):
+        if not np.abs(total - np.eye(d)).max() <= atol * len(effects):
             raise ValidationError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(outcomes))
@@ -127,17 +127,21 @@ class Observable:
 class _KrausMap:
     """Shared behaviour of Operation and Channel (Kraus-represented CP maps)."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: tuple[np.ndarray, ...]  # read-only views into _stack
+    _stack: np.ndarray  # (count, dim_out, dim_in), one frozen copy of the Kraus list
 
     def _init_kraus(self, kraus) -> None:
-        ks = tuple(_freeze(as_complex_matrix(k)) for k in kraus)
+        ks = [as_complex_matrix(k) for k in kraus]
         if not ks:
             raise ValidationError("at least one Kraus operator required")
         shape = ks[0].shape
         for k in ks:
             if k.shape != shape:
                 raise DimensionMismatch("Kraus operators differ in shape")
-        object.__setattr__(self, "kraus", ks)
+        stack = np.array(ks)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def dim_in(self) -> int:
@@ -148,23 +152,25 @@ class _KrausMap:
         return self.kraus[0].shape[0]
 
     def _kraus_sum(self) -> np.ndarray:
-        return sum(dagger(k) @ k for k in self.kraus)
+        """sum K^dag K, as one product of the vertically stacked Kraus operators."""
+        stacked = self._stack.reshape(-1, self.dim_in)
+        return dagger(stacked) @ stacked
 
-    @cached_property
+    @property
+    def choi(self) -> np.ndarray:
+        """V^T conj(V), where the rows of V are the vec(K_i)."""
+        v = self._stack.reshape(len(self._stack), -1)
+        return v.T @ v.conj()
+
+    @property
     def superoperator(self) -> np.ndarray:
-        """Matrix acting on row-major vec(rho)."""
-        s = sum(np.kron(k, k.conj()) for k in self.kraus)
-        return _freeze(s)
+        """Matrix acting on row-major vec(rho): the reshuffled Choi matrix."""
+        return _reshuffle(self.choi, self.dim_out, self.dim_in, self.dim_out, self.dim_in)
 
-    @cached_property
+    @property
     def dual_superoperator(self) -> np.ndarray:
         """Matrix of the Heisenberg-picture map A -> sum K^dag A K."""
-        s = sum(np.kron(dagger(k), k.T) for k in self.kraus)
-        return _freeze(s)
-
-    @cached_property
-    def choi(self) -> np.ndarray:
-        return _freeze(sum(np.outer(vec(k), vec(k).conj()) for k in self.kraus))
+        return dagger(self.superoperator)
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ class Operation(_KrausMap):
     def __post_init__(self) -> None:
         self._init_kraus(self.kraus)
         w, _ = hermitian_eig(self._kraus_sum(), self.tol)
-        if w[0] > 1.0 + self.tol.atol_equality * len(self.kraus):
+        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus):
             raise ValidationError(f"sum K^dag K has eigenvalue {w[0]:.12f} > 1")
 
 
@@ -191,7 +197,7 @@ class Channel(_KrausMap):
     def __post_init__(self) -> None:
         self._init_kraus(self.kraus)
         dev = np.abs(self._kraus_sum() - np.eye(self.dim_in)).max()
-        if dev > self.tol.atol_equality * max(1, len(self.kraus)):
+        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)):
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
 
     @staticmethod
@@ -227,7 +233,7 @@ class Instrument:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
         total = sum(op._kraus_sum() for op in ops)
         dev = np.abs(total - np.eye(d)).max()
-        if dev > self.tol.atol_equality * sum(len(op.kraus) for op in ops):
+        if not dev <= self.tol.atol_equality * sum(len(op.kraus) for op in ops):
             raise ValidationError(f"operations do not sum to a channel (deviation {dev:.3e})")
         object.__setattr__(self, "operations", ops)
         object.__setattr__(self, "outcomes", tuple(outcomes))
@@ -322,12 +328,9 @@ def tensor_op(a: _KrausMap, b: _KrausMap):
 # representation changes
 
 
-def choi_of(op: _KrausMap) -> np.ndarray:
-    return op.choi
-
-
-def superop_from_kraus(kraus) -> np.ndarray:
-    return sum(np.kron(np.asarray(k), np.asarray(k).conj()) for k in kraus)
+def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
+    """Entries m[(a b), (c e)] realigned as [(a c), (b e)]; Choi <-> superoperator."""
+    return m.reshape(a, b, c, e).transpose(0, 2, 1, 3).reshape(a * c, b * e)
 
 
 def choi_from_superop(s: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
@@ -335,8 +338,7 @@ def choi_from_superop(s: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
     s = as_complex_matrix(s)
     if s.shape != (dim_out * dim_out, dim_in * dim_in):
         raise DimensionMismatch(f"superoperator shape {s.shape} does not match dims")
-    t = s.reshape(dim_out, dim_out, dim_in, dim_in)
-    return t.transpose(0, 2, 1, 3).reshape(dim_out * dim_in, dim_out * dim_in)
+    return _reshuffle(s, dim_out, dim_out, dim_in, dim_in)
 
 
 def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
@@ -352,8 +354,7 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     w, v = hermitian_eig(c, tol)
     if w[-1] < -10 * tol.atol_equality:
         raise NotCP(f"Choi eigenvalue {w[-1]:.3e}")
-    cut = tol.kernel_threshold * max(1.0, float(w[0]))
-    ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(w.size) if w[i] > cut)
+    ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(kernel_rank(w, tol)))
     if not ks:
         raise NotCP("Choi matrix is numerically zero")
     return ks

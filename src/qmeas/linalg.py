@@ -92,12 +92,15 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and matching orthonormal eigenvector columns.
 
-    Raises NonHermitian when the input is not Hermitian within tolerance.
+    Raises ValidationError on non-finite entries and NonHermitian when the
+    input is not Hermitian within tolerance.
     """
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"square matrix required, got {a.shape}")
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
+    if not np.isfinite(dev):
+        raise ValidationError("matrix has non-finite entries")
     if dev > tol.atol_equality:
         raise NonHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol.atol_equality:.1e}")
     try:
@@ -118,13 +121,21 @@ def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > cut))
 
 
+def kernel_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Count of s above kernel_threshold * max(1, s[0]).
+
+    s is sorted descending: singular values, or the eigenvalues of a PSD
+    matrix.  The count is the rank left after discarding the kernel.
+    """
+    cut = tol.kernel_threshold * max(1.0, float(s[0]) if s.size else 0.0)
+    return int(np.count_nonzero(s > cut))
+
+
 def kernel_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of a."""
     a = as_complex_matrix(a)
-    _, s, vh = np.linalg.svd(a)
-    cut = tol.kernel_threshold * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cut))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[kernel_rank(s, tol):].conj().T
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") -> np.ndarray:

@@ -39,6 +39,13 @@ def _matrix_from_json(rows: Any) -> np.ndarray:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
 
+def _field(doc: dict, key: str):
+    """doc[key]; a missing key is a malformed document."""
+    if key not in doc:
+        raise ValidationError(f"{doc.get('kind')} document missing {key!r}")
+    return doc[key]
+
+
 def _kraus_from_choi_doc(doc: dict) -> tuple[np.ndarray, ...]:
     """Alternative channel payload: Choi matrix plus [dim_out, dim_in]."""
     dims = doc.get("dims")
@@ -90,31 +97,27 @@ def decode(doc: dict):
     if kind not in _KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
     if kind == "state":
-        return State(_matrix_from_json(doc["matrix"]))
+        return State(_matrix_from_json(_field(doc, "matrix")))
     if kind == "observable":
-        effects = tuple(_matrix_from_json(e) for e in doc["effects"])
-        return Observable(effects, tuple(doc["outcomes"]))
+        effects = tuple(_matrix_from_json(e) for e in _field(doc, "effects"))
+        return Observable(effects, tuple(_field(doc, "outcomes")))
     if kind == "channel":
         if "choi" in doc:
             return Channel(_kraus_from_choi_doc(doc))
-        return Channel(tuple(_matrix_from_json(k) for k in doc["kraus"]))
+        return Channel(tuple(_matrix_from_json(k) for k in _field(doc, "kraus")))
     if kind == "operation":
         if "choi" in doc:
             return Operation(_kraus_from_choi_doc(doc))
-        return Operation(tuple(_matrix_from_json(k) for k in doc["kraus"]))
+        return Operation(tuple(_matrix_from_json(k) for k in _field(doc, "kraus")))
     if kind == "instrument":
         ops = tuple(Operation(tuple(_matrix_from_json(k) for k in kraus))
-                    for kraus in doc["operations"])
-        return Instrument(ops, tuple(doc["outcomes"]))
-    scheme_fields = {"system_dim", "ancilla", "interaction", "pointer"}
-    missing = scheme_fields - doc.keys()
-    if missing:
-        raise ValidationError(f"scheme document missing {sorted(missing)}")
+                    for kraus in _field(doc, "operations"))
+        return Instrument(ops, tuple(_field(doc, "outcomes")))
     return MeasurementScheme(
-        system_dim=int(doc["system_dim"]),
-        ancilla=decode(doc["ancilla"]),
-        interaction=decode(doc["interaction"]),
-        pointer=decode(doc["pointer"]),
+        system_dim=int(_field(doc, "system_dim")),
+        ancilla=decode(_field(doc, "ancilla")),
+        interaction=decode(_field(doc, "interaction")),
+        pointer=decode(_field(doc, "pointer")),
     )
 
 

@@ -5,7 +5,8 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state, obtained here by Cesaro-averaging the channel powers.
+state, obtained here as the Cesaro limit of the channel powers: the
+spectral projector onto the eigenvalue-1 space of the superoperator.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from .linalg import (
     dagger,
     hermitian_eig,
     hs_norm,
+    kernel_rank,
     numerical_rank,
     unvec,
     vec,
 )
-
-CESARO_RESIDUAL = 1e-10
-CESARO_MAX_DOUBLINGS = 50  # budget cap; the growth guard usually stops near 30
 
 
 @dataclass(frozen=True)
@@ -77,38 +76,17 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     return False
 
 
-def cesaro_average(superop: np.ndarray,
-                   residual_target: float = CESARO_RESIDUAL,
-                   max_doublings: int = CESARO_MAX_DOUBLINGS) -> np.ndarray:
-    """Cesaro average (1/N) sum_{n=1..N} S^n by the doubling recurrence.
+def cesaro_average(superop: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Cesaro limit lim (1/N) sum_{n=1..N} S^n of a channel superoperator, exactly.
 
-    A_{2N} = (A_N + S^N A_N)/2 keeps the cost logarithmic in N.  Repeated
-    squaring of S amplifies eigenvalue rounding as (1 + eps)**N, so past
-    ~30 doublings the difference between successive averages grows again;
-    the loop stops at convergence or at the first sustained growth and
-    keeps the best average seen.  Returning its square pushes the range
-    into the fixed subspace, leaving S-invariance at machine precision.
+    Eigenvalue 1 of a channel is semisimple, so the limit is the spectral
+    projector R (L^dag R)^-1 L^dag, where the columns of R and L span the
+    right and left kernels of S - 1.  One SVD of S - 1 yields both.
     """
-    avg = np.array(superop, dtype=np.complex128)
-    power = avg.copy()
-    best = avg
-    best_diff = np.inf
-    prev_diff = np.inf
-    growth = 0
-    for _ in range(max_doublings):
-        nxt = 0.5 * (avg + power @ avg)
-        power = power @ power
-        diff = hs_norm(nxt - avg)
-        if diff < residual_target:
-            return nxt @ nxt
-        if diff < best_diff:
-            best, best_diff = nxt, diff
-        growth = growth + 1 if diff > prev_diff else 0
-        if growth >= 3:
-            break
-        prev_diff = diff
-        avg = nxt
-    return best @ best
+    u, sv, vh = np.linalg.svd(superop - np.eye(superop.shape[0]))
+    rank = kernel_rank(sv, tol)
+    right, left = vh[rank:].conj().T, u[:, rank:]
+    return right @ np.linalg.solve(dagger(left) @ right, dagger(left))
 
 
 @dataclass(frozen=True)
@@ -119,22 +97,22 @@ class FixedStateResult:
 
 
 def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedStateResult:
-    """Cesaro-average the channel powers applied to the complete mixture.
+    """Cesaro limit of the channel powers applied to the complete mixture.
 
     The limit is always a fixed state; it is full-rank exactly when the
-    channel is constrained.  Raises NoConvergence when the averaged state
-    still moves by more than 1e-8 under the channel at budget exhaustion.
+    channel is constrained.  Raises NoConvergence when the state still
+    moves by more than 1e-8 under the channel.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed states need dim_in == dim_out")
     d = channel.dim_in
-    avg = cesaro_average(channel.superoperator)
+    avg = cesaro_average(channel.superoperator, tol)
     rho = unvec(avg @ vec(np.eye(d) / d), d)
     rho = 0.5 * (rho + dagger(rho))
     state = State(rho / np.trace(rho).real, tol)
     residual = hs_norm(apply(channel, state) - state.matrix)
     if residual > 1e-8:
-        raise NoConvergence(f"Cesaro average residual {residual:.3e} after budget")
+        raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
     return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == d)
 
 

@@ -245,3 +245,29 @@ class TestPlumbing:
         )
         assert code == EXIT_YES
         assert report["tolerances"]["atol_equality"] == 1e-9
+
+    def test_nan_kraus_entry_is_an_input_error(self, tmp_path, capsys):
+        doc = modelfile.encode(random_constrained_channel(2, 0))
+        doc["kraus"][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "nan" in err
+
+    def test_channel_without_kraus_is_an_input_error(self, tmp_path, capsys):
+        doc = modelfile.encode(random_constrained_channel(2, 0))
+        del doc["kraus"]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "'kraus'" in err
+
+    def test_malformed_env_tolerance_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QMEAS_TOL_ATOL", "abc")
+        path = tmp_path / "obs.json"
+        modelfile.save(completely_unsharp_pair(), str(path))
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == EXIT_ERROR
+        assert "QMEAS_TOL_ATOL" in err

@@ -11,7 +11,6 @@ from qmeas.core import (
     apply,
     apply_dual,
     choi_from_superop,
-    choi_of,
     compose,
     fidelity,
     kraus_from_choi,
@@ -206,8 +205,8 @@ class TestChoiKraus:
         ch = Channel.identity(2)
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0
-        assert np.abs(choi_of(ch) - np.outer(psi, psi.conj())).max() < 1e-12
-        kraus = kraus_from_choi(choi_of(ch), 2, 2)
+        assert np.abs(ch.choi - np.outer(psi, psi.conj())).max() < 1e-12
+        kraus = kraus_from_choi(ch.choi, 2, 2)
         assert len(kraus) == 1
 
     def test_extremal_operation_minimal_count(self):
@@ -224,9 +223,20 @@ class TestChoiKraus:
 
     def test_choi_from_superop_consistent(self):
         ch = random_channel(2, 3, 2, 0)
-        c1 = choi_of(ch)
+        c1 = ch.choi
         c2 = choi_from_superop(ch.superoperator, 3, 2)
         assert np.abs(c1 - c2).max() < 1e-12
+        # reference: the per-operator sums that define each representation
+        ks = ch.kraus
+        refs = (
+            (c1, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ks)),
+            (ch.superoperator, sum(np.kron(k, k.conj()) for k in ks)),
+            (ch.dual_superoperator, sum(np.kron(dagger(k), k.T) for k in ks)),
+            (ch._kraus_sum(), sum(dagger(k) @ k for k in ks)),
+        )
+        for got, ref in refs:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() < 1e-12
 
     def test_rejects_non_cp(self):
         with pytest.raises(NotCP):

@@ -207,6 +207,16 @@ class TestKernelAndClusters:
         assert null.shape == (3, 1)
         assert np.abs(a @ null).max() < 1e-12
 
+    def test_kernel_basis_tall_and_wide(self):
+        rng = np.random.default_rng(7)
+        tall = rand_complex(rng, 3)[:, :2] @ rand_complex(rng, 3)[:2]
+        tall = np.vstack([tall, tall])
+        assert kernel_basis(tall).shape == (3, 1)
+        wide = rand_complex(rng, 3)[:2]
+        null = kernel_basis(wide)
+        assert null.shape == (3, 1)
+        assert np.abs(wide @ null).max() < 1e-12
+
     def test_kernel_empty_for_full_rank(self):
         assert kernel_basis(np.eye(3)).shape[1] == 0
 

@@ -8,7 +8,6 @@ from qmeas.core import (
     Instrument,
     Operation,
     State,
-    choi_of,
     luders_instrument,
     scheme_to_instrument,
     superop_distance,
@@ -86,7 +85,7 @@ class TestChoiPayload:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "channel",
-            "choi": [[[z.real, z.imag] for z in row] for row in choi_of(ch)],
+            "choi": [[[z.real, z.imag] for z in row] for row in ch.choi],
             "dims": [3, 2],
         }
         back = decode(doc)
@@ -97,7 +96,7 @@ class TestChoiPayload:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "channel",
-            "choi": [[[z.real, z.imag] for z in row] for row in choi_of(ch)],
+            "choi": [[[z.real, z.imag] for z in row] for row in ch.choi],
         }
         with pytest.raises(ValidationError):
             decode(doc)
@@ -107,7 +106,7 @@ class TestChoiPayload:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "channel",
-            "choi": [[[z.real, z.imag] for z in row] for row in choi_of(ch)],
+            "choi": [[[z.real, z.imag] for z in row] for row in ch.choi],
             "dims": [3, 2],
         }
         with pytest.raises(ValidationError):

@@ -76,8 +76,7 @@ class TestFixedState:
         res = full_rank_fixed_state(ch)
         assert res.is_full_rank
         assert res.residual < 1e-10
-        # the limit of the averaged mixture; accuracy set by the Cesaro floor
-        assert np.abs(res.state.matrix - np.eye(3) / 3).max() < 1e-6
+        assert np.abs(res.state.matrix - np.eye(3) / 3).max() < 1e-12
 
     def test_shift_measurement_channel(self):
         inst = scheme_to_instrument(build_shift_scheme(3, (0.5, 0.3, 0.2)))
@@ -106,7 +105,21 @@ class TestFixedState:
             s = random_constrained_channel(3, seed).superoperator
             avg = cesaro_average(s)
             assert hs_norm(avg @ s - avg) < 1e-10
-            assert hs_norm(avg @ avg - avg) < 1e-6
+            assert hs_norm(avg @ avg - avg) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.1, 0.01])
+    def test_slowly_mixing_amplitude_damping(self, gamma):
+        p = 0.3
+        a = np.sqrt(gamma)
+        kraus = (
+            np.sqrt(p) * np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
+            np.sqrt(p) * np.array([[0.0, a], [0.0, 0.0]]),
+            np.sqrt(1 - p) * np.array([[np.sqrt(1 - gamma), 0.0], [0.0, 1.0]]),
+            np.sqrt(1 - p) * np.array([[0.0, 0.0], [a, 0.0]]),
+        )
+        res = full_rank_fixed_state(Channel(kraus))
+        assert res.is_full_rank
+        assert np.abs(res.state.matrix - np.diag([p, 1 - p])).max() < 1e-10
 
 
 class TestLemma1:
