@@ -333,14 +333,6 @@ def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
     return m.reshape(a, b, c, e).transpose(0, 2, 1, 3).reshape(a * c, b * e)
 
 
-def choi_from_superop(s: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
-    """Reshuffle a superoperator matrix into the Choi matrix."""
-    s = as_complex_matrix(s)
-    if s.shape != (dim_out * dim_out, dim_in * dim_in):
-        raise DimensionMismatch(f"superoperator shape {s.shape} does not match dims")
-    return _reshuffle(s, dim_out, dim_out, dim_in, dim_in)
-
-
 def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Minimal Kraus set from a Choi matrix.
@@ -358,11 +350,6 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     if not ks:
         raise NotCP("Choi matrix is numerically zero")
     return ks
-
-
-def operation_from_superop(s: np.ndarray, dim_out: int, dim_in: int,
-                           tol: Tolerances = DEFAULT_TOL) -> Operation:
-    return Operation(kraus_from_choi(choi_from_superop(s, dim_out, dim_in), dim_out, dim_in, tol), tol)
 
 
 def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
@@ -393,22 +380,24 @@ def restriction_map(b: np.ndarray, xi: State, system_dim: int) -> np.ndarray:
 
 
 def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> Instrument:
-    """Instrument I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)] with minimal Kraus forms."""
+    """Instrument I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)] with minimal Kraus forms.
+
+    I_x has the Kraus operators (1 (x) <r|) K_i (1 (x) sqrt(xi) |q>), for the
+    interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x).
+    Their Choi matrix is accumulated one row at a time and reduced to a
+    minimal family by kraus_from_choi.
+    """
     ds, da = scheme.system_dim, scheme.ancilla_dim
-    xi = scheme.ancilla.matrix
-    images: list[list[np.ndarray]] = [[] for _ in scheme.pointer.effects]
-    for b in range(ds):
-        for dcol in range(ds):
-            unit = np.zeros((ds, ds), dtype=np.complex128)
-            unit[b, dcol] = 1.0
-            out = apply(scheme.interaction, kron(unit, xi))
-            for z_idx, z in enumerate(scheme.pointer.effects):
-                sel = partial_trace(kron(np.eye(ds), z) @ out, (ds, da), "second")
-                images[z_idx].append(sel)
+    k = scheme.interaction._stack.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
+    sqrt_xi = matrix_sqrt_psd(scheme.ancilla.matrix, tol)
     ops = []
-    for per_outcome in images:
-        s = np.stack([vec(m) for m in per_outcome], axis=1)
-        ops.append(operation_from_superop(s, ds, ds, tol))
+    for z in scheme.pointer.effects:
+        choi = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
+        for row in matrix_sqrt_psd(z, tol):
+            m = np.einsum("a,isatb->ibst", row, k).reshape(len(k), da, ds * ds)
+            v = (sqrt_xi.T @ m).reshape(-1, ds * ds)  # rows vec(M) over (i, q)
+            choi += v.T @ v.conj()
+        ops.append(Operation(kraus_from_choi(choi, ds, ds, tol), tol))
     return Instrument(tuple(ops), scheme.pointer.outcomes, tol)
 
 

@@ -22,6 +22,7 @@ from .core import (
     kraus_from_choi,
 )
 from .errors import ValidationError
+from .linalg import DEFAULT_TOL, Tolerances
 
 SCHEMA_VERSION = "1"
 
@@ -39,23 +40,40 @@ def _matrix_from_json(rows: Any) -> np.ndarray:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
 
-def _field(doc: dict, key: str):
-    """doc[key]; a missing key is a malformed document."""
+def _field(doc: dict, key: str, kind: type = list):
+    """doc[key]; a missing key or a value of another JSON type is a malformed document."""
     if key not in doc:
         raise ValidationError(f"{doc.get('kind')} document missing {key!r}")
-    return doc[key]
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValidationError(f"{doc.get('kind')} document field {key!r} must be a {kind.__name__}, "
+                              f"got {type(value).__name__}")
+    return value
 
 
-def _kraus_from_choi_doc(doc: dict) -> tuple[np.ndarray, ...]:
+def _labels(doc: dict) -> tuple:
+    labels = tuple(_field(doc, "outcomes"))
+    if not all(isinstance(x, (str, int, float)) for x in labels):
+        raise ValidationError("outcome labels must be strings or numbers")
+    return labels
+
+
+def _matrices(items: Any) -> tuple[np.ndarray, ...]:
+    if not isinstance(items, list):
+        raise ValidationError(f"expected a list of matrices, got {type(items).__name__}")
+    return tuple(_matrix_from_json(m) for m in items)
+
+
+def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """Alternative channel payload: Choi matrix plus [dim_out, dim_in]."""
     dims = doc.get("dims")
-    if (not isinstance(dims, (list, tuple))) or len(dims) != 2:
-        raise ValidationError("choi payload requires dims: [dim_out, dim_in]")
-    dim_out, dim_in = int(dims[0]), int(dims[1])
+    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(n, int) and n > 0 for n in dims)):
+        raise ValidationError("choi payload requires positive integer dims: [dim_out, dim_in]")
+    dim_out, dim_in = dims
     choi = _matrix_from_json(doc["choi"])
     if choi.shape != (dim_out * dim_in, dim_out * dim_in):
         raise ValidationError(f"choi shape {choi.shape} does not match dims {dims}")
-    return kraus_from_choi(choi, dim_out, dim_in)
+    return kraus_from_choi(choi, dim_out, dim_in, tol)
 
 
 def encode(obj) -> dict:
@@ -86,8 +104,8 @@ def encode(obj) -> dict:
     raise ValidationError(f"cannot encode object of type {type(obj).__name__}")
 
 
-def decode(doc: dict):
-    """Inverse of encode; validates through the type constructors."""
+def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
+    """Inverse of encode; validates through the type constructors at tol."""
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     version = doc.get("schema_version")
@@ -97,27 +115,23 @@ def decode(doc: dict):
     if kind not in _KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
     if kind == "state":
-        return State(_matrix_from_json(_field(doc, "matrix")))
+        return State(_matrix_from_json(_field(doc, "matrix")), tol)
     if kind == "observable":
-        effects = tuple(_matrix_from_json(e) for e in _field(doc, "effects"))
-        return Observable(effects, tuple(_field(doc, "outcomes")))
-    if kind == "channel":
+        return Observable(_matrices(_field(doc, "effects")), _labels(doc), tol)
+    if kind in ("channel", "operation"):
+        cls = Channel if kind == "channel" else Operation
         if "choi" in doc:
-            return Channel(_kraus_from_choi_doc(doc))
-        return Channel(tuple(_matrix_from_json(k) for k in _field(doc, "kraus")))
-    if kind == "operation":
-        if "choi" in doc:
-            return Operation(_kraus_from_choi_doc(doc))
-        return Operation(tuple(_matrix_from_json(k) for k in _field(doc, "kraus")))
+            return cls(_kraus_from_choi_doc(doc, tol), tol)
+        return cls(_matrices(_field(doc, "kraus")), tol)
     if kind == "instrument":
-        ops = tuple(Operation(tuple(_matrix_from_json(k) for k in kraus))
-                    for kraus in _field(doc, "operations"))
-        return Instrument(ops, tuple(_field(doc, "outcomes")))
+        ops = tuple(Operation(_matrices(kraus), tol) for kraus in _field(doc, "operations"))
+        return Instrument(ops, _labels(doc), tol)
     return MeasurementScheme(
-        system_dim=int(_field(doc, "system_dim")),
-        ancilla=decode(_field(doc, "ancilla")),
-        interaction=decode(_field(doc, "interaction")),
-        pointer=decode(_field(doc, "pointer")),
+        system_dim=_field(doc, "system_dim", int),
+        ancilla=decode(_field(doc, "ancilla", dict), tol),
+        interaction=decode(_field(doc, "interaction", dict), tol),
+        pointer=decode(_field(doc, "pointer", dict), tol),
+        tol=tol,
     )
 
 
@@ -125,12 +139,12 @@ def dumps(obj, indent: int | None = None) -> str:
     return json.dumps(encode(obj), indent=indent)
 
 
-def loads(text: str):
+def loads(text: str, tol: Tolerances = DEFAULT_TOL):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
-    return decode(doc)
+    return decode(doc, tol)
 
 
 def save(obj, path: str) -> None:
@@ -139,6 +153,6 @@ def save(obj, path: str) -> None:
         fh.write("\n")
 
 
-def load(path: str):
+def load(path: str, tol: Tolerances = DEFAULT_TOL):
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        return loads(fh.read(), tol)

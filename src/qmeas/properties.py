@@ -42,14 +42,16 @@ IDEAL_FALSE = "false"
 IDEAL_NOT_APPLICABLE = "not_applicable"
 
 
+def invariance_residual(instrument: Instrument, effects) -> float:
+    """max |I_X^*(F) - F| over the effects F, for the total channel I_X."""
+    total = instrument.total_channel()
+    return float(np.max([np.abs(apply_dual(total, f) - f).max() for f in effects]))
+
+
 def check_non_disturbance(instrument: Instrument, other: Observable,
                           tol: Tolerances = DEFAULT_TOL) -> bool:
     """I_X^*(F_y) = F_y for every effect of the other observable."""
-    total = instrument.total_channel()
-    return all(
-        np.abs(apply_dual(total, f) - f).max() <= tol.atol_equality
-        for f in other.effects
-    )
+    return invariance_residual(instrument, other.effects) <= tol.atol_equality
 
 
 def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -274,10 +276,7 @@ def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
     obs = instrument.induced_observable()
     dim = instrument.dim
     ranks = [numerical_rank(e, tol) for e in obs.effects]
-    total = instrument.total_channel()
-    residuals = {
-        "first_kind": max(float(np.abs(apply_dual(total, e) - e).max()) for e in obs.effects),
-    }
+    residuals = {"first_kind": invariance_residual(instrument, obs.effects)}
     report = PropertyReport(
         first_kind=check_first_kind(instrument, tol),
         repeatable=check_repeatable(instrument, tol),
@@ -288,7 +287,5 @@ def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
         residuals=residuals,
     )
     if against is not None:
-        report.residuals["non_disturbance"] = max(
-            float(np.abs(apply_dual(total, f) - f).max()) for f in against.effects
-        )
+        report.residuals["non_disturbance"] = invariance_residual(instrument, against.effects)
     return report

@@ -52,7 +52,7 @@ def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> T
     rank = numerical_rank(out, tol)
     w, _ = hermitian_eig(out, tol)
     constrained = rank == channel.dim_out
-    witness = State(out) if constrained else mix
+    witness = State(out, tol) if constrained else mix
     return ThirdLawVerdict(constrained, witness, float(w[-1]))
 
 

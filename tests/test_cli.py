@@ -264,6 +264,40 @@ class TestPlumbing:
         assert code == EXIT_ERROR
         assert "'kraus'" in err
 
+    def test_non_list_kraus_is_an_input_error(self, tmp_path, capsys):
+        doc = modelfile.encode(random_constrained_channel(2, 0))
+        doc["kraus"] = 5
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "'kraus'" in err
+
+    def test_non_integer_choi_dims_is_an_input_error(self, tmp_path, capsys):
+        channel = random_constrained_channel(2, 0)
+        doc = modelfile.encode(channel)
+        del doc["kraus"]
+        doc["choi"] = [[[z.real, z.imag] for z in row] for row in channel.choi]
+        doc["dims"] = ["a", "b"]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "dims" in err
+
+    def test_tol_atol_reaches_loaded_files(self, tmp_path, capsys):
+        doc = modelfile.encode(random_constrained_channel(2, 0))
+        scale = 1 + 3.5e-6  # sum K^dag K = scale^2 * 1, about 7e-6 off the identity
+        doc["kraus"] = [[[[re * scale, im * scale] for re, im in row] for row in k]
+                        for k in doc["kraus"]]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "deviates from identity" in err
+        code, _, _ = run(capsys, "check", "channel-thirdlaw", str(path), "--tol-atol", "1e-3")
+        assert code == EXIT_YES
+
     def test_malformed_env_tolerance_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QMEAS_TOL_ATOL", "abc")
         path = tmp_path / "obs.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas.core import (
     Channel,
@@ -10,12 +12,10 @@ from qmeas.core import (
     State,
     apply,
     apply_dual,
-    choi_from_superop,
     compose,
     fidelity,
     kraus_from_choi,
     luders_instrument,
-    operation_from_superop,
     restriction_map,
     scheme_dual_superoperator,
     scheme_to_instrument,
@@ -29,13 +29,16 @@ from qmeas.models import (
     build_ideality_example,
     build_luders_scheme,
     build_shift_scheme,
+    build_swap_scheme,
     completely_unsharp_pair,
     extremal_model_kraus,
     pointer_observable,
     random_channel,
+    random_constrained_scheme,
     random_full_rank_state,
     random_instrument,
     random_povm,
+    random_unitary,
     shift_observable,
     trivial_swap_scheme,
 )
@@ -218,18 +221,15 @@ class TestChoiKraus:
     def test_round_trip_random(self):
         for seed in range(10):
             ch = random_channel(3, 3, 4, seed)
-            back = operation_from_superop(ch.superoperator, 3, 3)
+            back = Operation(kraus_from_choi(ch.choi, 3, 3))
             assert superop_distance(ch, back) < 1e-8
 
     def test_choi_from_superop_consistent(self):
         ch = random_channel(2, 3, 2, 0)
-        c1 = ch.choi
-        c2 = choi_from_superop(ch.superoperator, 3, 2)
-        assert np.abs(c1 - c2).max() < 1e-12
         # reference: the per-operator sums that define each representation
         ks = ch.kraus
         refs = (
-            (c1, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ks)),
+            (ch.choi, sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ks)),
             (ch.superoperator, sum(np.kron(k, k.conj()) for k in ks)),
             (ch.dual_superoperator, sum(np.kron(dagger(k), k.T) for k in ks)),
             (ch._kraus_sum(), sum(dagger(k) @ k for k in ks)),
@@ -314,11 +314,42 @@ class TestSchemeFactorization:
         assert abs(lhs - rhs) < 1e-10
 
     def test_dual_factorization_cross_check(self):
-        scheme = build_shift_scheme(3, (0.5, 0.3, 0.2))
-        inst = scheme_to_instrument(scheme)
-        for x, op in enumerate(inst.operations):
-            direct = scheme_dual_superoperator(scheme, x)
-            assert np.abs(direct - op.dual_superoperator).max() < 1e-9
+        schemes = [
+            build_shift_scheme(3, (0.5, 0.3, 0.2)),
+            random_constrained_scheme(2, 2, 2, 0),
+            random_constrained_scheme(3, 2, 2, 1),
+            random_constrained_scheme(4, 3, 3, 2),
+            build_swap_scheme(random_full_rank_state(2, 3)),
+            build_luders_scheme(random_povm(4, 3, 4, mode="completely-unsharp")),
+        ]
+        for scheme in schemes:
+            ds = scheme.system_dim
+            inst = scheme_to_instrument(scheme)
+            for x, op in enumerate(inst.operations):
+                direct = scheme_dual_superoperator(scheme, x)
+                assert np.abs(direct - op.dual_superoperator).max() < 1e-9
+                # minimal Kraus count: the rank of the oracle's Choi matrix
+                choi = dagger(direct).reshape(ds, ds, ds, ds).transpose(0, 2, 1, 3).reshape(ds * ds, -1)
+                assert len(op.kraus) == len(kraus_from_choi(choi, ds, ds))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dims=st.sampled_from(((2, 2), (3, 2), (2, 3))),
+           extra=st.integers(0, 3))
+    def test_kraus_mixing_and_outcome_relabelling(self, seed, dims, extra):
+        ds, da = dims
+        scheme = random_constrained_scheme(ds, da, 3, seed)
+        rng = np.random.default_rng(seed)
+        ks = np.array(scheme.interaction.kraus)
+        isometry = random_unitary(len(ks) + extra, rng)[:, :len(ks)]
+        mixed = Channel(tuple(np.tensordot(isometry, ks, axes=(1, 0))))
+        perm = rng.permutation(len(scheme.pointer))
+        pointer = Observable(tuple(scheme.pointer.effects[p] for p in perm),
+                             tuple(scheme.outcomes[p] for p in perm))
+        other = MeasurementScheme(ds, scheme.ancilla, mixed, pointer)
+        base = dict(zip(scheme.outcomes, scheme_to_instrument(scheme).operations))
+        for label, op in zip(other.outcomes, scheme_to_instrument(other).operations):
+            assert superop_distance(op, base[label]) < 1e-10
+            assert len(op.kraus) == len(base[label].kraus)
 
 
 class TestFidelity:
