@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from .core import Instrument, Observable, State
-from .errors import DecompositionMismatch, DegenerateCenter, NotAnAlgebra
+from .errors import DecompositionMismatch, DegenerateCenter, DimensionMismatch, NotAnAlgebra
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -28,7 +28,6 @@ from .linalg import (
     eigenvalue_clusters,
     hermitian_eig,
     hermitianize,
-    hs_inner,
     hs_norm,
     kernel_basis,
     kernel_rank,
@@ -47,50 +46,64 @@ RECONSTRUCTION_LIMIT = 1e-6
 # Hermitian bases for *-closed spans
 
 
+def _stack(mats, dim: int) -> np.ndarray:
+    """A sequence of dim x dim matrices, or a stack of them, as one (count, dim, dim) array."""
+    a = np.array(mats, dtype=np.complex128)
+    if a.size and a.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"expected {dim} x {dim} matrices, got shape {a.shape}")
+    return a.reshape(-1, dim, dim)
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a_x, b_y] for every pair from two stacks, indexed [x, y]."""
+    return a[:, None] @ b[None] - b[None] @ a[:, None]
+
+
 def _embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """Isometry from Hermitian matrices onto R^(d*d) for real orthonormalization."""
-    d = h.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([
-        np.diag(h).real,
-        np.sqrt(2.0) * h[iu].real,
-        np.sqrt(2.0) * h[iu].imag,
-    ])
+    """Isometry from Hermitian matrices (one or a stack) onto R^(d*d), for real SVDs."""
+    iu = np.triu_indices(h.shape[-1], k=1)
+    upper = np.sqrt(2.0) * h[..., iu[0], iu[1]]
+    diagonal = np.diagonal(h, axis1=-2, axis2=-1).real
+    return np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
 
 
 def _unembed_hermitian(x: np.ndarray, d: int) -> np.ndarray:
     iu = np.triu_indices(d, k=1)
     n_off = iu[0].size
-    h = np.diag(x[:d]).astype(np.complex128)
-    upper = (x[d:d + n_off] + 1j * x[d + n_off:]) / np.sqrt(2.0)
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
+    h = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
+    h[..., range(d), range(d)] = x[..., :d]
+    upper = (x[..., d:d + n_off] + 1j * x[..., d + n_off:]) / np.sqrt(2.0)
+    h[..., iu[0], iu[1]] = upper
+    h[..., iu[1], iu[0]] = upper.conj()
     return h
 
 
-def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """HS-orthonormal Hermitian basis of the *-closed complex span of mats."""
-    rows = []
-    for m in mats:
-        rows.append(_embed_hermitian(hermitianize(m)))
-        rows.append(_embed_hermitian((m - dagger(m)) / 2j))
-    a = np.stack(rows, axis=0)
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return tuple(_unembed_hermitian(vh[i], dim) for i in range(kernel_rank(s, tol)))
+def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """HS-orthonormal Hermitian basis, stacked, of the *-closed complex span of mats."""
+    m = _stack(mats, dim)
+    rows = _embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
+    _, s, vh = np.linalg.svd(rows.reshape(-1, dim * dim), full_matrices=False)
+    return _unembed_hermitian(vh[:kernel_rank(s, tol)], dim)
 
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Complex operator span given by an HS-orthonormal Hermitian basis."""
+    """Complex operator span given by an HS-orthonormal Hermitian basis.
+
+    basis is one (count, dim, dim) array; any sequence of matrices is stacked.
+    """
 
     dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", _stack(self.basis, self.dim))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for b in self.basis:
-            out += hs_inner(b, x) * b
-        return out
+        """Orthogonal projection of one operator or a stack onto the span."""
+        flat = self.basis.reshape(len(self.basis), -1)  # rows vec(B_k)
+        coeff = np.reshape(x, (-1, flat.shape[1])) @ flat.conj().T  # <B_k, x>
+        return (coeff @ flat).reshape(np.shape(x))
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -101,8 +114,7 @@ def fixed_point_space(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> 
     d = instrument.dim
     s = instrument.total_channel().dual_superoperator
     null = kernel_basis(s - np.eye(d * d), tol)
-    mats = [unvec(null[:, j], d) for j in range(null.shape[1])]
-    basis = hermitian_basis(mats, d, tol)
+    basis = hermitian_basis(null.T.reshape(-1, d, d), d, tol)  # column j of null is vec(F_j)
     if len(basis) != null.shape[1]:
         raise NotAnAlgebra("fixed-point span is not adjoint-closed within tolerance")
     return OperatorSubspace(d, basis)
@@ -113,14 +125,11 @@ def verify_algebra(space: OperatorSubspace, tol: Tolerances = DEFAULT_TOL) -> bo
     eye = np.eye(space.dim, dtype=np.complex128)
     if hs_norm(eye - space.project(eye)) > PRODUCT_RESIDUAL * space.dim:
         return False
-    for b in space.basis:
-        if hs_norm(dagger(b) - space.project(dagger(b))) > PRODUCT_RESIDUAL:
+    b = space.basis
+    products = (b[:, None] @ b[None]).reshape(-1, space.dim, space.dim)
+    for x in (dagger(b), products):
+        if np.linalg.norm(x - space.project(x), axis=(1, 2)).max() > PRODUCT_RESIDUAL:
             return False
-    for a in space.basis:
-        for b in space.basis:
-            prod = a @ b
-            if hs_norm(prod - space.project(prod)) > PRODUCT_RESIDUAL:
-                return False
     return True
 
 
@@ -150,22 +159,19 @@ class FactorDecomposition:
     blocks: tuple[FactorBlock, ...]
     reconstruction_residual: float
 
-    def block_units(self) -> list[np.ndarray]:
-        """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra."""
-        out = []
-        for blk in self.blocks:
-            for i in range(blk.dim_k):
-                for j in range(blk.dim_k):
-                    unit = np.zeros((blk.dim_k, blk.dim_k), dtype=np.complex128)
-                    unit[i, j] = 1.0
-                    out.append(blk.factorizer @ kron(unit, np.eye(blk.dim_r)) @ dagger(blk.factorizer))
-        return out
+    def block_units(self) -> np.ndarray:
+        """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra, stacked."""
+        return np.concatenate([
+            blk.factorizer @ np.kron(np.eye(blk.dim_k ** 2).reshape(-1, blk.dim_k, blk.dim_k),
+                                     np.eye(blk.dim_r)) @ dagger(blk.factorizer)
+            for blk in self.blocks
+        ])
 
 
 def subspace_distance(mats_a, mats_b, dim: int) -> float:
     """Spectral distance between orthogonal projectors onto two operator spans."""
     def projector(mats):
-        a = np.stack([vec(m) for m in mats], axis=0)
+        a = _stack(mats, dim).reshape(-1, dim * dim)  # rows vec(m)
         _, s, vh = np.linalg.svd(a, full_matrices=False)
         cut = 1e-10 * max(1.0, float(s[0]))
         q = vh[s > cut]
@@ -173,31 +179,22 @@ def subspace_distance(mats_a, mats_b, dim: int) -> float:
     return float(np.linalg.norm(projector(mats_a) - projector(mats_b), 2))
 
 
-def _center_basis(space: OperatorSubspace, tol: Tolerances) -> tuple[np.ndarray, ...]:
+def _center_basis(space: OperatorSubspace, tol: Tolerances) -> np.ndarray:
     """Hermitian basis of the center: elements commuting with every basis matrix."""
-    m = len(space.basis)
-    rows = []
-    for b in space.basis:
-        cols = [vec(c @ b - b @ c) for c in space.basis]
-        rows.append(np.stack(cols, axis=1))
-    commutator_map = np.concatenate(rows, axis=0)  # (m*d^2, m)
+    b = space.basis
+    # row (y, i, k), column x: entry [B_x, B_y]_ik, so the kernel holds the central coefficients
+    commutator_map = np.moveaxis(_commutators(b, b), 0, -1).reshape(-1, len(b))
     coeff = kernel_basis(commutator_map, tol)
-    elements = []
-    for j in range(coeff.shape[1]):
-        z = np.zeros((space.dim, space.dim), dtype=np.complex128)
-        for k in range(m):
-            z += coeff[k, j] * space.basis[k]
-        elements.append(z)
-    return hermitian_basis(elements, space.dim, tol)
+    return hermitian_basis(np.tensordot(coeff.T, b, axes=1), space.dim, tol)
 
 
-def _minimal_central_projections(center: tuple[np.ndarray, ...], space: OperatorSubspace,
+def _minimal_central_projections(center: np.ndarray, space: OperatorSubspace,
                                  tol: Tolerances, rng: np.random.Generator) -> list[np.ndarray]:
     """Cluster the spectrum of a generic central element; one projection per block."""
     z = len(center)
     for _ in range(5):
         g = rng.standard_normal(z)
-        x = sum(gi * h for gi, h in zip(g, center))
+        x = np.tensordot(g, center, axes=1)
         w, v = hermitian_eig(x, tol)
         clusters = eigenvalue_clusters(w, tol.cluster_gap)
         if len(clusters) != z:
@@ -206,7 +203,7 @@ def _minimal_central_projections(center: tuple[np.ndarray, ...], space: Operator
     raise DegenerateCenter(f"could not separate {z} blocks after resampling")
 
 
-def _block_factorizer(proj: np.ndarray, block_basis: tuple[np.ndarray, ...], dim_k: int,
+def _block_factorizer(proj: np.ndarray, block_basis: np.ndarray, dim_k: int,
                       dim_r: int, tol: Tolerances, rng: np.random.Generator) -> np.ndarray:
     """Isometry W with W^dag B W = B_K (x) 1_R for every block algebra element B."""
     d = proj.shape[0]
@@ -214,7 +211,7 @@ def _block_factorizer(proj: np.ndarray, block_basis: tuple[np.ndarray, ...], dim
     for _ in range(5):
         g = rng.standard_normal(len(block_basis))
         shift = 3.0 * (1.0 + float(np.abs(g).sum()))
-        x = sum(gi * b for gi, b in zip(g, block_basis)) + shift * proj
+        x = np.tensordot(g, block_basis, axes=1) + shift * proj
         w, v = hermitian_eig(x, tol)
         inside = w > shift / 2.0
         if int(inside.sum()) != rank:
@@ -225,7 +222,7 @@ def _block_factorizer(proj: np.ndarray, block_basis: tuple[np.ndarray, ...], dim
         minimal = [v[:, idx] for idx in clusters]  # orthonormal columns per p_i
 
         g2 = rng.standard_normal(len(block_basis))
-        y = sum(gi * b for gi, b in zip(g2, block_basis))
+        y = np.tensordot(g2, block_basis, axes=1)
         p0 = minimal[0] @ minimal[0].conj().T
         cols = []
         degenerate = False
@@ -274,8 +271,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
 
     blocks = []
     for proj in projections:
-        block_mats = [proj @ b @ proj for b in space.basis]
-        block_basis = hermitian_basis(block_mats, d, tol)
+        block_basis = hermitian_basis(proj @ space.basis @ proj, d, tol)
         bdim = len(block_basis)
         dim_k = isqrt(bdim)
         if dim_k * dim_k != bdim:
@@ -295,7 +291,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
         blocks.append(FactorBlock(proj, dim_k, dim_r, fact, State(omega, tol)))
 
     deco = FactorDecomposition(space, tuple(blocks), 0.0)
-    residual = subspace_distance(deco.block_units(), list(space.basis), d)
+    residual = subspace_distance(deco.block_units(), space.basis, d)
     return FactorDecomposition(space, tuple(blocks), float(residual))
 
 
@@ -332,10 +328,9 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
     partial trace over K and certified by reconstructing the effect.
     """
     d = decomposition.space.dim
-    for e in observable.effects:
-        for b in decomposition.space.basis:
-            if np.abs(e @ b - b @ e).max() > RECONSTRUCTION_LIMIT:
-                raise DecompositionMismatch("effect does not commute with the fixed-point span")
+    comms = _commutators(_stack(observable.effects, d), decomposition.space.basis)
+    if np.abs(comms).max() > RECONSTRUCTION_LIMIT:
+        raise DecompositionMismatch("effect does not commute with the fixed-point span")
     per_outcome = []
     residuals = []
     for e in observable.effects:
@@ -356,8 +351,5 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
 
 def commutant_residual(space: OperatorSubspace, observable: Observable) -> float:
     """Largest commutator norm between a basis element and an effect (F within E')."""
-    return max(
-        float(hs_norm(e @ b - b @ e))
-        for e in observable.effects
-        for b in space.basis
-    )
+    comms = _commutators(_stack(observable.effects, space.dim), space.basis)
+    return float(np.linalg.norm(comms, axis=(2, 3)).max())

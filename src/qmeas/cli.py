@@ -185,14 +185,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise QmeasError(f"{args.against}: expected an observable")
         ok = check_non_disturbance(instrument, other, tol)
         report["non_disturbance"] = ok
-        report["residual"] = invariance_residual(instrument, other.effects)
+        report["residual"] = invariance_residual(instrument.total_channel(), other.effects)
         _emit(report, args)
         return EXIT_YES if ok else EXIT_NO
 
     if what == "firstkind":
         ok = check_first_kind(instrument, tol)
         report["first_kind"] = ok
-        report["residual"] = invariance_residual(instrument, instrument.induced_observable().effects)
+        report["residual"] = invariance_residual(instrument.total_channel(),
+                                                 instrument.induced_observable().effects)
         _emit(report, args)
         return EXIT_YES if ok else EXIT_NO
 

@@ -135,6 +135,8 @@ class _KrausMap:
         if not ks:
             raise ValidationError("at least one Kraus operator required")
         shape = ks[0].shape
+        if 0 in shape:
+            raise ValidationError(f"Kraus operators must not be empty, got shape {shape}")
         for k in ks:
             if k.shape != shape:
                 raise DimensionMismatch("Kraus operators differ in shape")
@@ -208,13 +210,15 @@ class Channel(_KrausMap):
     def identity(dim: int) -> "Channel":
         return Channel((np.eye(dim, dtype=np.complex128),))
 
-    def as_operation(self) -> Operation:
-        return Operation(self.kraus, self.tol)
-
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-indexed operations on one space whose total is a channel."""
+    """Outcome-indexed operations on one space whose total is a channel.
+
+    Construction builds and validates the induced observable E_x = I_x^*(1)
+    and keeps it; its sum-to-identity check is the check that the total is a
+    channel, and it supplies the default outcome labels.
+    """
 
     operations: tuple[Operation, ...]
     outcomes: tuple[str, ...] = ()
@@ -224,21 +228,14 @@ class Instrument:
         ops = tuple(self.operations)
         if not ops:
             raise ValidationError("instrument needs at least one operation")
-        outcomes = self.outcomes or tuple(str(i) for i in range(len(ops)))
-        if len(outcomes) != len(ops):
-            raise ValidationError("outcome labels do not match operation count")
         d = ops[0].dim_in
         for op in ops:
             if op.dim_in != d or op.dim_out != d:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
-        total = sum(op._kraus_sum() for op in ops)
-        dev = np.abs(total - np.eye(d)).max()
-        if not dev <= self.tol.atol_equality * sum(len(op.kraus) for op in ops):
-            raise ValidationError(f"operations do not sum to a channel (deviation {dev:.3e})")
+        observable = Observable(tuple(op._kraus_sum() for op in ops), self.outcomes, self.tol)
         object.__setattr__(self, "operations", ops)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
-        # induced observable must be valid; constructing it runs the checks
-        self.induced_observable()
+        object.__setattr__(self, "outcomes", observable.outcomes)
+        object.__setattr__(self, "_observable", observable)
 
     @property
     def dim(self) -> int:
@@ -249,7 +246,7 @@ class Instrument:
 
     def induced_observable(self) -> Observable:
         """E_x = I_x^*(1), the observable the instrument measures."""
-        return Observable(tuple(op._kraus_sum() for op in self.operations), self.outcomes, self.tol)
+        return self._observable
 
     def total_channel(self) -> Channel:
         ks = [k for op in self.operations for k in op.kraus]
@@ -289,22 +286,26 @@ class MeasurementScheme:
 
 
 def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, State) else as_complex_matrix(x)
+    return x.matrix if isinstance(x, State) else np.asarray(x, dtype=np.complex128)
+
+
+def _operands(x, dim: int) -> np.ndarray:
+    """One operator or an (n, dim, dim) stack of them, as complex128."""
+    m = _as_matrix(x)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"input shape {m.shape} is not ({dim}, {dim}) or (n, {dim}, {dim})")
+    return m
 
 
 def apply(op: _KrausMap, rho) -> np.ndarray:
-    """Schroedinger action sum_i K_i rho K_i^dag."""
-    m = _as_matrix(rho)
-    if m.shape != (op.dim_in, op.dim_in):
-        raise DimensionMismatch(f"input shape {m.shape} does not match dim_in {op.dim_in}")
+    """Schroedinger action sum_i K_i rho K_i^dag, on one operator or a stack."""
+    m = _operands(rho, op.dim_in)
     return sum(k @ m @ dagger(k) for k in op.kraus)
 
 
 def apply_dual(op: _KrausMap, a) -> np.ndarray:
-    """Heisenberg action sum_i K_i^dag A K_i."""
-    m = _as_matrix(a)
-    if m.shape != (op.dim_out, op.dim_out):
-        raise DimensionMismatch(f"input shape {m.shape} does not match dim_out {op.dim_out}")
+    """Heisenberg action sum_i K_i^dag A K_i, on one operator or a stack."""
+    m = _operands(a, op.dim_out)
     return sum(dagger(k) @ m @ k for k in op.kraus)
 
 

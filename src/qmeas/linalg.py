@@ -48,7 +48,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose; of each matrix, for a stack."""
+    return np.swapaxes(np.asarray(a), -1, -2).conj()
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -78,11 +79,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
-
-
-def is_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol.atol_equality
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:

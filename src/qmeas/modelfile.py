@@ -40,12 +40,17 @@ def _matrix_from_json(rows: Any) -> np.ndarray:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers although bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, key: str, kind: type = list):
     """doc[key]; a missing key or a value of another JSON type is a malformed document."""
     if key not in doc:
         raise ValidationError(f"{doc.get('kind')} document missing {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ValidationError(f"{doc.get('kind')} document field {key!r} must be a {kind.__name__}, "
                               f"got {type(value).__name__}")
     return value
@@ -67,7 +72,7 @@ def _matrices(items: Any) -> tuple[np.ndarray, ...]:
 def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """Alternative channel payload: Choi matrix plus [dim_out, dim_in]."""
     dims = doc.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(n, int) and n > 0 for n in dims)):
+    if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(n) and n > 0 for n in dims)):
         raise ValidationError("choi payload requires positive integer dims: [dim_out, dim_in]")
     dim_out, dim_in = dims
     choi = _matrix_from_json(doc["choi"])
@@ -128,11 +133,19 @@ def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
         return Instrument(ops, _labels(doc), tol)
     return MeasurementScheme(
         system_dim=_field(doc, "system_dim", int),
-        ancilla=decode(_field(doc, "ancilla", dict), tol),
-        interaction=decode(_field(doc, "interaction", dict), tol),
-        pointer=decode(_field(doc, "pointer", dict), tol),
+        ancilla=_part(doc, "ancilla", State, tol),
+        interaction=_part(doc, "interaction", Channel, tol),
+        pointer=_part(doc, "pointer", Observable, tol),
         tol=tol,
     )
+
+
+def _part(doc: dict, key: str, cls: type, tol: Tolerances):
+    """A scheme's sub-document, which must decode to an object of type cls."""
+    obj = decode(_field(doc, key, dict), tol)
+    if not isinstance(obj, cls):
+        raise ValidationError(f"scheme {key} must be a {cls.__name__.lower()}, got {type(obj).__name__}")
+    return obj
 
 
 def dumps(obj, indent: int | None = None) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import ObservableClassification
 from .core import (
+    Channel,
     Instrument,
     MeasurementScheme,
     Observable,
@@ -27,7 +28,7 @@ from .core import (
     superop_distance,
 )
 from .errors import SchemeMismatch
-from .linalg import DEFAULT_TOL, Tolerances, dagger, hermitian_eig, kron, numerical_rank, vec
+from .linalg import DEFAULT_TOL, Tolerances, dagger, hermitian_eig, numerical_rank
 
 IDEAL_BASIS_RESIDUAL = 1e-8
 SCHEME_IDENTITY_RESIDUAL = 1e-7
@@ -42,16 +43,16 @@ IDEAL_FALSE = "false"
 IDEAL_NOT_APPLICABLE = "not_applicable"
 
 
-def invariance_residual(instrument: Instrument, effects) -> float:
-    """max |I_X^*(F) - F| over the effects F, for the total channel I_X."""
-    total = instrument.total_channel()
-    return float(np.max([np.abs(apply_dual(total, f) - f).max() for f in effects]))
+def invariance_residual(channel: Channel, effects) -> float:
+    """max |Phi^*(F) - F| over the effects F; Phi is an instrument's total channel I_X."""
+    f = np.array(effects, dtype=np.complex128)
+    return float(np.abs(apply_dual(channel, f) - f).max())
 
 
 def check_non_disturbance(instrument: Instrument, other: Observable,
                           tol: Tolerances = DEFAULT_TOL) -> bool:
     """I_X^*(F_y) = F_y for every effect of the other observable."""
-    return invariance_residual(instrument, other.effects) <= tol.atol_equality
+    return invariance_residual(instrument.total_channel(), other.effects) <= tol.atol_equality
 
 
 def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -61,13 +62,12 @@ def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> b
 
 def check_repeatable(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     """I_x^*(E_y) = delta_xy E_x for all outcome pairs."""
-    effects = instrument.induced_observable().effects
-    for x, op in enumerate(instrument.operations):
-        for y, e in enumerate(effects):
-            expected = effects[x] if x == y else np.zeros_like(e)
-            if np.abs(apply_dual(op, e) - expected).max() > tol.atol_equality:
-                return False
-    return True
+    effects = np.array(instrument.induced_observable().effects)
+    targets = np.eye(len(effects))[:, :, None, None] * effects  # [x, y] = delta_xy E_y
+    return all(
+        np.abs(apply_dual(op, effects) - target).max() <= tol.atol_equality
+        for op, target in zip(instrument.operations, targets)
+    )
 
 
 def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
@@ -75,21 +75,17 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
 
     Ideality asks that states certain of an outcome pass undisturbed; such
     states exist only for norm-1 effects, and they span the operators living
-    on the eigenvalue-1 eigenspace Q_x, so invariance is tested on a basis
-    of Q_x-supported operators.
+    on the eigenvalue-1 eigenspace Q_x, so invariance is tested on the units
+    |q_i><q_j| of an orthonormal basis of Q_x.
     """
-    obs = instrument.induced_observable()
-    spectra = [hermitian_eig(e, tol)[0] for e in obs.effects]
-    if any(w[0] < 1.0 - tol.rank_threshold for w in spectra):
+    eigs = [hermitian_eig(e, tol) for e in instrument.induced_observable().effects]
+    if any(w[0] < 1.0 - tol.rank_threshold for w, _ in eigs):
         return IDEAL_NOT_APPLICABLE
-    for op, e in zip(instrument.operations, obs.effects):
-        w, v = hermitian_eig(e, tol)
+    for op, (w, v) in zip(instrument.operations, eigs):
         q = v[:, w >= 1.0 - tol.rank_threshold]
-        for i in range(q.shape[1]):
-            for j in range(q.shape[1]):
-                a = np.outer(q[:, i], q[:, j].conj())
-                if np.abs(apply(op, a) - a).max() > IDEAL_BASIS_RESIDUAL:
-                    return IDEAL_FALSE
+        units = np.einsum("ai,bj->ijab", q, q.conj()).reshape(-1, instrument.dim, instrument.dim)
+        if np.abs(apply(op, units) - units).max() > IDEAL_BASIS_RESIDUAL:
+            return IDEAL_FALSE
     return IDEAL_TRUE
 
 
@@ -115,14 +111,12 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     The criterion is basis-independent: any other minimal family spans the
     same product set.
     """
-    families = [minimal_kraus(op, tol) for op in instrument.operations]
-    products = [
-        vec(dagger(a) @ b)
-        for family in families
-        for a in family
-        for b in family
-    ]
-    gram_rank = numerical_rank(np.stack(products, axis=0), tol)
+    families = [np.array(minimal_kraus(op, tol)) for op in instrument.operations]
+    products = np.concatenate([
+        (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
+        for f in families
+    ])
+    gram_rank = numerical_rank(products, tol)
     ranks = tuple(len(f) for f in families)
     return ExtremalResult(gram_rank == sum(m * m for m in ranks), ranks, gram_rank)
 
@@ -242,18 +236,14 @@ def check_extremal_scheme_identity(scheme: MeasurementScheme, instrument: Instru
     if dist > SCHEME_IMPLEMENTS_RESIDUAL * instrument.dim:
         raise SchemeMismatch(f"scheme's instrument is {dist:.3e} away from the claimed one")
 
-    ds, da = scheme.system_dim, scheme.ancilla_dim
-    eye_a = np.eye(da)
-    for z, op in zip(scheme.pointer.effects, instrument.operations):
-        for a_row in range(ds):
-            for a_col in range(ds):
-                unit = np.zeros((ds, ds), dtype=np.complex128)
-                unit[a_row, a_col] = 1.0
-                lhs = apply_dual(scheme.interaction, kron(unit, z))
-                rhs = kron(apply_dual(op, unit), eye_a)
-                if np.abs(lhs - rhs).max() > SCHEME_IDENTITY_RESIDUAL:
-                    return False
-    return True
+    ds = scheme.system_dim
+    units = np.eye(ds * ds, dtype=np.complex128).reshape(-1, ds, ds)  # the matrix units e_ab
+    eye_a = np.eye(scheme.ancilla_dim)
+    return all(
+        np.abs(apply_dual(scheme.interaction, np.kron(units, z))
+               - np.kron(apply_dual(op, units), eye_a)).max() <= SCHEME_IDENTITY_RESIDUAL
+        for z, op in zip(scheme.pointer.effects, instrument.operations)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +263,18 @@ class PropertyReport:
 
 def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
                         against: Observable | None = None) -> PropertyReport:
+    """All property verdicts; each invariance residual is computed once and thresholded."""
     obs = instrument.induced_observable()
-    dim = instrument.dim
-    ranks = [numerical_rank(e, tol) for e in obs.effects]
-    residuals = {"first_kind": invariance_residual(instrument, obs.effects)}
-    report = PropertyReport(
-        first_kind=check_first_kind(instrument, tol),
+    total = instrument.total_channel()
+    residuals = {"first_kind": invariance_residual(total, obs.effects)}
+    if against is not None:
+        residuals["non_disturbance"] = invariance_residual(total, against.effects)
+    return PropertyReport(
+        first_kind=residuals["first_kind"] <= tol.atol_equality,
         repeatable=check_repeatable(instrument, tol),
         ideal=check_ideal(instrument, tol),
         extremal=check_extremal(instrument, tol),
-        rank_bound_ok=all(r * r >= dim for r in ranks),
-        non_disturbance=None if against is None else check_non_disturbance(instrument, against, tol),
+        rank_bound_ok=all(numerical_rank(e, tol) ** 2 >= instrument.dim for e in obs.effects),
+        non_disturbance=None if against is None else residuals["non_disturbance"] <= tol.atol_equality,
         residuals=residuals,
     )
-    if against is not None:
-        report.residuals["non_disturbance"] = invariance_residual(instrument, against.effects)
-    return report

@@ -34,26 +34,20 @@ from .linalg import (
 class ThirdLawVerdict:
     """constrained: rank non-decrease holds.
 
-    witness: image of the complete mixture when constrained (full-rank by
-    construction); the complete mixture itself otherwise (a full-rank input
-    whose image is rank-deficient).  min_output_eigenvalue is the smallest
-    eigenvalue of the mixture's image either way.
+    min_output_eigenvalue is the smallest eigenvalue of the complete
+    mixture's image (for a scheme with a rank-deficient ancilla, of the
+    ancilla state).
     """
 
     constrained: bool
-    witness: State | None
     min_output_eigenvalue: float
 
 
 def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Rank test on the image of the complete mixture."""
-    mix = State.complete_mixture(channel.dim_in)
-    out = apply(channel, mix)
-    rank = numerical_rank(out, tol)
+    out = apply(channel, np.eye(channel.dim_in) / channel.dim_in)
     w, _ = hermitian_eig(out, tol)
-    constrained = rank == channel.dim_out
-    witness = State(out, tol) if constrained else mix
-    return ThirdLawVerdict(constrained, witness, float(w[-1]))
+    return ThirdLawVerdict(numerical_rank(out, tol) == channel.dim_out, float(w[-1]))
 
 
 def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -134,7 +128,7 @@ def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_T
     xi = scheme.ancilla
     w, _ = hermitian_eig(xi.matrix, tol)
     if numerical_rank(xi.matrix, tol) < xi.dim:
-        return ThirdLawVerdict(False, None, float(w[-1]))
+        return ThirdLawVerdict(False, float(w[-1]))
     return check_channel_thirdlaw(scheme.interaction, tol)
 
 

@@ -12,7 +12,7 @@ from qmeas.algebra import (
     verify_algebra,
 )
 from qmeas.core import Observable, State, luders_instrument, scheme_to_instrument
-from qmeas.errors import DecompositionMismatch, NotAnAlgebra
+from qmeas.errors import DecompositionMismatch, DimensionMismatch, NotAnAlgebra
 from qmeas.linalg import hs_norm
 from qmeas.models import (
     build_shift_scheme,
@@ -26,6 +26,7 @@ from qmeas.models import (
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def swap_instrument():
@@ -72,6 +73,23 @@ class TestVerifyAlgebra:
     def test_product_closure_failure(self):
         span = OperatorSubspace(2, (np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2), SY / np.sqrt(2)))
         assert not verify_algebra(span)
+
+    def test_tuple_and_stack_give_the_same_subspace(self):
+        mats = (np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2), SY / np.sqrt(2))
+        from_tuple, from_stack = OperatorSubspace(2, mats), OperatorSubspace(2, np.stack(mats))
+        assert from_tuple.basis.shape == from_stack.basis.shape == (3, 2, 2)
+        assert np.array_equal(from_tuple.basis, from_stack.basis)
+        assert len(from_tuple) == len(from_stack) == 3
+        x = np.array([[1.0, 2.0j], [3.0, 4.0]])
+        stack = np.stack([x, SX, np.eye(2)])
+        for space in (from_tuple, from_stack):
+            assert np.abs(space.project(x) - (x - np.trace(x @ SZ) * SZ / 2)).max() < 1e-12
+            projected = space.project(stack)
+            for m, got in zip(stack, projected):
+                assert np.abs(got - space.project(m)).max() < 1e-12
+        assert verify_algebra(from_tuple) == verify_algebra(from_stack) is False
+        with pytest.raises(DimensionMismatch):
+            OperatorSubspace(2, (np.eye(4),))
 
     def test_adjoint_closure_failure(self):
         raiser = np.zeros((2, 2), dtype=complex)

@@ -1,9 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas import modelfile
 from qmeas.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
-from qmeas.core import State, luders_instrument
+from qmeas.core import Channel, MeasurementScheme, State, luders_instrument
 from qmeas.models import (
+    CATALOG,
     build_extremal_model,
     build_ideality_example,
     build_nondisturbance_example,
@@ -285,6 +293,38 @@ class TestPlumbing:
         assert code == EXIT_ERROR
         assert "dims" in err
 
+    def test_zero_size_kraus_operator_is_an_input_error(self, tmp_path, capsys):
+        channel_doc = modelfile.encode(random_constrained_channel(2, 0))
+        channel_doc["kraus"] = [[[]]]
+        instrument_doc = modelfile.encode(luders_instrument(completely_unsharp_pair()))
+        instrument_doc["operations"][0] = [[[]]]
+        for verb, doc in (("channel-thirdlaw", channel_doc), ("firstkind", instrument_doc)):
+            path = tmp_path / f"{verb}.json"
+            path.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "check", verb, str(path))
+            assert code == EXIT_ERROR
+            assert "empty" in err
+
+    def test_boolean_system_dim_is_an_input_error(self, tmp_path, capsys):
+        # with a one-dimensional system, true (== 1) would fit the interaction
+        scheme = MeasurementScheme(1, State.complete_mixture(2), Channel.identity(2), pointer_observable(2))
+        doc = modelfile.encode(scheme)
+        doc["system_dim"] = True
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("scheme-thirdlaw", "firstkind"):
+            code, _, err = run(capsys, "check", verb, str(path))
+            assert code == EXIT_ERROR
+            assert "'system_dim'" in err
+
+    def test_boolean_choi_dims_is_an_input_error(self, tmp_path, capsys):
+        doc = {"schema_version": "1", "kind": "channel", "choi": [[[1.0, 0.0]]], "dims": [True, True]}
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert "dims" in err
+
     def test_tol_atol_reaches_loaded_files(self, tmp_path, capsys):
         doc = modelfile.encode(random_constrained_channel(2, 0))
         scale = 1 + 3.5e-6  # sum K^dag K = scale^2 * 1, about 7e-6 off the identity
@@ -305,3 +345,53 @@ class TestPlumbing:
         code, _, err = run(capsys, "classify", str(path))
         assert code == EXIT_ERROR
         assert "QMEAS_TOL_ATOL" in err
+
+
+# one-field corruptions: wrong JSON types, an empty list, an empty row (alone
+# and as a one-matrix list), true, NaN, a broken sub-document and a valid
+# sub-document of the wrong kind
+CORRUPTIONS = (5, "x", None, {}, [], [[]], [[[]]], True, float("nan"),
+               {"schema_version": "1", "kind": "state"}, modelfile.encode(State.complete_mixture(2)))
+
+FUZZ_COMMANDS = {
+    "state": (["classify"],),
+    "observable": (["classify"],),
+    "channel": (["check", "channel-thirdlaw"],),
+    "scheme": (["check", "scheme-thirdlaw"], ["check", "firstkind"], ["check", "extremal"]),
+    "instrument": (["check", "firstkind"], ["check", "repeatable"], ["check", "ideal"],
+                   ["check", "extremal"]),
+}
+
+CATALOG_DOCUMENTS = {
+    f"{name}.{key}": modelfile.encode(obj)
+    for name, entry in CATALOG.items()
+    for key, obj in entry.build().items()
+}
+
+
+class TestExitContractFuzz:
+    @pytest.mark.parametrize("stem", sorted(CATALOG_DOCUMENTS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_field_exits_cleanly(self, tmp_path_factory, stem, data):
+        """main never raises, and exits 2 whenever the corrupted file does not load."""
+        doc = copy.deepcopy(CATALOG_DOCUMENTS[stem])
+        kind = doc["kind"]
+        node, key = doc, data.draw(st.sampled_from(sorted(doc)))
+        while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(CORRUPTIONS)))
+        text = json.dumps(doc)
+        try:
+            modelfile.loads(text)
+            loads = True
+        except Exception:
+            loads = False
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(text)
+        for command in FUZZ_COMMANDS[kind]:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command, str(path), "--json"])
+            assert code in (EXIT_YES, EXIT_NO, EXIT_ERROR)
+            assert loads or code == EXIT_ERROR, (command, text[:300])

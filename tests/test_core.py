@@ -124,6 +124,7 @@ class TestInstrumentValidation:
         inst = luders_instrument(completely_unsharp_pair())
         eff = inst.induced_observable().effects
         assert np.abs(eff[0] - np.diag([0.75, 0.25])).max() < 1e-12
+        assert inst.induced_observable() is inst.induced_observable()  # validated once, kept
 
 
 class TestLudersInstrument:
@@ -300,6 +301,26 @@ class TestApplyAndDuality:
                     rhs = hs_inner(apply_dual(op, a), rho)
                     worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-10
+
+
+    def test_stack_matches_per_matrix_results(self):
+        rng = np.random.default_rng(5)
+        ch = random_channel(3, 2, 4, 7)  # dim_in 3, dim_out 2
+        rhos = np.stack([rand_complex(rng, 3) for _ in range(5)])
+        effects = np.stack([rand_complex(rng, 2) for _ in range(5)])
+        got, got_dual = apply(ch, rhos), apply_dual(ch, effects)
+        assert got.shape == (5, 2, 2) and got_dual.shape == (5, 3, 3)
+        for i in range(5):
+            assert np.abs(got[i] - apply(ch, rhos[i])).max() < 1e-13
+            assert np.abs(got_dual[i] - apply_dual(ch, effects[i])).max() < 1e-13
+
+    def test_stack_with_wrong_trailing_shape_is_rejected(self):
+        ch = random_channel(3, 2, 4, 7)
+        for bad in (np.zeros((5, 2, 2)), np.zeros((5, 3, 2)), np.zeros(9), np.zeros((2, 5, 3, 3))):
+            with pytest.raises(DimensionMismatch):
+                apply(ch, bad)
+        with pytest.raises(DimensionMismatch):
+            apply_dual(ch, np.zeros((5, 3, 3)))
 
 
 class TestSchemeFactorization:

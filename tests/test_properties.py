@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmeas.classify import classify
 from qmeas.core import (
+    Instrument,
     Observable,
+    Operation,
     State,
     luders_instrument,
     scheme_to_instrument,
@@ -19,6 +23,8 @@ from qmeas.models import (
     extremal_instrument,
     pointer_observable,
     random_instrument,
+    random_povm,
+    random_unitary,
     shift_observable,
     trivial_instrument,
 )
@@ -98,6 +104,11 @@ class TestIdeal:
         obs, _ = build_ideality_example()
         assert check_ideal(luders_instrument(obs)) == IDEAL_TRUE
 
+    def test_luders_of_sharp_with_complex_eigenvectors(self):
+        for seed in range(3):
+            inst = luders_instrument(random_povm(3, 2, seed, mode="sharp"))
+            assert check_ideal(inst) == IDEAL_TRUE
+
     def test_unsharp_has_no_certain_states(self):
         inst = luders_instrument(completely_unsharp_pair())
         assert check_ideal(inst) == IDEAL_NOT_APPLICABLE
@@ -119,6 +130,14 @@ class TestExtremal:
     def test_trivial_not_extremal(self):
         obs = shift_observable(2, (0.6, 0.4))
         assert not check_extremal(trivial_instrument(obs)).extremal
+
+    def test_products_take_the_adjoint_of_complex_kraus_operators(self):
+        # K_x = |s_x><x| with s_x = (1, +-i)/sqrt(2): K_x^dag K_x = |x><x| are independent,
+        # while the transposes would give K_x^T K_x = (s_x^T s_x) |x><x| = 0
+        outputs = (State.pure([1.0, 1.0j]), State.pure([1.0, -1.0j]))
+        res = check_extremal(trivial_instrument(pointer_observable(2), outputs))
+        assert res.extremal
+        assert res.gram_rank == 2
 
     def test_minimal_kraus_drops_redundancy(self):
         obs = pointer_observable(2)
@@ -220,3 +239,42 @@ class TestInvariants:
         assert report.rank_bound_ok
         assert report.non_disturbance
         assert report.residuals["first_kind"] < 1e-10
+
+
+def _verdicts(inst, against):
+    r = evaluate_properties(inst, against=against)
+    return (r.first_kind, r.repeatable, r.ideal, r.extremal.extremal, r.extremal.gram_rank,
+            r.rank_bound_ok, r.non_disturbance)
+
+
+class TestSymmetries:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(("random", "luders", "trivial")),
+           mode=st.sampled_from((None, "sharp", "norm1-unsharp", "completely-unsharp", "small-rank")),
+           d=st.integers(2, 4), n=st.integers(2, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_verdicts_survive_unitary_conjugation_and_relabelling(self, kind, mode, d, n, seed):
+        assume(n < d or mode not in ("sharp", "norm1-unsharp"))
+        if kind == "random":
+            inst = random_instrument(d, n, seed)
+        else:
+            obs = random_povm(d, n, seed, mode)
+            inst = luders_instrument(obs) if kind == "luders" else trivial_instrument(obs)
+        # the sharp observable of one eigenvector of E_0 commutes with E_0, so
+        # binary Luders instruments leave it undisturbed and others need not
+        _, v = np.linalg.eigh(inst.induced_observable().effects[0])
+        p = np.outer(v[:, 0], v[:, 0].conj())
+        against = Observable((p, np.eye(d) - p))
+        want = _verdicts(inst, against)
+
+        rng = np.random.default_rng(seed)
+        u = random_unitary(d, rng)
+        rotated = Instrument(
+            tuple(Operation(tuple(u @ k @ u.conj().T for k in op.kraus)) for op in inst.operations),
+            inst.outcomes)
+        rotated_against = Observable(tuple(u @ f @ u.conj().T for f in against.effects))
+        assert _verdicts(rotated, rotated_against) == want
+
+        perm = rng.permutation(len(inst))
+        relabelled = Instrument(tuple(inst.operations[x] for x in perm),
+                                tuple(inst.outcomes[x] for x in perm))
+        assert _verdicts(relabelled, against) == want
