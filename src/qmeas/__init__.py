@@ -15,7 +15,7 @@ from .core import (
     luders_instrument,
     scheme_to_instrument,
 )
-from .classify import classify, post_processing_decomposition
+from .classify import classify
 from .thirdlaw import (
     check_channel_thirdlaw,
     check_faithfulness,
@@ -50,7 +50,6 @@ __all__ = [
     "luders_instrument",
     "scheme_to_instrument",
     "classify",
-    "post_processing_decomposition",
     "check_channel_thirdlaw",
     "check_faithfulness",
     "check_scheme_thirdlaw",

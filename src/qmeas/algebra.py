@@ -310,14 +310,6 @@ class EffectBlockDecomposition:
     def spectra(self) -> list[list[np.ndarray]]:
         return [[hermitian_eig(b)[0] for b in per_outcome] for per_outcome in self.blocks]
 
-    def strictly_interior(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        cut = tol.rank_threshold
-        return all(
-            w.size > 0 and w[-1] > cut and w[0] < 1.0 - cut
-            for per_outcome in self.spectra()
-            for w in per_outcome
-        )
-
 
 def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
                   tol: Tolerances = DEFAULT_TOL) -> EffectBlockDecomposition:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable
-from .errors import NotCommutative
 from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_clusters, hermitian_eig, numerical_rank
 
 
@@ -82,64 +81,3 @@ def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Observabl
         per_effect_ranks=ranks,
         per_effect_norms=norms,
     )
-
-
-@dataclass(frozen=True)
-class PostProcessing:
-    """E_x = sum_y p(x|y) P_y with sharp base P and column-stochastic p."""
-
-    base: Observable
-    matrix: np.ndarray  # shape (outcomes of E, outcomes of base)
-
-
-def post_processing_decomposition(observable: Observable, tol: Tolerances = DEFAULT_TOL,
-                                  rng: np.random.Generator | None = None) -> PostProcessing:
-    """Decompose a commutative observable over its joint eigenbasis.
-
-    A random real combination of the effects is diagonalized; if eigenvalue
-    collisions leave some effect non-diagonal in that basis, the coefficients
-    are resampled (up to 5 attempts).  Basis vectors whose per-effect value
-    patterns agree within cluster_gap are merged into one base projection.
-    """
-    effects = observable.effects
-    atol = tol.atol_equality
-    for a in effects:
-        for b in effects:
-            if np.abs(a @ b - b @ a).max() > atol:
-                raise NotCommutative("effects do not commute pairwise")
-
-    rng = rng or np.random.default_rng(0)
-    d = observable.dim
-    v = None
-    for _ in range(5):
-        coeffs = rng.standard_normal(len(effects))
-        mix = sum(c * e for c, e in zip(coeffs, effects))
-        _, cand = hermitian_eig(mix, tol)
-        off = max(
-            np.abs(cand.conj().T @ e @ cand - np.diag(np.diag(cand.conj().T @ e @ cand))).max()
-            for e in effects
-        )
-        if off <= 1e3 * atol:
-            v = cand
-            break
-    if v is None:
-        raise NotCommutative("no common eigenbasis found after resampling")
-
-    patterns = np.stack([np.diag(v.conj().T @ e @ v).real for e in effects], axis=0)
-    groups: list[list[int]] = []
-    for j in range(d):
-        for g in groups:
-            if np.abs(patterns[:, g[0]] - patterns[:, j]).max() <= tol.cluster_gap:
-                g.append(j)
-                break
-        else:
-            groups.append([j])
-
-    projections = []
-    p = np.zeros((len(effects), len(groups)))
-    for y, g in enumerate(groups):
-        cols = v[:, g]
-        projections.append(cols @ cols.conj().T)
-        p[:, y] = patterns[:, g].mean(axis=1)
-    base = Observable(tuple(projections), tuple(f"y{k}" for k in range(len(groups))), tol)
-    return PostProcessing(base=base, matrix=p)

@@ -18,8 +18,10 @@ import numpy as np
 from . import modelfile
 from .classify import classify
 from .core import (
+    Channel,
     Instrument,
     MeasurementScheme,
+    Observable,
     State,
     luders_instrument,
     scheme_to_instrument,
@@ -30,22 +32,18 @@ from .linalg import Tolerances
 from .algebra import decompose, effect_blocks, fixed_point_space
 from .models import (
     CATALOG,
-    build_extremal_model,
     build_luders_scheme,
     build_swap_scheme,
     completely_unsharp_pair,
-    extremal_instrument,
-    pointer_observable,
     random_full_rank_state,
     table1_observables,
 )
 from .properties import (
+    IDEAL_TRUE,
     POSSIBLE,
     THEOREM_ROWS,
     check_extremal,
-    check_first_kind,
     check_ideal,
-    check_non_disturbance,
     check_repeatable,
     invariance_residual,
     theorem_predicates,
@@ -61,14 +59,24 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
-TABLE1_COLUMNS = ("small-rank", "sharp", "norm-1", "completely-unsharp")
+CHECK_VERBS = ("channel-thirdlaw", "scheme-thirdlaw", "nondisturbance", "firstkind",
+               "repeatable", "ideal", "extremal")
 
-TABLE1_EXPECTED = {
-    "non_disturbance": ("x", "x", "x", "yes"),
-    "first_kind": ("x", "x", "x", "yes"),
-    "repeatable": ("x", "x", "x", "x"),
-    "ideal": ("x", "x", "x", "x"),
-    "extremal": ("x", "yes", "yes", "yes"),
+# Table 1's columns, each with the classify flag of its observable class
+TABLE1_COLUMNS = {
+    "small-rank": "is_small_rank",
+    "sharp": "is_sharp",
+    "norm-1": "is_norm1",
+    "completely-unsharp": "is_completely_unsharp",
+}
+
+# the check verb that decides each Table 1 row
+ROW_VERBS = {
+    "non_disturbance": "nondisturbance",
+    "first_kind": "firstkind",
+    "repeatable": "repeatable",
+    "ideal": "ideal",
+    "extremal": "extremal",
 }
 
 
@@ -111,20 +119,9 @@ def _echo(args: argparse.Namespace, tol: Tolerances) -> dict:
     }
 
 
-def _load_instrument(path: str, tol: Tolerances) -> Instrument:
-    obj = modelfile.load(path, tol)
-    if isinstance(obj, MeasurementScheme):
-        return scheme_to_instrument(obj, tol)
-    if isinstance(obj, Instrument):
-        return obj
-    raise QmeasError(f"{path}: expected an instrument or scheme, got {type(obj).__name__}")
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     obj = modelfile.load(args.path, tol)
-    from .core import Observable
-
     if not isinstance(obj, Observable):
         raise QmeasError(f"{args.path}: expected an observable, got {type(obj).__name__}")
     c = classify(obj, tol)
@@ -146,105 +143,86 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
+def _expect(obj, kind: type, what: str):
+    if not isinstance(obj, kind):
+        raise QmeasError(f"expected {what}, got {type(obj).__name__}")
+    return obj
+
+
+def run_check(verb: str, obj, tol: Tolerances,
+              against: Observable | None = None) -> tuple[bool, dict]:
+    """Decide one check verb on a loaded model object.
+
+    Returns the verdict and the report fields behind it.  The instrument
+    verbs read a scheme as the instrument it induces; nondisturbance needs
+    `against`, the observable that must stay invariant.
+    """
+    if verb in ("channel-thirdlaw", "scheme-thirdlaw"):
+        verdict = (check_channel_thirdlaw(_expect(obj, Channel, "a channel"), tol)
+                   if verb == "channel-thirdlaw" else
+                   check_scheme_thirdlaw(_expect(obj, MeasurementScheme, "a scheme"), tol))
+        return verdict.constrained, {"constrained": verdict.constrained,
+                                     "min_output_eigenvalue": verdict.min_output_eigenvalue}
+
+    if isinstance(obj, MeasurementScheme):
+        obj = scheme_to_instrument(obj, tol)
+    instrument = _expect(obj, Instrument, "an instrument or scheme")
+    if verb in ("firstkind", "nondisturbance"):
+        if verb == "firstkind":
+            key, effects = "first_kind", instrument.induced_observable().effects
+        elif against is None:
+            raise QmeasError("nondisturbance requires --against OBSERVABLE_FILE")
+        else:
+            key = "non_disturbance"
+            effects = _expect(against, Observable, "an observable for --against").effects
+        residual = invariance_residual(instrument.total_channel(), effects)
+        holds = residual <= tol.atol_equality
+        return holds, {key: holds, "residual": residual}
+    if verb == "repeatable":
+        holds = check_repeatable(instrument, tol)
+        return holds, {"repeatable": holds}
+    if verb == "ideal":
+        ideal = check_ideal(instrument, tol)
+        return ideal == IDEAL_TRUE, {"ideal": ideal}
+    if verb == "extremal":
+        result = check_extremal(instrument, tol)
+        return result.extremal, {"extremal": result.extremal,
+                                 "kraus_ranks": list(result.kraus_ranks),
+                                 "gram_rank": result.gram_rank,
+                                 "product_count": result.product_count}
+    raise QmeasError(f"unknown check {verb!r}")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
+    obj = modelfile.load(args.path, tol)
+    against = modelfile.load(args.against, tol) if args.against else None
+    holds, fields = run_check(args.what, obj, tol, against)
     report = _echo(args, tol)
-    what = args.what
-
-    if what == "channel-thirdlaw":
-        obj = modelfile.load(args.path, tol)
-        from .core import Channel
-
-        if not isinstance(obj, Channel):
-            raise QmeasError(f"{args.path}: expected a channel, got {type(obj).__name__}")
-        verdict = check_channel_thirdlaw(obj, tol)
-        report["constrained"] = verdict.constrained
-        report["min_output_eigenvalue"] = verdict.min_output_eigenvalue
-        _emit(report, args)
-        return EXIT_YES if verdict.constrained else EXIT_NO
-
-    if what == "scheme-thirdlaw":
-        obj = modelfile.load(args.path, tol)
-        if not isinstance(obj, MeasurementScheme):
-            raise QmeasError(f"{args.path}: expected a scheme, got {type(obj).__name__}")
-        verdict = check_scheme_thirdlaw(obj, tol)
-        report["constrained"] = verdict.constrained
-        report["min_output_eigenvalue"] = verdict.min_output_eigenvalue
-        _emit(report, args)
-        return EXIT_YES if verdict.constrained else EXIT_NO
-
-    instrument = _load_instrument(args.path, tol)
-
-    if what == "nondisturbance":
-        if not args.against:
-            raise QmeasError("nondisturbance requires --against OBSERVABLE_FILE")
-        from .core import Observable
-
-        other = modelfile.load(args.against, tol)
-        if not isinstance(other, Observable):
-            raise QmeasError(f"{args.against}: expected an observable")
-        ok = check_non_disturbance(instrument, other, tol)
-        report["non_disturbance"] = ok
-        report["residual"] = invariance_residual(instrument.total_channel(), other.effects)
-        _emit(report, args)
-        return EXIT_YES if ok else EXIT_NO
-
-    if what == "firstkind":
-        ok = check_first_kind(instrument, tol)
-        report["first_kind"] = ok
-        report["residual"] = invariance_residual(instrument.total_channel(),
-                                                 instrument.induced_observable().effects)
-        _emit(report, args)
-        return EXIT_YES if ok else EXIT_NO
-
-    if what == "repeatable":
-        ok = check_repeatable(instrument, tol)
-        report["repeatable"] = ok
-        _emit(report, args)
-        return EXIT_YES if ok else EXIT_NO
-
-    if what == "ideal":
-        verdict = check_ideal(instrument, tol)
-        report["ideal"] = verdict
-        _emit(report, args)
-        return EXIT_YES if verdict == "true" else EXIT_NO
-
-    if what == "extremal":
-        result = check_extremal(instrument, tol)
-        report["extremal"] = result.extremal
-        report["kraus_ranks"] = list(result.kraus_ranks)
-        report["gram_rank"] = result.gram_rank
-        report["product_count"] = result.product_count
-        _emit(report, args)
-        return EXIT_YES if result.extremal else EXIT_NO
-
-    raise QmeasError(f"unknown check {what!r}")
+    report.update(fields)
+    _emit(report, args)
+    return EXIT_YES if holds else EXIT_NO
 
 
 # ---------------------------------------------------------------------------
 # feasibility table
 
 
-def _verify_witness(row: str, column: str, tol: Tolerances) -> tuple[str, bool]:
-    """Build and actually run the model that makes the cell a yes."""
-    if column == "completely-unsharp":
-        obs = completely_unsharp_pair()
-        scheme = build_luders_scheme(obs, tol)
-        constrained = check_scheme_thirdlaw(scheme, tol).constrained
-        inst = luders_instrument(obs, tol)
-        if row == "non_disturbance":
-            commuting = pointer_observable(obs.dim)
-            return "luders-commuting-readout", constrained and check_non_disturbance(inst, commuting, tol)
-        if row == "first_kind":
-            return "luders-first-kind", constrained and check_first_kind(inst, tol)
-        if row == "extremal":
-            return "unsharp-luders-pair", constrained and check_extremal(inst, tol).extremal
-    if row == "extremal" and column in ("sharp", "norm-1"):
-        scheme = build_extremal_model()
-        constrained = check_scheme_thirdlaw(scheme, tol).constrained
-        inst = extremal_instrument()
-        return "two-qubit-sharp-scheme", constrained and check_extremal(inst, tol).extremal
-    return "none", False
+def _witness_holds(name: str, objects: dict, row: str, column: str, tol: Tolerances) -> bool:
+    """Run a catalog witness for one "yes" cell.
+
+    Its scheme must be constrained and have the row's property, the
+    observable it measures must lie in the column's class, and its catalog
+    entry must claim both facts.
+    """
+    expected = CATALOG[name].expected
+    scheme = objects["scheme"]
+    instrument = scheme_to_instrument(scheme, tol)
+    constrained, _ = run_check("scheme-thirdlaw", scheme, tol)
+    holds, _ = run_check(ROW_VERBS[row], instrument, tol, objects.get("other", objects["observable"]))
+    in_class = getattr(classify(instrument.induced_observable(), tol), TABLE1_COLUMNS[column])
+    claimed = expected.get("constrained") is True and expected.get(row) is True
+    return constrained and holds and in_class and claimed
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -253,35 +231,30 @@ def cmd_table1(args: argparse.Namespace) -> int:
     representatives = table1_observables()
 
     cells: dict[str, dict] = {row: {} for row in THEOREM_ROWS}
-    all_match = True
-    for col_index, column in enumerate(TABLE1_COLUMNS):
+    built: dict[str, dict] = {}
+    all_verified = True
+    for column in TABLE1_COLUMNS:
         obs = representatives[column]
         predicates = theorem_predicates(classify(obs, tol), obs.dim)
         for row in THEOREM_ROWS:
-            verdict = predicates.verdicts[row]
-            rendered = "yes" if verdict == POSSIBLE else "x"
-            expected = TABLE1_EXPECTED[row][col_index]
-            cell = {"verdict": rendered, "expected": expected}
-            if verdict == POSSIBLE:
-                witness, verified = _verify_witness(row, column, tol)
-                cell["witness"] = witness
-                cell["witness_verified"] = verified
-                if not verified:
-                    all_match = False
-            else:
-                cell["anchor"] = predicates.reasons[row]
-            if rendered != expected:
-                all_match = False
-            cells[row][column] = cell
+            if predicates.verdicts[row] != POSSIBLE:
+                cells[row][column] = {"verdict": "x", "anchor": predicates.reasons[row]}
+                continue
+            name = predicates.witnesses[row]
+            if name not in built:
+                built[name] = CATALOG[name].build()
+            verified = _witness_holds(name, built[name], row, column, tol)
+            cells[row][column] = {"verdict": "yes", "witness": name, "witness_verified": verified}
+            all_verified = all_verified and verified
 
     report["columns"] = list(TABLE1_COLUMNS)
     report["rows"] = cells
-    report["match"] = all_match
+    report["match"] = all_verified
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         _render_table(report)
-    return EXIT_YES if all_match else EXIT_NO
+    return EXIT_YES if all_verified else EXIT_NO
 
 
 def _render_table(report: dict) -> None:
@@ -427,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check", help="run one verdict check on a model file")
-    p.add_argument("what", choices=["channel-thirdlaw", "scheme-thirdlaw", "nondisturbance",
-                                    "firstkind", "repeatable", "ideal", "extremal"])
+    p.add_argument("what", choices=CHECK_VERBS)
     p.add_argument("path")
     p.add_argument("--against", default=None, help="observable file for nondisturbance")
     _add_common(p)

@@ -29,10 +29,6 @@ class NotCP(QmeasError):
     """A map required to be completely positive has a negative Choi eigenvalue."""
 
 
-class NotCommutative(QmeasError):
-    """Effects expected to commute pairwise do not."""
-
-
 class NotEndomorphic(QmeasError):
     """A channel with equal input and output dimensions was required."""
 

@@ -52,11 +52,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(a), -1, -2).conj()
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 

@@ -573,7 +573,7 @@ CATALOG: dict[str, CatalogEntry] = {
             "luders-unsharp-qubit",
             "modular scheme realizing the Luders instrument of a completely unsharp pair",
             _catalog_luders_cu,
-            {"constrained": True, "first_kind": True, "extremal": True},
+            {"constrained": True, "first_kind": True, "non_disturbance": True, "extremal": True},
         ),
         CatalogEntry(
             "shift-first-kind",

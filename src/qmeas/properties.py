@@ -11,7 +11,6 @@ products of a minimal Kraus family, which is necessary and sufficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -100,18 +99,14 @@ class ExtremalResult:
         return sum(m * m for m in self.kraus_ranks)
 
 
-def minimal_kraus(operation, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """Kraus family of minimal size, from the Choi eigendecomposition."""
-    return kraus_from_choi(operation.choi, operation.dim_out, operation.dim_in, tol)
-
-
 def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalResult:
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
     The criterion is basis-independent: any other minimal family spans the
     same product set.
     """
-    families = [np.array(minimal_kraus(op, tol)) for op in instrument.operations]
+    families = [np.array(kraus_from_choi(op.choi, op.dim_out, op.dim_in, tol))
+                for op in instrument.operations]
     products = np.concatenate([
         (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
         for f in families
@@ -125,45 +120,20 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
 # class-level feasibility verdicts
 
 
-@dataclass(frozen=True)
-class ExtremalWitness:
-    """A verified model certifying that some class admits extremal constrained schemes."""
-
-    name: str
-    description: str
-    applies: Callable[[ObservableClassification, int], bool]
-
-
-def _norm1_big_rank(c: ObservableClassification, dim: int) -> bool:
-    return c.is_norm1 and min(c.per_effect_ranks) ** 2 >= dim
-
-
-def _completely_unsharp(c: ObservableClassification, dim: int) -> bool:
-    return c.is_completely_unsharp
-
-
-EXTREMAL_WITNESSES: tuple[ExtremalWitness, ...] = (
-    ExtremalWitness(
-        "two-qubit-sharp-scheme",
-        "non-unitary qubit-ancilla scheme measuring a rank-2 sharp pair extremally",
-        _norm1_big_rank,
-    ),
-    ExtremalWitness(
-        "unsharp-luders-pair",
-        "Luders instrument of a completely unsharp binary pair with independent effects",
-        _completely_unsharp,
-    ),
-)
-
 THEOREM_ROWS = ("non_disturbance", "first_kind", "repeatable", "ideal", "extremal")
 
 
 @dataclass(frozen=True)
 class TheoremPredicates:
-    """Row verdicts: can a constrained scheme realize the property for this class?"""
+    """Row verdicts: can a constrained scheme realize the property for this class?
+
+    witnesses names, for each possible row, the CATALOG entry whose scheme
+    realizes the property for an observable of the class.
+    """
 
     verdicts: dict
     reasons: dict
+    witnesses: dict
 
     def as_tuple(self) -> tuple[str, ...]:
         return tuple(self.verdicts[row] for row in THEOREM_ROWS)
@@ -172,13 +142,16 @@ class TheoremPredicates:
 def theorem_predicates(c: ObservableClassification, dim: int) -> TheoremPredicates:
     verdicts: dict[str, str] = {}
     reasons: dict[str, str] = {}
+    witnesses: dict[str, str] = {}
 
     if c.is_completely_unsharp:
         verdicts["non_disturbance"] = POSSIBLE
         reasons["non_disturbance"] = "completely unsharp: a commuting observable survives undisturbed"
+        witnesses["non_disturbance"] = "luders-unsharp-qubit"
     elif c.is_norm1:
         verdicts["non_disturbance"] = IMPOSSIBLE
-        reasons["non_disturbance"] = "norm-1 effects force disturbance of every commuting observable"
+        reasons["non_disturbance"] = ("norm-1 effects: not every observable commuting with E "
+                                      "can stay undisturbed")
     elif c.is_small_rank:
         verdicts["non_disturbance"] = IMPOSSIBLE
         reasons["non_disturbance"] = "a rank-1 effect collapses the fixed-point algebra to scalars"
@@ -189,6 +162,7 @@ def theorem_predicates(c: ObservableClassification, dim: int) -> TheoremPredicat
     if c.is_commutative and c.is_completely_unsharp:
         verdicts["first_kind"] = POSSIBLE
         reasons["first_kind"] = "commutative and completely unsharp: own-observable invariance attainable"
+        witnesses["first_kind"] = "luders-unsharp-qubit"
     else:
         verdicts["first_kind"] = IMPOSSIBLE
         reasons["first_kind"] = "first-kindness needs a commutative completely unsharp observable"
@@ -201,17 +175,19 @@ def theorem_predicates(c: ObservableClassification, dim: int) -> TheoremPredicat
     if min(c.per_effect_ranks) ** 2 < dim:
         verdicts["extremal"] = IMPOSSIBLE
         reasons["extremal"] = "an effect has rank below sqrt(dim)"
+    elif c.is_completely_unsharp:
+        verdicts["extremal"] = POSSIBLE
+        reasons["extremal"] = "completely unsharp: a Luders instrument with independent effects"
+        witnesses["extremal"] = "luders-unsharp-qubit"
+    elif c.is_norm1:
+        verdicts["extremal"] = POSSIBLE
+        reasons["extremal"] = "norm-1 with rank bound met: a non-unitary qubit-ancilla scheme"
+        witnesses["extremal"] = "extremal-two-qubit"
     else:
-        for witness in EXTREMAL_WITNESSES:
-            if witness.applies(c, dim):
-                verdicts["extremal"] = POSSIBLE
-                reasons["extremal"] = f"witness: {witness.name}"
-                break
-        else:
-            verdicts["extremal"] = NOT_COVERED
-            reasons["extremal"] = "rank bound satisfied but no registered witness"
+        verdicts["extremal"] = NOT_COVERED
+        reasons["extremal"] = "rank bound satisfied but no catalog witness"
 
-    return TheoremPredicates(verdicts, reasons)
+    return TheoremPredicates(verdicts, reasons, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +232,6 @@ class PropertyReport:
     repeatable: bool
     ideal: str
     extremal: ExtremalResult
-    rank_bound_ok: bool
     non_disturbance: bool | None = None
     residuals: dict = field(default_factory=dict)
 
@@ -274,7 +249,6 @@ def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
         repeatable=check_repeatable(instrument, tol),
         ideal=check_ideal(instrument, tol),
         extremal=check_extremal(instrument, tol),
-        rank_bound_ok=all(numerical_rank(e, tol) ** 2 >= instrument.dim for e in obs.effects),
         non_disturbance=None if against is None else residuals["non_disturbance"] <= tol.atol_equality,
         residuals=residuals,
     )

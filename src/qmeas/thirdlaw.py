@@ -45,9 +45,15 @@ class ThirdLawVerdict:
 
 def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Rank test on the image of the complete mixture."""
-    out = apply(channel, np.eye(channel.dim_in) / channel.dim_in)
-    w, _ = hermitian_eig(out, tol)
-    return ThirdLawVerdict(numerical_rank(out, tol) == channel.dim_out, float(w[-1]))
+    w, _ = hermitian_eig(apply(channel, np.eye(channel.dim_in) / channel.dim_in), tol)
+    return ThirdLawVerdict(_full_rank(w, tol), float(w[-1]))
+
+
+def _full_rank(w: np.ndarray, tol: Tolerances) -> bool:
+    """No eigenvalue of a Hermitian matrix falls to numerical_rank's cut,
+    rank_threshold * max(1, max |w|); its singular values are the |w|."""
+    s = np.abs(w)
+    return bool(np.all(s > tol.rank_threshold * max(1.0, float(s.max()))))
 
 
 def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -110,24 +116,10 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
     return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == d)
 
 
-def lemma1_lambda(rho: State, sigma: State, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest lambda with rho >= lambda*sigma for every state sigma <= 1.
-
-    Equals the smallest eigenvalue of rho; requires rho full-rank.
-    """
-    if rho.dim != sigma.dim:
-        raise NotFullRank("states must share a dimension")
-    if numerical_rank(rho.matrix, tol) < rho.dim:
-        raise NotFullRank("rho must be full-rank")
-    w, _ = hermitian_eig(rho.matrix, tol)
-    return float(w[-1])
-
-
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Full-rank ancilla state and constrained interaction channel."""
-    xi = scheme.ancilla
-    w, _ = hermitian_eig(xi.matrix, tol)
-    if numerical_rank(xi.matrix, tol) < xi.dim:
+    w, _ = hermitian_eig(scheme.ancilla.matrix, tol)
+    if not _full_rank(w, tol):
         return ThirdLawVerdict(False, float(w[-1]))
     return check_channel_thirdlaw(scheme.interaction, tol)
 

@@ -148,7 +148,6 @@ class TestEffectBlocks:
         for x, per_block in enumerate(spectra):
             assert len(per_block) == 1
             assert np.abs(np.sort(per_block[0]) - np.array([0.0, 1.0])).max() < 1e-8
-        assert not eb.strictly_interior()
 
     def test_shift_scalar_blocks(self):
         inst = shift_instrument()
@@ -158,14 +157,7 @@ class TestEffectBlocks:
         got = [sorted(float(b[0, 0].real) for b in per_outcome) for per_outcome in eb.blocks]
         for per_outcome in got:
             assert np.abs(np.array(per_outcome) - np.array(sorted(q))).max() < 1e-10
-        assert eb.strictly_interior()
         assert max(eb.residuals) < 1e-8
-
-    def test_unsharp_luders_interior(self):
-        inst = luders_instrument(completely_unsharp_pair())
-        deco = decompose(fixed_point_space(inst), inst)
-        eb = effect_blocks(inst.induced_observable(), deco)
-        assert eb.strictly_interior()
 
     def test_rejects_noncommuting_observable(self):
         inst = shift_instrument()

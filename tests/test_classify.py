@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
-from qmeas.classify import classify, post_processing_decomposition
+from qmeas.classify import classify
 from qmeas.core import Observable
-from qmeas.errors import NotCommutative
 from qmeas.linalg import kron
 from qmeas.models import (
     build_ideality_example,
@@ -82,66 +80,3 @@ class TestClassifyLattice:
                 assert all(r == obs.dim for r in c.per_effect_ranks)
             if c.is_small_rank:
                 assert c.is_non_degenerate
-
-
-class TestPostProcessing:
-    def test_shift_decomposition(self):
-        n, q = 3, (0.5, 0.3, 0.2)
-        obs = shift_observable(n, q)
-        pp = post_processing_decomposition(obs)
-        assert len(pp.base) == n
-        assert all(np.linalg.matrix_rank(p) == 1 for p in pp.base.effects)
-        cols = np.abs(pp.matrix).sum(axis=0)
-        assert np.abs(cols - 1.0).max() < 1e-9
-        recon = [sum(pp.matrix[x, y] * pp.base.effects[y] for y in range(len(pp.base)))
-                 for x in range(len(obs))]
-        assert max(np.abs(r - e).max() for r, e in zip(recon, obs.effects)) < 1e-8
-        entries = sorted(np.round(pp.matrix.flatten(), 9).tolist())
-        expected = sorted(np.round([q[(x - nn) % n] for x in range(n) for nn in range(n)], 9).tolist())
-        assert entries == pytest.approx(expected, abs=1e-9)
-
-    def test_sharp_decomposes_to_permutation(self):
-        obs = pointer_observable(3)
-        pp = post_processing_decomposition(obs)
-        assert pp.matrix.shape == (3, 3)
-        rounded = np.round(pp.matrix, 9)
-        assert set(np.unique(rounded)) <= {0.0, 1.0}
-        assert np.abs(rounded.sum(axis=0) - 1.0).max() < 1e-12
-
-    def test_random_commutative_round_trip(self):
-        rng = np.random.default_rng(77)
-        for trial in range(10):
-            d = 3
-            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            p = rng.dirichlet(np.ones(2), size=d).T  # stochastic columns, shape (2, d)
-            base = [np.outer(u[:, y], u[:, y].conj()) for y in range(d)]
-            effects = tuple(sum(p[x, y] * base[y] for y in range(d)) for x in range(2))
-            obs = Observable(effects)
-            pp = post_processing_decomposition(obs)
-            recon = [sum(pp.matrix[x, y] * pp.base.effects[y] for y in range(len(pp.base)))
-                     for x in range(2)]
-            assert max(np.abs(r - e).max() for r, e in zip(recon, obs.effects)) < 1e-8
-
-    def test_rejects_non_commutative(self):
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        e0 = 0.5 * np.diag([1.0, 0.0])
-        e1 = 0.5 * np.outer(plus, plus)
-        obs = Observable((e0, e1, np.eye(2) - e0 - e1))
-        with pytest.raises(NotCommutative):
-            post_processing_decomposition(obs)
-
-    def test_completely_unsharp_iff_interior_weights(self):
-        for seed in range(8):
-            obs = random_povm(3, 2, seed, mode="completely-unsharp")
-            c = classify(obs)
-            if not c.is_commutative:
-                continue
-            pp = post_processing_decomposition(obs)
-            interior = bool(np.all((pp.matrix > 1e-8) & (pp.matrix < 1.0 - 1e-8)))
-            assert interior == c.is_completely_unsharp
-        obs = shift_observable(3, (0.5, 0.3, 0.2))
-        pp = post_processing_decomposition(obs)
-        assert np.all((pp.matrix > 1e-8) & (pp.matrix < 1.0 - 1e-8))
-        obs = pointer_observable(3)
-        pp = post_processing_decomposition(obs)
-        assert not np.all((pp.matrix > 1e-8) & (pp.matrix < 1.0 - 1e-8))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas import modelfile
-from qmeas.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
-from qmeas.core import Channel, MeasurementScheme, State, luders_instrument
+from qmeas import cli, modelfile
+from qmeas.cli import CHECK_VERBS, EXIT_ERROR, EXIT_NO, EXIT_YES, main, run_check
+from qmeas.core import Channel, Instrument, MeasurementScheme, State, luders_instrument
+from qmeas.linalg import DEFAULT_TOL
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
@@ -149,6 +151,34 @@ class TestCheck:
         assert report["kraus_ranks"] == [2, 2]
         assert report["gram_rank"] == 8 == report["product_count"]
 
+    @pytest.mark.parametrize("verb", ["firstkind", "nondisturbance"])
+    def test_invariance_verbs_build_one_total_channel(self, tmp_path, capsys, monkeypatch, verb):
+        calls = []
+        total_channel = Instrument.total_channel
+
+        def counted(instrument):
+            calls.append(instrument)
+            return total_channel(instrument)
+
+        monkeypatch.setattr(Instrument, "total_channel", counted)
+        ipath, opath = tmp_path / "inst.json", tmp_path / "obs.json"
+        modelfile.save(luders_instrument(completely_unsharp_pair()), str(ipath))
+        modelfile.save(completely_unsharp_pair(), str(opath))
+        code, report, _ = run_json(capsys, "check", verb, str(ipath), "--against", str(opath))
+        assert code == EXIT_YES and report["residual"] < 1e-10
+        assert len(calls) == 1
+
+    def test_catalog_claims_are_facts_a_check_decides(self):
+        built = CATALOG["luders-unsharp-qubit"].build()
+        decided = set()
+        for verb in CHECK_VERBS:
+            obj = Channel.identity(2) if verb == "channel-thirdlaw" else built["scheme"]
+            _, fields = run_check(verb, obj, DEFAULT_TOL, built["observable"])
+            decided.add(next(iter(fields)))  # the verdict's key leads each report
+        allowed = decided | {"commutator_norm_min", "gram_rank", "block_dims"}
+        for entry in CATALOG.values():
+            assert set(entry.expected) <= allowed, entry.name
+
 
 class TestTable1:
     def test_json_reproduces_expected_grid(self, capsys):
@@ -169,8 +199,38 @@ class TestTable1:
                 assert cell["verdict"] == want, (row, column)
                 if want == "yes":
                     assert cell["witness_verified"] is True
+                    assert cell["witness"] in CATALOG
                 else:
                     assert cell["anchor"]
+
+    def test_witness_must_claim_its_row(self, capsys, monkeypatch):
+        entry = CATALOG["luders-unsharp-qubit"]
+        expected = {k: v for k, v in entry.expected.items() if k != "first_kind"}
+        monkeypatch.setitem(CATALOG, entry.name, dataclasses.replace(entry, expected=expected))
+        code, report, _ = run_json(capsys, "table1")
+        assert code == EXIT_NO and report["match"] is False
+        cells = report["rows"]
+        assert cells["first_kind"]["completely-unsharp"]["witness_verified"] is False
+        assert cells["extremal"]["completely-unsharp"]["witness_verified"] is True
+
+    def test_witness_must_measure_the_columns_class(self, capsys, monkeypatch):
+        # name the completely unsharp Luders witness for every extremal cell: it is
+        # constrained, extremal and claims both, but measures no sharp or norm-1 observable
+        theorem_predicates = cli.theorem_predicates
+
+        def predicates(c, dim):
+            p = theorem_predicates(c, dim)
+            if "extremal" in p.witnesses:
+                p.witnesses["extremal"] = "luders-unsharp-qubit"
+            return p
+
+        monkeypatch.setattr(cli, "theorem_predicates", predicates)
+        code, report, _ = run_json(capsys, "table1")
+        assert code == EXIT_NO and report["match"] is False
+        cells = report["rows"]["extremal"]
+        assert cells["sharp"]["witness_verified"] is False
+        assert cells["norm-1"]["witness_verified"] is False
+        assert cells["completely-unsharp"]["witness_verified"] is True
 
     def test_human_rendering(self, capsys):
         code, out, _ = run(capsys, "table1")

@@ -23,7 +23,7 @@ from qmeas.core import (
     tensor_op,
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
-from qmeas.linalg import dagger, hs_inner, kron
+from qmeas.linalg import dagger, kron
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -297,8 +297,8 @@ class TestApplyAndDuality:
                 a = rand_complex(rng, 3)
                 rho = rand_complex(rng, 3)
                 for op in inst.operations:
-                    lhs = hs_inner(a, apply(op, rho))
-                    rhs = hs_inner(apply_dual(op, a), rho)
+                    lhs = np.vdot(a, apply(op, rho))
+                    rhs = np.vdot(apply_dual(op, a), rho)
                     worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-10
 

@@ -7,7 +7,6 @@ from qmeas.linalg import (
     dagger,
     eigenvalue_clusters,
     hermitian_eig,
-    hs_inner,
     hs_norm,
     kernel_basis,
     kron,
@@ -193,11 +192,6 @@ class TestVectorization:
     def test_row_major_convention(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         assert np.array_equal(vec(a), np.array([1, 2, 3, 4], dtype=complex))
-
-    def test_hs_inner_conjugation(self):
-        rng = np.random.default_rng(41)
-        a, b = rand_complex(rng, 3), rand_complex(rng, 3)
-        assert abs(hs_inner(a, b) - np.conj(hs_inner(b, a))) < 1e-12
 
 
 class TestKernelAndClusters:

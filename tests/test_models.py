@@ -43,7 +43,7 @@ def _entry_instrument(built):
 
 def _check_expectation(key, want, built):
     if key == "non_disturbance":
-        got = check_non_disturbance(built["instrument"], built["other"])
+        got = check_non_disturbance(built["instrument"], built.get("other", built["observable"]))
     elif key == "commutator_norm_min":
         got = max(
             hs_norm(e @ f - f @ e)

@@ -9,19 +9,25 @@ from qmeas.core import (
     Observable,
     Operation,
     State,
+    kraus_from_choi,
     luders_instrument,
     scheme_to_instrument,
 )
 from qmeas.errors import SchemeMismatch
+from qmeas.thirdlaw import check_scheme_thirdlaw
 from qmeas.models import (
+    CATALOG,
     build_extremal_model,
     build_ideality_example,
+    build_luders_scheme,
     build_nondisturbance_example,
     build_shift_scheme,
     build_swap_scheme,
     completely_unsharp_pair,
     extremal_instrument,
     pointer_observable,
+    random_constrained_scheme,
+    random_full_rank_state,
     random_instrument,
     random_povm,
     random_unitary,
@@ -31,6 +37,8 @@ from qmeas.models import (
 from qmeas.properties import (
     IDEAL_NOT_APPLICABLE,
     IDEAL_TRUE,
+    IMPOSSIBLE,
+    POSSIBLE,
     check_extremal,
     check_extremal_scheme_identity,
     check_first_kind,
@@ -38,7 +46,6 @@ from qmeas.properties import (
     check_non_disturbance,
     check_repeatable,
     evaluate_properties,
-    minimal_kraus,
     theorem_predicates,
 )
 
@@ -65,6 +72,14 @@ class TestNonDisturbance:
         obs = shift_observable(2, (0.8, 0.2))
         inst = trivial_instrument(obs)
         assert not check_non_disturbance(inst, obs)
+
+    def test_norm1_readout_leaves_a_commuting_observable_undisturbed(self):
+        # the swap scheme measures the sharp, norm-1 observable 1 (x) |x><x|; every
+        # |a><a| (x) 1 commutes with it and stays undisturbed, though E itself does not
+        inst = scheme_to_instrument(build_swap_scheme(State.diagonal([0.7, 0.3])))
+        first_factor = Observable(tuple(np.kron(p, np.eye(2)) for p in pointer_observable(2).effects))
+        assert check_non_disturbance(inst, first_factor)
+        assert not check_first_kind(inst)
 
 
 class TestFirstKind:
@@ -144,7 +159,7 @@ class TestExtremal:
         p0 = obs.effects[0].astype(complex)
         # same operation written with a split Kraus family
         op_related = luders_instrument(obs).operations[0]
-        fam = minimal_kraus(op_related)
+        fam = kraus_from_choi(op_related.choi, 2, 2)
         assert len(fam) == 1
         assert np.abs(fam[0] @ fam[0].conj().T - p0).max() < 1e-10
 
@@ -199,7 +214,25 @@ class TestTheoremPredicates:
         p = theorem_predicates(classify(Observable(effects)), 4)
         assert p.verdicts["non_disturbance"] == "impossible"
         assert p.verdicts["extremal"] == "possible"
-        assert "witness" in p.reasons["extremal"]
+        assert p.witnesses["extremal"] == "extremal-two-qubit"
+
+    def test_possible_verdicts_name_a_catalog_entry_that_claims_them(self):
+        possible = 0
+        for mode in (None, "sharp", "norm1-unsharp", "completely-unsharp", "small-rank"):
+            for d in (2, 3, 4):
+                for n in (2, 3):
+                    if n >= d and mode in ("sharp", "norm1-unsharp"):
+                        continue
+                    for seed in range(3):
+                        p = theorem_predicates(classify(random_povm(d, n, seed, mode)), d)
+                        rows = {row for row, v in p.verdicts.items() if v == POSSIBLE}
+                        assert set(p.witnesses) == rows
+                        for row in rows:
+                            expected = CATALOG[p.witnesses[row]].expected
+                            assert expected.get("constrained") is True
+                            assert expected.get(row) is True
+                        possible += len(rows)
+        assert possible
 
 
 class TestInvariants:
@@ -236,7 +269,6 @@ class TestInvariants:
         assert not report.repeatable
         assert report.ideal == IDEAL_NOT_APPLICABLE
         assert report.extremal.extremal
-        assert report.rank_bound_ok
         assert report.non_disturbance
         assert report.residuals["first_kind"] < 1e-10
 
@@ -244,7 +276,7 @@ class TestInvariants:
 def _verdicts(inst, against):
     r = evaluate_properties(inst, against=against)
     return (r.first_kind, r.repeatable, r.ideal, r.extremal.extremal, r.extremal.gram_rank,
-            r.rank_bound_ok, r.non_disturbance)
+            r.non_disturbance)
 
 
 class TestSymmetries:
@@ -278,3 +310,34 @@ class TestSymmetries:
         relabelled = Instrument(tuple(inst.operations[x] for x in perm),
                                 tuple(inst.outcomes[x] for x in perm))
         assert _verdicts(relabelled, against) == want
+
+
+class TestFalsification:
+    """No constrained scheme has a property the predicates rule out for its observable's class.
+
+    Non-disturbance is left out until its row's quantifier is stated in code:
+    swap schemes measure norm-1 observables yet leave some commuting F
+    undisturbed, which contradicts only the "some F" reading.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(("luders", "shift", "swap", "random")),
+           d=st.integers(2, 3), n=st.integers(2, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_found_properties_are_not_impossible(self, family, d, n, seed):
+        rng = np.random.default_rng(seed)
+        if family == "luders":
+            scheme = build_luders_scheme(random_povm(d, n, seed, "completely-unsharp"))
+        elif family == "shift":
+            scheme = build_shift_scheme(n, 0.5 * rng.dirichlet(np.ones(n)) + 0.5 / n)
+        elif family == "swap":
+            scheme = build_swap_scheme(random_full_rank_state(d, seed))
+        else:
+            scheme = random_constrained_scheme(d, n, n, seed)
+        assert check_scheme_thirdlaw(scheme).constrained
+        inst = scheme_to_instrument(scheme)
+        report = evaluate_properties(inst)
+        found = {"first_kind": report.first_kind, "repeatable": report.repeatable,
+                 "ideal": report.ideal == IDEAL_TRUE, "extremal": report.extremal.extremal}
+        verdicts = theorem_predicates(classify(inst.induced_observable()), inst.dim).verdicts
+        for row, holds in found.items():
+            assert not (holds and verdicts[row] == IMPOSSIBLE), (row, family)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
-from qmeas.errors import InfeasibleDimensions, NotEndomorphic, NotFullRank
+from qmeas.errors import InfeasibleDimensions, NotEndomorphic
 from qmeas.linalg import hs_norm, kron, numerical_rank
 from qmeas.models import (
     build_extremal_model,
@@ -27,7 +27,6 @@ from qmeas.thirdlaw import (
     check_faithfulness,
     check_scheme_thirdlaw,
     full_rank_fixed_state,
-    lemma1_lambda,
     minimal_copy_count,
     purify_via_unconstrained,
 )
@@ -48,6 +47,17 @@ class TestChannelVerdict:
         verdict = check_channel_thirdlaw(Channel(kraus))
         assert not verdict.constrained
         assert verdict.min_output_eigenvalue < 1e-12
+
+    @pytest.mark.parametrize("floor, constrained", [(1e-10, False), (1e-7, True)])
+    def test_preparation_channel_at_the_rank_cut(self, floor, constrained):
+        # rho -> tr(rho) sigma; sigma's smallest eigenvalue sits on either side of
+        # rank_threshold (1e-8), so it alone decides the verdict
+        sigma = (0.6, 0.4 - floor, floor)
+        eye = np.eye(3)
+        kraus = tuple(np.sqrt(s) * np.outer(eye[i], eye[j]) for i, s in enumerate(sigma) for j in range(3))
+        verdict = check_channel_thirdlaw(Channel(kraus))
+        assert verdict.constrained is constrained
+        assert verdict.min_output_eigenvalue == pytest.approx(floor, rel=1e-6)
 
 
 class TestFaithfulness:
@@ -120,30 +130,6 @@ class TestFixedState:
         res = full_rank_fixed_state(Channel(kraus))
         assert res.is_full_rank
         assert np.abs(res.state.matrix - np.diag([p, 1 - p])).max() < 1e-10
-
-
-class TestLemma1:
-    def test_mixture_vs_pure(self):
-        lam = lemma1_lambda(State.complete_mixture(2), State.pure([1.0, 0.0]))
-        assert abs(lam - 0.5) < 1e-12
-
-    def test_self_comparison(self):
-        rho = random_full_rank_state(3, 2)
-        lam = lemma1_lambda(rho, rho)
-        w = np.linalg.eigvalsh(rho.matrix)
-        assert abs(lam - w[0]) < 1e-12
-
-    def test_difference_stays_psd(self):
-        for seed in range(10):
-            rho = random_full_rank_state(3, seed)
-            sigma = random_state_of_rank(3, 1 + seed % 3, seed + 50)
-            lam = lemma1_lambda(rho, sigma)
-            w = np.linalg.eigvalsh(rho.matrix - lam * sigma.matrix)
-            assert w[0] >= -1e-10
-
-    def test_rejects_rank_deficient(self):
-        with pytest.raises(NotFullRank):
-            lemma1_lambda(State.pure([1.0, 0.0]), State.complete_mixture(2))
 
 
 class TestSchemeVerdict:
