@@ -169,14 +169,14 @@ class FactorDecomposition:
 
 
 def subspace_distance(mats_a, mats_b, dim: int) -> float:
-    """Spectral distance between orthogonal projectors onto two operator spans."""
-    def projector(mats):
+    """Spectral distance between the orthogonal projectors onto two operator spans: 1 for
+    different dimensions, else sin of the largest principal angle, ||Q_a - Q_a Q_b^dag Q_b||_2."""
+    def rows(mats):
         a = _stack(mats, dim).reshape(-1, dim * dim)  # rows vec(m)
         _, s, vh = np.linalg.svd(a, full_matrices=False)
-        cut = 1e-10 * max(1.0, float(s[0]))
-        q = vh[s > cut]
-        return q.conj().T @ q
-    return float(np.linalg.norm(projector(mats_a) - projector(mats_b), 2))
+        return vh[s > 1e-10 * max(1.0, float(s[0]))]
+    qa, qb = rows(mats_a), rows(mats_b)
+    return 1.0 if len(qa) != len(qb) else float(np.linalg.norm(qa - (qa @ dagger(qb)) @ qb, 2))
 
 
 def _center_basis(space: OperatorSubspace, tol: Tolerances) -> np.ndarray:

@@ -433,11 +433,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except QmeasError as exc:
+    except (QmeasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a crash is an error, never "does not hold"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -5,8 +5,8 @@ Conventions, fixed once for the whole package:
 * vectorization is row-major, so vec(ABC) = (A (x) C^T) vec(B);
 * the superoperator of a Kraus map rho -> sum_i K_i rho K_i^dag is
   sum_i K_i (x) conj(K_i), acting on row-major vec;
-* the Choi matrix is sum_i vec(K_i) vec(K_i)^dag, whose rank equals the
-  minimal number of Kraus operators.
+* the Choi matrix is sum_i vec(K_i) vec(K_i)^dag = V^T conj(V), V with rows vec(K_i);
+  its rank is the minimal Kraus count, and kraus_from_rows reads such a family off V.
 
 Kraus lists are the stored representation; superoperators and Choi
 matrices are computed from them on every access, not stored.
@@ -310,19 +310,19 @@ def apply_dual(op: _KrausMap, a) -> np.ndarray:
 
 
 def compose(after: _KrausMap, before: _KrausMap):
-    """Composition after . before, with all pairwise Kraus products."""
+    """Composition after . before, with all pairwise Kraus products, at after's tolerances."""
     if before.dim_out != after.dim_in:
         raise DimensionMismatch("composition dimensions do not match")
     ks = tuple(a @ b for a in after.kraus for b in before.kraus)
     cls = Channel if isinstance(after, Channel) and isinstance(before, Channel) else Operation
-    return cls(ks)
+    return cls(ks, after.tol)
 
 
 def tensor_op(a: _KrausMap, b: _KrausMap):
-    """Tensor product map with Kraus set {A_i (x) B_j}."""
+    """Tensor product map with Kraus set {A_i (x) B_j}, at a's tolerances."""
     ks = tuple(np.kron(x, y) for x in a.kraus for y in b.kraus)
     cls = Channel if isinstance(a, Channel) and isinstance(b, Channel) else Operation
-    return cls(ks)
+    return cls(ks, a.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +350,20 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(kernel_rank(w, tol)))
     if not ks:
         raise NotCP("Choi matrix is numerically zero")
+    return ks
+
+
+def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
+                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Minimal Kraus set of the map whose Kraus operators have the rows vec(K_i) of v.
+
+    Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
+    vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
+    """
+    _, s, vh = np.linalg.svd(v, full_matrices=False)
+    ks = tuple(unvec(s[i] * vh[i], dim_out, dim_in) for i in range(kernel_rank(s * s, tol)))
+    if not ks:
+        raise NotCP("Kraus rows are numerically zero")
     return ks
 
 
@@ -385,20 +399,23 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
 
     I_x has the Kraus operators (1 (x) <r|) K_i (1 (x) sqrt(xi) |q>), for the
     interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x).
-    Their Choi matrix is accumulated one row at a time and reduced to a
-    minimal family by kraus_from_choi.
+    kraus_from_rows reduces at most ds^2 of them; more are reduced by kraus_from_choi
+    from their Choi matrix, accumulated one row <r| at a time.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
     k = scheme.interaction._stack.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
     sqrt_xi = matrix_sqrt_psd(scheme.ancilla.matrix, tol)
-    ops = []
-    for z in scheme.pointer.effects:
-        choi = np.zeros((ds * ds, ds * ds), dtype=np.complex128)
+    def blocks(z):  # rows vec(M) over (i, q), one block per row <r| of sqrt(Z_x)
         for row in matrix_sqrt_psd(z, tol):
             m = np.einsum("a,isatb->ibst", row, k).reshape(len(k), da, ds * ds)
-            v = (sqrt_xi.T @ m).reshape(-1, ds * ds)  # rows vec(M) over (i, q)
-            choi += v.T @ v.conj()
-        ops.append(Operation(kraus_from_choi(choi, ds, ds, tol), tol))
+            yield (sqrt_xi.T @ m).reshape(-1, ds * ds)
+    ops = []
+    for z in scheme.pointer.effects:
+        if len(k) * da * da <= ds * ds:
+            ks = kraus_from_rows(np.concatenate(list(blocks(z))), ds, ds, tol)
+        else:
+            ks = kraus_from_choi(sum(v.T @ v.conj() for v in blocks(z)), ds, ds, tol)
+        ops.append(Operation(ks, tol))
     return Instrument(tuple(ops), scheme.pointer.outcomes, tol)
 
 

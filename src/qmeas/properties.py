@@ -22,7 +22,7 @@ from .core import (
     Observable,
     apply,
     apply_dual,
-    kraus_from_choi,
+    kraus_from_rows,
     scheme_to_instrument,
     superop_distance,
 )
@@ -105,7 +105,8 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     The criterion is basis-independent: any other minimal family spans the
     same product set.
     """
-    families = [np.array(kraus_from_choi(op.choi, op.dim_out, op.dim_in, tol))
+    families = [np.array(kraus_from_rows(op._stack.reshape(len(op.kraus), -1),
+                                         op.dim_out, op.dim_in, tol))
                 for op in instrument.operations]
     products = np.concatenate([
         (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)

@@ -64,7 +64,7 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     operator sum_i K_i K_i^dag is singular.  When a kernel vector exists
     its projector is confirmed to be annihilated before answering False.
     """
-    frame = sum(k @ dagger(k) for k in channel.kraus)
+    frame = np.tensordot(channel._stack, channel._stack.conj(), axes=([0, 2], [0, 2]))
     w, v = hermitian_eig(frame, tol)
     cut = tol.rank_threshold * max(1.0, float(w[0]))
     if w[-1] > cut:

@@ -133,6 +133,20 @@ class TestDecompose:
         deco = decompose(space, inst)
         assert subspace_distance(deco.block_units(), list(space.basis), 4) < 1e-7
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-11])
+    def test_subspace_distance_is_the_projector_distance(self, eps):
+        rng = np.random.default_rng(7)
+        def spans(count):
+            g = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+            return g, g + eps * rng.standard_normal((count, 3, 3))
+        def projector(mats):
+            q, _ = np.linalg.qr(np.array(mats).reshape(len(mats), -1).T)
+            return q @ q.conj().T
+        a, b = spans(4)
+        reference = np.linalg.norm(projector(a) - projector(b), 2)
+        assert abs(subspace_distance(a, b, 3) - reference) < 1e-14 + 1e-6 * reference
+        assert subspace_distance(a, b[:3], 3) == 1.0
+
     def test_rejects_non_algebra(self):
         span = OperatorSubspace(2, (np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2), SY / np.sqrt(2)))
         with pytest.raises(NotAnAlgebra):

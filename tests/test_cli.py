@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,6 +406,18 @@ class TestPlumbing:
         code, _, err = run(capsys, "classify", str(path))
         assert code == EXIT_ERROR
         assert "QMEAS_TOL_ATOL" in err
+
+    def test_unexpected_exception_is_an_error_not_a_no(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "run_check", crash)
+        path = tmp_path / "ch.json"
+        modelfile.save(random_constrained_channel(3, 1), str(path))
+        code, out, err = run(capsys, "check", "channel-thirdlaw", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: LinAlgError: SVD did not converge\n"
 
 
 # one-field corruptions: wrong JSON types, an empty list, an empty row (alone

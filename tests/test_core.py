@@ -15,6 +15,7 @@ from qmeas.core import (
     compose,
     fidelity,
     kraus_from_choi,
+    kraus_from_rows,
     luders_instrument,
     restriction_map,
     scheme_dual_superoperator,
@@ -23,7 +24,7 @@ from qmeas.core import (
     tensor_op,
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
-from qmeas.linalg import dagger, kron
+from qmeas.linalg import Tolerances, dagger, kron
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -243,6 +244,21 @@ class TestChoiKraus:
         with pytest.raises(NotCP):
             kraus_from_choi(np.diag([1.0, -0.5, 0.2, 0.1]), 2, 2)
 
+    # rows of rank 3 against D = 2 * 3 = 6: wide, square and tall
+    @pytest.mark.parametrize("count", [4, 6, 11])
+    def test_rows_give_the_choi_family(self, count):
+        rng = np.random.default_rng(count)
+        v = rand_complex(rng, count, 3) @ rand_complex(rng, 3, 6)
+        choi = v.T @ v.conj()
+        from_rows = kraus_from_rows(v, 2, 3)
+        from_choi = kraus_from_choi(choi, 2, 3)
+        assert len(from_rows) == len(from_choi) == 3
+        for fam in (from_rows, from_choi):
+            rows = np.array(fam).reshape(len(fam), -1)
+            assert np.linalg.norm(rows.T @ rows.conj() - choi) < 1e-12 * np.linalg.norm(choi)
+        with pytest.raises(NotCP):
+            kraus_from_rows(np.zeros((count, 6)), 2, 3)
+
 
 class TestCompose:
     def test_identity_neutral(self):
@@ -260,6 +276,16 @@ class TestCompose:
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
             compose(random_channel(3, 3, 2, 0), random_channel(2, 2, 2, 0))
+
+    def test_result_is_validated_at_the_inputs_tolerance(self):
+        loose = Tolerances(atol_equality=1e-3)
+        # sum K^dag K = (1 + 7e-6) 1, accepted only at the loose tolerance
+        ks = [tuple(np.sqrt(1 + 7e-6) * k for k in random_channel(2, 2, 2, seed).kraus) for seed in (5, 6)]
+        with pytest.raises(ValidationError):
+            Channel(ks[0])
+        a, b = (Channel(k, loose) for k in ks)
+        for combine in (compose, tensor_op):
+            assert combine(a, b).tol == loose
 
     def test_tensor_superoperator(self):
         a = random_channel(2, 2, 2, 3)

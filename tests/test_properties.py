@@ -154,6 +154,22 @@ class TestExtremal:
         assert res.extremal
         assert res.gram_rank == 2
 
+    # Kraus counts 1-2 against D = 4, 9 or 16, mixed into up to 18 operators
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), which=st.integers(0, 3), extra=st.integers(0, 16))
+    def test_invariant_under_kraus_mixing(self, seed, which, extra):
+        instrument = (random_instrument(2, 2, seed), random_instrument(3, 2, seed), extremal_instrument(),
+                      luders_instrument(random_povm(2, 2, seed, mode="completely-unsharp")))[which]
+        rng = np.random.default_rng(seed)
+        mixed = []
+        for op in instrument.operations:
+            ks = np.array(op.kraus)
+            isometry = random_unitary(len(ks) + extra, rng)[:, :len(ks)]
+            mixed.append(Operation(tuple(np.tensordot(isometry, ks, axes=(1, 0)))))
+        base, other = check_extremal(instrument), check_extremal(Instrument(tuple(mixed)))
+        assert (other.extremal, other.kraus_ranks, other.gram_rank) == \
+            (base.extremal, base.kraus_ranks, base.gram_rank)
+
     def test_minimal_kraus_drops_redundancy(self):
         obs = pointer_observable(2)
         p0 = obs.effects[0].astype(complex)
