@@ -1,11 +1,11 @@
 """Fixed-point spaces of instrument duals and their factor decomposition.
 
-The fixed points of the dual total map of an instrument form a
-unital *-closed operator space; for the schemes this package certifies
-it is an algebra and splits as a direct sum of factors
-L(K_alpha) (x) 1_{R_alpha}.  The splitting is computed numerically:
-minimal central projections from eigenvalue clustering of a generic
-central element, partial isometries from polar decompositions of a
+The fixed points of the dual total map of an instrument, read from the real
+SVD in thirdlaw.cesaro_average, form a unital *-closed operator space; for
+the schemes this package certifies it is an algebra and splits as a direct
+sum of factors L(K_alpha) (x) 1_{R_alpha}.  The splitting is computed
+numerically: minimal central projections from eigenvalue clustering of a
+generic central element, partial isometries from polar decompositions of a
 generic off-block compression, and a factorizer isometry
 W_alpha : K_alpha (x) R_alpha -> range(P_alpha) assembled from them.
 
@@ -14,7 +14,7 @@ All random draws come from one seeded generator so results reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -26,6 +26,7 @@ from .linalg import (
     Tolerances,
     dagger,
     eigenvalue_clusters,
+    embed_hermitian,
     hermitian_eig,
     hermitianize,
     hs_norm,
@@ -33,10 +34,9 @@ from .linalg import (
     kernel_rank,
     kron,
     partial_trace,
-    unvec,
-    vec,
+    unembed_hermitian,
 )
-from .thirdlaw import cesaro_average
+from .thirdlaw import FixedPoints, cesaro_average
 
 PRODUCT_RESIDUAL = 1e-7
 RECONSTRUCTION_LIMIT = 1e-6
@@ -59,31 +59,12 @@ def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] @ b[None] - b[None] @ a[:, None]
 
 
-def _embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """Isometry from Hermitian matrices (one or a stack) onto R^(d*d), for real SVDs."""
-    iu = np.triu_indices(h.shape[-1], k=1)
-    upper = np.sqrt(2.0) * h[..., iu[0], iu[1]]
-    diagonal = np.diagonal(h, axis1=-2, axis2=-1).real
-    return np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
-
-
-def _unembed_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, k=1)
-    n_off = iu[0].size
-    h = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
-    h[..., range(d), range(d)] = x[..., :d]
-    upper = (x[..., d:d + n_off] + 1j * x[..., d + n_off:]) / np.sqrt(2.0)
-    h[..., iu[0], iu[1]] = upper
-    h[..., iu[1], iu[0]] = upper.conj()
-    return h
-
-
 def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """HS-orthonormal Hermitian basis, stacked, of the *-closed complex span of mats."""
     m = _stack(mats, dim)
-    rows = _embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
+    rows = embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
     _, s, vh = np.linalg.svd(rows.reshape(-1, dim * dim), full_matrices=False)
-    return _unembed_hermitian(vh[:kernel_rank(s, tol)], dim)
+    return unembed_hermitian(vh[:kernel_rank(s, tol)], dim)
 
 
 @dataclass(frozen=True)
@@ -91,10 +72,12 @@ class OperatorSubspace:
     """Complex operator span given by an HS-orthonormal Hermitian basis.
 
     basis is one (count, dim, dim) array; any sequence of matrices is stacked.
+    fixed_points is the record a fixed-point space was read from; decompose uses it.
     """
 
     dim: int
     basis: np.ndarray
+    fixed_points: FixedPoints | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "basis", _stack(self.basis, self.dim))
@@ -110,14 +93,9 @@ class OperatorSubspace:
 
 
 def fixed_point_space(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> OperatorSubspace:
-    """Kernel of (dual total superoperator - id), as Hermitian basis matrices."""
-    d = instrument.dim
-    s = instrument.total_channel().dual_superoperator
-    null = kernel_basis(s - np.eye(d * d), tol)
-    basis = hermitian_basis(null.T.reshape(-1, d, d), d, tol)  # column j of null is vec(F_j)
-    if len(basis) != null.shape[1]:
-        raise NotAnAlgebra("fixed-point span is not adjoint-closed within tolerance")
-    return OperatorSubspace(d, basis)
+    """Kernel of (dual total map - id), as cesaro_average's Hermitian basis; the record rides along."""
+    fixed = cesaro_average(instrument.total_channel(), tol)
+    return OperatorSubspace(instrument.dim, fixed.dual_fixed, fixed)
 
 
 def verify_algebra(space: OperatorSubspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -266,8 +244,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     center = _center_basis(space, tol)
     projections = _minimal_central_projections(center, space, tol, rng)
 
-    avg = cesaro_average(instrument.total_channel().superoperator, tol)
-    rho_av = hermitianize(unvec(avg @ vec(np.eye(d) / d), d))
+    rho_av = (space.fixed_points or cesaro_average(instrument.total_channel(), tol)).mixture_limit
 
     blocks = []
     for proj in projections:

@@ -154,9 +154,10 @@ class _KrausMap:
         return self.kraus[0].shape[0]
 
     def _kraus_sum(self) -> np.ndarray:
-        """sum K^dag K, as one product of the vertically stacked Kraus operators."""
-        stacked = self._stack.reshape(-1, self.dim_in)
-        return dagger(stacked) @ stacked
+        """sum K^dag K = X^T X + Y^T Y + i (X^T Y - Y^T X) for Kraus operators X + iY, copy-free."""
+        r = self._stack.reshape(-1, self.dim_in).view(np.float64)  # columns Re, Im interleaved
+        g = r.T @ r
+        return g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
 
     @property
     def choi(self) -> np.ndarray:

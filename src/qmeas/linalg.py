@@ -69,6 +69,33 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return v.reshape(rows, cols)
 
 
+def _hermitian_combinations(m: np.ndarray, d: int, phase: complex) -> np.ndarray:
+    """Entries jj, (ab + ba)/sqrt 2 and phase (ab - ba)/sqrt 2, a < b, along m's last (vec) axis."""
+    a, b = np.triu_indices(d, k=1)
+    jj, ab, ba = np.arange(d) * (d + 1), a * d + b, b * d + a
+    plus, minus = (m[..., ab] + m[..., ba]) / np.sqrt(2.0), (m[..., ab] - m[..., ba]) / np.sqrt(2.0)
+    return np.concatenate([m[..., jj], plus, phase * minus], axis=-1)
+
+
+def embed_hermitian(h: np.ndarray) -> np.ndarray:
+    """Isometry T vec(h) from Hermitian matrices (one or a stack) onto R^(d*d), for real SVDs."""
+    d = h.shape[-1]
+    return _hermitian_combinations(h.reshape(h.shape[:-2] + (d * d,)), d, -1j).real
+
+
+def unembed_hermitian(x: np.ndarray, d: int) -> np.ndarray:
+    a, b = np.triu_indices(d, k=1)
+    h = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
+    h[..., range(d), range(d)] = x[..., :d]
+    h[..., a, b] = (x[..., d:d + a.size] + 1j * x[..., d + a.size:]) / np.sqrt(2.0)
+    return h + dagger(np.triu(h, 1))
+
+
+def hermitian_superoperator(superop: np.ndarray, d: int) -> np.ndarray:
+    """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is unitary, never formed."""
+    return _hermitian_combinations(_hermitian_combinations(superop, d, 1j).T, d, -1j).T.real
+
+
 def kron(*ops: np.ndarray) -> np.ndarray:
     out = np.asarray(ops[0], dtype=np.complex128)
     for op in ops[1:]:

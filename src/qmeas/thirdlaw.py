@@ -5,8 +5,8 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state, obtained here as the Cesaro limit of the channel powers: the
-spectral projector onto the eigenvalue-1 space of the superoperator.
+state: the Cesaro limit on the complete mixture, which cesaro_average
+reads, with the dual fixed points, from one real SVD.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
+    embed_hermitian,
     hermitian_eig,
+    hermitian_superoperator,
     hs_norm,
     kernel_rank,
     numerical_rank,
-    unvec,
-    vec,
+    unembed_hermitian,
 )
+
+FIXED_STATE_RESIDUAL = 1e-8  # checked on the Kraus operators, not on the S_r the state came from
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     operator sum_i K_i K_i^dag is singular.  When a kernel vector exists
     its projector is confirmed to be annihilated before answering False.
     """
-    frame = np.tensordot(channel._stack, channel._stack.conj(), axes=([0, 2], [0, 2]))
+    frame = (channel._stack @ dagger(channel._stack)).sum(0)
     w, v = hermitian_eig(frame, tol)
     cut = tol.rank_threshold * max(1.0, float(w[0]))
     if w[-1] > cut:
@@ -76,17 +79,29 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     return False
 
 
-def cesaro_average(superop: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Cesaro limit lim (1/N) sum_{n=1..N} S^n of a channel superoperator, exactly.
+@dataclass(frozen=True)
+class FixedPoints:
+    """Stacked HS-orthonormal Hermitian bases of ker(S - 1), ker(S^dag - 1); Cesaro limit of 1/d."""
 
-    Eigenvalue 1 of a channel is semisimple, so the limit is the spectral
-    projector R (L^dag R)^-1 L^dag, where the columns of R and L span the
-    right and left kernels of S - 1.  One SVD of S - 1 yields both.
+    fixed: np.ndarray
+    dual_fixed: np.ndarray
+    mixture_limit: np.ndarray
+
+
+def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
+    """Fixed points of a channel and its dual, and the exact Cesaro limit, from one real SVD.
+
+    S_r - 1, in orthonormal Hermitian coordinates, has right and left kernels R and L;
+    eigenvalue 1 is semisimple, so the Cesaro limit is the projector R (L^T R)^-1 L^T.
     """
-    u, sv, vh = np.linalg.svd(superop - np.eye(superop.shape[0]))
+    if channel.dim_in != channel.dim_out:
+        raise NotEndomorphic("fixed points need dim_in == dim_out")
+    d = channel.dim_in
+    u, sv, vh = np.linalg.svd(hermitian_superoperator(channel.superoperator, d) - np.eye(d * d))
     rank = kernel_rank(sv, tol)
-    right, left = vh[rank:].conj().T, u[:, rank:]
-    return right @ np.linalg.solve(dagger(left) @ right, dagger(left))
+    right, left = vh[rank:], u[:, rank:].T  # rows: the kernel vectors
+    limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
+    return FixedPoints(*(unembed_hermitian(x, d) for x in (right, left, limit)))
 
 
 @dataclass(frozen=True)
@@ -101,19 +116,14 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
 
     The limit is always a fixed state; it is full-rank exactly when the
     channel is constrained.  Raises NoConvergence when the state still
-    moves by more than 1e-8 under the channel.
+    moves by more than FIXED_STATE_RESIDUAL under the Kraus operators.
     """
-    if channel.dim_in != channel.dim_out:
-        raise NotEndomorphic("fixed states need dim_in == dim_out")
-    d = channel.dim_in
-    avg = cesaro_average(channel.superoperator, tol)
-    rho = unvec(avg @ vec(np.eye(d) / d), d)
-    rho = 0.5 * (rho + dagger(rho))
+    rho = cesaro_average(channel, tol).mixture_limit
     state = State(rho / np.trace(rho).real, tol)
     residual = hs_norm(apply(channel, state) - state.matrix)
-    if residual > 1e-8:
+    if residual > FIXED_STATE_RESIDUAL:
         raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
-    return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == d)
+    return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == channel.dim_in)
 
 
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:

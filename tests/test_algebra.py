@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmeas import algebra
 from qmeas.algebra import (
     OperatorSubspace,
     commutant_residual,
@@ -11,14 +14,15 @@ from qmeas.algebra import (
     subspace_distance,
     verify_algebra,
 )
-from qmeas.core import Observable, State, luders_instrument, scheme_to_instrument
+from qmeas.core import Instrument, Observable, Operation, State, luders_instrument, scheme_to_instrument
 from qmeas.errors import DecompositionMismatch, DimensionMismatch, NotAnAlgebra
-from qmeas.linalg import hs_norm
+from qmeas.linalg import dagger, hs_norm
 from qmeas.models import (
     build_shift_scheme,
     build_swap_scheme,
     completely_unsharp_pair,
     pointer_observable,
+    random_unitary,
     shift_observable,
     trivial_instrument,
     trivial_swap_scheme,
@@ -151,6 +155,40 @@ class TestDecompose:
         span = OperatorSubspace(2, (np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2), SY / np.sqrt(2)))
         with pytest.raises(NotAnAlgebra):
             decompose(span, trivial_instrument(pointer_observable(2)))
+
+    def test_one_cesaro_average_and_one_superoperator_svd(self, monkeypatch):
+        inst = swap_instrument()
+        d2 = inst.dim ** 2
+        calls = {"cesaro_average": 0, "svd": 0}
+        cesaro_average, svd = algebra.cesaro_average, np.linalg.svd
+
+        def counted_cesaro_average(*args, **kwargs):
+            calls["cesaro_average"] += 1
+            return cesaro_average(*args, **kwargs)
+
+        def counted_svd(a, *args, **kwargs):
+            calls["svd"] += np.shape(a) == (d2, d2)
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(algebra, "cesaro_average", counted_cesaro_average)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        decompose(fixed_point_space(inst), inst)
+        assert calls == {"cesaro_average": 1, "svd": 1}
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(("swap", "shift", "luders")), useed=st.integers(0, 2 ** 31 - 1))
+    def test_dimensions_follow_unitary_conjugation(self, name, useed):
+        inst = {"swap": swap_instrument, "shift": shift_instrument,
+                "luders": lambda: luders_instrument(completely_unsharp_pair())}[name]()
+        u = random_unitary(inst.dim, np.random.default_rng(useed))
+        conj = Instrument(tuple(Operation(tuple(u @ k @ dagger(u) for k in op.kraus))
+                                for op in inst.operations), inst.outcomes)
+        blocks = []
+        for i in (inst, conj):
+            space = fixed_point_space(i)
+            deco = decompose(space, i)
+            assert deco.reconstruction_residual < 1e-7
+            blocks.append((len(space), sorted((b.dim_k, b.dim_r) for b in deco.blocks)))
+        assert blocks[0] == blocks[1]
 
 
 class TestEffectBlocks:

@@ -6,16 +6,20 @@ from qmeas.linalg import (
     Tolerances,
     dagger,
     eigenvalue_clusters,
+    embed_hermitian,
     hermitian_eig,
+    hermitian_superoperator,
     hs_norm,
     kernel_basis,
     kron,
     matrix_sqrt_psd,
     numerical_rank,
     partial_trace,
+    unembed_hermitian,
     unvec,
     vec,
 )
+from qmeas.models import random_channel
 
 
 def rand_complex(rng, n, m=None):
@@ -224,3 +228,24 @@ class TestKernelAndClusters:
         w = np.array([3.0, 1.0, 1.0, 0.0])
         clusters = eigenvalue_clusters(w, 1e-6)
         assert sorted(np.concatenate(clusters).tolist()) == [0, 1, 2, 3]
+
+
+class TestHermitianCoordinates:
+    def test_embedding_is_an_isometry_with_inverse(self):
+        rng = np.random.default_rng(3)
+        h = np.array([rand_hermitian(rng, 4) for _ in range(3)])
+        x = embed_hermitian(h)
+        assert np.isrealobj(x) and x.shape == (3, 16)
+        assert np.abs(np.linalg.norm(x, axis=1) - np.linalg.norm(h, axis=(1, 2))).max() < 1e-13
+        assert np.abs(unembed_hermitian(x, 4) - h).max() < 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_superoperator_matches_dense_change_of_basis(self, d):
+        s = random_channel(d, d, 3, d).superoperator
+        t = unembed_hermitian(np.eye(d * d), d).reshape(d * d, -1).conj()  # rows vec(G_m)^dag
+        assert np.abs(t @ dagger(t) - np.eye(d * d)).max() < 1e-13
+        dense = t @ s @ dagger(t)
+        assert np.abs(dense.imag).max() < 1e-13
+        got = hermitian_superoperator(s, d)
+        assert np.isrealobj(got)
+        assert np.abs(got - dense.real).max() < 1e-13

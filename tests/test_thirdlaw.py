@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
 from qmeas.errors import InfeasibleDimensions, NotEndomorphic
-from qmeas.linalg import hs_norm, kron, numerical_rank
+from qmeas.linalg import dagger, hs_norm, kron, numerical_rank, unvec, vec
 from qmeas.models import (
     build_extremal_model,
     build_luders_scheme,
@@ -112,10 +114,15 @@ class TestFixedState:
 
     def test_cesaro_invariance_and_idempotence(self):
         for seed in range(3):
-            s = random_constrained_channel(3, seed).superoperator
-            avg = cesaro_average(s)
+            ch = random_constrained_channel(3, seed)
+            s = ch.superoperator
+            fixed = cesaro_average(ch)
+            right = fixed.fixed.reshape(len(fixed.fixed), -1).T  # columns vec(F_i)
+            left = fixed.dual_fixed.reshape(len(fixed.dual_fixed), -1).T
+            avg = right @ np.linalg.solve(dagger(left) @ right, dagger(left))
             assert hs_norm(avg @ s - avg) < 1e-10
             assert hs_norm(avg @ avg - avg) < 1e-12
+            assert hs_norm(unvec(avg @ vec(np.eye(3) / 3), 3) - fixed.mixture_limit) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.2, 0.1, 0.01])
     def test_slowly_mixing_amplitude_damping(self, gamma):
@@ -130,6 +137,31 @@ class TestFixedState:
         res = full_rank_fixed_state(Channel(kraus))
         assert res.is_full_rank
         assert np.abs(res.state.matrix - np.diag([p, 1 - p])).max() < 1e-10
+
+
+CHANNEL_FAMILIES = {
+    "constrained": (lambda d, seed: random_constrained_channel(d, seed), True),
+    "bistochastic": (lambda d, seed: random_bistochastic_channel(d, 3, seed), True),
+    "low-rank preparation": (lambda d, seed: random_low_rank_preparation(d, d - 1, seed), False),
+}
+
+
+class TestUnitaryInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(CHANNEL_FAMILIES)), d=st.integers(2, 4),
+           seed=st.integers(0, 2 ** 31 - 1), useed=st.integers(0, 2 ** 31 - 1))
+    def test_verdicts_and_fixed_state_follow_conjugation(self, family, d, seed, useed):
+        build, constrained = CHANNEL_FAMILIES[family]
+        ch = build(d, seed)
+        u = random_unitary(d, np.random.default_rng(useed))
+        conj = Channel(tuple(u @ k @ dagger(u) for k in ch.kraus))
+
+        def routes(c):
+            return (check_channel_thirdlaw(c).constrained, check_faithfulness(c),
+                    full_rank_fixed_state(c).is_full_rank)
+        assert routes(ch) == routes(conj) == (constrained,) * 3
+        rho = full_rank_fixed_state(ch).state.matrix
+        assert np.abs(full_rank_fixed_state(conj).state.matrix - u @ rho @ dagger(u)).max() < 1e-10
 
 
 class TestSchemeVerdict:
