@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable
-from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_clusters, hermitian_eig, numerical_rank
+from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_clusters, hermitian_eig, rank_cut
 
 
 @dataclass(frozen=True)
@@ -28,56 +28,34 @@ class ObservableClassification:
     per_effect_norms: tuple[float, ...]
 
 
-def _positive_eigenvalues(e: np.ndarray, tol: Tolerances) -> np.ndarray:
-    w, _ = hermitian_eig(e, tol)
-    cut = tol.rank_threshold * max(1.0, float(w[0]))
-    return w[w > cut]
-
-
 def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> ObservableClassification:
-    effects = observable.effects
-    d = observable.dim
+    """Every flag from one eigendecomposition per effect and one product E_x E_y per pair."""
+    effects = np.array(observable.effects)
+    n, d = len(effects), observable.dim
     atol = tol.atol_equality
 
-    ranks = tuple(numerical_rank(e, tol) for e in effects)
-    norms = tuple(float(hermitian_eig(e, tol)[0][0]) for e in effects)
+    spectra = [hermitian_eig(e, tol)[0] for e in effects]  # descending
+    ranks = tuple(int(np.count_nonzero(s > rank_cut(s, tol))) for s in map(np.abs, spectra))
+    norms = tuple(float(w[0]) for w in spectra)
+    positive = [w[w > rank_cut(w, tol)] for w in spectra]
 
-    commutative = all(
-        np.abs(a @ b - b @ a).max() <= atol
-        for i, a in enumerate(effects)
-        for b in effects[i + 1:]
-    )
-    sharp = all(
-        np.abs(a @ b - (a if i == j else 0)).max() <= atol
-        for i, a in enumerate(effects)
-        for j, b in enumerate(effects)
-    )
-    trivial = all(
-        np.abs(e - (np.trace(e).real / d) * np.eye(d)).max() <= atol for e in effects
-    )
-    norm1 = all(abs(n - 1.0) <= tol.rank_threshold for n in norms)
-    small_rank = any(r == 1 for r in ranks)
-
-    non_degenerate = False
-    for e in effects:
-        pos = _positive_eigenvalues(e, tol)
-        clusters = eigenvalue_clusters(pos, tol.cluster_gap)
-        if pos.size and len(clusters) == pos.size:
-            non_degenerate = True
-            break
-
-    completely_unsharp = all(
-        r == d and n < 1.0 - tol.rank_threshold for r, n in zip(ranks, norms)
-    )
+    products = effects[:, None] @ effects[None]  # [x, y] = E_x E_y
+    commutative = np.abs(products - products.swapaxes(0, 1)).max() <= atol
+    sharp = np.abs(products - np.eye(n)[:, :, None, None] * effects[:, None]).max() <= atol
+    scalars = np.trace(effects, axis1=1, axis2=2).real[:, None, None] / d * np.eye(d)
+    trivial = np.abs(effects - scalars).max() <= atol
+    norm1 = all(abs(v - 1.0) <= tol.rank_threshold for v in norms)
 
     return ObservableClassification(
-        is_trivial=trivial,
-        is_sharp=sharp,
+        is_trivial=bool(trivial),
+        is_sharp=bool(sharp),
         is_norm1=norm1,
-        is_commutative=commutative,
-        is_small_rank=small_rank,
-        is_non_degenerate=non_degenerate,
-        is_completely_unsharp=completely_unsharp,
+        is_commutative=bool(commutative),
+        is_small_rank=any(r == 1 for r in ranks),
+        is_non_degenerate=any(p.size and len(eigenvalue_clusters(p, tol.cluster_gap)) == p.size
+                              for p in positive),
+        is_completely_unsharp=all(r == d and v < 1.0 - tol.rank_threshold
+                                  for r, v in zip(ranks, norms)),
         per_effect_ranks=ranks,
         per_effect_norms=norms,
     )

@@ -1,14 +1,19 @@
 """Command-line interface.
 
-Verdict-style commands exit 0 on an affirmative answer, 1 on a negative
-one, and 2 on usage or input errors; they never raise to the shell.
-Reports are emitted as JSON (--json) or aligned text (--human, default),
-carrying the command echo, the tolerances used, verdicts, and residuals.
+Each subcommand decides one verdict and returns it with the report fields
+behind it; `main` owns the rest of the run.  A report is the echo (the
+argv given, the tolerances used, the seed) followed by the command's
+fields; for `check`, the verdict key comes first.  It is printed as JSON
+(--json) or aligned text (--human, default).  Exit 0 means the verdict
+holds, 1 that it does not, and 2 a usage or input error; `main` never
+raises to the shell.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -45,7 +50,7 @@ from .properties import (
     check_extremal,
     check_ideal,
     check_repeatable,
-    invariance_residual,
+    invariance,
     theorem_predicates,
 )
 from .thirdlaw import (
@@ -92,55 +97,12 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(atol_equality=atol, rank_threshold=rank)
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return
-    _emit_human(report)
-
-
-def _emit_human(report: dict, indent: int = 0) -> None:
-    pad = "  " * indent
-    for key, value in report.items():
-        if isinstance(value, dict):
-            print(f"{pad}{key}:")
-            _emit_human(value, indent + 1)
-        elif isinstance(value, (list, tuple)):
-            print(f"{pad}{key}: {json.dumps(value)}")
-        else:
-            print(f"{pad}{key}: {value}")
-
-
-def _echo(args: argparse.Namespace, tol: Tolerances) -> dict:
-    return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
-        "tolerances": {"atol_equality": tol.atol_equality, "rank_threshold": tol.rank_threshold},
-        "seed": args.seed,
-    }
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    obj = modelfile.load(args.path, tol)
-    if not isinstance(obj, Observable):
-        raise QmeasError(f"{args.path}: expected an observable, got {type(obj).__name__}")
-    c = classify(obj, tol)
-    report = _echo(args, tol)
-    report["classification"] = {
-        "outcomes": len(obj),
-        "dim": obj.dim,
-        "is_sharp": c.is_sharp,
-        "is_norm1": c.is_norm1,
-        "is_completely_unsharp": c.is_completely_unsharp,
-        "is_commutative": c.is_commutative,
-        "is_small_rank": c.is_small_rank,
-        "is_trivial": c.is_trivial,
-        "is_non_degenerate": c.is_non_degenerate,
-        "per_effect_ranks": list(c.per_effect_ranks),
-        "per_effect_norms": [float(n) for n in c.per_effect_norms],
-    }
-    _emit(report, args)
-    return EXIT_YES
+def cmd_classify(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
+    obs = modelfile.load(args.path, tol)
+    if not isinstance(obs, Observable):
+        raise QmeasError(f"{args.path}: expected an observable, got {type(obs).__name__}")
+    return True, {"classification": {"outcomes": len(obs), "dim": obs.dim,
+                                     **dataclasses.asdict(classify(obs, tol))}}
 
 
 def _expect(obj, kind: type, what: str):
@@ -161,8 +123,7 @@ def run_check(verb: str, obj, tol: Tolerances,
         verdict = (check_channel_thirdlaw(_expect(obj, Channel, "a channel"), tol)
                    if verb == "channel-thirdlaw" else
                    check_scheme_thirdlaw(_expect(obj, MeasurementScheme, "a scheme"), tol))
-        return verdict.constrained, {"constrained": verdict.constrained,
-                                     "min_output_eigenvalue": verdict.min_output_eigenvalue}
+        return verdict.constrained, dataclasses.asdict(verdict)
 
     if isinstance(obj, MeasurementScheme):
         obj = scheme_to_instrument(obj, tol)
@@ -175,8 +136,7 @@ def run_check(verb: str, obj, tol: Tolerances,
         else:
             key = "non_disturbance"
             effects = _expect(against, Observable, "an observable for --against").effects
-        residual = invariance_residual(instrument.total_channel(), effects)
-        holds = residual <= tol.atol_equality
+        holds, residual = invariance(instrument.total_channel(), effects, tol)
         return holds, {key: holds, "residual": residual}
     if verb == "repeatable":
         holds = check_repeatable(instrument, tol)
@@ -186,22 +146,14 @@ def run_check(verb: str, obj, tol: Tolerances,
         return ideal == IDEAL_TRUE, {"ideal": ideal}
     if verb == "extremal":
         result = check_extremal(instrument, tol)
-        return result.extremal, {"extremal": result.extremal,
-                                 "kraus_ranks": list(result.kraus_ranks),
-                                 "gram_rank": result.gram_rank,
-                                 "product_count": result.product_count}
+        return result.extremal, dataclasses.asdict(result)
     raise QmeasError(f"unknown check {verb!r}")
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
+def cmd_check(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     obj = modelfile.load(args.path, tol)
     against = modelfile.load(args.against, tol) if args.against else None
-    holds, fields = run_check(args.what, obj, tol, against)
-    report = _echo(args, tol)
-    report.update(fields)
-    _emit(report, args)
-    return EXIT_YES if holds else EXIT_NO
+    return run_check(args.what, obj, tol, against)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +177,7 @@ def _witness_holds(name: str, objects: dict, row: str, column: str, tol: Toleran
     return constrained and holds and in_class and claimed
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    report = _echo(args, tol)
+def cmd_table1(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     representatives = table1_observables()
 
     cells: dict[str, dict] = {row: {} for row in THEOREM_ROWS}
@@ -247,14 +197,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             cells[row][column] = {"verdict": "yes", "witness": name, "witness_verified": verified}
             all_verified = all_verified and verified
 
-    report["columns"] = list(TABLE1_COLUMNS)
-    report["rows"] = cells
-    report["match"] = all_verified
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        _render_table(report)
-    return EXIT_YES if all_verified else EXIT_NO
+    return all_verified, {"columns": list(TABLE1_COLUMNS), "rows": cells, "match": all_verified}
 
 
 def _render_table(report: dict) -> None:
@@ -283,42 +226,30 @@ def _render_table(report: dict) -> None:
 # demos
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    report = _echo(args, tol)
-
+def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     if args.name == "purify":
-        rho0 = random_full_rank_state(2, args.seed)
         xi = State.pure(np.array([1.0, 0.0]))
-        target = random_full_rank_state(2, args.seed + 1)
-        result = purify_via_unconstrained(rho0, xi, target, tol)
-        report["copies"] = result.copies
-        report["minimal_copies_check"] = minimal_copy_count(1, 2, 2)
-        report["fidelity"] = result.fidelity
-        report["target_reached"] = result.fidelity > 1.0 - 1e-9
-        _emit(report, args)
-        return EXIT_YES if report["target_reached"] else EXIT_NO
+        result = purify_via_unconstrained(random_full_rank_state(2, args.seed), xi,
+                                          random_full_rank_state(2, args.seed + 1), tol)
+        reached = result.fidelity > 1.0 - 1e-9
+        return reached, {"copies": result.copies, "minimal_copies_check": minimal_copy_count(1, 2, 2),
+                         "fidelity": result.fidelity, "target_reached": reached}
 
     if args.name == "luders-scheme":
         obs = completely_unsharp_pair()
         scheme = build_luders_scheme(obs, tol)
-        induced = scheme_to_instrument(scheme, tol)
-        reference = luders_instrument(obs, tol)
-        residual = max(
-            superop_distance(a, b)
-            for a, b in zip(induced.operations, reference.operations)
-        )
+        pairs = zip(scheme_to_instrument(scheme, tol).operations, luders_instrument(obs, tol).operations)
+        residual = max(superop_distance(a, b) for a, b in pairs)
         constrained = check_scheme_thirdlaw(scheme, tol).constrained
-        report["constrained"] = constrained
-        report["instrument_residual"] = residual
-        report["effects"] = [[float(v) for v in np.diag(e).real] for e in obs.effects]
-        _emit(report, args)
-        return EXIT_YES if constrained and residual < 1e-9 else EXIT_NO
+        return constrained and residual < 1e-9, {
+            "constrained": constrained,
+            "instrument_residual": residual,
+            "effects": [[float(v) for v in np.diag(e).real] for e in obs.effects],
+        }
 
     if args.name == "decompose":
         xi = State.diagonal([0.7, 0.3])
-        scheme = build_swap_scheme(xi)
-        instrument = scheme_to_instrument(scheme, tol)
+        instrument = scheme_to_instrument(build_swap_scheme(xi), tol)
         space = fixed_point_space(instrument, tol)
         decomposition = decompose(space, instrument, tol, seed=args.seed)
         blocks = [(b.dim_k, b.dim_r) for b in decomposition.blocks]
@@ -326,18 +257,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
             np.linalg.norm(decomposition.blocks[0].omega.matrix - xi.matrix)
         ) if blocks == [(2, 2)] else float("inf")
         eb = effect_blocks(instrument.induced_observable(), decomposition, tol)
-        report["fixed_space_dim"] = space.dim
-        report["blocks"] = blocks
-        report["reconstruction_residual"] = decomposition.reconstruction_residual
-        report["omega_matches_ancilla"] = omega_dist < 1e-8
-        report["omega_distance"] = omega_dist
-        report["effect_block_spectra"] = [
-            [[float(v) for v in spec] for spec in per_outcome]
-            for per_outcome in eb.spectra()
-        ]
-        _emit(report, args)
-        ok = blocks == [(2, 2)] and omega_dist < 1e-8
-        return EXIT_YES if ok else EXIT_NO
+        return blocks == [(2, 2)] and omega_dist < 1e-8, {
+            "fixed_space_dim": space.dim,
+            "blocks": blocks,
+            "reconstruction_residual": decomposition.reconstruction_residual,
+            "omega_matches_ancilla": omega_dist < 1e-8,
+            "omega_distance": omega_dist,
+            "effect_block_spectra": [[[float(v) for v in spec] for spec in per_outcome]
+                                     for per_outcome in eb.spectra()],
+        }
 
     raise QmeasError(f"unknown demo {args.name!r}")
 
@@ -346,99 +274,115 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # catalog export
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    report = _echo(args, tol)
-
+def cmd_gen(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     if args.list or args.name is None:
-        report["catalog"] = {name: entry.description for name, entry in sorted(CATALOG.items())}
-        _emit(report, args)
-        return EXIT_YES
+        return True, {"catalog": {name: entry.description for name, entry in sorted(CATALOG.items())}}
 
     entry = CATALOG.get(args.name)
     if entry is None:
         raise QmeasError(f"unknown catalog entry {args.name!r}; use --list")
-    objects = entry.build()
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for key, obj in sorted(objects.items()):
+    for key, obj in sorted(entry.build().items()):
         path = os.path.join(out_dir, f"{args.name}.{key}.json")
         modelfile.save(obj, path)
         written.append(path)
-    report["entry"] = args.name
-    report["description"] = entry.description
-    report["expected"] = {k: (list(v) if isinstance(v, tuple) else v)
-                          for k, v in entry.expected.items()}
-    report["written"] = written
-    _emit(report, args)
-    return EXIT_YES
+    return True, {
+        "entry": args.name,
+        "description": entry.description,
+        "expected": {k: (list(v) if isinstance(v, tuple) else v) for k, v in entry.expected.items()},
+        "written": written,
+    }
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing and the command lifecycle
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-atol", type=float, default=None,
+def _emit_human(report: dict, indent: int = 0) -> None:
+    pad = "  " * indent
+    for key, value in report.items():
+        if isinstance(value, dict):
+            print(f"{pad}{key}:")
+            _emit_human(value, indent + 1)
+        elif isinstance(value, (list, tuple)):
+            print(f"{pad}{key}: {json.dumps(value)}")
+        else:
+            print(f"{pad}{key}: {value}")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The qmeas parser; built once per process, since parsing leaves it unchanged."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol-atol", type=float, default=None,
                         help="equality tolerance (env QMEAS_TOL_ATOL overrides the default)")
-    parser.add_argument("--tol-rank", type=float, default=None, help="rank threshold")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    fmt = parser.add_mutually_exclusive_group()
+    common.add_argument("--tol-rank", type=float, default=None, help="rank threshold")
+    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")
     fmt.add_argument("--human", action="store_true", help="aligned text report (default)")
+    common.set_defaults(render=_emit_human)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmeas",
                                      description="measurement models under the third law")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("classify", help="classify an observable file")
+    p = sub.add_parser("classify", parents=[common], help="classify an observable file")
     p.add_argument("path")
-    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("check", help="run one verdict check on a model file")
+    p = sub.add_parser("check", parents=[common], help="run one verdict check on a model file")
     p.add_argument("what", choices=CHECK_VERBS)
     p.add_argument("path")
     p.add_argument("--against", default=None, help="observable file for nondisturbance")
-    _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("table1", help="reproduce the five-property feasibility table")
-    _add_common(p)
-    p.set_defaults(func=cmd_table1)
+    p = sub.add_parser("table1", parents=[common],
+                       help="reproduce the five-property feasibility table")
+    p.set_defaults(func=cmd_table1, render=_render_table)
 
-    p = sub.add_parser("demo", help="run a named walkthrough")
+    p = sub.add_parser("demo", parents=[common], help="run a named walkthrough")
     p.add_argument("name", choices=["purify", "luders-scheme", "decompose"])
-    _add_common(p)
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("gen", help="export catalog models as JSON files")
+    p = sub.add_parser("gen", parents=[common], help="export catalog models as JSON files")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list catalog entries")
     p.add_argument("--out", default=None, help="output directory")
-    _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse argv (default sys.argv[1:]), run its command, print the report and return the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0,) else 0
+        return EXIT_YES if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        tol = _tolerances(args)
+        holds, fields = args.func(args, tol)
+        report = {
+            "command": " ".join(argv),
+            "tolerances": {"atol_equality": tol.atol_equality, "rank_threshold": tol.rank_threshold},
+            "seed": args.seed,
+            **fields,
+        }
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            args.render(report)
     except (QmeasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a crash is an error, never "does not hold"
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_YES if holds else EXIT_NO
 
 
 if __name__ == "__main__":

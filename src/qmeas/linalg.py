@@ -129,14 +129,18 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndar
     return w[order], v[:, order]
 
 
+def rank_cut(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+    """rank_threshold * max(1, max s): singular values (or |eigenvalues|) s at or below it count as 0."""
+    return tol.rank_threshold * max(1.0, float(np.max(s)) if s.size else 0.0)
+
+
 def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_threshold * max(1, largest)."""
+    """Number of singular values above rank_cut."""
     a = as_complex_matrix(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    cut = tol.rank_threshold * max(1.0, float(s[0]) if s.size else 0.0)
-    return int(np.count_nonzero(s > cut))
+    return int(np.count_nonzero(s > rank_cut(s, tol)))
 
 
 def kernel_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -42,16 +42,20 @@ IDEAL_FALSE = "false"
 IDEAL_NOT_APPLICABLE = "not_applicable"
 
 
-def invariance_residual(channel: Channel, effects) -> float:
-    """max |Phi^*(F) - F| over the effects F; Phi is an instrument's total channel I_X."""
+def invariance(channel: Channel, effects, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether Phi^*(F) = F within atol_equality for every effect F, and max |Phi^*(F) - F|.
+
+    Phi is an instrument's total channel I_X.
+    """
     f = np.array(effects, dtype=np.complex128)
-    return float(np.abs(apply_dual(channel, f) - f).max())
+    residual = float(np.abs(apply_dual(channel, f) - f).max())
+    return residual <= tol.atol_equality, residual
 
 
 def check_non_disturbance(instrument: Instrument, other: Observable,
                           tol: Tolerances = DEFAULT_TOL) -> bool:
     """I_X^*(F_y) = F_y for every effect of the other observable."""
-    return invariance_residual(instrument.total_channel(), other.effects) <= tol.atol_equality
+    return invariance(instrument.total_channel(), other.effects, tol)[0]
 
 
 def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -90,13 +94,12 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
 
 @dataclass(frozen=True)
 class ExtremalResult:
+    """extremal: the gram_rank of the Kraus products equals their product_count, sum m_x^2."""
+
     extremal: bool
     kraus_ranks: tuple[int, ...]
     gram_rank: int
-
-    @property
-    def product_count(self) -> int:
-        return sum(m * m for m in self.kraus_ranks)
+    product_count: int
 
 
 def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalResult:
@@ -113,8 +116,8 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
         for f in families
     ])
     gram_rank = numerical_rank(products, tol)
-    ranks = tuple(len(f) for f in families)
-    return ExtremalResult(gram_rank == sum(m * m for m in ranks), ranks, gram_rank)
+    return ExtremalResult(gram_rank == len(products), tuple(len(f) for f in families),
+                          gram_rank, len(products))
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +245,16 @@ def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
     """All property verdicts; each invariance residual is computed once and thresholded."""
     obs = instrument.induced_observable()
     total = instrument.total_channel()
-    residuals = {"first_kind": invariance_residual(total, obs.effects)}
+    residuals = {}
+    first_kind, residuals["first_kind"] = invariance(total, obs.effects, tol)
+    non_disturbance = None
     if against is not None:
-        residuals["non_disturbance"] = invariance_residual(total, against.effects)
+        non_disturbance, residuals["non_disturbance"] = invariance(total, against.effects, tol)
     return PropertyReport(
-        first_kind=residuals["first_kind"] <= tol.atol_equality,
+        first_kind=first_kind,
         repeatable=check_repeatable(instrument, tol),
         ideal=check_ideal(instrument, tol),
         extremal=check_extremal(instrument, tol),
-        non_disturbance=None if against is None else residuals["non_disturbance"] <= tol.atol_equality,
+        non_disturbance=non_disturbance,
         residuals=residuals,
     )

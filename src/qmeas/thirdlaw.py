@@ -27,6 +27,7 @@ from .linalg import (
     hs_norm,
     kernel_rank,
     numerical_rank,
+    rank_cut,
     unembed_hermitian,
 )
 
@@ -53,10 +54,9 @@ def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> T
 
 
 def _full_rank(w: np.ndarray, tol: Tolerances) -> bool:
-    """No eigenvalue of a Hermitian matrix falls to numerical_rank's cut,
-    rank_threshold * max(1, max |w|); its singular values are the |w|."""
+    """No eigenvalue of a Hermitian matrix falls to numerical_rank's cut; its singular values are the |w|."""
     s = np.abs(w)
-    return bool(np.all(s > tol.rank_threshold * max(1.0, float(s.max()))))
+    return bool(np.all(s > rank_cut(s, tol)))
 
 
 def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:

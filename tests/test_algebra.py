@@ -190,6 +190,29 @@ class TestDecompose:
             blocks.append((len(space), sorted((b.dim_k, b.dim_r) for b in deco.blocks)))
         assert blocks[0] == blocks[1]
 
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(("swap", "shift", "luders")), data=st.data())
+    def test_outcome_relabelling_permutes_effect_blocks(self, name, data):
+        inst = {"swap": swap_instrument, "shift": shift_instrument,
+                "luders": lambda: luders_instrument(completely_unsharp_pair())}[name]()
+        perm = data.draw(st.permutations(range(len(inst))))
+        relabelled = Instrument(tuple(inst.operations[x] for x in perm),
+                                tuple(inst.outcomes[x] for x in perm))
+        decos, spectra = [], []
+        for i in (inst, relabelled):
+            deco = decompose(fixed_point_space(i), i)
+            decos.append(deco)
+            spectra.append(effect_blocks(i.induced_observable(), deco).spectra())
+        blocks, relabelled_blocks = decos[0].blocks, decos[1].blocks
+        assert (sorted((b.dim_k, b.dim_r) for b in blocks)
+                == sorted((b.dim_k, b.dim_r) for b in relabelled_blocks))
+        # the same block of each decomposition is the one with the same central projection
+        match = [min(range(len(blocks)), key=lambda a: hs_norm(blocks[a].projection - b.projection))
+                 for b in relabelled_blocks]
+        for x, y in enumerate(perm):
+            for alpha, beta in enumerate(match):
+                assert np.allclose(spectra[1][x][alpha], spectra[0][y][beta], atol=1e-8)
+
 
 class TestEffectBlocks:
     def test_partial_swap_readout_blocks(self):

@@ -1,15 +1,25 @@
-import numpy as np
+import dataclasses
 
-from qmeas.classify import classify
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmeas.classify import ObservableClassification, classify
 from qmeas.core import Observable
-from qmeas.linalg import kron
+from qmeas.linalg import dagger, kron
 from qmeas.models import (
+    CATALOG,
     build_ideality_example,
     completely_unsharp_pair,
     pointer_observable,
     random_povm,
+    random_unitary,
     shift_observable,
+    table1_observables,
 )
+
+FLAGS = tuple(f.name for f in dataclasses.fields(ObservableClassification) if f.name.startswith("is_"))
 
 
 class TestClassifyExamples:
@@ -80,3 +90,58 @@ class TestClassifyLattice:
                 assert all(r == obs.dim for r in c.per_effect_ranks)
             if c.is_small_rank:
                 assert c.is_non_degenerate
+
+
+# the flags that hold, and the ranks, of every catalog and Table 1 observable
+PINNED = {
+    "extremal-two-qubit.observable": ({"is_sharp", "is_norm1", "is_commutative"}, (2, 2)),
+    "ideality-qutrit.observable": ({"is_norm1", "is_commutative", "is_non_degenerate"}, (2, 2)),
+    "luders-unsharp-qubit.observable": (
+        {"is_commutative", "is_non_degenerate", "is_completely_unsharp"}, (2, 2)),
+    "nondisturbance-two-qubit.observable": ({"is_norm1", "is_commutative", "is_non_degenerate"}, (3, 3)),
+    "nondisturbance-two-qubit.other": ({"is_norm1", "is_commutative", "is_non_degenerate"}, (3, 3)),
+    "shift-first-kind.observable": (
+        {"is_commutative", "is_non_degenerate", "is_completely_unsharp"}, (3, 3, 3)),
+    "small-rank": ({"is_sharp", "is_norm1", "is_commutative", "is_small_rank", "is_non_degenerate"},
+                   (1, 1)),
+    "sharp": ({"is_sharp", "is_norm1", "is_commutative"}, (2, 2)),
+    "norm-1": ({"is_norm1", "is_commutative", "is_non_degenerate"}, (2, 2)),
+    "completely-unsharp": ({"is_commutative", "is_non_degenerate", "is_completely_unsharp"}, (2, 2)),
+}
+
+
+def _pinned_observables() -> dict[str, Observable]:
+    found = {f"{name}.{key}": obj for name, entry in CATALOG.items()
+             for key, obj in entry.build().items() if isinstance(obj, Observable)}
+    return {**found, **table1_observables()}
+
+
+class TestPinnedFlags:
+    def test_every_catalog_and_table1_observable_is_pinned(self):
+        assert set(_pinned_observables()) == set(PINNED)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_flags_and_ranks(self, name):
+        c = classify(_pinned_observables()[name])
+        assert {flag for flag in FLAGS if getattr(c, flag)} == PINNED[name][0]
+        assert c.per_effect_ranks == PINNED[name][1]
+
+
+class TestSymmetries:
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from((None, "sharp", "completely-unsharp", "small-rank", "norm1-unsharp")),
+           dim=st.integers(2, 4), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_unitary_conjugation_and_relabelling(self, mode, dim, seed, data):
+        if mode == "norm1-unsharp":
+            dim, outcomes = 4, 2
+        else:
+            outcomes = data.draw(st.integers(2, dim if mode == "sharp" else 3))
+        obs = random_povm(dim, outcomes, seed, mode=mode)
+        u = random_unitary(dim, np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1))))
+        perm = data.draw(st.permutations(range(outcomes)))
+        moved = Observable(tuple(u @ obs.effects[x] @ dagger(u) for x in perm),
+                           tuple(obs.outcomes[x] for x in perm))
+        c, cm = classify(obs), classify(moved)
+        assert all(getattr(c, flag) == getattr(cm, flag) for flag in FLAGS)
+        assert cm.per_effect_ranks == tuple(c.per_effect_ranks[x] for x in perm)
+        assert np.allclose(cm.per_effect_norms, [c.per_effect_norms[x] for x in perm], atol=1e-12)

@@ -3,12 +3,16 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmeas
 from qmeas import cli, modelfile
 from qmeas.cli import CHECK_VERBS, EXIT_ERROR, EXIT_NO, EXIT_YES, main, run_check
 from qmeas.core import Channel, Instrument, MeasurementScheme, State, luders_instrument
@@ -406,6 +410,31 @@ class TestPlumbing:
         code, _, err = run(capsys, "classify", str(path))
         assert code == EXIT_ERROR
         assert "QMEAS_TOL_ATOL" in err
+
+    def test_command_echo_is_the_argv_given(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "scheme.json"
+        modelfile.save(build_shift_scheme(3, (0.5, 0.3, 0.2)), str(path))
+        argv = ["check", "firstkind", str(path), "--json"]
+        for host in (["pytest", "-q", "tests/whatever"], ["pytest"]):
+            monkeypatch.setattr(sys, "argv", host)
+            assert main(argv) == EXIT_YES
+            assert json.loads(capsys.readouterr().out)["command"] == " ".join(argv)
+        monkeypatch.setattr(sys, "argv", ["qmeas", *argv])
+        assert main() == EXIT_YES
+        assert json.loads(capsys.readouterr().out)["command"] == " ".join(argv)
+
+    def test_reused_parser_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QMEAS_TOL_ATOL", raising=False)
+        ipath, opath = tmp_path / "inst.json", tmp_path / "obs.json"
+        modelfile.save(luders_instrument(completely_unsharp_pair()), str(ipath))
+        modelfile.save(completely_unsharp_pair(), str(opath))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qmeas.__file__))}
+        for argv in (["check", "nondisturbance", str(ipath), "--against", str(opath)],
+                     ["check", "firstkind", str(ipath)],
+                     ["table1", "--human"]):
+            fresh = subprocess.run([sys.executable, "-m", "qmeas.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert run(capsys, *argv)[:2] == (fresh.returncode, fresh.stdout), argv
 
     def test_unexpected_exception_is_an_error_not_a_no(self, tmp_path, capsys, monkeypatch):
         def crash(*args, **kwargs):
