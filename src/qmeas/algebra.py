@@ -22,8 +22,10 @@ import numpy as np
 from .core import Instrument, Observable, State
 from .errors import DecompositionMismatch, DegenerateCenter, DimensionMismatch, NotAnAlgebra
 from .linalg import (
+    CLUSTER_GAP,
     DEFAULT_TOL,
     Tolerances,
+    cut_rank,
     dagger,
     eigenvalue_clusters,
     embed_hermitian,
@@ -31,7 +33,6 @@ from .linalg import (
     hermitianize,
     hs_norm,
     kernel_basis,
-    kernel_rank,
     kron,
     partial_trace,
     unembed_hermitian,
@@ -64,7 +65,7 @@ def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     m = _stack(mats, dim)
     rows = embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
     _, s, vh = np.linalg.svd(rows.reshape(-1, dim * dim), full_matrices=False)
-    return unembed_hermitian(vh[:kernel_rank(s, tol)], dim)
+    return unembed_hermitian(vh[:cut_rank(s, tol)], dim)
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,13 @@ class FactorDecomposition:
         ])
 
 
-def subspace_distance(mats_a, mats_b, dim: int) -> float:
+def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -> float:
     """Spectral distance between the orthogonal projectors onto two operator spans: 1 for
     different dimensions, else sin of the largest principal angle, ||Q_a - Q_a Q_b^dag Q_b||_2."""
     def rows(mats):
         a = _stack(mats, dim).reshape(-1, dim * dim)  # rows vec(m)
         _, s, vh = np.linalg.svd(a, full_matrices=False)
-        return vh[s > 1e-10 * max(1.0, float(s[0]))]
+        return vh[:cut_rank(s, tol)]
     qa, qb = rows(mats_a), rows(mats_b)
     return 1.0 if len(qa) != len(qb) else float(np.linalg.norm(qa - (qa @ dagger(qb)) @ qb, 2))
 
@@ -174,7 +175,7 @@ def _minimal_central_projections(center: np.ndarray, space: OperatorSubspace,
         g = rng.standard_normal(z)
         x = np.tensordot(g, center, axes=1)
         w, v = hermitian_eig(x, tol)
-        clusters = eigenvalue_clusters(w, tol.cluster_gap)
+        clusters = eigenvalue_clusters(w)
         if len(clusters) != z:
             continue
         return [v[:, idx] @ v[:, idx].conj().T for idx in clusters]
@@ -194,7 +195,7 @@ def _block_factorizer(proj: np.ndarray, block_basis: np.ndarray, dim_k: int,
         inside = w > shift / 2.0
         if int(inside.sum()) != rank:
             continue
-        clusters = eigenvalue_clusters(w[:rank], tol.cluster_gap)
+        clusters = eigenvalue_clusters(w[:rank])
         if len(clusters) != dim_k or any(idx.size != dim_r for idx in clusters):
             continue
         minimal = [v[:, idx] for idx in clusters]  # orthonormal columns per p_i
@@ -211,7 +212,7 @@ def _block_factorizer(proj: np.ndarray, block_basis: np.ndarray, dim_k: int,
                 p_i = cols_i @ cols_i.conj().T
                 wmat = p0 @ y @ p_i
                 uu, ss, vv = np.linalg.svd(wmat)
-                if ss[dim_r - 1] <= tol.cluster_gap:
+                if ss[dim_r - 1] <= CLUSTER_GAP:
                     degenerate = True
                     break
                 u_dag = dagger(uu[:, :dim_r] @ vv[:dim_r, :])
@@ -268,7 +269,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
         blocks.append(FactorBlock(proj, dim_k, dim_r, fact, State(omega, tol)))
 
     deco = FactorDecomposition(space, tuple(blocks), 0.0)
-    residual = subspace_distance(deco.block_units(), space.basis, d)
+    residual = subspace_distance(deco.block_units(), space.basis, d, tol)
     return FactorDecomposition(space, tuple(blocks), float(residual))
 
 

@@ -1,8 +1,8 @@
 """Classify observables into the structural classes the impossibility results sort by.
 
-Flags are decided numerically: an eigenvalue counts as 0 or 1 when it sits
-within rank_threshold of it (relative to max(1, largest eigenvalue)), and
-eigenvalue multiplicities are detected with cluster_gap.
+Flags are decided numerically: an eigenvalue counts as 0 below linalg.rank_cut
+and as 1 when linalg.attains_one holds, both at rank_threshold, and eigenvalue
+multiplicities are detected with linalg.CLUSTER_GAP.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable
-from .linalg import DEFAULT_TOL, Tolerances, eigenvalue_clusters, hermitian_eig, rank_cut
+from .linalg import DEFAULT_TOL, Tolerances, attains_one, cut_rank, eigenvalue_clusters, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,16 @@ def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Observabl
     atol = tol.atol_equality
 
     spectra = [hermitian_eig(e, tol)[0] for e in effects]  # descending
-    ranks = tuple(int(np.count_nonzero(s > rank_cut(s, tol))) for s in map(np.abs, spectra))
+    ranks = tuple(cut_rank(np.abs(w), tol) for w in spectra)
     norms = tuple(float(w[0]) for w in spectra)
-    positive = [w[w > rank_cut(w, tol)] for w in spectra]
+    positive = [w[:cut_rank(w, tol)] for w in spectra]
 
     products = effects[:, None] @ effects[None]  # [x, y] = E_x E_y
     commutative = np.abs(products - products.swapaxes(0, 1)).max() <= atol
     sharp = np.abs(products - np.eye(n)[:, :, None, None] * effects[:, None]).max() <= atol
     scalars = np.trace(effects, axis1=1, axis2=2).real[:, None, None] / d * np.eye(d)
     trivial = np.abs(effects - scalars).max() <= atol
-    norm1 = all(abs(v - 1.0) <= tol.rank_threshold for v in norms)
+    norm1 = all(attains_one(v, tol) for v in norms)
 
     return ObservableClassification(
         is_trivial=bool(trivial),
@@ -52,10 +52,8 @@ def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Observabl
         is_norm1=norm1,
         is_commutative=bool(commutative),
         is_small_rank=any(r == 1 for r in ranks),
-        is_non_degenerate=any(p.size and len(eigenvalue_clusters(p, tol.cluster_gap)) == p.size
-                              for p in positive),
-        is_completely_unsharp=all(r == d and v < 1.0 - tol.rank_threshold
-                                  for r, v in zip(ranks, norms)),
+        is_non_degenerate=any(p.size and len(eigenvalue_clusters(p)) == p.size for p in positive),
+        is_completely_unsharp=all(r == d and not attains_one(v, tol) for r, v in zip(ranks, norms)),
         per_effect_ranks=ranks,
         per_effect_norms=norms,
     )

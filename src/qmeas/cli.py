@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import modelfile
-from .classify import classify
+from .classify import ObservableClassification, classify
 from .core import (
     Channel,
     Instrument,
@@ -160,19 +160,26 @@ def cmd_check(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
 # feasibility table
 
 
-def _witness_holds(name: str, objects: dict, row: str, column: str, tol: Tolerances) -> bool:
+def _witness(name: str, tol: Tolerances) -> tuple[dict, Instrument, bool, ObservableClassification]:
+    """A catalog witness's objects, the instrument its scheme induces, whether the scheme is
+    constrained, and the class of the observable it measures: what every cell naming it shares."""
+    objects = CATALOG[name].build()
+    instrument = scheme_to_instrument(objects["scheme"], tol)
+    constrained, _ = run_check("scheme-thirdlaw", objects["scheme"], tol)
+    return objects, instrument, constrained, classify(instrument.induced_observable(), tol)
+
+
+def _witness_holds(name: str, witness: tuple, row: str, column: str, tol: Tolerances) -> bool:
     """Run a catalog witness for one "yes" cell.
 
     Its scheme must be constrained and have the row's property, the
     observable it measures must lie in the column's class, and its catalog
     entry must claim both facts.
     """
+    objects, instrument, constrained, classification = witness
     expected = CATALOG[name].expected
-    scheme = objects["scheme"]
-    instrument = scheme_to_instrument(scheme, tol)
-    constrained, _ = run_check("scheme-thirdlaw", scheme, tol)
     holds, _ = run_check(ROW_VERBS[row], instrument, tol, objects.get("other", objects["observable"]))
-    in_class = getattr(classify(instrument.induced_observable(), tol), TABLE1_COLUMNS[column])
+    in_class = getattr(classification, TABLE1_COLUMNS[column])
     claimed = expected.get("constrained") is True and expected.get(row) is True
     return constrained and holds and in_class and claimed
 
@@ -181,7 +188,7 @@ def cmd_table1(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     representatives = table1_observables()
 
     cells: dict[str, dict] = {row: {} for row in THEOREM_ROWS}
-    built: dict[str, dict] = {}
+    built: dict[str, tuple] = {}
     all_verified = True
     for column in TABLE1_COLUMNS:
         obs = representatives[column]
@@ -192,7 +199,7 @@ def cmd_table1(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
                 continue
             name = predicates.witnesses[row]
             if name not in built:
-                built[name] = CATALOG[name].build()
+                built[name] = _witness(name, tol)
             verified = _witness_holds(name, built[name], row, column, tol)
             cells[row][column] = {"verdict": "yes", "witness": name, "witness_verified": verified}
             all_verified = all_verified and verified
@@ -368,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         holds, fields = args.func(args, tol)
         report = {
             "command": " ".join(argv),
-            "tolerances": {"atol_equality": tol.atol_equality, "rank_threshold": tol.rank_threshold},
+            "tolerances": dataclasses.asdict(tol),
             "seed": args.seed,
             **fields,
         }

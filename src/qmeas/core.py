@@ -23,10 +23,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
+    cut_rank,
     dagger,
     hermitian_eig,
     hs_norm,
-    kernel_rank,
     kron,
     matrix_sqrt_psd,
     partial_trace,
@@ -339,7 +339,7 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """Minimal Kraus set from a Choi matrix.
 
-    Eigenvalues below kernel_threshold times the largest are discarded;
+    Eigenvalues at or below rank_cut are discarded;
     an eigenvalue below -10*atol means the map is not CP.
     """
     c = as_complex_matrix(choi)
@@ -348,7 +348,7 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     w, v = hermitian_eig(c, tol)
     if w[-1] < -10 * tol.atol_equality:
         raise NotCP(f"Choi eigenvalue {w[-1]:.3e}")
-    ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(kernel_rank(w, tol)))
+    ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(cut_rank(w, tol)))
     if not ks:
         raise NotCP("Choi matrix is numerically zero")
     return ks
@@ -362,7 +362,7 @@ def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
     """
     _, s, vh = np.linalg.svd(v, full_matrices=False)
-    ks = tuple(unvec(s[i] * vh[i], dim_out, dim_in) for i in range(kernel_rank(s * s, tol)))
+    ks = tuple(unvec(s[i] * vh[i], dim_out, dim_in) for i in range(cut_rank(s * s, tol)))
     if not ks:
         raise NotCP("Kraus rows are numerically zero")
     return ks
@@ -375,6 +375,20 @@ def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
 
 # ---------------------------------------------------------------------------
 # instruments from observables and schemes
+
+
+def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i).
+
+    (g, |g>) and (s, |s>) run over the eigenpairs of the PSD G_i and sigma_i that cut_rank counts.
+    """
+    kraus = []
+    for g_op, sigma in pairs:
+        g, gv = hermitian_eig(g_op, tol)
+        s, sv = hermitian_eig(_as_matrix(sigma), tol)
+        kraus += [np.sqrt(g[i] * s[j]) * np.outer(sv[:, j], gv[:, i].conj())
+                  for i in range(cut_rank(g, tol)) for j in range(cut_rank(s, tol))]
+    return tuple(kraus)
 
 
 def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Instrument:

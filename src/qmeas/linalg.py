@@ -1,9 +1,10 @@
 """Dense complex linear algebra with explicit tolerance handling.
 
 All matrices are numpy complex128 arrays.  Equality, rank, and kernel
-decisions are never made against exact zero; they go through a
-:class:`Tolerances` instance so every numerical cutoff in the package is
-pinned in one place.
+decisions are never made against exact zero: every count of nonzero
+singular values or eigenvalues is cut_rank, every "attains 1" test is
+attains_one, both at a :class:`Tolerances` instance, so each numerical
+cut in the package is written once.
 """
 
 from __future__ import annotations
@@ -20,15 +21,12 @@ class Tolerances:
     """Numerical cutoffs used throughout the package.
 
     atol_equality   absolute tolerance for matrix equality and validation
-    rank_threshold  relative cutoff for counting singular values / eigenvalues
-    kernel_threshold relative cutoff for null-space extraction
-    cluster_gap     minimum separation between distinct eigenvalue clusters
+    rank_threshold  relative cutoff for counting singular values / eigenvalues,
+                    kernels included, and for an eigenvalue to attain 1
     """
 
     atol_equality: float = 1e-9
     rank_threshold: float = 1e-8
-    kernel_threshold: float = 1e-8
-    cluster_gap: float = 1e-6
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -38,6 +36,8 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+CLUSTER_GAP = 1e-6  # minimum separation between distinct eigenvalue clusters
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -134,30 +134,29 @@ def rank_cut(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
     return tol.rank_threshold * max(1.0, float(np.max(s)) if s.size else 0.0)
 
 
+def cut_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of s above rank_cut; for s sorted descending, the leading s that count as nonzero."""
+    return int(np.count_nonzero(s > rank_cut(s, tol)))
+
+
+def attains_one(v, tol: Tolerances = DEFAULT_TOL):
+    """Whether an eigenvalue v (or each of an array) counts as 1: v >= 1 - rank_threshold."""
+    return v >= 1.0 - tol.rank_threshold
+
+
 def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above rank_cut."""
     a = as_complex_matrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > rank_cut(s, tol)))
-
-
-def kernel_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count of s above kernel_threshold * max(1, s[0]).
-
-    s is sorted descending: singular values, or the eigenvalues of a PSD
-    matrix.  The count is the rank left after discarding the kernel.
-    """
-    cut = tol.kernel_threshold * max(1.0, float(s[0]) if s.size else 0.0)
-    return int(np.count_nonzero(s > cut))
+    return cut_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def kernel_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of a."""
     a = as_complex_matrix(a)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vh[kernel_rank(s, tol):].conj().T
+    return vh[cut_rank(s, tol):].conj().T
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") -> np.ndarray:
@@ -183,7 +182,7 @@ def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def eigenvalue_clusters(values: np.ndarray, gap: float) -> list[np.ndarray]:
+def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
     """Group sorted-descending values into clusters separated by more than gap.
 
     Returns index arrays into the input (which must be sorted descending).

@@ -26,6 +26,7 @@ from .core import (
     State,
     compose,
     luders_instrument,
+    measure_prepare_kraus,
 )
 from .errors import BadDistribution, NotCompletelyUnsharp, NotFullRank, ValidationError
 from .linalg import (
@@ -75,40 +76,19 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     f0 = kron(a0, p0) + kron(a1 + a4, p1)
     f1 = kron(a2 + a3, p1) + kron(a5, p0)
 
-    ket00 = _ket(0, 4)
-    ket10 = _ket(2, 4)
-    op0 = _measure_prepare([(kron(a0, p0) + kron(a4, p1), ket00), (kron(a2, p1), ket10)])
-    op1 = _measure_prepare([(kron(a5, p0) + kron(a3, p1), ket10), (kron(a1, p1), ket00)])
+    out00, out10 = _proj(_ket(0, 4)), _proj(_ket(2, 4))  # prepared |00><00|, |10><10|
+    op0 = Operation(measure_prepare_kraus([(kron(a0, p0) + kron(a4, p1), out00), (kron(a2, p1), out10)]))
+    op1 = Operation(measure_prepare_kraus([(kron(a5, p0) + kron(a3, p1), out10), (kron(a1, p1), out00)]))
     instrument = Instrument((op0, op1))
     return Observable((e0, e1)), Observable((f0, f1)), instrument
-
-
-def _measure_prepare(pairs: list[tuple[np.ndarray, np.ndarray]]) -> Operation:
-    """Operation rho -> sum_i tr[rho G_i] |v_i><v_i| for PSD G_i and unit vectors v_i."""
-    kraus = []
-    for g, v in pairs:
-        w, vecs = hermitian_eig(g)
-        for i, wi in enumerate(w):
-            if wi > 1e-14:
-                kraus.append(np.sqrt(wi) * np.outer(v, vecs[:, i].conj()))
-    return Operation(tuple(kraus))
 
 
 def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None = None) -> Instrument:
     """I_x(rho) = tr[E_x rho] sigma_x; measure-and-reprepare with no coherence kept."""
     if outputs is None:
         outputs = tuple(State.complete_mixture(observable.dim) for _ in observable.effects)
-    ops = []
-    for e, sigma in zip(observable.effects, outputs):
-        ge, gv = hermitian_eig(e)
-        se, sv = hermitian_eig(sigma.matrix)
-        kraus = [
-            np.sqrt(max(we, 0.0) * max(ws, 0.0)) * np.outer(sv[:, j], gv[:, i].conj())
-            for i, we in enumerate(ge) if we > 1e-14
-            for j, ws in enumerate(se) if ws > 1e-14
-        ]
-        ops.append(Operation(tuple(kraus)))
-    return Instrument(tuple(ops), observable.outcomes)
+    ops = tuple(Operation(measure_prepare_kraus([pair])) for pair in zip(observable.effects, outputs))
+    return Instrument(ops, observable.outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +289,9 @@ def build_rank_drop_channel() -> Channel:
 
     rho -> tr[rho |0><0|] rho_0 + tr[rho (1-|0><0|)] |1><1| with rho_0 full-rank.
     """
-    rho0 = np.diag([0.5, 1.0 / 3.0, 1.0 / 6.0]).astype(np.complex128)
-    kraus = [np.sqrt(w) * np.outer(_ket(i, 3), _ket(0, 3).conj()) for i, w in enumerate([0.5, 1 / 3, 1 / 6])]
-    kraus += [np.outer(_ket(1, 3), _ket(j, 3).conj()) for j in (1, 2)]
-    return Channel(tuple(kraus))
+    p0 = _proj(_ket(0, 3))
+    rho0 = np.diag([0.5, 1.0 / 3.0, 1.0 / 6.0])
+    return Channel(measure_prepare_kraus([(p0, rho0), (np.eye(3) - p0, _proj(_ket(1, 3)))]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .core import (
     superop_distance,
 )
 from .errors import SchemeMismatch
-from .linalg import DEFAULT_TOL, Tolerances, dagger, hermitian_eig, numerical_rank
+from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank
 
 IDEAL_BASIS_RESIDUAL = 1e-8
 SCHEME_IDENTITY_RESIDUAL = 1e-7
@@ -82,10 +82,10 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
     |q_i><q_j| of an orthonormal basis of Q_x.
     """
     eigs = [hermitian_eig(e, tol) for e in instrument.induced_observable().effects]
-    if any(w[0] < 1.0 - tol.rank_threshold for w, _ in eigs):
+    if not all(attains_one(w[0], tol) for w, _ in eigs):
         return IDEAL_NOT_APPLICABLE
     for op, (w, v) in zip(instrument.operations, eigs):
-        q = v[:, w >= 1.0 - tol.rank_threshold]
+        q = v[:, attains_one(w, tol)]
         units = np.einsum("ai,bj->ijab", q, q.conj()).reshape(-1, instrument.dim, instrument.dim)
         if np.abs(apply(op, units) - units).max() > IDEAL_BASIS_RESIDUAL:
             return IDEAL_FALSE

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, MeasurementScheme, State, apply, apply_dual, fidelity
+from .core import Channel, MeasurementScheme, State, apply, apply_dual, fidelity, measure_prepare_kraus
 from .errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    cut_rank,
     dagger,
     embed_hermitian,
     hermitian_eig,
     hermitian_superoperator,
     hs_norm,
-    kernel_rank,
     numerical_rank,
     rank_cut,
     unembed_hermitian,
@@ -55,8 +55,7 @@ def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> T
 
 def _full_rank(w: np.ndarray, tol: Tolerances) -> bool:
     """No eigenvalue of a Hermitian matrix falls to numerical_rank's cut; its singular values are the |w|."""
-    s = np.abs(w)
-    return bool(np.all(s > rank_cut(s, tol)))
+    return cut_rank(np.abs(w), tol) == w.size
 
 
 def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -69,7 +68,7 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     frame = (channel._stack @ dagger(channel._stack)).sum(0)
     w, v = hermitian_eig(frame, tol)
-    cut = tol.rank_threshold * max(1.0, float(w[0]))
+    cut = rank_cut(w, tol)
     if w[-1] > cut:
         return True
     phi = v[:, -1]
@@ -98,7 +97,7 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
         raise NotEndomorphic("fixed points need dim_in == dim_out")
     d = channel.dim_in
     u, sv, vh = np.linalg.svd(hermitian_superoperator(channel.superoperator, d) - np.eye(d * d))
-    rank = kernel_rank(sv, tol)
+    rank = cut_rank(sv, tol)
     right, left = vh[rank:], u[:, rank:].T  # rows: the kernel vectors
     limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
     return FixedPoints(*(unembed_hermitian(x, d) for x in (right, left, limit)))
@@ -214,18 +213,6 @@ def preparation_channel(pointer_vector: np.ndarray, target: State,
     second is the complete mixture.
     """
     v = np.asarray(pointer_vector, dtype=np.complex128).reshape(-1)
-    v = v / np.linalg.norm(v)
-    n_dim = v.size
-    mu, tvecs = hermitian_eig(target.matrix, tol)
-    mu = np.clip(mu, 0.0, None)
-    kraus = [np.sqrt(m) * np.outer(tvecs[:, i], v.conj()) for i, m in enumerate(mu) if m > 0]
-    comp = np.eye(n_dim) - np.outer(v, v.conj())
-    w, cvecs = hermitian_eig(comp, tol)
-    for i, wi in enumerate(w):
-        if wi <= 0.5:
-            continue
-        for k in range(n_dim):
-            e = np.zeros(n_dim, dtype=np.complex128)
-            e[k] = 1.0
-            kraus.append(np.outer(e, cvecs[:, i].conj()) / np.sqrt(n_dim))
-    return Channel(tuple(kraus), tol)
+    pv = np.outer(v, v.conj()) / np.vdot(v, v).real
+    eye = np.eye(v.size)
+    return Channel(measure_prepare_kraus([(pv, target), (eye - pv, eye / v.size)], tol), tol)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import qmeas
 from qmeas import cli, modelfile
 from qmeas.cli import CHECK_VERBS, EXIT_ERROR, EXIT_NO, EXIT_YES, main, run_check
-from qmeas.core import Channel, Instrument, MeasurementScheme, State, luders_instrument
-from qmeas.linalg import DEFAULT_TOL
+from qmeas.core import Channel, Instrument, MeasurementScheme, Operation, State, luders_instrument
+from qmeas.linalg import DEFAULT_TOL, Tolerances
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
@@ -156,6 +157,17 @@ class TestCheck:
         assert report["kraus_ranks"] == [2, 2]
         assert report["gram_rank"] == 8 == report["product_count"]
 
+    def test_tol_rank_reaches_the_kraus_reduction(self, tmp_path, capsys):
+        # Kraus rows 1 and 1e-3 Z: a second Kraus operator only above the cut 1e-4
+        eps = 1e-3
+        op = Operation((np.sqrt(1 - eps ** 2) * np.eye(2), eps * np.diag([1.0, -1.0])))
+        path = tmp_path / "inst.json"
+        modelfile.save(Instrument((op,)), str(path))
+        code, report, _ = run_json(capsys, "check", "extremal", str(path))
+        assert code == EXIT_NO and report["kraus_ranks"] == [2]
+        code, report, _ = run_json(capsys, "check", "extremal", str(path), "--tol-rank", "1e-4")
+        assert code == EXIT_YES and report["kraus_ranks"] == [1]
+
     @pytest.mark.parametrize("verb", ["firstkind", "nondisturbance"])
     def test_invariance_verbs_build_one_total_channel(self, tmp_path, capsys, monkeypatch, verb):
         calls = []
@@ -236,6 +248,20 @@ class TestTable1:
         assert cells["sharp"]["witness_verified"] is False
         assert cells["norm-1"]["witness_verified"] is False
         assert cells["completely-unsharp"]["witness_verified"] is True
+
+    def test_each_witness_is_built_and_decided_once(self, capsys, monkeypatch):
+        calls = {"scheme_to_instrument": 0, "check_scheme_thirdlaw": 0}
+        for fn in calls:
+            def counted(*args, _fn=getattr(cli, fn), _name=fn):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, fn, counted)
+        code, report, _ = run_json(capsys, "table1")
+        assert code == EXIT_YES
+        witnesses = {cell["witness"] for cells in report["rows"].values()
+                     for cell in cells.values() if "witness" in cell}
+        assert len(witnesses) == 2
+        assert calls == {"scheme_to_instrument": 2, "check_scheme_thirdlaw": 2}
 
     def test_human_rendering(self, capsys):
         code, out, _ = run(capsys, "table1")
@@ -318,6 +344,19 @@ class TestPlumbing:
         )
         assert code == EXIT_YES
         assert report["tolerances"]["atol_equality"] == 1e-9
+
+    def test_every_tolerance_is_echoed_and_settable(self, tmp_path, capsys):
+        path = tmp_path / "obs.json"
+        modelfile.save(completely_unsharp_pair(), str(path))
+        _, report, _ = run_json(capsys, "classify", str(path))
+        names = [f.name for f in dataclasses.fields(Tolerances)]
+        assert list(report["tolerances"]) == names
+        _, usage, _ = run(capsys, "classify", "--help")
+        flags = sorted(set(re.findall(r"--tol-[a-z]+", usage)))
+        echoed = {flag: run_json(capsys, "classify", str(path), flag, "0.005")[1]["tolerances"]
+                  for flag in flags}
+        for name in names:
+            assert any(tol[name] == 0.005 for tol in echoed.values()), f"no --tol-* flag sets {name}"
 
     def test_nan_kraus_entry_is_an_input_error(self, tmp_path, capsys):
         doc = modelfile.encode(random_constrained_channel(2, 0))

@@ -24,7 +24,7 @@ from qmeas.core import (
     tensor_op,
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
-from qmeas.linalg import Tolerances, dagger, kron
+from qmeas.linalg import Tolerances, dagger, kron, vec
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -258,6 +258,12 @@ class TestChoiKraus:
             assert np.linalg.norm(rows.T @ rows.conj() - choi) < 1e-12 * np.linalg.norm(choi)
         with pytest.raises(NotCP):
             kraus_from_rows(np.zeros((count, 6)), 2, 3)
+
+    def test_rows_are_cut_at_the_rank_threshold(self):
+        # squared singular values 2 and 2e-6: the Kraus count follows rank_threshold
+        v = np.array([vec(np.eye(2)), 1e-3 * vec(np.diag([1.0, -1.0]))])
+        assert len(kraus_from_rows(v, 2, 2)) == 2
+        assert len(kraus_from_rows(v, 2, 2, Tolerances(rank_threshold=1e-4))) == 1
 
 
 class TestCompose:

@@ -42,11 +42,8 @@ class TestTolerances:
         t = Tolerances()
         assert t.atol_equality == 1e-9
         assert t.rank_threshold == 1e-8
-        assert t.kernel_threshold == 1e-8
-        assert t.cluster_gap == 1e-6
 
-    @pytest.mark.parametrize("field", ["atol_equality", "rank_threshold",
-                                       "kernel_threshold", "cluster_gap"])
+    @pytest.mark.parametrize("field", ["atol_equality", "rank_threshold"])
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-2, 0.5])
     def test_rejects_out_of_range(self, field, bad):
         with pytest.raises(ValidationError):

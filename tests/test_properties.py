@@ -14,6 +14,7 @@ from qmeas.core import (
     scheme_to_instrument,
 )
 from qmeas.errors import SchemeMismatch
+from qmeas.linalg import Tolerances
 from qmeas.thirdlaw import check_scheme_thirdlaw
 from qmeas.models import (
     CATALOG,
@@ -127,6 +128,13 @@ class TestIdeal:
     def test_unsharp_has_no_certain_states(self):
         inst = luders_instrument(completely_unsharp_pair())
         assert check_ideal(inst) == IDEAL_NOT_APPLICABLE
+
+    def test_applicable_exactly_when_classify_says_norm1(self):
+        # norms 1 + 5e-4 and 1 lie within atol_equality = 1e-3 of the unit interval
+        tol = Tolerances(atol_equality=1e-3)
+        obs = Observable((np.diag([1 + 5e-4, 0.0]), np.diag([-5e-4, 1.0])), tol=tol)
+        assert classify(obs, tol).is_norm1
+        assert check_ideal(luders_instrument(obs, tol), tol) != IDEAL_NOT_APPLICABLE
 
 
 class TestExtremal:
