@@ -139,12 +139,16 @@ class FactorDecomposition:
     reconstruction_residual: float
 
     def block_units(self) -> np.ndarray:
-        """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra, stacked."""
-        return np.concatenate([
-            blk.factorizer @ np.kron(np.eye(blk.dim_k ** 2).reshape(-1, blk.dim_k, blk.dim_k),
-                                     np.eye(blk.dim_r)) @ dagger(blk.factorizer)
-            for blk in self.blocks
-        ])
+        return _block_units(self.blocks)
+
+
+def _block_units(blocks) -> np.ndarray:
+    """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra, stacked."""
+    return np.concatenate([
+        blk.factorizer @ np.kron(np.eye(blk.dim_k ** 2).reshape(-1, blk.dim_k, blk.dim_k),
+                                 np.eye(blk.dim_r)) @ dagger(blk.factorizer)
+        for blk in blocks
+    ])
 
 
 def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -167,8 +171,8 @@ def _center_basis(space: OperatorSubspace, tol: Tolerances) -> np.ndarray:
     return hermitian_basis(np.tensordot(coeff.T, b, axes=1), space.dim, tol)
 
 
-def _minimal_central_projections(center: np.ndarray, space: OperatorSubspace,
-                                 tol: Tolerances, rng: np.random.Generator) -> list[np.ndarray]:
+def _minimal_central_projections(center: np.ndarray, tol: Tolerances,
+                                 rng: np.random.Generator) -> list[np.ndarray]:
     """Cluster the spectrum of a generic central element; one projection per block."""
     z = len(center)
     for _ in range(5):
@@ -243,7 +247,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     d = space.dim
     rng = np.random.default_rng(seed)
     center = _center_basis(space, tol)
-    projections = _minimal_central_projections(center, space, tol, rng)
+    projections = _minimal_central_projections(center, tol, rng)
 
     rho_av = (space.fixed_points or cesaro_average(instrument.total_channel(), tol)).mixture_limit
 
@@ -260,16 +264,13 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
         dim_r = rank // dim_k
 
         fact = _block_factorizer(proj, block_basis, dim_k, dim_r, tol, rng)
-        omega_raw = partial_trace(dagger(fact) @ rho_av @ fact, (dim_k, dim_r), "first")
-        omega_raw = hermitianize(omega_raw) / np.trace(omega_raw).real
-        w_om, u_om = hermitian_eig(omega_raw, tol)
-        fact = fact @ kron(np.eye(dim_k), u_om)
         omega = partial_trace(dagger(fact) @ rho_av @ fact, (dim_k, dim_r), "first")
-        omega = hermitianize(omega) / np.trace(omega).real
-        blocks.append(FactorBlock(proj, dim_k, dim_r, fact, State(omega, tol)))
+        w_om, u_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)
+        # in the eigenbasis u_om of R, omega is diag(w_om)
+        fact = fact @ kron(np.eye(dim_k), u_om)
+        blocks.append(FactorBlock(proj, dim_k, dim_r, fact, State(np.diag(w_om), tol)))
 
-    deco = FactorDecomposition(space, tuple(blocks), 0.0)
-    residual = subspace_distance(deco.block_units(), space.basis, d, tol)
+    residual = subspace_distance(_block_units(blocks), space.basis, d, tol)
     return FactorDecomposition(space, tuple(blocks), float(residual))
 
 

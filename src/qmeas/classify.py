@@ -29,12 +29,12 @@ class ObservableClassification:
 
 
 def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> ObservableClassification:
-    """Every flag from one eigendecomposition per effect and one product E_x E_y per pair."""
-    effects = np.array(observable.effects)
+    """Every flag from one eigendecomposition of the effect stack and one product E_x E_y per pair."""
+    effects = observable.effects
     n, d = len(effects), observable.dim
     atol = tol.atol_equality
 
-    spectra = [hermitian_eig(e, tol)[0] for e in effects]  # descending
+    spectra = hermitian_eig(effects, tol)[0]  # [x] descending
     ranks = tuple(cut_rank(np.abs(w), tol) for w in spectra)
     norms = tuple(float(w[0]) for w in spectra)
     positive = [w[:cut_rank(w, tol)] for w in spectra]

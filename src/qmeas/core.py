@@ -8,8 +8,10 @@ Conventions, fixed once for the whole package:
 * the Choi matrix is sum_i vec(K_i) vec(K_i)^dag = V^T conj(V), V with rows vec(K_i);
   its rank is the minimal Kraus count, and kraus_from_rows reads such a family off V.
 
-Kraus lists are the stored representation; superoperators and Choi
-matrices are computed from them on every access, not stored.
+Operator families are stored as one read-only complex128 array of shape
+(n, d_out, d_in): Observable.effects and the .kraus of Operation and Channel.
+Superoperators and Choi matrices are computed from the Kraus stack on every
+access, not stored.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .linalg import (
     kron,
     matrix_sqrt_psd,
     partial_trace,
-    unvec,
     vec,
 )
 
@@ -39,6 +40,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.complex128)
     a.setflags(write=False)
     return a
+
+
+def _family(ops, what: str) -> np.ndarray:
+    """A non-empty family of equal-shape matrices, given as an array or any iterable,
+    as one frozen (n, rows, cols) array."""
+    if not isinstance(ops, np.ndarray):
+        ops = [np.asarray(o, dtype=np.complex128) for o in ops]
+        if len({o.shape for o in ops}) > 1:
+            raise DimensionMismatch(f"{what}s differ in shape")
+    stack = _freeze(ops)
+    if stack.size == 0:
+        raise ValidationError(f"need at least one non-empty {what}, got shape {stack.shape}")
+    if stack.ndim != 3:
+        raise DimensionMismatch(f"{what}s must be 2-d arrays, got a family of shape {stack.shape}")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -87,38 +103,35 @@ class State:
 class Observable:
     """Discrete POVM: labelled effects, each 0 <= E_x <= 1, summing to identity."""
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray  # read-only (n, dim, dim)
     outcomes: tuple[str, ...] = ()
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        effects = tuple(_freeze(as_complex_matrix(e)) for e in self.effects)
-        if not effects:
-            raise ValidationError("observable needs at least one effect")
-        outcomes = self.outcomes or tuple(str(i) for i in range(len(effects)))
-        if len(outcomes) != len(effects):
+        effects = _family(self.effects, "effect")
+        n, d, cols = effects.shape
+        if cols != d:
+            raise DimensionMismatch(f"effects must be square, got shape {(d, cols)}")
+        outcomes = self.outcomes or tuple(str(i) for i in range(n))
+        if len(outcomes) != n:
             raise ValidationError("outcome labels do not match effect count")
-        if len(set(outcomes)) != len(outcomes):
+        if len(set(outcomes)) != n:
             raise ValidationError("outcome labels must be unique")
-        d = effects[0].shape[0]
         atol = self.tol.atol_equality
-        for label, e in zip(outcomes, effects):
-            if e.shape != (d, d):
-                raise DimensionMismatch(f"effect {label!r} has shape {e.shape}, expected {(d, d)}")
-            w, _ = hermitian_eig(e, self.tol)
-            if w[-1] < -atol or w[0] > 1.0 + atol:
-                raise ValidationError(f"effect {label!r} spectrum [{w[-1]:.3e}, {w[0]:.3e}] leaves [0,1]")
-            if np.abs(e).max() <= atol:
+        w, _ = hermitian_eig(effects, self.tol)
+        for label, top, bottom, peak in zip(outcomes, w[:, 0], w[:, -1], np.abs(effects).max(axis=(1, 2))):
+            if bottom < -atol or top > 1.0 + atol:
+                raise ValidationError(f"effect {label!r} spectrum [{bottom:.3e}, {top:.3e}] leaves [0,1]")
+            if peak <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
-        total = sum(effects)
-        if not np.abs(total - np.eye(d)).max() <= atol * len(effects):
+        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n:
             raise ValidationError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(outcomes))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -127,42 +140,26 @@ class Observable:
 class _KrausMap:
     """Shared behaviour of Operation and Channel (Kraus-represented CP maps)."""
 
-    kraus: tuple[np.ndarray, ...]  # read-only views into _stack
-    _stack: np.ndarray  # (count, dim_out, dim_in), one frozen copy of the Kraus list
-
-    def _init_kraus(self, kraus) -> None:
-        ks = [as_complex_matrix(k) for k in kraus]
-        if not ks:
-            raise ValidationError("at least one Kraus operator required")
-        shape = ks[0].shape
-        if 0 in shape:
-            raise ValidationError(f"Kraus operators must not be empty, got shape {shape}")
-        for k in ks:
-            if k.shape != shape:
-                raise DimensionMismatch("Kraus operators differ in shape")
-        stack = np.array(ks)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+    kraus: np.ndarray  # read-only (count, dim_out, dim_in)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def _kraus_sum(self) -> np.ndarray:
         """sum K^dag K = X^T X + Y^T Y + i (X^T Y - Y^T X) for Kraus operators X + iY, copy-free."""
-        r = self._stack.reshape(-1, self.dim_in).view(np.float64)  # columns Re, Im interleaved
+        r = self.kraus.reshape(-1, self.dim_in).view(np.float64)  # columns Re, Im interleaved
         g = r.T @ r
         return g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
 
     @property
     def choi(self) -> np.ndarray:
         """V^T conj(V), where the rows of V are the vec(K_i)."""
-        v = self._stack.reshape(len(self._stack), -1)
+        v = self.kraus.reshape(len(self.kraus), -1)
         return v.T @ v.conj()
 
     @property
@@ -180,11 +177,11 @@ class _KrausMap:
 class Operation(_KrausMap):
     """Trace-non-increasing CP map in Kraus form."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._init_kraus(self.kraus)
+        object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         w, _ = hermitian_eig(self._kraus_sum(), self.tol)
         if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus):
             raise ValidationError(f"sum K^dag K has eigenvalue {w[0]:.12f} > 1")
@@ -194,11 +191,11 @@ class Operation(_KrausMap):
 class Channel(_KrausMap):
     """Trace-preserving CP map in Kraus form."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._init_kraus(self.kraus)
+        object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         dev = np.abs(self._kraus_sum() - np.eye(self.dim_in)).max()
         if not dev <= self.tol.atol_equality * max(1, len(self.kraus)):
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
@@ -233,7 +230,7 @@ class Instrument:
         for op in ops:
             if op.dim_in != d or op.dim_out != d:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
-        observable = Observable(tuple(op._kraus_sum() for op in ops), self.outcomes, self.tol)
+        observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol)
         object.__setattr__(self, "operations", ops)
         object.__setattr__(self, "outcomes", observable.outcomes)
         object.__setattr__(self, "_observable", observable)
@@ -250,8 +247,7 @@ class Instrument:
         return self._observable
 
     def total_channel(self) -> Channel:
-        ks = [k for op in self.operations for k in op.kraus]
-        return Channel(tuple(ks), self.tol)
+        return Channel(np.concatenate([op.kraus for op in self.operations]), self.tol)
 
 
 @dataclass(frozen=True)
@@ -314,16 +310,9 @@ def compose(after: _KrausMap, before: _KrausMap):
     """Composition after . before, with all pairwise Kraus products, at after's tolerances."""
     if before.dim_out != after.dim_in:
         raise DimensionMismatch("composition dimensions do not match")
-    ks = tuple(a @ b for a in after.kraus for b in before.kraus)
+    ks = (after.kraus[:, None] @ before.kraus[None]).reshape(-1, after.dim_out, before.dim_in)
     cls = Channel if isinstance(after, Channel) and isinstance(before, Channel) else Operation
     return cls(ks, after.tol)
-
-
-def tensor_op(a: _KrausMap, b: _KrausMap):
-    """Tensor product map with Kraus set {A_i (x) B_j}, at a's tolerances."""
-    ks = tuple(np.kron(x, y) for x in a.kraus for y in b.kraus)
-    cls = Channel if isinstance(a, Channel) and isinstance(b, Channel) else Operation
-    return cls(ks, a.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +325,8 @@ def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
 
 
 def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """Minimal Kraus set from a Choi matrix.
+                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Minimal Kraus family, stacked, from a Choi matrix.
 
     Eigenvalues at or below rank_cut are discarded;
     an eigenvalue below -10*atol means the map is not CP.
@@ -348,24 +337,24 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     w, v = hermitian_eig(c, tol)
     if w[-1] < -10 * tol.atol_equality:
         raise NotCP(f"Choi eigenvalue {w[-1]:.3e}")
-    ks = tuple(unvec(np.sqrt(w[i]) * v[:, i], dim_out, dim_in) for i in range(cut_rank(w, tol)))
-    if not ks:
+    r = cut_rank(w, tol)
+    if not r:
         raise NotCP("Choi matrix is numerically zero")
-    return ks
+    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in)  # rows sqrt(w_i) vec(K_i)
 
 
 def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
-    """Minimal Kraus set of the map whose Kraus operators have the rows vec(K_i) of v.
+                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Minimal Kraus family, stacked, of the map whose Kraus operators have the rows vec(K_i) of v.
 
     Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
     """
     _, s, vh = np.linalg.svd(v, full_matrices=False)
-    ks = tuple(unvec(s[i] * vh[i], dim_out, dim_in) for i in range(cut_rank(s * s, tol)))
-    if not ks:
+    r = cut_rank(s * s, tol)
+    if not r:
         raise NotCP("Kraus rows are numerically zero")
-    return ks
+    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in)
 
 
 def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
@@ -377,23 +366,27 @@ def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
 # instruments from observables and schemes
 
 
-def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i).
 
     (g, |g>) and (s, |s>) run over the eigenpairs of the PSD G_i and sigma_i that cut_rank counts.
     """
-    kraus = []
-    for g_op, sigma in pairs:
-        g, gv = hermitian_eig(g_op, tol)
-        s, sv = hermitian_eig(_as_matrix(sigma), tol)
-        kraus += [np.sqrt(g[i] * s[j]) * np.outer(sv[:, j], gv[:, i].conj())
-                  for i in range(cut_rank(g, tol)) for j in range(cut_rank(s, tol))]
-    return tuple(kraus)
+    g_ops, sigmas = zip(*pairs)
+    g, gv = hermitian_eig(np.array(g_ops, dtype=np.complex128), tol)
+    s, sv = hermitian_eig(np.array([_as_matrix(x) for x in sigmas]), tol)
+    families = []
+    for gx, gvx, sx, svx in zip(g, gv, s, sv):
+        m, n = cut_rank(gx, tol), cut_rank(sx, tol)
+        kets, bras = svx[:, :n].T, gvx[:, :m].conj().T  # rows |s_j>, <g_i|
+        outers = kets[None, :, :, None] * bras[:, None, None, :]  # [i, j] = |s_j><g_i|
+        amplitudes = np.sqrt(gx[:m, None] * sx[:n])[:, :, None, None]
+        families.append((amplitudes * outers).reshape(m * n, len(svx), len(gvx)))
+    return np.concatenate(families)
 
 
 def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """Instrument with single Kraus sqrt(E_x) per outcome."""
-    ops = tuple(Operation((matrix_sqrt_psd(e, tol),), tol) for e in observable.effects)
+    ops = tuple(Operation((root,), tol) for root in matrix_sqrt_psd(observable.effects, tol))
     return Instrument(ops, observable.outcomes, tol)
 
 
@@ -418,18 +411,18 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     from their Choi matrix, accumulated one row <r| at a time.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
-    k = scheme.interaction._stack.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
+    k = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
     sqrt_xi = matrix_sqrt_psd(scheme.ancilla.matrix, tol)
-    def blocks(z):  # rows vec(M) over (i, q), one block per row <r| of sqrt(Z_x)
-        for row in matrix_sqrt_psd(z, tol):
+    def blocks(root):  # rows vec(M) over (i, q), one block per row <r| of sqrt(Z_x)
+        for row in root:
             m = np.einsum("a,isatb->ibst", row, k).reshape(len(k), da, ds * ds)
             yield (sqrt_xi.T @ m).reshape(-1, ds * ds)
     ops = []
-    for z in scheme.pointer.effects:
+    for root in matrix_sqrt_psd(scheme.pointer.effects, tol):
         if len(k) * da * da <= ds * ds:
-            ks = kraus_from_rows(np.concatenate(list(blocks(z))), ds, ds, tol)
+            ks = kraus_from_rows(np.concatenate(list(blocks(root))), ds, ds, tol)
         else:
-            ks = kraus_from_choi(sum(v.T @ v.conj() for v in blocks(z)), ds, ds, tol)
+            ks = kraus_from_choi(sum(v.T @ v.conj() for v in blocks(root)), ds, ds, tol)
         ops.append(Operation(ks, tol))
     return Instrument(tuple(ops), scheme.pointer.outcomes, tol)
 

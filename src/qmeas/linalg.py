@@ -108,15 +108,16 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and matching orthonormal eigenvector columns.
+    """Eigenvalues (descending, real) and matching orthonormal eigenvector columns,
+    of one matrix or of each matrix in an (n, d, d) stack.
 
     Raises ValidationError on non-finite entries and NonHermitian when the
-    input is not Hermitian within tolerance.
+    input (any member of a stack) is not Hermitian within tolerance.
     """
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got {a.shape}")
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"square matrix or (n, d, d) stack required, got shape {a.shape}")
+    dev = np.abs(a - dagger(a)).max() if a.size else 0.0
     if not np.isfinite(dev):
         raise ValidationError("matrix has non-finite entries")
     if dev > tol.atol_equality:
@@ -125,8 +126,7 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndar
         w, v = np.linalg.eigh(hermitianize(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    return w[..., ::-1], v[..., ::-1]  # eigh sorts ascending
 
 
 def rank_cut(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -174,12 +174,12 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") 
 
 
 def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unique PSD square root; small negative eigenvalues are clipped to zero."""
+    """Unique PSD square root, of one matrix or each of a stack; small negative eigenvalues clip to 0."""
     w, v = hermitian_eig(a, tol)
-    if w.size and w[-1] < -10 * tol.atol_equality:
-        raise NotPSD(f"eigenvalue {w[-1]:.3e} below -10*atol")
+    if w.size and w[..., -1].min() < -10 * tol.atol_equality:
+        raise NotPSD(f"eigenvalue {w[..., -1].min():.3e} below -10*atol")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
 def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:

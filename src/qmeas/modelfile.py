@@ -69,7 +69,7 @@ def _matrices(items: Any) -> tuple[np.ndarray, ...]:
     return tuple(_matrix_from_json(m) for m in items)
 
 
-def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> tuple[np.ndarray, ...]:
+def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> np.ndarray:
     """Alternative channel payload: Choi matrix plus [dim_out, dim_in]."""
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(n) and n > 0 for n in dims)):

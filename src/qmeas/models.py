@@ -99,7 +99,7 @@ def luders_interaction_channel(observable: Observable) -> Channel:
     """K_x = sum_a sqrt(E_{x+a}) (x) |x+a><a| (indices mod N); always trace-preserving."""
     n = len(observable)
     d = observable.dim
-    roots = [matrix_sqrt_psd(e) for e in observable.effects]
+    roots = matrix_sqrt_psd(observable.effects)
     kraus = []
     for x in range(n):
         k = np.zeros((d * n, d * n), dtype=np.complex128)

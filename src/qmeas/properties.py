@@ -47,7 +47,7 @@ def invariance(channel: Channel, effects, tol: Tolerances = DEFAULT_TOL) -> tupl
 
     Phi is an instrument's total channel I_X.
     """
-    f = np.array(effects, dtype=np.complex128)
+    f = np.asarray(effects, dtype=np.complex128)
     residual = float(np.abs(apply_dual(channel, f) - f).max())
     return residual <= tol.atol_equality, residual
 
@@ -65,7 +65,7 @@ def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> b
 
 def check_repeatable(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
     """I_x^*(E_y) = delta_xy E_x for all outcome pairs."""
-    effects = np.array(instrument.induced_observable().effects)
+    effects = instrument.induced_observable().effects
     targets = np.eye(len(effects))[:, :, None, None] * effects  # [x, y] = delta_xy E_y
     return all(
         np.abs(apply_dual(op, effects) - target).max() <= tol.atol_equality
@@ -81,11 +81,11 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
     on the eigenvalue-1 eigenspace Q_x, so invariance is tested on the units
     |q_i><q_j| of an orthonormal basis of Q_x.
     """
-    eigs = [hermitian_eig(e, tol) for e in instrument.induced_observable().effects]
-    if not all(attains_one(w[0], tol) for w, _ in eigs):
+    w, v = hermitian_eig(instrument.induced_observable().effects, tol)
+    if not attains_one(w[:, 0], tol).all():
         return IDEAL_NOT_APPLICABLE
-    for op, (w, v) in zip(instrument.operations, eigs):
-        q = v[:, attains_one(w, tol)]
+    for op, wx, vx in zip(instrument.operations, w, v):
+        q = vx[:, attains_one(wx, tol)]
         units = np.einsum("ai,bj->ijab", q, q.conj()).reshape(-1, instrument.dim, instrument.dim)
         if np.abs(apply(op, units) - units).max() > IDEAL_BASIS_RESIDUAL:
             return IDEAL_FALSE
@@ -108,8 +108,7 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     The criterion is basis-independent: any other minimal family spans the
     same product set.
     """
-    families = [np.array(kraus_from_rows(op._stack.reshape(len(op.kraus), -1),
-                                         op.dim_out, op.dim_in, tol))
+    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)
                 for op in instrument.operations]
     products = np.concatenate([
         (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
@@ -138,9 +137,6 @@ class TheoremPredicates:
     verdicts: dict
     reasons: dict
     witnesses: dict
-
-    def as_tuple(self) -> tuple[str, ...]:
-        return tuple(self.verdicts[row] for row in THEOREM_ROWS)
 
 
 def theorem_predicates(c: ObservableClassification, dim: int) -> TheoremPredicates:

@@ -66,7 +66,7 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     operator sum_i K_i K_i^dag is singular.  When a kernel vector exists
     its projector is confirmed to be annihilated before answering False.
     """
-    frame = (channel._stack @ dagger(channel._stack)).sum(0)
+    frame = (channel.kraus @ dagger(channel.kraus)).sum(0)
     w, v = hermitian_eig(frame, tol)
     cut = rank_cut(w, tol)
     if w[-1] > cut:

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas.classify import classify
 from qmeas.core import (
     Channel,
     Instrument,
@@ -17,14 +20,14 @@ from qmeas.core import (
     kraus_from_choi,
     kraus_from_rows,
     luders_instrument,
+    measure_prepare_kraus,
     restriction_map,
     scheme_dual_superoperator,
     scheme_to_instrument,
     superop_distance,
-    tensor_op,
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
-from qmeas.linalg import Tolerances, dagger, kron, vec
+from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, kron, vec
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -43,6 +46,8 @@ from qmeas.models import (
     shift_observable,
     trivial_swap_scheme,
 )
+from qmeas.properties import check_ideal
+from qmeas.thirdlaw import check_scheme_thirdlaw
 
 
 def rand_complex(rng, n, m=None):
@@ -113,6 +118,65 @@ class TestChannelValidation:
     def test_operation_rejects_excess(self):
         with pytest.raises(ValidationError):
             Operation((np.diag([1.5, 1.0]),))
+
+
+class TestOperatorStacks:
+    """Effects and Kraus operators are stored as one read-only complex128 (n, d_out, d_in) array."""
+
+    FAMILIES = {
+        Observable: [np.diag([0.75, 0.25]), np.diag([0.25, 0.75])],
+        Operation: [np.diag([0.5, 0.5]), np.array([[0.0, 0.5], [0.5, 0.0]])],
+        Channel: [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.array([[0, 1], [1, 0]])],
+    }
+
+    @staticmethod
+    def stored(obj):
+        return obj.effects if isinstance(obj, Observable) else obj.kraus
+
+    @pytest.mark.parametrize("cls", list(FAMILIES))
+    def test_every_input_form_gives_one_read_only_stack(self, cls):
+        mats = self.FAMILIES[cls]
+        forms = (tuple(mats), list(mats), (m for m in mats), np.array(mats))
+        stacks = [self.stored(cls(form)) for form in forms]
+        for stack in stacks:
+            assert isinstance(stack, np.ndarray)
+            assert stack.dtype == np.complex128 and stack.shape == (2, 2, 2)
+            assert np.array_equal(stack, stacks[0])
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 0.0
+
+    def test_the_input_array_is_copied(self):
+        mats = np.array(self.FAMILIES[Channel], dtype=np.complex128)
+        ch = Channel(mats)
+        mats[0] = 0.0
+        assert np.abs(ch.kraus[0] - np.sqrt(0.5) * np.eye(2)).max() == 0.0
+
+    def test_rectangular_kraus_stack(self):
+        ch = random_channel(3, 2, 4, 7)  # dim_in 3, dim_out 2
+        assert ch.kraus.shape == (4, 2, 3) and (ch.dim_in, ch.dim_out) == (3, 2)
+
+    @pytest.mark.parametrize("cls", list(FAMILIES))
+    def test_ragged_and_empty_families_are_rejected(self, cls):
+        with pytest.raises(DimensionMismatch):
+            cls((np.eye(2), np.eye(3)))
+        with pytest.raises(DimensionMismatch):
+            cls(np.eye(2))  # one matrix, not a family
+        for empty in ((), [], (m for m in ()), np.zeros((0, 2, 2))):
+            with pytest.raises(ValidationError):
+                cls(empty)
+
+    @pytest.mark.parametrize("module", ["qmeas.core", "qmeas.classify", "qmeas.properties"])
+    def test_one_eigendecomposition_per_observable(self, module, monkeypatch):
+        obs = pointer_observable(3)
+        instrument = luders_instrument(obs)
+        run = {"qmeas.core": lambda: Observable(obs.effects),
+               "qmeas.classify": lambda: classify(obs),
+               "qmeas.properties": lambda: check_ideal(instrument)}[module]
+        calls = []
+        monkeypatch.setattr(importlib.import_module(module), "hermitian_eig",
+                            lambda a, *args: calls.append(np.shape(a)) or hermitian_eig(a, *args))
+        run()
+        assert calls == [(3, 3, 3)]
 
 
 class TestInstrumentValidation:
@@ -265,6 +329,21 @@ class TestChoiKraus:
         assert len(kraus_from_rows(v, 2, 2)) == 2
         assert len(kraus_from_rows(v, 2, 2, Tolerances(rank_threshold=1e-4))) == 1
 
+    def test_measure_prepare_family_matches_the_per_pair_loop(self):
+        pairs = [(np.diag([1.0, 0.0, 0.0]), random_full_rank_state(3, 1)),
+                 (np.diag([0.0, 1.0, 1.0]), np.diag([0.5, 0.5, 0.0]))]
+        expected = []
+        for g_op, sigma in pairs:
+            g, gv = hermitian_eig(g_op)
+            s, sv = hermitian_eig(getattr(sigma, "matrix", sigma))
+            expected += [np.sqrt(g[i] * s[j]) * np.outer(sv[:, j], gv[:, i].conj())
+                         for i in range(cut_rank(g)) for j in range(cut_rank(s))]
+        family = measure_prepare_kraus(pairs)
+        assert family.shape == (7, 3, 3) and np.array_equal(family, np.array(expected))
+        rho = random_full_rank_state(3, 2).matrix
+        want = sum(np.trace(g_op @ rho) * getattr(sigma, "matrix", sigma) for g_op, sigma in pairs)
+        assert np.abs(apply(Channel(family), rho) - want).max() < 1e-12
+
 
 class TestCompose:
     def test_identity_neutral(self):
@@ -290,13 +369,12 @@ class TestCompose:
         with pytest.raises(ValidationError):
             Channel(ks[0])
         a, b = (Channel(k, loose) for k in ks)
-        for combine in (compose, tensor_op):
-            assert combine(a, b).tol == loose
+        assert compose(a, b).tol == loose
 
     def test_tensor_superoperator(self):
         a = random_channel(2, 2, 2, 3)
         b = random_channel(2, 2, 2, 4)
-        t = tensor_op(a, b)
+        t = Channel(tuple(np.kron(x, y) for x in a.kraus for y in b.kraus))  # Kraus set {A_i (x) B_j}
         rng = np.random.default_rng(9)
         rho_a = rand_complex(rng, 2)
         rho_b = rand_complex(rng, 2)
@@ -403,6 +481,30 @@ class TestSchemeFactorization:
         for label, op in zip(other.outcomes, scheme_to_instrument(other).operations):
             assert superop_distance(op, base[label]) < 1e-10
             assert len(op.kraus) == len(base[label].kraus)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(("random", "luders", "swap")),
+           dims=st.sampled_from(((2, 2), (3, 2), (2, 3))))
+    def test_ancilla_basis_change(self, seed, kind, dims):
+        ds, n = dims
+        scheme = {
+            "random": lambda: random_constrained_scheme(ds, n, 3, seed),
+            "luders": lambda: build_luders_scheme(random_povm(ds, n, seed, mode="completely-unsharp")),
+            "swap": lambda: build_swap_scheme(random_full_rank_state(2, seed)),
+        }[kind]()
+        v = random_unitary(scheme.ancilla_dim, np.random.default_rng(seed))
+        lifted = kron(np.eye(scheme.system_dim), v)  # 1 (x) V on system (x) ancilla
+        rotated = MeasurementScheme(
+            scheme.system_dim,
+            State(v @ scheme.ancilla.matrix @ dagger(v)),
+            Channel(lifted @ scheme.interaction.kraus @ dagger(lifted)),
+            Observable(v @ scheme.pointer.effects @ dagger(v), scheme.outcomes),
+        )
+        pairs = zip(scheme_to_instrument(scheme).operations, scheme_to_instrument(rotated).operations)
+        for op, turned in pairs:
+            assert superop_distance(op, turned) <= 1e-12
+            assert len(op.kraus) == len(turned.kraus)
+        assert check_scheme_thirdlaw(rotated).constrained == check_scheme_thirdlaw(scheme).constrained
 
 
 class TestFidelity:

@@ -84,6 +84,36 @@ class TestHermitianEig:
         with pytest.raises(NonHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("d", [3, 17, 24])
+    def test_stack_equals_per_matrix_calls(self, d):
+        rng = np.random.default_rng(d)
+        u = np.linalg.qr(rand_complex(rng, d))[0]
+        p = u[:, :d // 2] @ dagger(u[:, :d // 2])
+        # exactly tied spectra: the identity, and a sum of projectors with eigenvalues 3 and 1
+        stack = np.stack([rand_hermitian(rng, d), np.eye(d), 2 * p + np.eye(d), rand_psd(rng, d)])
+        w, v = hermitian_eig(stack)
+        assert w.shape == (4, d) and v.shape == (4, d, d)
+        for a, wa, va in zip(stack, w, v):
+            w1, v1 = hermitian_eig(a)
+            assert np.array_equal(wa, w1) and np.array_equal(va, v1)
+            assert np.all(np.diff(wa) <= 0)
+            assert np.abs(va @ np.diag(wa) @ dagger(va) - a).max() < 1e-10 * max(1.0, np.abs(a).max())
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NonHermitian),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValidationError),
+    ])
+    def test_a_bad_member_raises_as_the_matrix_does(self, bad, error):
+        with pytest.raises(error):
+            hermitian_eig(bad)
+        with pytest.raises(error):
+            hermitian_eig(np.stack([np.eye(2), bad]))
+
+    def test_rejects_non_square_and_deeper_stacks(self):
+        for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                hermitian_eig(bad)
+
 
 class TestNumericalRank:
     def test_zero(self):
@@ -176,6 +206,16 @@ class TestMatrixSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             matrix_sqrt_psd(np.diag([1.0, -0.5]))
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(30)
+        stack = np.stack([rand_psd(rng, 4) for _ in range(3)] + [np.eye(4)])
+        roots = matrix_sqrt_psd(stack)
+        assert roots.shape == stack.shape
+        for a, r in zip(stack, roots):
+            assert np.array_equal(r, matrix_sqrt_psd(a))
+        with pytest.raises(NotPSD):
+            matrix_sqrt_psd(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
 
 
 class TestVectorization:

@@ -40,6 +40,7 @@ from qmeas.properties import (
     IDEAL_TRUE,
     IMPOSSIBLE,
     POSSIBLE,
+    THEOREM_ROWS,
     check_extremal,
     check_extremal_scheme_identity,
     check_first_kind,
@@ -218,7 +219,7 @@ class TestTheoremPredicates:
     def test_sharp_rank_one(self):
         c = classify(pointer_observable(2))
         p = theorem_predicates(c, 2)
-        assert p.as_tuple() == (
+        assert tuple(p.verdicts[row] for row in THEOREM_ROWS) == (
             "impossible", "impossible", "impossible", "impossible", "impossible"
         )
 
