@@ -4,10 +4,12 @@ The fixed points of the dual total map of an instrument, read from the real
 SVD in thirdlaw.cesaro_average, form a unital *-closed operator space; for
 the schemes this package certifies it is an algebra and splits as a direct
 sum of factors L(K_alpha) (x) 1_{R_alpha}.  The splitting is computed
-numerically: minimal central projections from eigenvalue clustering of a
-generic central element, partial isometries from polar decompositions of a
-generic off-block compression, and a factorizer isometry
-W_alpha : K_alpha (x) R_alpha -> range(P_alpha) assembled from them.
+numerically: eigenvalue clustering of a generic central element gives each
+block's orthonormal columns Q (its minimal central projection is Q Q^dag).
+Each block is split in those coordinates, on the algebra Q^dag A Q: a generic
+element's clusters, aligned by the polar factors of a second element's
+off-diagonal blocks, form a unitary U with U^dag B U = B_K (x) 1_R, and the
+factorizer isometry W : K (x) R -> range(Q) is Q U.
 
 All random draws come from one seeded generator so results reproduce.
 """
@@ -171,71 +173,45 @@ def _center_basis(space: OperatorSubspace, tol: Tolerances) -> np.ndarray:
     return hermitian_basis(np.tensordot(coeff.T, b, axes=1), space.dim, tol)
 
 
-def _minimal_central_projections(center: np.ndarray, tol: Tolerances,
-                                 rng: np.random.Generator) -> list[np.ndarray]:
-    """Cluster the spectrum of a generic central element; one projection per block."""
+def _central_frames(center: np.ndarray, tol: Tolerances,
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """Cluster the spectrum of a generic central element; per block, the orthonormal
+    columns Q of one cluster, whose minimal central projection is Q Q^dag."""
     z = len(center)
     for _ in range(5):
-        g = rng.standard_normal(z)
-        x = np.tensordot(g, center, axes=1)
-        w, v = hermitian_eig(x, tol)
+        w, v = hermitian_eig(np.tensordot(rng.standard_normal(z), center, axes=1), tol)
         clusters = eigenvalue_clusters(w)
-        if len(clusters) != z:
-            continue
-        return [v[:, idx] @ v[:, idx].conj().T for idx in clusters]
+        if len(clusters) == z:
+            return [v[:, idx] for idx in clusters]
     raise DegenerateCenter(f"could not separate {z} blocks after resampling")
 
 
-def _block_factorizer(proj: np.ndarray, block_basis: np.ndarray, dim_k: int,
-                      dim_r: int, tol: Tolerances, rng: np.random.Generator) -> np.ndarray:
-    """Isometry W with W^dag B W = B_K (x) 1_R for every block algebra element B."""
-    d = proj.shape[0]
-    rank = dim_k * dim_r
+def _block_unitary(block_basis: np.ndarray, dim_k: int, dim_r: int, tol: Tolerances,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Unitary U on C^rank with U^dag B U = B_K (x) 1_R for every block basis element B.
+
+    A generic element x has dim_k eigenvalue clusters of dim_r columns V_i; the polar
+    factor of V_0^dag y V_i, for a second generic element y, aligns cluster i's R basis
+    with cluster 0's, and the aligned columns, cluster by cluster, are U in (k, r) order.
+    """
+    rank, n = dim_k * dim_r, len(block_basis)
     for _ in range(5):
-        g = rng.standard_normal(len(block_basis))
-        shift = 3.0 * (1.0 + float(np.abs(g).sum()))
-        x = np.tensordot(g, block_basis, axes=1) + shift * proj
-        w, v = hermitian_eig(x, tol)
-        inside = w > shift / 2.0
-        if int(inside.sum()) != rank:
-            continue
-        clusters = eigenvalue_clusters(w[:rank])
+        w, v = hermitian_eig(np.tensordot(rng.standard_normal(n), block_basis, axes=1), tol)
+        clusters = eigenvalue_clusters(w)
         if len(clusters) != dim_k or any(idx.size != dim_r for idx in clusters):
             continue
-        minimal = [v[:, idx] for idx in clusters]  # orthonormal columns per p_i
-
-        g2 = rng.standard_normal(len(block_basis))
-        y = np.tensordot(g2, block_basis, axes=1)
-        p0 = minimal[0] @ minimal[0].conj().T
-        cols = []
-        degenerate = False
-        for i, cols_i in enumerate(minimal):
-            if i == 0:
-                u_dag = p0
-            else:
-                p_i = cols_i @ cols_i.conj().T
-                wmat = p0 @ y @ p_i
-                uu, ss, vv = np.linalg.svd(wmat)
-                if ss[dim_r - 1] <= CLUSTER_GAP:
-                    degenerate = True
-                    break
-                u_dag = dagger(uu[:, :dim_r] @ vv[:dim_r, :])
-            for j in range(dim_r):
-                cols.append(u_dag @ minimal[0][:, j])
-        if degenerate:
+        frames = np.stack([v[:, idx] for idx in clusters])  # (dim_k, rank, dim_r)
+        y = np.tensordot(rng.standard_normal(n), block_basis, axes=1)
+        a, s, bh = np.linalg.svd(dagger(frames[0]) @ y @ frames[1:])
+        if np.any(s[:, -1] <= CLUSTER_GAP):
             continue
-        fact = np.stack(cols, axis=1)
-        if np.abs(dagger(fact) @ fact - np.eye(rank)).max() > PRODUCT_RESIDUAL:
+        u = np.concatenate([frames[0], *(frames[1:] @ dagger(a @ bh))], axis=1)
+        if np.abs(dagger(u) @ u - np.eye(rank)).max() > PRODUCT_RESIDUAL:
             continue
-        ok = True
-        for b in block_basis:
-            c = dagger(fact) @ b @ fact
-            c_k = partial_trace(c, (dim_k, dim_r), "second") / dim_r
-            if hs_norm(c - kron(c_k, np.eye(dim_r))) > PRODUCT_RESIDUAL:
-                ok = False
-                break
-        if ok:
-            return fact
+        c = dagger(u) @ block_basis @ u
+        c_k = np.einsum("xiaja->xij", c.reshape(-1, dim_k, dim_r, dim_k, dim_r)) / dim_r
+        if np.linalg.norm(c - np.kron(c_k, np.eye(dim_r)), axis=(1, 2)).max() <= PRODUCT_RESIDUAL:
+            return u
     raise DegenerateCenter("matrix-unit construction failed after resampling")
 
 
@@ -244,33 +220,31 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     """Split a fixed-point algebra into factors and extract the block states."""
     if not verify_algebra(space, tol):
         raise NotAnAlgebra("span fails identity/adjoint/product closure")
-    d = space.dim
     rng = np.random.default_rng(seed)
-    center = _center_basis(space, tol)
-    projections = _minimal_central_projections(center, tol, rng)
+    frames = _central_frames(_center_basis(space, tol), tol, rng)
 
     rho_av = (space.fixed_points or cesaro_average(instrument.total_channel(), tol)).mixture_limit
 
     blocks = []
-    for proj in projections:
-        block_basis = hermitian_basis(proj @ space.basis @ proj, d, tol)
+    for q in frames:
+        rank = q.shape[1]
+        block_basis = hermitian_basis(dagger(q) @ space.basis @ q, rank, tol)
         bdim = len(block_basis)
         dim_k = isqrt(bdim)
         if dim_k * dim_k != bdim:
             raise NotAnAlgebra(f"block algebra dimension {bdim} is not a perfect square")
-        rank = int(round(float(np.trace(proj).real)))
         if rank % dim_k != 0:
             raise NotAnAlgebra(f"projection rank {rank} not divisible by dim K = {dim_k}")
         dim_r = rank // dim_k
 
-        fact = _block_factorizer(proj, block_basis, dim_k, dim_r, tol, rng)
+        fact = q @ _block_unitary(block_basis, dim_k, dim_r, tol, rng)
         omega = partial_trace(dagger(fact) @ rho_av @ fact, (dim_k, dim_r), "first")
         w_om, u_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)
         # in the eigenbasis u_om of R, omega is diag(w_om)
         fact = fact @ kron(np.eye(dim_k), u_om)
-        blocks.append(FactorBlock(proj, dim_k, dim_r, fact, State(np.diag(w_om), tol)))
+        blocks.append(FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om), tol)))
 
-    residual = subspace_distance(_block_units(blocks), space.basis, d, tol)
+    residual = subspace_distance(_block_units(blocks), space.basis, space.dim, tol)
     return FactorDecomposition(space, tuple(blocks), float(residual))
 
 
@@ -298,26 +272,23 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
     is 1_K (x) E_{x,alpha} on every block; the component is recovered by a
     partial trace over K and certified by reconstructing the effect.
     """
-    d = decomposition.space.dim
-    comms = _commutators(_stack(observable.effects, d), decomposition.space.basis)
+    effects = _stack(observable.effects, decomposition.space.dim)
+    comms = _commutators(effects, decomposition.space.basis)
     if np.abs(comms).max() > RECONSTRUCTION_LIMIT:
         raise DecompositionMismatch("effect does not commute with the fixed-point span")
-    per_outcome = []
-    residuals = []
-    for e in observable.effects:
-        comps = []
-        rebuilt = np.zeros((d, d), dtype=np.complex128)
-        for blk in decomposition.blocks:
-            c = dagger(blk.factorizer) @ e @ blk.factorizer
-            comp = hermitianize(partial_trace(c, (blk.dim_k, blk.dim_r), "first") / blk.dim_k)
-            comps.append(comp)
-            rebuilt += blk.factorizer @ kron(np.eye(blk.dim_k), comp) @ dagger(blk.factorizer)
-        res = float(np.abs(e - rebuilt).max())
-        if res > RECONSTRUCTION_LIMIT:
-            raise DecompositionMismatch(f"effect reconstruction residual {res:.3e}")
-        per_outcome.append(tuple(comps))
-        residuals.append(res)
-    return EffectBlockDecomposition(observable.outcomes, tuple(per_outcome), tuple(residuals))
+    per_block = []
+    rebuilt = np.zeros_like(effects)
+    for blk in decomposition.blocks:
+        w, k, r = blk.factorizer, blk.dim_k, blk.dim_r
+        c = (dagger(w) @ effects @ w).reshape(-1, k, r, k, r)
+        comps = hermitianize(np.einsum("xaiaj->xij", c) / k)
+        rebuilt += w @ np.kron(np.eye(k), comps) @ dagger(w)
+        per_block.append(comps)
+    residuals = np.abs(effects - rebuilt).max(axis=(1, 2))
+    if residuals.max() > RECONSTRUCTION_LIMIT:
+        raise DecompositionMismatch(f"effect reconstruction residual {residuals.max():.3e}")
+    return EffectBlockDecomposition(observable.outcomes, tuple(zip(*per_block)),
+                                    tuple(residuals.tolist()))
 
 
 def commutant_residual(space: OperatorSubspace, observable: Observable) -> float:

@@ -258,7 +258,6 @@ class MeasurementScheme:
     ancilla: State
     interaction: Channel
     pointer: Observable
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.system_dim * self.ancilla.dim

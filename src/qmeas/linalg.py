@@ -182,8 +182,8 @@ def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
-def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
-    """Group sorted-descending values into clusters separated by more than gap.
+def eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
+    """Group sorted-descending values into clusters separated by more than CLUSTER_GAP.
 
     Returns index arrays into the input (which must be sorted descending).
     """
@@ -191,7 +191,7 @@ def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np
         return []
     groups: list[list[int]] = [[0]]
     for i in range(1, values.size):
-        if abs(values[i - 1] - values[i]) > gap:
+        if abs(values[i - 1] - values[i]) > CLUSTER_GAP:
             groups.append([i])
         else:
             groups[-1].append(i)

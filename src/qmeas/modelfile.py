@@ -136,7 +136,6 @@ def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
         ancilla=_part(doc, "ancilla", State, tol),
         interaction=_part(doc, "interaction", Channel, tol),
         pointer=_part(doc, "pointer", Observable, tol),
-        tol=tol,
     )
 
 

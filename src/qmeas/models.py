@@ -304,10 +304,10 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_full_rank_state(dim: int, seed: int, min_eigenvalue: float | None = None) -> State:
-    """Random state with smallest eigenvalue at least min_eigenvalue (default 0.05/dim)."""
+def random_full_rank_state(dim: int, seed: int) -> State:
+    """Random state with smallest eigenvalue at least 0.05/dim."""
     rng = np.random.default_rng(seed)
-    floor = 0.05 / dim if min_eigenvalue is None else min_eigenvalue
+    floor = 0.05 / dim
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     raw = g @ g.conj().T
     raw = raw / np.trace(raw).real
@@ -334,14 +334,14 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Ch
     return Channel(kraus)
 
 
-def random_constrained_channel(dim: int, seed: int, mixing: float = 0.1) -> Channel:
-    """Random channel blended with the completely depolarizing one; always constrained."""
+def random_constrained_channel(dim: int, seed: int) -> Channel:
+    """Random channel mixed with weight 0.1 of the completely depolarizing one; always constrained."""
     base = random_channel(dim, dim, max(2, dim // 2 + 1), seed)
-    kraus = [np.sqrt(1.0 - mixing) * k for k in base.kraus]
+    kraus = [np.sqrt(0.9) * k for k in base.kraus]
     for i in range(dim):
         for j in range(dim):
             k = np.zeros((dim, dim), dtype=np.complex128)
-            k[i, j] = np.sqrt(mixing / dim)
+            k[i, j] = np.sqrt(0.1 / dim)
             kraus.append(k)
     return Channel(tuple(kraus))
 

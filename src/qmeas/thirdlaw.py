@@ -137,15 +137,15 @@ def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_T
 # preparing a pure state with rank-deficient resources only
 
 
-def minimal_copy_count(rank_xi: int, system_dim: int, ancilla_dim: int, cap: int = 12) -> int:
-    """Smallest D with rank(xi)^D * N <= M^D, searched directly."""
+def minimal_copy_count(rank_xi: int, system_dim: int, ancilla_dim: int) -> int:
+    """Smallest D <= 12 with rank(xi)^D * N <= M^D, searched directly."""
     if rank_xi < 1:
         raise InfeasibleDimensions("resource state must have positive rank")
-    for d_count in range(1, cap + 1):
+    for d_count in range(1, 13):
         if (rank_xi ** d_count) * system_dim <= ancilla_dim ** d_count:
             return d_count
     raise InfeasibleDimensions(
-        f"no D <= {cap} satisfies rank^D * {system_dim} <= {ancilla_dim}^D for rank {rank_xi}"
+        f"no D <= 12 satisfies rank^D * {system_dim} <= {ancilla_dim}^D for rank {rank_xi}"
     )
 
 

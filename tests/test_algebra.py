@@ -174,6 +174,25 @@ class TestDecompose:
         decompose(fixed_point_space(inst), inst)
         assert calls == {"cesaro_average": 1, "svd": 1}
 
+    @pytest.mark.parametrize("make", [
+        swap_instrument,
+        lambda: scheme_to_instrument(build_swap_scheme(State(np.diag([0.5, 0.3, 0.2]).astype(complex)))),
+        shift_instrument,
+        lambda: luders_instrument(completely_unsharp_pair()),
+    ], ids=["swap-2", "swap-3", "shift", "luders"])
+    def test_span_without_fixed_point_record_reads_the_total_channel(self, make):
+        inst = make()
+        space = fixed_point_space(inst)
+        bare = OperatorSubspace(space.dim, space.basis)
+        assert bare.fixed_points is None
+        with_record, without = decompose(space, inst), decompose(bare, inst)
+        assert ([(b.dim_k, b.dim_r) for b in with_record.blocks]
+                == [(b.dim_k, b.dim_r) for b in without.blocks])
+        for a, b in zip(with_record.blocks, without.blocks):
+            assert np.allclose(np.linalg.eigvalsh(a.omega.matrix), np.linalg.eigvalsh(b.omega.matrix),
+                               rtol=0, atol=1e-9)
+        assert without.reconstruction_residual < 1e-7
+
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(("swap", "shift", "luders")), useed=st.integers(0, 2 ** 31 - 1))
     def test_dimensions_follow_unitary_conjugation(self, name, useed):
@@ -182,13 +201,26 @@ class TestDecompose:
         u = random_unitary(inst.dim, np.random.default_rng(useed))
         conj = Instrument(tuple(Operation(tuple(u @ k @ dagger(u) for k in op.kraus))
                                 for op in inst.operations), inst.outcomes)
-        blocks = []
+        blocks, decos, spectra = [], [], []
         for i in (inst, conj):
             space = fixed_point_space(i)
             deco = decompose(space, i)
             assert deco.reconstruction_residual < 1e-7
             blocks.append((len(space), sorted((b.dim_k, b.dim_r) for b in deco.blocks)))
+            decos.append(deco)
+            spectra.append(effect_blocks(i.induced_observable(), deco).spectra())
         assert blocks[0] == blocks[1]
+        # the conjugate's block alpha is the one whose central projection is U P_alpha U^dag
+        ours, theirs = decos[0].blocks, decos[1].blocks
+        match = [min(range(len(theirs)),
+                     key=lambda b: hs_norm(u @ blk.projection @ dagger(u) - theirs[b].projection))
+                 for blk in ours]
+        assert sorted(match) == list(range(len(ours)))
+        for alpha, beta in enumerate(match):
+            assert np.allclose(np.linalg.eigvalsh(ours[alpha].omega.matrix),
+                               np.linalg.eigvalsh(theirs[beta].omega.matrix), rtol=0, atol=1e-9)
+            for per_outcome, conj_per_outcome in zip(*spectra):
+                assert np.allclose(per_outcome[alpha], conj_per_outcome[beta], rtol=0, atol=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(("swap", "shift", "luders")), data=st.data())

@@ -257,13 +257,13 @@ class TestKernelAndClusters:
 
     def test_eigenvalue_clusters(self):
         w = np.array([2.0, 2.0 - 1e-9, 1.0, 0.5, 0.5 - 1e-8])
-        clusters = eigenvalue_clusters(w, 1e-6)
+        clusters = eigenvalue_clusters(w)
         sizes = [c.size for c in clusters]
         assert sizes == [2, 1, 2]
 
     def test_clusters_cover_all_indices(self):
         w = np.array([3.0, 1.0, 1.0, 0.0])
-        clusters = eigenvalue_clusters(w, 1e-6)
+        clusters = eigenvalue_clusters(w)
         assert sorted(np.concatenate(clusters).tolist()) == [0, 1, 2, 3]
 
 
