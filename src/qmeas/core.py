@@ -35,6 +35,14 @@ from .linalg import (
     vec,
 )
 
+BLOCK_ENTRIES = 2 ** 15  # complex entries in one block of a blocked product over a stack
+
+
+def row_blocks(a: np.ndarray):
+    """Consecutive slices of a along axis 0, each of at most BLOCK_ENTRIES entries or one row."""
+    c = max(1, BLOCK_ENTRIES // (a.size // len(a)))
+    return (a[j:j + c] for j in range(0, len(a), c))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.complex128)
@@ -137,6 +145,13 @@ class Observable:
         return len(self.effects)
 
 
+def _gram(v: np.ndarray) -> np.ndarray:
+    """V^T conj(V) = X^T X + Y^T Y + i (Y^T X - X^T Y) for V = X + iY, from one real syrk, copy-free."""
+    r = v.view(np.float64)  # columns Re, Im interleaved
+    g = r.T @ r
+    return g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
+
+
 class _KrausMap:
     """Shared behaviour of Operation and Channel (Kraus-represented CP maps)."""
 
@@ -151,10 +166,8 @@ class _KrausMap:
         return self.kraus.shape[1]
 
     def _kraus_sum(self) -> np.ndarray:
-        """sum K^dag K = X^T X + Y^T Y + i (X^T Y - Y^T X) for Kraus operators X + iY, copy-free."""
-        r = self.kraus.reshape(-1, self.dim_in).view(np.float64)  # columns Re, Im interleaved
-        g = r.T @ r
-        return g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
+        """sum K^dag K, the conjugate of the stacked Kraus rows' _gram."""
+        return _gram(self.kraus.reshape(-1, self.dim_in)).conj()
 
     @property
     def choi(self) -> np.ndarray:
@@ -293,16 +306,24 @@ def _operands(x, dim: int) -> np.ndarray:
     return m
 
 
+def _sandwich(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
+    per row block: one product of the stacked K_i with m, one contraction with their conjugates."""
+    out = 0
+    for k in row_blocks(kraus):
+        km = (k.reshape(-1, k.shape[2]) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
+        out = out + np.tensordot(km, k.conj(), axes=((-3, -1), (0, 2)))
+    return out
+
+
 def apply(op: _KrausMap, rho) -> np.ndarray:
     """Schroedinger action sum_i K_i rho K_i^dag, on one operator or a stack."""
-    m = _operands(rho, op.dim_in)
-    return sum(k @ m @ dagger(k) for k in op.kraus)
+    return _sandwich(op.kraus, _operands(rho, op.dim_in))
 
 
 def apply_dual(op: _KrausMap, a) -> np.ndarray:
     """Heisenberg action sum_i K_i^dag A K_i, on one operator or a stack."""
-    m = _operands(a, op.dim_out)
-    return sum(dagger(k) @ m @ k for k in op.kraus)
+    return _sandwich(dagger(op.kraus), _operands(a, op.dim_out))
 
 
 def compose(after: _KrausMap, before: _KrausMap):
@@ -405,25 +426,25 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     """Instrument I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)] with minimal Kraus forms.
 
     I_x has the Kraus operators (1 (x) <r|) K_i (1 (x) sqrt(xi) |q>), for the
-    interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x).
-    kraus_from_rows reduces at most ds^2 of them; more are reduced by kraus_from_choi
-    from their Choi matrix, accumulated one row <r| at a time.
+    interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x): the rows
+    V_x[(r q i), (s t)] = sum_ab sqrt(Z_x)[r, a] K_i[(s a), (t b)] sqrt(xi)[b, q], one GEMM of
+    G[(x r q), (a b)] = sqrt(Z_x)[r, a] sqrt(xi)[b, q] per block of the K_i.
+    kraus_from_rows reduces at most ds^2 rows; more are reduced by kraus_from_choi
+    from their Choi matrix V_x^T conj(V_x), a real Gram product summed over the blocks.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
-    k = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
-    sqrt_xi = matrix_sqrt_psd(scheme.ancilla.matrix, tol)
-    def blocks(root):  # rows vec(M) over (i, q), one block per row <r| of sqrt(Z_x)
-        for row in root:
-            m = np.einsum("a,isatb->ibst", row, k).reshape(len(k), da, ds * ds)
-            yield (sqrt_xi.T @ m).reshape(-1, ds * ds)
-    ops = []
-    for root in matrix_sqrt_psd(scheme.pointer.effects, tol):
-        if len(k) * da * da <= ds * ds:
-            ks = kraus_from_rows(np.concatenate(list(blocks(root))), ds, ds, tol)
-        else:
-            ks = kraus_from_choi(sum(v.T @ v.conj() for v in blocks(root)), ds, ds, tol)
-        ops.append(Operation(ks, tol))
-    return Instrument(tuple(ops), scheme.pointer.outcomes, tol)
+    kraus = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
+    roots = matrix_sqrt_psd(scheme.pointer.effects, tol)
+    g = np.einsum("xra,bq->xrqab", roots, matrix_sqrt_psd(scheme.ancilla.matrix, tol)).reshape(-1, da * da)
+    blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
+              for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_x stacked over x
+    if len(kraus) * da * da <= ds * ds:
+        families = [kraus_from_rows(v, ds, ds, tol) for v in np.concatenate(list(blocks), axis=1)]
+    else:
+        chois = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
+        families = [kraus_from_choi(choi, ds, ds, tol) for choi in chois]
+    ops = tuple(Operation(ks, tol) for ks in families)
+    return Instrument(ops, scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     apply,
     apply_dual,
     kraus_from_rows,
+    row_blocks,
     scheme_to_instrument,
     superop_distance,
 )
@@ -106,7 +107,8 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
     The criterion is basis-independent: any other minimal family spans the
-    same product set.
+    same product set.  The products are reduced by a QR of each row block: the
+    stacked R factors keep their singular values, so numerical_rank's cut is unchanged.
     """
     families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)
                 for op in instrument.operations]
@@ -114,7 +116,8 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
         (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
         for f in families
     ])
-    gram_rank = numerical_rank(products, tol)
+    r = np.concatenate([np.linalg.qr(block, mode="r") for block in row_blocks(products)])
+    gram_rank = numerical_rank(r, tol)
     return ExtremalResult(gram_rank == len(products), tuple(len(f) for f in families),
                           gram_rank, len(products))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmeas.classify import classify
 from qmeas.core import (
+    BLOCK_ENTRIES,
     Channel,
     Instrument,
     MeasurementScheme,
@@ -424,6 +425,20 @@ class TestApplyAndDuality:
             assert np.abs(got[i] - apply(ch, rhos[i])).max() < 1e-13
             assert np.abs(got_dual[i] - apply_dual(ch, effects[i])).max() < 1e-13
 
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])  # one operator, or a row block's count + offset
+    @pytest.mark.parametrize("d_out, d_in", [(32, 32), (16, 32)])
+    def test_blocked_sandwich_matches_the_per_operator_sum(self, d_out, d_in, offset):
+        rng = np.random.default_rng(d_out + (offset or 5))
+        count = 1 if offset is None else BLOCK_ENTRIES // (d_out * d_in) + offset
+        ks = rng.standard_normal((count, d_out, d_in)) + 1j * rng.standard_normal((count, d_out, d_in))
+        ks /= np.sqrt(np.linalg.norm(np.einsum("kji,kjl->il", ks.conj(), ks), 2))  # sum K^dag K <= 1
+        op = Operation(ks)
+        rho = rng.standard_normal((3, d_in, d_in)) + 1j * rng.standard_normal((3, d_in, d_in))
+        a = rng.standard_normal((3, d_out, d_out)) + 1j * rng.standard_normal((3, d_out, d_out))
+        for m, b in ((rho, a), (rho[0], a[0])):  # a non-Hermitian stack, then one operator
+            assert np.abs(apply(op, m) - sum(k @ m @ dagger(k) for k in ks)).max() < 1e-12
+            assert np.abs(apply_dual(op, b) - sum(dagger(k) @ b @ k for k in ks)).max() < 1e-12
+
     def test_stack_with_wrong_trailing_shape_is_rejected(self):
         ch = random_channel(3, 2, 4, 7)
         for bad in (np.zeros((5, 2, 2)), np.zeros((5, 3, 2)), np.zeros(9), np.zeros((2, 5, 3, 3))):
@@ -445,20 +460,24 @@ class TestSchemeFactorization:
         assert abs(lhs - rhs) < 1e-10
 
     def test_dual_factorization_cross_check(self):
-        schemes = [
-            build_shift_scheme(3, (0.5, 0.3, 0.2)),
-            random_constrained_scheme(2, 2, 2, 0),
-            random_constrained_scheme(3, 2, 2, 1),
-            random_constrained_scheme(4, 3, 3, 2),
-            build_swap_scheme(random_full_rank_state(2, 3)),
-            build_luders_scheme(random_povm(4, 3, 4, mode="completely-unsharp")),
+        schemes = [  # with the minimal Kraus count of each outcome
+            (build_shift_scheme(3, (0.5, 0.3, 0.2)), [3, 3, 3]),
+            (random_constrained_scheme(2, 2, 2, 0), [4, 4]),
+            (random_constrained_scheme(3, 2, 2, 1), [9, 9]),
+            (random_constrained_scheme(4, 3, 3, 2), [16, 16, 16]),
+            (build_swap_scheme(random_full_rank_state(2, 3)), [2, 2]),
+            (build_luders_scheme(random_povm(4, 3, 4, mode="completely-unsharp")), [1, 1, 1]),
+            # Choi route over blocks of 128 interaction Kraus operators: 265 = 2 * 128 + 9
+            (random_constrained_scheme(4, 4, 3, 5), [16, 16, 16]),
         ]
-        for scheme in schemes:
+        assert len(schemes[-1][0].interaction.kraus) % (BLOCK_ENTRIES // 16 ** 2) == 9
+        for scheme, counts in schemes:
             ds = scheme.system_dim
             inst = scheme_to_instrument(scheme)
+            assert [len(op.kraus) for op in inst.operations] == counts
             for x, op in enumerate(inst.operations):
                 direct = scheme_dual_superoperator(scheme, x)
-                assert np.abs(direct - op.dual_superoperator).max() < 1e-9
+                assert np.abs(direct - op.dual_superoperator).max() < 1e-10
                 # minimal Kraus count: the rank of the oracle's Choi matrix
                 choi = dagger(direct).reshape(ds, ds, ds, ds).transpose(0, 2, 1, 3).reshape(ds * ds, -1)
                 assert len(op.kraus) == len(kraus_from_choi(choi, ds, ds))

@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from qmeas.classify import classify
 from qmeas.core import (
+    BLOCK_ENTRIES,
     Instrument,
     Observable,
     Operation,
     State,
     kraus_from_choi,
+    kraus_from_rows,
     luders_instrument,
     scheme_to_instrument,
 )
 from qmeas.errors import SchemeMismatch
-from qmeas.linalg import Tolerances
+from qmeas.linalg import Tolerances, numerical_rank
 from qmeas.thirdlaw import check_scheme_thirdlaw
 from qmeas.models import (
     CATALOG,
@@ -27,6 +29,7 @@ from qmeas.models import (
     completely_unsharp_pair,
     extremal_instrument,
     pointer_observable,
+    random_channel,
     random_constrained_scheme,
     random_full_rank_state,
     random_instrument,
@@ -178,6 +181,26 @@ class TestExtremal:
         base, other = check_extremal(instrument), check_extremal(Instrument(tuple(mixed)))
         assert (other.extremal, other.kraus_ranks, other.gram_rank) == \
             (base.extremal, base.kraus_ranks, base.gram_rank)
+
+    # "remainder": 23^2 + 10^2 = 629 products of d = 8 against row blocks of 512, full rank 64;
+    # "repeated": d = 16, outcome 1 repeats outcome 0's operators scaled, so 100 of the
+    # 100 + 100 + 36 = 236 products (row blocks of 128) coincide up to scale: rank 136
+    @pytest.mark.parametrize("case, d, count, rank", [("remainder", 8, 629, 64), ("repeated", 16, 236, 136)])
+    def test_row_block_reduction_keeps_the_rank_of_the_products(self, case, d, count, rank):
+        if case == "remainder":
+            ks = random_channel(d, d, 33, 3).kraus
+            families = (ks[:23], ks[23:])
+        else:
+            ks = random_channel(d, d, 16, 3).kraus
+            families = (np.sqrt(0.3) * ks[:10], np.sqrt(0.7) * ks[:10], ks[10:])
+        res = check_extremal(Instrument(tuple(Operation(f) for f in families)))
+        minimal = [kraus_from_rows(f.reshape(len(f), -1), d, d) for f in families]
+        products = np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
+                                   for f in minimal])
+        assert len(products) == res.product_count == count
+        assert count % (BLOCK_ENTRIES // d ** 2) != 0
+        assert res.gram_rank == numerical_rank(products) == rank
+        assert not res.extremal
 
     def test_minimal_kraus_drops_redundancy(self):
         obs = pointer_observable(2)
