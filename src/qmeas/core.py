@@ -35,7 +35,7 @@ from .linalg import (
     vec,
 )
 
-BLOCK_ENTRIES = 2 ** 15  # complex entries in one block of a blocked product over a stack
+BLOCK_ENTRIES = 2 ** 15  # complex entries (512 KiB) in one row block of a product over a stack
 
 
 def row_blocks(a: np.ndarray):
@@ -308,11 +308,13 @@ def _operands(x, dim: int) -> np.ndarray:
 
 def _sandwich(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
-    per row block: one product of the stacked K_i with m, one contraction with their conjugates."""
+    per row block: one product of the stacked K_i with m, one with the block's dagger."""
     out = 0
     for k in row_blocks(kraus):
-        km = (k.reshape(-1, k.shape[2]) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
-        out = out + np.tensordot(km, k.conj(), axes=((-3, -1), (0, 2)))
+        c, d_out, d_in = k.shape
+        km = (k.reshape(-1, d_in) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
+        row = km.swapaxes(-3, -2).reshape(m.shape[:-2] + (d_out, c * d_in))  # [K_1 m ... K_c m]
+        out = out + row @ k.transpose(0, 2, 1).reshape(c * d_in, d_out).conj()  # [K_1 ... K_c]^dag
     return out
 
 

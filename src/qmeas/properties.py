@@ -107,8 +107,9 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
     The criterion is basis-independent: any other minimal family spans the
-    same product set.  The products are reduced by a QR of each row block: the
-    stacked R factors keep their singular values, so numerical_rank's cut is unchanged.
+    same product set.  Products spanning several row blocks are reduced by a QR of
+    each block: the stacked R factors keep their singular values, so numerical_rank's
+    cut is unchanged.
     """
     families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)
                 for op in instrument.operations]
@@ -116,7 +117,8 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
         (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
         for f in families
     ])
-    r = np.concatenate([np.linalg.qr(block, mode="r") for block in row_blocks(products)])
+    blocks = list(row_blocks(products))  # one block goes to the SVD as it is: a QR would only add cost
+    r = np.concatenate([np.linalg.qr(b, mode="r") for b in blocks]) if len(blocks) > 1 else products
     gram_rank = numerical_rank(r, tol)
     return ExtremalResult(gram_rank == len(products), tuple(len(f) for f in families),
                           gram_rank, len(products))
