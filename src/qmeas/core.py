@@ -445,8 +445,7 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     else:
         chois = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
         families = [kraus_from_choi(choi, ds, ds, tol) for choi in chois]
-    ops = tuple(Operation(ks, tol) for ks in families)
-    return Instrument(ops, scheme.pointer.outcomes, tol)
+    return Instrument(tuple(Operation(ks, tol) for ks in families), scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:
