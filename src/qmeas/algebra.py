@@ -209,7 +209,7 @@ def _block_unitary(block_basis: np.ndarray, dim_k: int, dim_r: int, tol: Toleran
         if np.abs(dagger(u) @ u - np.eye(rank)).max() > PRODUCT_RESIDUAL:
             continue
         c = dagger(u) @ block_basis @ u
-        c_k = np.einsum("xiaja->xij", c.reshape(-1, dim_k, dim_r, dim_k, dim_r)) / dim_r
+        c_k = partial_trace(c, (dim_k, dim_r), "second") / dim_r
         if np.linalg.norm(c - np.kron(c_k, np.eye(dim_r)), axis=(1, 2)).max() <= PRODUCT_RESIDUAL:
             return u
     raise DegenerateCenter("matrix-unit construction failed after resampling")
@@ -280,8 +280,7 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
     rebuilt = np.zeros_like(effects)
     for blk in decomposition.blocks:
         w, k, r = blk.factorizer, blk.dim_k, blk.dim_r
-        c = (dagger(w) @ effects @ w).reshape(-1, k, r, k, r)
-        comps = hermitianize(np.einsum("xaiaj->xij", c) / k)
+        comps = hermitianize(partial_trace(dagger(w) @ effects @ w, (k, r), "first") / k)
         rebuilt += w @ np.kron(np.eye(k), comps) @ dagger(w)
         per_block.append(comps)
     residuals = np.abs(effects - rebuilt).max(axis=(1, 2))

@@ -32,15 +32,15 @@ from .linalg import (
     kron,
     matrix_sqrt_psd,
     partial_trace,
-    vec,
 )
 
 BLOCK_ENTRIES = 2 ** 15  # complex entries (512 KiB) in one row block of a product over a stack
 
 
-def row_blocks(a: np.ndarray):
-    """Consecutive slices of a along axis 0, each of at most BLOCK_ENTRIES entries or one row."""
-    c = max(1, BLOCK_ENTRIES // (a.size // len(a)))
+def row_blocks(a: np.ndarray, copies: int = 1):
+    """Consecutive slices of a along axis 0, each of at most BLOCK_ENTRIES entries or one row,
+    counting each entry copies times: a product of a block with a stack of that many operands."""
+    c = max(1, BLOCK_ENTRIES // (copies * (a.size // len(a))))
     return (a[j:j + c] for j in range(0, len(a), c))
 
 
@@ -308,9 +308,10 @@ def _operands(x, dim: int) -> np.ndarray:
 
 def _sandwich(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
-    per row block: one product of the stacked K_i with m, one with the block's dagger."""
+    per row block: one product of the stacked K_i with m, one with the block's dagger.
+    A block's temporaries hold one copy of it per operand, so blocks shrink as the stack grows."""
     out = 0
-    for k in row_blocks(kraus):
+    for k in row_blocks(kraus, m[..., 0, 0].size):
         c, d_out, d_in = k.shape
         km = (k.reshape(-1, d_in) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
         row = km.swapaxes(-3, -2).reshape(m.shape[:-2] + (d_out, c * d_in))  # [K_1 m ... K_c m]
@@ -413,14 +414,12 @@ def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def restriction_map(b: np.ndarray, xi: State, system_dim: int) -> np.ndarray:
-    """Gamma_xi(B) on the system, defined by tr[Gamma_xi(B) rho] = tr[B (rho (x) xi)].
+    """Gamma_xi(B) on the system, defined by tr[Gamma_xi(B) rho] = tr[B (rho (x) xi)],
+    of one operator or each of an (n, d, d) stack.
 
     Evaluates to tr_A[B (1 (x) xi)]; implemented directly from that identity.
     """
-    b = as_complex_matrix(b)
-    d = system_dim * xi.dim
-    if b.shape != (d, d):
-        raise DimensionMismatch(f"operator shape {b.shape} does not match compound dim {d}")
+    b = _operands(b, system_dim * xi.dim)
     return partial_trace(b @ kron(np.eye(system_dim), xi.matrix), (system_dim, xi.dim), "second")
 
 
@@ -455,15 +454,9 @@ def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> 
     the restriction map is the defining identity of the induced instrument.
     """
     ds = scheme.system_dim
-    z = scheme.pointer.effects[outcome_index]
-    cols = []
-    for a in range(ds):
-        for b in range(ds):
-            unit = np.zeros((ds, ds), dtype=np.complex128)
-            unit[a, b] = 1.0
-            lifted = apply_dual(scheme.interaction, kron(unit, z))
-            cols.append(vec(restriction_map(lifted, scheme.ancilla, ds)))
-    return np.stack(cols, axis=1)
+    units = np.eye(ds * ds, dtype=np.complex128).reshape(-1, ds, ds)  # the matrix units e_ab
+    lifted = apply_dual(scheme.interaction, np.kron(units, scheme.pointer.effects[outcome_index]))
+    return restriction_map(lifted, scheme.ancilla, ds).reshape(ds * ds, ds * ds).T  # column ab: its vec
 
 
 # ---------------------------------------------------------------------------

@@ -160,16 +160,16 @@ def kernel_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^d1 (x) C^d2."""
-    a = as_complex_matrix(a)
+    """Trace out one tensor factor of an operator on C^d1 (x) C^d2, or of each of an (n, d, d) stack."""
+    a = np.asarray(a, dtype=np.complex128)
     d1, d2 = dims
-    if a.shape != (d1 * d2, d1 * d2):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionMismatch(f"operator shape {a.shape} does not match dims {dims}")
-    t = a.reshape(d1, d2, d1, d2)
+    t = a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
     if traced == "second":
-        return np.einsum("iaja->ij", t)
+        return np.einsum("...iaja->...ij", t)
     if traced == "first":
-        return np.einsum("aiaj->ij", t)
+        return np.einsum("...aiaj->...ij", t)
     raise DimensionMismatch(f"traced must be 'first' or 'second', got {traced!r}")
 
 

@@ -33,9 +33,15 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
 
 
+def _entry(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise ValidationError("malformed matrix entry: true and false are not numbers")
+    return complex(re, im)
+
+
 def _matrix_from_json(rows: Any) -> np.ndarray:
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+        return np.array([[_entry(re, im) for re, im in row] for row in rows], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
 
@@ -58,7 +64,7 @@ def _field(doc: dict, key: str, kind: type = list):
 
 def _labels(doc: dict) -> tuple:
     labels = tuple(_field(doc, "outcomes"))
-    if not all(isinstance(x, (str, int, float)) for x in labels):
+    if not all(isinstance(x, (str, float)) or _is_int(x) for x in labels):
         raise ValidationError("outcome labels must be strings or numbers")
     return labels
 

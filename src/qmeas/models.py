@@ -32,7 +32,7 @@ from .errors import BadDistribution, NotCompletelyUnsharp, NotFullRank, Validati
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    hermitian_eig,
+    dagger,
     kron,
     matrix_sqrt_psd,
     numerical_rank,
@@ -49,9 +49,15 @@ def _proj(vector: np.ndarray) -> np.ndarray:
     return np.outer(vector, vector.conj())
 
 
+def _permutation(images: np.ndarray) -> np.ndarray:
+    """Unitary sending the basis vector e_j to e_images[j]."""
+    return np.eye(len(images), dtype=np.complex128)[:, images]
+
+
 def pointer_observable(dim: int) -> Observable:
     """Sharp reading of the computational basis."""
-    return Observable(tuple(_proj(_ket(x, dim)) for x in range(dim)))
+    eye = np.eye(dim, dtype=np.complex128)
+    return Observable(eye[:, :, None] * eye[:, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +103,11 @@ def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None
 
 def luders_interaction_channel(observable: Observable) -> Channel:
     """K_x = sum_a sqrt(E_{x+a}) (x) |x+a><a| (indices mod N); always trace-preserving."""
-    n = len(observable)
-    d = observable.dim
-    roots = matrix_sqrt_psd(observable.effects)
-    kraus = []
-    for x in range(n):
-        k = np.zeros((d * n, d * n), dtype=np.complex128)
-        for a in range(n):
-            k += kron(roots[(x + a) % n], np.outer(_ket((x + a) % n, n), _ket(a, n).conj()))
-        kraus.append(k)
-    return Channel(tuple(kraus))
+    n, d = len(observable), observable.dim
+    x, a = np.arange(n)[:, None], np.arange(n)
+    kraus = np.zeros((n, d, n, d, n), dtype=np.complex128)  # K_x[(s, y), (t, a)]
+    kraus[x, :, (x + a) % n, :, a] = matrix_sqrt_psd(observable.effects)[(x + a) % n]
+    return Channel(kraus.reshape(n, d * n, d * n))
 
 
 def build_luders_scheme(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> MeasurementScheme:
@@ -145,15 +146,11 @@ def build_shift_scheme(n: int, q, tol: Tolerances = DEFAULT_TOL) -> MeasurementS
         raise BadDistribution(f"weights sum to {q.sum()!r}, not 1")
     if q.min() <= 0.05:
         raise BadDistribution(f"smallest weight {q.min()!r} must exceed 0.05")
-    u = np.zeros((n * n, n * n), dtype=np.complex128)
-    for m in range(n):
-        for k in range(n):
-            u += kron(np.outer(_ket(k, n), _ket(k, n).conj()),
-                      np.outer(_ket((m + k) % n, n), _ket(m, n).conj()))
+    k, m = np.divmod(np.arange(n * n), n)  # U = sum_k |k><k| (x) sum_m |m+k><m|
     return MeasurementScheme(
         system_dim=n,
         ancilla=State.diagonal(q),
-        interaction=Channel.unitary(u),
+        interaction=Channel.unitary(_permutation(k * n + (m + k) % n)),
         pointer=pointer_observable(n),
     )
 
@@ -161,10 +158,9 @@ def build_shift_scheme(n: int, q, tol: Tolerances = DEFAULT_TOL) -> MeasurementS
 def shift_observable(n: int, q) -> Observable:
     """The diagonal observable the shift scheme measures."""
     q = np.asarray(q, dtype=float)
-    effects = tuple(
-        np.diag([q[(x - m) % n] for m in range(n)]).astype(np.complex128)
-        for x in range(n)
-    )
+    x, m = np.arange(n)[:, None], np.arange(n)
+    effects = np.zeros((n, n, n), dtype=np.complex128)
+    effects[x, m, m] = q[(x - m) % n]
     return Observable(effects)
 
 
@@ -178,11 +174,11 @@ def build_ideality_example() -> tuple[Observable, Instrument]:
     e_minus = np.diag([1.0, 0.5, 0.0]).astype(np.complex128)
     e_plus = np.diag([0.0, 0.5, 1.0]).astype(np.complex128)
 
+    # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
+    reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
+
     def op(keep: int) -> Operation:
-        kraus = [_proj(_ket(keep, d))]
-        for k in range(d):
-            kraus.append(np.outer(_ket(k, d), _ket(1, d).conj()) / np.sqrt(6.0))
-        return Operation(tuple(kraus))
+        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]))
 
     instrument = Instrument((op(0), op(2)), ("minus", "plus"))
     return Observable((e_minus, e_plus), ("minus", "plus")), instrument
@@ -239,11 +235,8 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
 
 
 def swap_unitary(dim: int) -> np.ndarray:
-    u = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for a in range(dim):
-        for b in range(dim):
-            u[b * dim + a, a * dim + b] = 1.0
-    return u
+    a, b = np.divmod(np.arange(dim * dim), dim)
+    return _permutation(b * dim + a)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +323,17 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Ch
     g = rng.standard_normal((dim_out * kraus_count, dim_in)) + 1j * rng.standard_normal(
         (dim_out * kraus_count, dim_in))
     q, _ = np.linalg.qr(g)
-    kraus = tuple(q[i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count))
-    return Channel(kraus)
+    return Channel(q.reshape(kraus_count, dim_out, dim_in))
 
 
 def random_constrained_channel(dim: int, seed: int) -> Channel:
     """Random channel mixed with weight 0.1 of the completely depolarizing one; always constrained."""
-    base = random_channel(dim, dim, max(2, dim // 2 + 1), seed)
-    kraus = [np.sqrt(0.9) * k for k in base.kraus]
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=np.complex128)
-            k[i, j] = np.sqrt(0.1 / dim)
-            kraus.append(k)
-    return Channel(tuple(kraus))
+    base = random_channel(dim, dim, max(2, dim // 2 + 1), seed).kraus
+    kraus = np.zeros((len(base) + dim * dim, dim, dim), dtype=np.complex128)
+    kraus[:len(base)] = np.sqrt(0.9) * base
+    # the scaled matrix units e_ij, in (i, j) order, are the rows of a scaled identity
+    np.fill_diagonal(kraus[len(base):].reshape(dim * dim, dim * dim), np.sqrt(0.1 / dim))
+    return Channel(kraus)
 
 
 def random_bistochastic_channel(dim: int, mix_count: int, seed: int) -> Channel:
@@ -357,14 +347,7 @@ def random_bistochastic_channel(dim: int, mix_count: int, seed: int) -> Channel:
 
 def random_low_rank_preparation(dim: int, rank: int, seed: int) -> Channel:
     """rho -> tr[rho] sigma with rank(sigma) = rank; never constrained for rank < dim."""
-    sigma = random_state_of_rank(dim, rank, seed)
-    w, v = hermitian_eig(sigma.matrix)
-    kraus = []
-    for i, wi in enumerate(w):
-        if wi > 1e-14:
-            for j in range(dim):
-                kraus.append(np.sqrt(wi) * np.outer(v[:, i], _ket(j, dim).conj()))
-    return Channel(tuple(kraus))
+    return Channel(measure_prepare_kraus([(np.eye(dim), random_state_of_rank(dim, rank, seed))]))
 
 
 def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
@@ -420,14 +403,12 @@ def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
 
 
 def _random_povm_generic(dim: int, outcomes: int, rng: np.random.Generator) -> Observable:
-    blocks = []
-    for _ in range(outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(g @ g.conj().T)
-    total = sum(blocks)
-    w, v = np.linalg.eigh(total)
+    r = rng.standard_normal((outcomes, 2, dim, dim))  # per outcome: real part, then imaginary
+    g = r[:, 0] + 1j * r[:, 1]
+    blocks = g @ dagger(g)
+    w, v = np.linalg.eigh(blocks.sum(0))
     whiten = (v / np.sqrt(w)) @ v.conj().T
-    return Observable(tuple(whiten @ b @ whiten for b in blocks))
+    return Observable(whiten @ blocks @ whiten)
 
 
 def _random_partition(total: int, parts: int, rng: np.random.Generator) -> list[int]:
@@ -459,11 +440,7 @@ def random_instrument(dim: int, outcomes: int, seed: int) -> Instrument:
     """Random instrument: Kraus operators of a random channel split across outcomes."""
     rng = np.random.default_rng(seed)
     total = random_channel(dim, dim, outcomes * 2, int(rng.integers(2 ** 31)))
-    ops = tuple(
-        Operation((total.kraus[2 * x], total.kraus[2 * x + 1]))
-        for x in range(outcomes)
-    )
-    return Instrument(ops)
+    return Instrument(tuple(Operation(ks) for ks in total.kraus.reshape(outcomes, 2, dim, dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,6 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
 
     nonzero = np.flatnonzero(weights > 0)
     zero = np.flatnonzero(weights <= 0)
-    if nonzero.size > block:
-        raise InfeasibleDimensions("nonzero weights exceed the n=0 slice")
     perm = np.empty(slots, dtype=np.intp)
     perm[nonzero] = np.arange(nonzero.size)
     perm[zero] = np.arange(nonzero.size, slots)

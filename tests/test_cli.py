@@ -274,7 +274,7 @@ class TestDemos:
     def test_purify(self, capsys):
         code, report, _ = run_json(capsys, "demo", "purify")
         assert code == EXIT_YES
-        assert report["copies"] == 1 == report["minimal_copies_check"]
+        assert report["copies"] == 1
         assert report["fidelity"] > 1.0 - 1e-9
 
     def test_luders_scheme(self, capsys):
@@ -428,6 +428,28 @@ class TestPlumbing:
         code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
         assert code == EXIT_ERROR
         assert "dims" in err
+
+    def test_boolean_matrix_entry_is_an_input_error(self, tmp_path, capsys):
+        # [true, false] would otherwise read as 1 + 0j, and pointer_observable(2) has a 1 there
+        doc = modelfile.encode(pointer_observable(2))
+        doc["effects"][0][0][0] = [True, False]
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == EXIT_ERROR
+        assert "true and false" in err
+
+    def test_boolean_outcome_labels_are_an_input_error(self, tmp_path, capsys):
+        for obj, verb in ((pointer_observable(2), "classify"),
+                          (luders_instrument(completely_unsharp_pair()), "firstkind")):
+            doc = modelfile.encode(obj)
+            doc["outcomes"] = [True, False]
+            path = tmp_path / f"{verb}.json"
+            path.write_text(json.dumps(doc))
+            argv = ["classify", str(path)] if verb == "classify" else ["check", verb, str(path)]
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_ERROR
+            assert "outcome labels" in err
 
     def test_tol_atol_reaches_loaded_files(self, tmp_path, capsys):
         doc = modelfile.encode(random_constrained_channel(2, 0))

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,20 @@ class TestApplyAndDuality:
             assert np.abs(apply(op, m) - sum(k @ m @ dagger(k) for k in ks)).max() < 1e-12
             assert np.abs(apply_dual(op, b) - sum(dagger(k) @ b @ k for k in ks)).max() < 1e-12
 
+    def test_stack_temporaries_are_bounded_by_the_operand_count(self):
+        # 36 lifted matrix units against 589 interaction Kraus operators of 24 x 24: blocks sized
+        # by Kraus entries alone held 36 copies of a 512 KiB block in each of two temporaries
+        scheme = random_constrained_scheme(6, 4, 2, 3)
+        units = np.eye(36, dtype=complex).reshape(-1, 6, 6)
+        lifted = np.kron(units, scheme.pointer.effects[0])
+        tracemalloc.start()
+        try:
+            apply_dual(scheme.interaction, lifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * scheme.interaction.kraus.nbytes  # the conjugated stack plus small blocks
+
     def test_stack_with_wrong_trailing_shape_is_rejected(self):
         ch = random_channel(3, 2, 4, 7)
         for bad in (np.zeros((5, 2, 2)), np.zeros((5, 3, 2)), np.zeros(9), np.zeros((2, 5, 3, 3))):
@@ -458,6 +473,33 @@ class TestSchemeFactorization:
         lhs = np.trace(gamma @ rho)
         rhs = np.trace(b @ kron(rho, xi.matrix))
         assert abs(lhs - rhs) < 1e-10
+
+    def test_restriction_map_of_a_stack(self):
+        rng = np.random.default_rng(22)
+        xi = random_full_rank_state(2, 8)
+        stack = np.stack([rand_complex(rng, 6) for _ in range(3)])
+        got = restriction_map(stack, xi, 3)
+        for b, out in zip(stack, got, strict=True):
+            assert np.abs(out - restriction_map(b, xi, 3)).max() < 1e-14
+        with pytest.raises(DimensionMismatch):
+            restriction_map(np.zeros((3, 4, 4)), xi, 3)
+
+    @pytest.mark.parametrize("scheme", [
+        random_constrained_scheme(3, 2, 2, 1),
+        random_constrained_scheme(6, 4, 2, 3),
+        build_shift_scheme(3, (0.5, 0.3, 0.2)),
+    ])
+    def test_dual_superoperator_matches_the_per_unit_loop(self, scheme):
+        ds = scheme.system_dim
+        for x, z in enumerate(scheme.pointer.effects):
+            cols = []
+            for a in range(ds):
+                for b in range(ds):
+                    unit = np.zeros((ds, ds), dtype=complex)
+                    unit[a, b] = 1.0
+                    lifted = apply_dual(scheme.interaction, kron(unit, z))
+                    cols.append(vec(restriction_map(lifted, scheme.ancilla, ds)))
+            assert np.abs(scheme_dual_superoperator(scheme, x) - np.stack(cols, axis=1)).max() < 1e-12
 
     def test_dual_factorization_cross_check(self):
         schemes = [  # with the minimal Kraus count of each outcome

@@ -180,9 +180,21 @@ class TestPartialTrace:
         out = partial_trace(a, (2, 3), "first")
         assert abs(np.trace(out) - np.trace(a)) < 1e-10
 
+    def test_stack_matches_per_matrix_traces(self):
+        rng = np.random.default_rng(29)
+        stack = np.stack([rand_complex(rng, 6) for _ in range(4)])
+        for traced in ("second", "first"):
+            got = partial_trace(stack, (2, 3), traced)
+            assert got.shape == ((4, 2, 2) if traced == "second" else (4, 3, 3))
+            for a, out in zip(stack, got, strict=True):
+                assert np.array_equal(out, partial_trace(a, (2, 3), traced))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(5), (2, 3), "second")
+        for bad in (np.zeros((4, 5, 5)), np.zeros(36), np.zeros((2, 4, 6, 6))):
+            with pytest.raises(DimensionMismatch):
+                partial_trace(bad, (2, 3), "first")
 
 
 class TestMatrixSqrt:

@@ -3,15 +3,18 @@ import pytest
 
 from qmeas.algebra import decompose, fixed_point_space
 from qmeas.classify import classify
-from qmeas.core import State, apply, scheme_to_instrument
+from qmeas import models
+from qmeas.core import Channel, Observable, Operation, State, apply, scheme_to_instrument, superop_distance
 from qmeas.errors import BadDistribution, NotCompletelyUnsharp, NotFullRank
-from qmeas.linalg import hs_norm, numerical_rank
+from qmeas.linalg import hermitian_eig, hs_norm, kron, matrix_sqrt_psd, numerical_rank
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
+    build_ideality_example,
     build_luders_scheme,
     build_shift_scheme,
     build_swap_scheme,
+    luders_interaction_channel,
     pointer_observable,
     random_bistochastic_channel,
     random_channel,
@@ -23,6 +26,8 @@ from qmeas.models import (
     random_povm,
     random_state_of_rank,
     random_unitary,
+    shift_observable,
+    swap_unitary,
     table1_observables,
 )
 from qmeas.properties import (
@@ -208,3 +213,153 @@ class TestGuards:
     def test_swap_scheme_needs_full_rank_ancilla(self):
         with pytest.raises(NotFullRank):
             build_swap_scheme(State.pure([0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# loop references: the builders entry by entry, as written before each became
+# one array construction; the constructions must return the same arrays
+
+
+def _ket(index, dim):
+    v = np.zeros(dim, dtype=np.complex128)
+    v[index] = 1.0
+    return v
+
+
+def _unit(i, j, rows, cols=None):
+    return np.outer(_ket(i, rows), _ket(j, cols or rows).conj())
+
+
+def _loop_pointer(dim):
+    return [_unit(x, x, dim) for x in range(dim)]
+
+
+def _loop_swap(dim):
+    u = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for a in range(dim):
+        for b in range(dim):
+            u[b * dim + a, a * dim + b] = 1.0
+    return u
+
+
+def _loop_shift_unitary(n):
+    u = np.zeros((n * n, n * n), dtype=np.complex128)
+    for m in range(n):
+        for k in range(n):
+            u += kron(_unit(k, k, n), _unit((m + k) % n, m, n))
+    return u
+
+
+def _loop_shift_observable(n, q):
+    return [np.diag([q[(x - m) % n] for m in range(n)]).astype(np.complex128) for x in range(n)]
+
+
+def _loop_luders_interaction(observable):
+    n, d = len(observable), observable.dim
+    roots = matrix_sqrt_psd(observable.effects)
+    kraus = []
+    for x in range(n):
+        k = np.zeros((d * n, d * n), dtype=np.complex128)
+        for a in range(n):
+            k += kron(roots[(x + a) % n], _unit((x + a) % n, a, n))
+        kraus.append(k)
+    return kraus
+
+
+def _loop_channel(dim_in, dim_out, kraus_count, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim_out * kraus_count, dim_in)) + 1j * rng.standard_normal(
+        (dim_out * kraus_count, dim_in))
+    q, _ = np.linalg.qr(g)
+    return [q[i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count)]
+
+
+def _loop_constrained_channel(dim, seed):
+    kraus = [np.sqrt(0.9) * k for k in _loop_channel(dim, dim, max(2, dim // 2 + 1), seed)]
+    for i in range(dim):
+        for j in range(dim):
+            k = np.zeros((dim, dim), dtype=np.complex128)
+            k[i, j] = np.sqrt(0.1 / dim)
+            kraus.append(k)
+    return kraus
+
+
+def _loop_instrument(dim, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    total = _loop_channel(dim, dim, outcomes * 2, int(rng.integers(2 ** 31)))
+    return [(total[2 * x], total[2 * x + 1]) for x in range(outcomes)]
+
+
+def _loop_povm_generic(dim, outcomes, rng):
+    blocks = []
+    for _ in range(outcomes):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        blocks.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(blocks))
+    whiten = (v / np.sqrt(w)) @ v.conj().T
+    return Observable(tuple(whiten @ b @ whiten for b in blocks))
+
+
+def _loop_low_rank_preparation(dim, rank, seed):
+    w, v = hermitian_eig(random_state_of_rank(dim, rank, seed).matrix)
+    return Channel(tuple(np.sqrt(wi) * np.outer(v[:, i], _ket(j, dim).conj())
+                         for i, wi in enumerate(w) if wi > 1e-14 for j in range(dim)))
+
+
+def _loop_ideality_operation(keep):
+    return Operation(tuple([_unit(keep, keep, 3)] + [_unit(k, 1, 3) / np.sqrt(6.0) for k in range(3)]))
+
+
+def _same(got, want):
+    assert np.array_equal(got, np.array(want))
+
+
+class TestSingleConstructions:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_permutations_and_pointer(self, dim):
+        _same(pointer_observable(dim).effects, _loop_pointer(dim))
+        _same(swap_unitary(dim), _loop_swap(dim))
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
+    def test_shift_register(self, n, seed):
+        q = 0.5 * np.random.default_rng(seed).dirichlet(np.ones(n)) + 0.5 / n
+        _same(build_shift_scheme(n, q).interaction.kraus, [_loop_shift_unitary(n)])
+        _same(shift_observable(n, q).effects, _loop_shift_observable(n, q))
+
+    @pytest.mark.parametrize("dim, outcomes, seed", [(2, 2, 0), (3, 4, 1), (4, 3, 2), (8, 4, 3)])
+    def test_luders_interaction(self, dim, outcomes, seed):
+        obs = random_povm(dim, outcomes, seed, mode="completely-unsharp")
+        _same(luders_interaction_channel(obs).kraus, _loop_luders_interaction(obs))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 32])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_channels(self, dim, seed):
+        _same(random_channel(dim, dim + 1, 3, seed).kraus, _loop_channel(dim, dim + 1, 3, seed))
+        _same(random_constrained_channel(dim, seed).kraus, _loop_constrained_channel(dim, seed))
+
+    @pytest.mark.parametrize("dim, outcomes, seed", [(2, 2, 0), (3, 3, 5), (5, 2, 11)])
+    def test_random_instrument(self, dim, outcomes, seed):
+        got = random_instrument(dim, outcomes, seed)
+        for op, pair in zip(got.operations, _loop_instrument(dim, outcomes, seed), strict=True):
+            _same(op.kraus, pair)
+
+    # the modes that draw a generic POVM; "sharp" and "norm1-unsharp" draw none
+    @pytest.mark.parametrize("mode", [None, "completely-unsharp", "small-rank"])
+    @pytest.mark.parametrize("dim, outcomes, seed", [(3, 2, 0), (4, 3, 5), (6, 2, 11)])
+    def test_random_povm_modes(self, mode, dim, outcomes, seed, monkeypatch):
+        got = random_povm(dim, outcomes, seed, mode=mode)
+        monkeypatch.setattr(models, "_random_povm_generic", _loop_povm_generic)
+        _same(got.effects, random_povm(dim, outcomes, seed, mode=mode).effects)
+
+    @pytest.mark.parametrize("dim, rank, seed", [(2, 1, 0), (4, 2, 5), (8, 3, 11), (12, 6, 3)])
+    def test_low_rank_preparation_is_the_same_map(self, dim, rank, seed):
+        got, want = random_low_rank_preparation(dim, rank, seed), _loop_low_rank_preparation(dim, rank, seed)
+        assert len(got.kraus) == len(want.kraus) == rank * dim
+        assert superop_distance(got, want) <= 1e-14
+
+    def test_ideality_reprepare_is_the_same_map(self):
+        _, instrument = build_ideality_example()
+        for op, keep in zip(instrument.operations, (0, 2), strict=True):
+            want = _loop_ideality_operation(keep)
+            assert len(op.kraus) == len(want.kraus) == 4
+            assert superop_distance(op, want) <= 1e-14
