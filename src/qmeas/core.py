@@ -456,7 +456,8 @@ def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> 
     ds = scheme.system_dim
     units = np.eye(ds * ds, dtype=np.complex128).reshape(-1, ds, ds)  # the matrix units e_ab
     lifted = apply_dual(scheme.interaction, np.kron(units, scheme.pointer.effects[outcome_index]))
-    return restriction_map(lifted, scheme.ancilla, ds).reshape(ds * ds, ds * ds).T  # column ab: its vec
+    # column ab of the superoperator is vec of unit ab's image
+    return restriction_map(lifted, scheme.ancilla, ds).reshape(ds * ds, -1).T
 
 
 # ---------------------------------------------------------------------------
