@@ -10,8 +10,10 @@ Conventions, fixed once for the whole package:
 
 Operator families are stored as one read-only complex128 array of shape
 (n, d_out, d_in): Observable.effects and the .kraus of Operation and Channel.
-Superoperators and Choi matrices are computed from the Kraus stack on every
-access, not stored.
+A read-only C-contiguous complex128 array over memory no writeable array owns is
+stored as given, any other input copied once.  Superoperators and Choi matrices are
+computed from the Kraus stack on every access, not stored.  The Kraus reductions return
+the weight they drop, and what is built from them is validated at atol_equality plus it.
 """
 
 from __future__ import annotations
@@ -44,9 +46,14 @@ def row_blocks(a: np.ndarray, copies: int = 1):
     return (a[j:j + c] for j in range(0, len(a), c))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128)
-    a.setflags(write=False)
+def _freeze(a) -> np.ndarray:
+    """a itself when it is a read-only C-contiguous complex128 array over memory that no writeable
+    array owns (its own, or that of the read-only array it views); else a read-only copy."""
+    owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+    if not (isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+            and a.dtype == np.complex128 and a.flags.c_contiguous):
+        a = np.array(a, dtype=np.complex128)
+        a.setflags(write=False)
     return a
 
 
@@ -114,6 +121,7 @@ class Observable:
     effects: np.ndarray  # read-only (n, dim, dim)
     outcomes: tuple[str, ...] = ()
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    dropped: float = field(default=0.0, repr=False, compare=False)  # weight a reduction dropped
 
     def __post_init__(self) -> None:
         effects = _family(self.effects, "effect")
@@ -125,14 +133,14 @@ class Observable:
             raise ValidationError("outcome labels do not match effect count")
         if len(set(outcomes)) != n:
             raise ValidationError("outcome labels must be unique")
-        atol = self.tol.atol_equality
+        atol, slack = self.tol.atol_equality, self.tol.atol_equality + self.dropped
         w, _ = hermitian_eig(effects, self.tol)
         for label, top, bottom, peak in zip(outcomes, w[:, 0], w[:, -1], np.abs(effects).max(axis=(1, 2))):
-            if bottom < -atol or top > 1.0 + atol:
+            if bottom < -slack or top > 1.0 + slack:
                 raise ValidationError(f"effect {label!r} spectrum [{bottom:.3e}, {top:.3e}] leaves [0,1]")
             if peak <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
-        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n:
+        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n + self.dropped:
             raise ValidationError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(outcomes))
@@ -169,6 +177,12 @@ class _KrausMap:
         """sum K^dag K, the conjugate of the stacked Kraus rows' _gram."""
         return _gram(self.kraus.reshape(-1, self.dim_in)).conj()
 
+    @classmethod
+    def measure_prepare(cls, pairs, tol: Tolerances = DEFAULT_TOL):
+        """rho -> sum_i tr[G_i rho] sigma_i by measure_prepare_kraus, validated at the weight it dropped."""
+        kraus, dropped = measure_prepare_kraus(pairs, tol)
+        return cls(kraus, tol, dropped)
+
     @property
     def choi(self) -> np.ndarray:
         """V^T conj(V), where the rows of V are the vec(K_i)."""
@@ -177,8 +191,9 @@ class _KrausMap:
 
     @property
     def superoperator(self) -> np.ndarray:
-        """Matrix acting on row-major vec(rho): the reshuffled Choi matrix."""
-        return _reshuffle(self.choi, self.dim_out, self.dim_in, self.dim_out, self.dim_in)
+        """Matrix acting on row-major vec(rho): the Choi matrix's entry [(a b), (c e)] at [(a c), (b e)]."""
+        do, di = self.dim_out, self.dim_in
+        return self.choi.reshape(do, di, do, di).transpose(0, 2, 1, 3).reshape(do * do, di * di)
 
     @property
     def dual_superoperator(self) -> np.ndarray:
@@ -192,11 +207,12 @@ class Operation(_KrausMap):
 
     kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    dropped: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         w, _ = hermitian_eig(self._kraus_sum(), self.tol)
-        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus):
+        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus) + self.dropped:
             raise ValidationError(f"sum K^dag K has eigenvalue {w[0]:.12f} > 1")
 
 
@@ -206,11 +222,12 @@ class Channel(_KrausMap):
 
     kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
+    dropped: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         dev = np.abs(self._kraus_sum() - np.eye(self.dim_in)).max()
-        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)):
+        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)) + self.dropped:
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
 
     @staticmethod
@@ -243,7 +260,8 @@ class Instrument:
         for op in ops:
             if op.dim_in != d or op.dim_out != d:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
-        observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol)
+        observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol,
+                                sum(op.dropped for op in ops))
         object.__setattr__(self, "operations", ops)
         object.__setattr__(self, "outcomes", observable.outcomes)
         object.__setattr__(self, "_observable", observable)
@@ -260,7 +278,9 @@ class Instrument:
         return self._observable
 
     def total_channel(self) -> Channel:
-        return Channel(np.concatenate([op.kraus for op in self.operations]), self.tol)
+        kraus = np.concatenate([op.kraus for op in self.operations])
+        kraus.setflags(write=False)
+        return Channel(kraus, self.tol, self._observable.dropped)
 
 
 @dataclass(frozen=True)
@@ -306,12 +326,14 @@ def _operands(x, dim: int) -> np.ndarray:
     return m
 
 
-def _sandwich(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _sandwich(kraus: np.ndarray, m: np.ndarray, dual: bool = False) -> np.ndarray:
     """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
     per row block: one product of the stacked K_i with m, one with the block's dagger.
-    A block's temporaries hold one copy of it per operand, so blocks shrink as the stack grows."""
+    A block's temporaries hold one copy of it per operand, so blocks shrink as the stack grows;
+    dual daggers each block, giving sum_i K_i^dag m K_i."""
     out = 0
     for k in row_blocks(kraus, m[..., 0, 0].size):
+        k = dagger(k) if dual else k
         c, d_out, d_in = k.shape
         km = (k.reshape(-1, d_in) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
         row = km.swapaxes(-3, -2).reshape(m.shape[:-2] + (d_out, c * d_in))  # [K_1 m ... K_c m]
@@ -326,32 +348,28 @@ def apply(op: _KrausMap, rho) -> np.ndarray:
 
 def apply_dual(op: _KrausMap, a) -> np.ndarray:
     """Heisenberg action sum_i K_i^dag A K_i, on one operator or a stack."""
-    return _sandwich(dagger(op.kraus), _operands(a, op.dim_out))
+    return _sandwich(op.kraus, _operands(a, op.dim_out), dual=True)
 
 
 def compose(after: _KrausMap, before: _KrausMap):
     """Composition after . before, with all pairwise Kraus products, at after's tolerances."""
     if before.dim_out != after.dim_in:
         raise DimensionMismatch("composition dimensions do not match")
-    ks = (after.kraus[:, None] @ before.kraus[None]).reshape(-1, after.dim_out, before.dim_in)
+    ks = after.kraus[:, None] @ before.kraus[None]
+    ks.setflags(write=False)
     cls = Channel if isinstance(after, Channel) and isinstance(before, Channel) else Operation
-    return cls(ks, after.tol)
+    return cls(ks.reshape(-1, after.dim_out, before.dim_in), after.tol, after.dropped + before.dropped)
 
 
 # ---------------------------------------------------------------------------
 # representation changes
 
 
-def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
-    """Entries m[(a b), (c e)] realigned as [(a c), (b e)]; Choi <-> superoperator."""
-    return m.reshape(a, b, c, e).transpose(0, 2, 1, 3).reshape(a * c, b * e)
-
-
 def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Minimal Kraus family, stacked, from a Choi matrix.
+                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Minimal Kraus family, stacked, from a Choi matrix, and the weight sum |w| it drops.
 
-    Eigenvalues at or below rank_cut are discarded;
+    Eigenvalues w at or below rank_cut are discarded;
     an eigenvalue below -10*atol means the map is not CP.
     """
     c = as_complex_matrix(choi)
@@ -363,12 +381,13 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
     r = cut_rank(w, tol)
     if not r:
         raise NotCP("Choi matrix is numerically zero")
-    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in)  # rows sqrt(w_i) vec(K_i)
+    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in), float(np.abs(w[r:]).sum())
 
 
 def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Minimal Kraus family, stacked, of the map whose Kraus operators have the rows vec(K_i) of v.
+                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Minimal Kraus family, stacked, of the map whose Kraus operators have the rows vec(K_i) of v,
+    and the weight sum s^2 of the singular values s it drops.
 
     Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
@@ -377,7 +396,7 @@ def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
     r = cut_rank(s * s, tol)
     if not r:
         raise NotCP("Kraus rows are numerically zero")
-    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in)
+    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in), float(s[r:] @ s[r:])
 
 
 def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
@@ -389,22 +408,24 @@ def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
 # instruments from observables and schemes
 
 
-def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i).
+def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i),
+    and the weight sum |g s| of the eigenvalue pairs it drops.
 
     (g, |g>) and (s, |s>) run over the eigenpairs of the PSD G_i and sigma_i that cut_rank counts.
     """
     g_ops, sigmas = zip(*pairs)
     g, gv = hermitian_eig(np.array(g_ops, dtype=np.complex128), tol)
     s, sv = hermitian_eig(np.array([_as_matrix(x) for x in sigmas]), tol)
-    families = []
+    families, dropped = [], 0.0
     for gx, gvx, sx, svx in zip(g, gv, s, sv):
         m, n = cut_rank(gx, tol), cut_rank(sx, tol)
+        dropped += np.abs(gx[m:]).sum() * np.abs(sx).sum() + np.abs(gx[:m]).sum() * np.abs(sx[n:]).sum()
         kets, bras = svx[:, :n].T, gvx[:, :m].conj().T  # rows |s_j>, <g_i|
         outers = kets[None, :, :, None] * bras[:, None, None, :]  # [i, j] = |s_j><g_i|
         amplitudes = np.sqrt(gx[:m, None] * sx[:n])[:, :, None, None]
         families.append((amplitudes * outers).reshape(m * n, len(svx), len(gvx)))
-    return np.concatenate(families)
+    return np.concatenate(families), float(dropped)
 
 
 def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -444,7 +465,8 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     else:
         chois = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
         families = [kraus_from_choi(choi, ds, ds, tol) for choi in chois]
-    return Instrument(tuple(Operation(ks, tol) for ks in families), scheme.pointer.outcomes, tol)
+    return Instrument(tuple(Operation(ks, tol, dropped) for ks, dropped in families),
+                      scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:

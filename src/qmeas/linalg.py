@@ -187,12 +187,5 @@ def eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
 
     Returns index arrays into the input (which must be sorted descending).
     """
-    if values.size == 0:
-        return []
-    groups: list[list[int]] = [[0]]
-    for i in range(1, values.size):
-        if abs(values[i - 1] - values[i]) > CLUSTER_GAP:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return [np.array(g) for g in groups]
+    breaks = np.flatnonzero(np.abs(np.diff(values)) > CLUSTER_GAP) + 1
+    return np.split(np.arange(values.size), breaks) if values.size else []

@@ -84,7 +84,7 @@ def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> np.ndarray:
     choi = _matrix_from_json(doc["choi"])
     if choi.shape != (dim_out * dim_in, dim_out * dim_in):
         raise ValidationError(f"choi shape {choi.shape} does not match dims {dims}")
-    return kraus_from_choi(choi, dim_out, dim_in, tol)
+    return kraus_from_choi(choi, dim_out, dim_in, tol)[0]
 
 
 def encode(obj) -> dict:

@@ -83,8 +83,8 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     f1 = kron(a2 + a3, p1) + kron(a5, p0)
 
     out00, out10 = _proj(_ket(0, 4)), _proj(_ket(2, 4))  # prepared |00><00|, |10><10|
-    op0 = Operation(measure_prepare_kraus([(kron(a0, p0) + kron(a4, p1), out00), (kron(a2, p1), out10)]))
-    op1 = Operation(measure_prepare_kraus([(kron(a5, p0) + kron(a3, p1), out10), (kron(a1, p1), out00)]))
+    op0 = Operation.measure_prepare([(kron(a0, p0) + kron(a4, p1), out00), (kron(a2, p1), out10)])
+    op1 = Operation.measure_prepare([(kron(a5, p0) + kron(a3, p1), out10), (kron(a1, p1), out00)])
     instrument = Instrument((op0, op1))
     return Observable((e0, e1)), Observable((f0, f1)), instrument
 
@@ -93,7 +93,7 @@ def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None
     """I_x(rho) = tr[E_x rho] sigma_x; measure-and-reprepare with no coherence kept."""
     if outputs is None:
         outputs = tuple(State.complete_mixture(observable.dim) for _ in observable.effects)
-    ops = tuple(Operation(measure_prepare_kraus([pair])) for pair in zip(observable.effects, outputs))
+    ops = tuple(Operation.measure_prepare([pair]) for pair in zip(observable.effects, outputs))
     return Instrument(ops, observable.outcomes)
 
 
@@ -175,10 +175,10 @@ def build_ideality_example() -> tuple[Observable, Instrument]:
     e_plus = np.diag([0.0, 0.5, 1.0]).astype(np.complex128)
 
     # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
-    reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
+    reprepare, dropped = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
 
     def op(keep: int) -> Operation:
-        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]))
+        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]), DEFAULT_TOL, dropped)
 
     instrument = Instrument((op(0), op(2)), ("minus", "plus"))
     return Observable((e_minus, e_plus), ("minus", "plus")), instrument
@@ -192,15 +192,8 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
     """Kraus operators K_{x,f} = V_f (x) |phi_f><x| of the measurement channel."""
     v0 = np.diag([np.sqrt(0.25), np.sqrt(0.75)]).astype(np.complex128)
     v1 = np.array([[0.0, np.sqrt(0.25)], [np.sqrt(0.75), 0.0]], dtype=np.complex128)
-    phi0 = _ket(0, 2)
-    phi1 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    vs = (v0, v1)
-    phis = (phi0, phi1)
-    return {
-        (x, f): kron(vs[f], np.outer(phis[f], _ket(x, 2).conj()))
-        for x in range(2)
-        for f in range(2)
-    }
+    vs, phis = (v0, v1), (_ket(0, 2), np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
+    return {(x, f): kron(vs[f], np.outer(phis[f], _ket(x, 2).conj())) for x in range(2) for f in range(2)}
 
 
 def extremal_instrument() -> Instrument:
@@ -221,11 +214,8 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
         xi = State.diagonal([2.0 / 3.0, 1.0 / 3.0])
     if numerical_rank(xi.matrix) < 2 or xi.dim != 2:
         raise NotFullRank("ancilla state must be a full-rank qubit state")
-    swap = swap_unitary(2)
-    e1 = Channel.unitary(kron(np.eye(2), swap))
-    ks = extremal_model_kraus()
-    measure = Channel(tuple(ks.values()))
-    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in measure.kraus))
+    e1 = Channel.unitary(kron(np.eye(2), swap_unitary(2)))
+    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()))  # measure, then idle
     return MeasurementScheme(
         system_dim=4,
         ancilla=xi,
@@ -284,7 +274,7 @@ def build_rank_drop_channel() -> Channel:
     """
     p0 = _proj(_ket(0, 3))
     rho0 = np.diag([0.5, 1.0 / 3.0, 1.0 / 6.0])
-    return Channel(measure_prepare_kraus([(p0, rho0), (np.eye(3) - p0, _proj(_ket(1, 3)))]))
+    return Channel.measure_prepare([(p0, rho0), (np.eye(3) - p0, _proj(_ket(1, 3)))])
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +313,7 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Ch
     g = rng.standard_normal((dim_out * kraus_count, dim_in)) + 1j * rng.standard_normal(
         (dim_out * kraus_count, dim_in))
     q, _ = np.linalg.qr(g)
+    q.setflags(write=False)  # the Channel keeps q's memory instead of copying it
     return Channel(q.reshape(kraus_count, dim_out, dim_in))
 
 
@@ -333,6 +324,7 @@ def random_constrained_channel(dim: int, seed: int) -> Channel:
     kraus[:len(base)] = np.sqrt(0.9) * base
     # the scaled matrix units e_ij, in (i, j) order, are the rows of a scaled identity
     np.fill_diagonal(kraus[len(base):].reshape(dim * dim, dim * dim), np.sqrt(0.1 / dim))
+    kraus.setflags(write=False)  # the Channel keeps this stack instead of copying it
     return Channel(kraus)
 
 
@@ -347,7 +339,7 @@ def random_bistochastic_channel(dim: int, mix_count: int, seed: int) -> Channel:
 
 def random_low_rank_preparation(dim: int, rank: int, seed: int) -> Channel:
     """rho -> tr[rho] sigma with rank(sigma) = rank; never constrained for rank < dim."""
-    return Channel(measure_prepare_kraus([(np.eye(dim), random_state_of_rank(dim, rank, seed))]))
+    return Channel.measure_prepare([(np.eye(dim), random_state_of_rank(dim, rank, seed))])
 
 
 def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
@@ -365,13 +357,8 @@ def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
         return _random_povm_generic(dim, outcomes, rng)
     if mode == "sharp":
         u = random_unitary(dim, rng)
-        sizes = _random_partition(dim, outcomes, rng)
-        effects, start = [], 0
-        for s in sizes:
-            cols = u[:, start:start + s]
-            effects.append(cols @ cols.conj().T)
-            start += s
-        return Observable(tuple(effects))
+        bounds = _random_bounds(dim, outcomes, rng)
+        return Observable(tuple(u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(bounds, bounds[1:])))
     if mode == "norm1-unsharp":
         if dim <= outcomes:
             raise ValidationError("norm1-unsharp mode needs dim > outcomes")
@@ -385,13 +372,9 @@ def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
             effects.append(e)
         return Observable(tuple(effects))
     if mode == "completely-unsharp":
-        base = _random_povm_generic(dim, outcomes, rng)
-        eps = 0.2
-        effects = tuple(
-            (1.0 - eps) * e + eps * (np.trace(e).real / dim) * np.eye(dim)
-            for e in base.effects
-        )
-        return Observable(effects)
+        e, eps = _random_povm_generic(dim, outcomes, rng).effects, 0.2
+        traces = np.trace(e, axis1=1, axis2=2).real
+        return Observable((1.0 - eps) * e + (eps * (traces / dim))[:, None, None] * np.eye(dim))
     if mode == "small-rank":
         v = random_unitary(dim, rng)[:, 0]
         lead = 0.7 * _proj(v)
@@ -411,12 +394,12 @@ def _random_povm_generic(dim: int, outcomes: int, rng: np.random.Generator) -> O
     return Observable(whiten @ blocks @ whiten)
 
 
-def _random_partition(total: int, parts: int, rng: np.random.Generator) -> list[int]:
+def _random_bounds(total: int, parts: int, rng: np.random.Generator) -> list[int]:
+    """0 = b_0 < b_1 < ... < b_parts = total: parts non-empty consecutive ranges."""
     if parts > total:
         raise ValidationError("cannot split into more parts than dimensions")
     cuts = sorted(rng.choice(np.arange(1, total), size=parts - 1, replace=False)) if parts > 1 else []
-    bounds = [0, *cuts, total]
-    return [bounds[i + 1] - bounds[i] for i in range(parts)]
+    return [0, *cuts, total]
 
 
 def _interior_weights(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -457,9 +440,7 @@ def table1_observables() -> dict[str, Observable]:
     """One representative per observable class column."""
     qubit_sharp = Observable((np.diag([1.0, 0.0]).astype(np.complex128),
                               np.diag([0.0, 1.0]).astype(np.complex128)))
-    rank2_sharp = Observable(tuple(
-        kron(np.eye(2), _proj(_ket(x, 2))) for x in range(2)
-    ))
+    rank2_sharp = Observable(tuple(kron(np.eye(2), _proj(_ket(x, 2))) for x in range(2)))
     norm1, _ = build_ideality_example()
     return {
         "small-rank": qubit_sharp,
@@ -508,8 +489,7 @@ def _catalog_extremal() -> dict:
 
 def _catalog_swap() -> dict:
     xi = State.diagonal([0.7, 0.3])
-    scheme = build_swap_scheme(xi)
-    return {"scheme": scheme, "xi": xi}
+    return {"scheme": build_swap_scheme(xi), "xi": xi}
 
 
 def _catalog_rank_drop() -> dict:

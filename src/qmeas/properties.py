@@ -16,6 +16,7 @@ import numpy as np
 
 from .classify import ObservableClassification
 from .core import (
+    BLOCK_ENTRIES,
     Channel,
     Instrument,
     MeasurementScheme,
@@ -107,21 +108,19 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
     The criterion is basis-independent: any other minimal family spans the
-    same product set.  Products spanning several row blocks are reduced by a QR of
-    each block: the stacked R factors keep their singular values, so numerical_rank's
-    cut is unchanged.
+    same product set.  The rows vec(K_a^dag K_b) are made one row block (a slice of a's of one
+    family) at a time; over several blocks, each is reduced by a QR as it is made: the stacked
+    R factors keep their singular values, so numerical_rank's cut is unchanged.
     """
-    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)
+    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)[0]
                 for op in instrument.operations]
-    products = np.concatenate([
-        (dagger(f)[:, None] @ f[None]).reshape(len(f) ** 2, -1)  # rows vec(K_a^dag K_b)
-        for f in families
-    ])
-    blocks = list(row_blocks(products))  # one block goes to the SVD as it is: a QR would only add cost
-    r = np.concatenate([np.linalg.qr(b, mode="r") for b in blocks]) if len(blocks) > 1 else products
+    count = sum(len(f) ** 2 for f in families)
+    blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, f[0].size)  # rows vec(K_a^dag K_b)
+              for f in families for a in row_blocks(f, len(f)))
+    several = count * families[0][0].size > BLOCK_ENTRIES  # one block goes to the SVD: a QR only adds cost
+    r = np.concatenate([np.linalg.qr(b, mode="r") for b in blocks] if several else list(blocks))
     gram_rank = numerical_rank(r, tol)
-    return ExtremalResult(gram_rank == len(products), tuple(len(f) for f in families),
-                          gram_rank, len(products))
+    return ExtremalResult(gram_rank == count, tuple(len(f) for f in families), gram_rank, count)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, MeasurementScheme, State, apply, apply_dual, fidelity, measure_prepare_kraus
+from .core import Channel, MeasurementScheme, State, apply, apply_dual, fidelity, row_blocks
 from .errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from .linalg import (
     DEFAULT_TOL,
@@ -66,7 +66,8 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     operator sum_i K_i K_i^dag is singular.  When a kernel vector exists
     its projector is confirmed to be annihilated before answering False.
     """
-    frame = (channel.kraus @ dagger(channel.kraus)).sum(0)
+    rows = (k.swapaxes(0, 1).reshape(channel.dim_out, -1) for k in row_blocks(channel.kraus))
+    frame = sum(row @ dagger(row) for row in rows)  # [K_1 ... K_c] [K_1 ... K_c]^dag per block
     w, v = hermitian_eig(frame, tol)
     cut = rank_cut(w, tol)
     if w[-1] > cut:
@@ -213,4 +214,4 @@ def preparation_channel(pointer_vector: np.ndarray, target: State,
     v = np.asarray(pointer_vector, dtype=np.complex128).reshape(-1)
     pv = np.outer(v, v.conj()) / np.vdot(v, v).real
     eye = np.eye(v.size)
-    return Channel(measure_prepare_kraus([(pv, target), (eye - pv, eye / v.size)], tol), tol)
+    return Channel.measure_prepare([(pv, target), (eye - pv, eye / v.size)], tol)

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmeas
@@ -22,13 +22,16 @@ from qmeas.models import (
     CATALOG,
     build_extremal_model,
     build_ideality_example,
+    build_luders_scheme,
     build_nondisturbance_example,
     build_shift_scheme,
     completely_unsharp_pair,
     extremal_instrument,
     pointer_observable,
     random_constrained_channel,
+    random_constrained_scheme,
     random_low_rank_preparation,
+    random_povm,
     trivial_swap_scheme,
 )
 
@@ -558,3 +561,42 @@ class TestExitContractFuzz:
                 code = main([*command, str(path), "--json"])
             assert code in (EXIT_YES, EXIT_NO, EXIT_ERROR)
             assert loads or code == EXIT_ERROR, (command, text[:300])
+
+
+# schemes whose ancilla is replaced; seeded where the family has a free draw
+SMALL_ANCILLA_FAMILIES = {
+    "luders": lambda seed: build_luders_scheme(random_povm(2, 3, seed, mode="completely-unsharp")),
+    "swap": lambda seed: trivial_swap_scheme(State.complete_mixture(2 + seed % 2),
+                                             pointer_observable(2 + seed % 2)),
+    "shift": lambda seed: build_shift_scheme(3, (0.5, 0.3, 0.2)),
+    "random": lambda seed: random_constrained_scheme(2, 3, 2, seed),
+}
+
+DEFAULT_RANK_CUT = DEFAULT_TOL.rank_threshold  # rank_cut of a state's eigenvalues, all at most 1
+
+
+class TestReductionsKeepTheExitContract:
+    """A valid scheme whose ancilla has eigenvalues near the rank cut gets a verdict from every check
+    verb: the Kraus reductions drop those eigenvalues, and must not then reject their own instrument."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(sorted(SMALL_ANCILLA_FAMILIES)), seed=st.integers(0, 2 ** 31 - 1),
+           small=st.lists(st.floats(np.log10(DEFAULT_TOL.atol_equality), np.log10(10 * DEFAULT_RANK_CUT))
+                          .map(lambda e: 10.0 ** e), min_size=1, max_size=2))
+    @example(family="swap", seed=0, small=[5e-9])  # ancilla diag(1 - 5e-9, 5e-9)
+    def test_small_ancilla_eigenvalues_give_a_verdict(self, tmp_path_factory, family, seed, small):
+        scheme = SMALL_ANCILLA_FAMILIES[family](seed)
+        small = small[:scheme.ancilla_dim - 1]
+        rest = scheme.ancilla_dim - len(small)
+        weights = np.concatenate([np.full(rest, (1.0 - sum(small)) / rest), small])
+        scheme = dataclasses.replace(scheme, ancilla=State.diagonal(weights))
+        path = tmp_path_factory.getbasetemp() / "small-ancilla.json"
+        against = tmp_path_factory.getbasetemp() / "small-ancilla-against.json"
+        modelfile.save(scheme, str(path))
+        modelfile.save(pointer_observable(scheme.system_dim), str(against))
+        for verb in CHECK_VERBS:
+            if verb == "channel-thirdlaw":
+                continue  # a channel verb: a scheme is the wrong kind of input
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["check", verb, str(path), "--against", str(against)])
+            assert code in (EXIT_YES, EXIT_NO), (verb, weights, err.getvalue())

@@ -4,8 +4,9 @@ import pytest
 from qmeas.algebra import decompose, fixed_point_space
 from qmeas.classify import classify
 from qmeas import models
-from qmeas.core import Channel, Observable, Operation, State, apply, scheme_to_instrument, superop_distance
-from qmeas.errors import BadDistribution, NotCompletelyUnsharp, NotFullRank
+from qmeas.core import (Channel, Instrument, Observable, Operation, State, apply, scheme_to_instrument,
+                        superop_distance)
+from qmeas.errors import BadDistribution, NotCompletelyUnsharp, NotFullRank, ValidationError
 from qmeas.linalg import hermitian_eig, hs_norm, kron, matrix_sqrt_psd, numerical_rank
 from qmeas.models import (
     CATALOG,
@@ -213,6 +214,26 @@ class TestGuards:
     def test_swap_scheme_needs_full_rank_ancilla(self):
         with pytest.raises(NotFullRank):
             build_swap_scheme(State.pure([0.0, 1.0]))
+
+
+class TestReductionsAcceptTheirOutput:
+    EFFECTS = (np.diag([1 - 5e-9, 5e-9]), np.diag([5e-9, 1 - 5e-9]))
+
+    def test_trivial_instrument_of_effects_with_eigenvalues_below_the_cut(self):
+        # measure_prepare_kraus drops both 5e-9 eigenvalues, so the induced effects sum to
+        # (1 - 5e-9) 1: off by more than atol_equality * 2, within it plus the dropped weight
+        inst = models.trivial_instrument(Observable(self.EFFECTS))
+        assert [op.dropped for op in inst.operations] == pytest.approx([5e-9, 5e-9], rel=1e-6)
+        assert np.abs(inst.induced_observable().effects - self.EFFECTS).max() == pytest.approx(5e-9)
+
+    def test_user_objects_are_validated_as_tightly_as_before(self):
+        cut = tuple(np.diag(np.where(e > 0.5, e, 0.0)) for e in map(np.diag, self.EFFECTS))
+        with pytest.raises(ValidationError):
+            Observable(cut)
+        with pytest.raises(ValidationError):
+            Instrument(tuple(Operation((np.sqrt(e),)) for e in cut))
+        with pytest.raises(ValidationError):
+            Channel(np.sqrt(cut))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -182,7 +184,8 @@ class TestExtremal:
         assert (other.extremal, other.kraus_ranks, other.gram_rank) == \
             (base.extremal, base.kraus_ranks, base.gram_rank)
 
-    # "remainder": 23^2 + 10^2 = 629 products of d = 8 against row blocks of 512, full rank 64;
+    # "remainder": 23^2 + 10^2 = 629 products of d = 8, the first family's 23 a's in row blocks
+    # of 22 and 1, full rank 64;
     # "repeated": d = 16, outcome 1 repeats outcome 0's operators scaled, so 100 of the
     # 100 + 100 + 36 = 236 products (row blocks of 128) coincide up to scale: rank 136
     @pytest.mark.parametrize("case, d, count, rank", [("remainder", 8, 629, 64), ("repeated", 16, 236, 136)])
@@ -194,7 +197,7 @@ class TestExtremal:
             ks = random_channel(d, d, 16, 3).kraus
             families = (np.sqrt(0.3) * ks[:10], np.sqrt(0.7) * ks[:10], ks[10:])
         res = check_extremal(Instrument(tuple(Operation(f) for f in families)))
-        minimal = [kraus_from_rows(f.reshape(len(f), -1), d, d) for f in families]
+        minimal = [kraus_from_rows(f.reshape(len(f), -1), d, d)[0] for f in families]
         products = np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
                                    for f in minimal])
         assert len(products) == res.product_count == count
@@ -202,12 +205,41 @@ class TestExtremal:
         assert res.gram_rank == numerical_rank(products) == rank
         assert not res.extremal
 
+    # d = 14, one outcome of 13 Kraus operators: 169 independent products, made as row blocks
+    # of 12 a's and 1; d = 6, two outcomes of 36: 2592 products in blocks of 25 a's and 11
+    @pytest.mark.parametrize("d, count, extremal", [(14, 169, True), (6, 2592, False)])
+    def test_blockwise_products_give_the_result_of_all_products_at_once(self, d, count, extremal):
+        ks = random_channel(d, d, 13 if d == 14 else 72, 5).kraus
+        families = (ks,) if d == 14 else (ks[:36], ks[36:])
+        res = check_extremal(Instrument(tuple(Operation(f) for f in families)))
+        products = np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
+                                   for f in families])
+        per_block = BLOCK_ENTRIES // (len(families[0]) * d * d)  # a's of the first family per block
+        assert products.size > BLOCK_ENTRIES and len(families[0]) % per_block != 0
+        rank = numerical_rank(products)
+        assert (res.extremal, res.kraus_ranks, res.gram_rank, res.product_count) == \
+            (rank == count, tuple(len(f) for f in families), rank, count)
+        assert res.extremal is extremal
+
+    def test_products_are_reduced_one_row_block_at_a_time(self):
+        # the shape of the benchmark's largest random scheme: 2 x 64^2 = 8192 products of 8 x 8;
+        # made at once, they and their temporaries peaked at 16.9 MB
+        instrument = scheme_to_instrument(random_constrained_scheme(8, 4, 2, 0))
+        tracemalloc.start()
+        try:
+            res = check_extremal(instrument)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.product_count == 8192 and not res.extremal
+        assert peak < 4e6
+
     def test_minimal_kraus_drops_redundancy(self):
         obs = pointer_observable(2)
         p0 = obs.effects[0].astype(complex)
         # same operation written with a split Kraus family
         op_related = luders_instrument(obs).operations[0]
-        fam = kraus_from_choi(op_related.choi, 2, 2)
+        fam = kraus_from_choi(op_related.choi, 2, 2)[0]
         assert len(fam) == 1
         assert np.abs(fam[0] @ fam[0].conj().T - p0).max() < 1e-10
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas import thirdlaw
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
 from qmeas.errors import InfeasibleDimensions, NotEndomorphic
 from qmeas.linalg import dagger, hs_norm, kron, numerical_rank, unvec, vec
@@ -79,6 +82,26 @@ class TestFaithfulness:
             else:
                 ch = random_low_rank_preparation(3, 1 + seed % 2, seed)
             assert check_faithfulness(ch) == check_channel_thirdlaw(ch).constrained
+
+
+    def test_frame_operator_is_summed_by_row_blocks(self):
+        ch = random_constrained_channel(20, 0)
+        tracemalloc.start()
+        try:
+            faithful = check_faithfulness(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert faithful
+        assert peak < ch.kraus.nbytes / 2  # a product stack and its conjugate cost 2.0x
+
+    def test_route_is_independent_of_the_image_route(self, monkeypatch):
+        def image_route(*args):
+            raise AssertionError("check_faithfulness called apply")
+
+        monkeypatch.setattr(thirdlaw, "apply", image_route)
+        assert check_faithfulness(random_constrained_channel(4, 1))
+        assert not check_faithfulness(random_low_rank_preparation(3, 1, 0))
 
 
 class TestFixedState:
