@@ -386,8 +386,7 @@ def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
 
 def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Minimal Kraus family, stacked, of the map whose Kraus operators have the rows vec(K_i) of v,
-    and the weight sum s^2 of the singular values s it drops.
+    """Minimal Kraus family (stacked) of the map with Kraus rows vec(K_i) in v, and the weight s^2 it drops.
 
     Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.

@@ -192,8 +192,15 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
     """Kraus operators K_{x,f} = V_f (x) |phi_f><x| of the measurement channel."""
     v0 = np.diag([np.sqrt(0.25), np.sqrt(0.75)]).astype(np.complex128)
     v1 = np.array([[0.0, np.sqrt(0.25)], [np.sqrt(0.75), 0.0]], dtype=np.complex128)
-    vs, phis = (v0, v1), (_ket(0, 2), np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
-    return {(x, f): kron(vs[f], np.outer(phis[f], _ket(x, 2).conj())) for x in range(2) for f in range(2)}
+    phi0 = _ket(0, 2)
+    phi1 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
+    vs = (v0, v1)
+    phis = (phi0, phi1)
+    return {
+        (x, f): kron(vs[f], np.outer(phis[f], _ket(x, 2).conj()))
+        for x in range(2)
+        for f in range(2)
+    }
 
 
 def extremal_instrument() -> Instrument:
@@ -215,7 +222,8 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
     if numerical_rank(xi.matrix) < 2 or xi.dim != 2:
         raise NotFullRank("ancilla state must be a full-rank qubit state")
     e1 = Channel.unitary(kron(np.eye(2), swap_unitary(2)))
-    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()))  # measure, then idle
+    # the measurement channel on the system, the ancilla idle
+    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()))
     return MeasurementScheme(
         system_dim=4,
         ancilla=xi,
@@ -440,7 +448,9 @@ def table1_observables() -> dict[str, Observable]:
     """One representative per observable class column."""
     qubit_sharp = Observable((np.diag([1.0, 0.0]).astype(np.complex128),
                               np.diag([0.0, 1.0]).astype(np.complex128)))
-    rank2_sharp = Observable(tuple(kron(np.eye(2), _proj(_ket(x, 2))) for x in range(2)))
+    rank2_sharp = Observable(tuple(
+        kron(np.eye(2), _proj(_ket(x, 2))) for x in range(2)
+    ))
     norm1, _ = build_ideality_example()
     return {
         "small-rank": qubit_sharp,
@@ -489,7 +499,8 @@ def _catalog_extremal() -> dict:
 
 def _catalog_swap() -> dict:
     xi = State.diagonal([0.7, 0.3])
-    return {"scheme": build_swap_scheme(xi), "xi": xi}
+    scheme = build_swap_scheme(xi)
+    return {"scheme": scheme, "xi": xi}
 
 
 def _catalog_rank_drop() -> dict:
