@@ -30,6 +30,7 @@ from .properties import (
     check_ideal,
     check_non_disturbance,
     check_repeatable,
+    decide,
     evaluate_properties,
     theorem_predicates,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "check_ideal",
     "check_non_disturbance",
     "check_repeatable",
+    "decide",
     "evaluate_properties",
     "theorem_predicates",
 ]

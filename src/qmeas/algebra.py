@@ -140,9 +140,6 @@ class FactorDecomposition:
     blocks: tuple[FactorBlock, ...]
     reconstruction_residual: float
 
-    def block_units(self) -> np.ndarray:
-        return _block_units(self.blocks)
-
 
 def _block_units(blocks) -> np.ndarray:
     """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra, stacked."""

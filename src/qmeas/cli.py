@@ -43,16 +43,7 @@ from .models import (
     random_full_rank_state,
     table1_observables,
 )
-from .properties import (
-    IDEAL_TRUE,
-    POSSIBLE,
-    THEOREM_ROWS,
-    check_extremal,
-    check_ideal,
-    check_repeatable,
-    invariance,
-    theorem_predicates,
-)
+from .properties import POSSIBLE, THEOREM_ROWS, decide, theorem_predicates
 from .thirdlaw import (
     check_channel_thirdlaw,
     check_scheme_thirdlaw,
@@ -63,8 +54,9 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
-CHECK_VERBS = ("channel-thirdlaw", "scheme-thirdlaw", "nondisturbance", "firstkind",
-               "repeatable", "ideal", "extremal")
+# each property check verb and the Table 1 row it decides: the row's name without underscores
+VERB_ROWS = {row.replace("_", ""): row for row in THEOREM_ROWS}
+CHECK_VERBS = ("channel-thirdlaw", "scheme-thirdlaw", *VERB_ROWS)
 
 # Table 1's columns, each with the classify flag of its observable class
 TABLE1_COLUMNS = {
@@ -72,15 +64,6 @@ TABLE1_COLUMNS = {
     "sharp": "is_sharp",
     "norm-1": "is_norm1",
     "completely-unsharp": "is_completely_unsharp",
-}
-
-# the check verb that decides each Table 1 row
-ROW_VERBS = {
-    "non_disturbance": "nondisturbance",
-    "first_kind": "firstkind",
-    "repeatable": "repeatable",
-    "ideal": "ideal",
-    "extremal": "extremal",
 }
 
 
@@ -114,9 +97,10 @@ def run_check(verb: str, obj, tol: Tolerances,
               against: Observable | None = None) -> tuple[bool, dict]:
     """Decide one check verb on a loaded model object.
 
-    Returns the verdict and the report fields behind it.  The instrument
-    verbs read a scheme as the instrument it induces; nondisturbance needs
-    `against`, the observable that must stay invariant.
+    Returns the verdict and the report fields behind it.  The property
+    verbs read a scheme as the instrument it induces and are decided by
+    `decide`; nondisturbance needs `against`, the observable that must stay
+    invariant.
     """
     if verb in ("channel-thirdlaw", "scheme-thirdlaw"):
         verdict = (check_channel_thirdlaw(_expect(obj, Channel, "a channel"), tol)
@@ -127,26 +111,13 @@ def run_check(verb: str, obj, tol: Tolerances,
     if isinstance(obj, MeasurementScheme):
         obj = scheme_to_instrument(obj, tol)
     instrument = _expect(obj, Instrument, "an instrument or scheme")
-    if verb in ("firstkind", "nondisturbance"):
-        if verb == "firstkind":
-            key, effects = "first_kind", instrument.induced_observable().effects
-        elif against is None:
+    if verb == "nondisturbance":
+        if against is None:
             raise QmeasError("nondisturbance requires --against OBSERVABLE_FILE")
-        else:
-            key = "non_disturbance"
-            effects = _expect(against, Observable, "an observable for --against").effects
-        holds, residual = invariance(instrument.total_channel(), effects, tol)
-        return holds, {key: holds, "residual": residual}
-    if verb == "repeatable":
-        holds = check_repeatable(instrument, tol)
-        return holds, {"repeatable": holds}
-    if verb == "ideal":
-        ideal = check_ideal(instrument, tol)
-        return ideal == IDEAL_TRUE, {"ideal": ideal}
-    if verb == "extremal":
-        result = check_extremal(instrument, tol)
-        return result.extremal, dataclasses.asdict(result)
-    raise QmeasError(f"unknown check {verb!r}")
+        _expect(against, Observable, "an observable for --against")
+    if verb not in VERB_ROWS:
+        raise QmeasError(f"unknown check {verb!r}")
+    return decide(VERB_ROWS[verb], instrument, tol, against)
 
 
 def cmd_check(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
@@ -164,7 +135,7 @@ def _witness(name: str, tol: Tolerances) -> tuple[dict, Instrument, bool, Observ
     constrained, and the class of the observable it measures: what every cell naming it shares."""
     objects = CATALOG[name].build()
     instrument = scheme_to_instrument(objects["scheme"], tol)
-    constrained, _ = run_check("scheme-thirdlaw", objects["scheme"], tol)
+    constrained = check_scheme_thirdlaw(objects["scheme"], tol).constrained
     return objects, instrument, constrained, classify(instrument.induced_observable(), tol)
 
 
@@ -177,7 +148,7 @@ def _witness_holds(name: str, witness: tuple, row: str, column: str, tol: Tolera
     """
     objects, instrument, constrained, classification = witness
     expected = CATALOG[name].expected
-    holds, _ = run_check(ROW_VERBS[row], instrument, tol, objects.get("other", objects["observable"]))
+    holds, _ = decide(row, instrument, tol, objects.get("other", objects["observable"]))
     in_class = getattr(classification, TABLE1_COLUMNS[column])
     claimed = expected.get("constrained") is True and expected.get(row) is True
     return constrained and holds and in_class and claimed

@@ -61,14 +61,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1)
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"cannot reshape {v.size} entries to {rows}x{cols}")
-    return v.reshape(rows, cols)
-
-
 def _hermitian_combinations(m: np.ndarray, d: int, phase: complex) -> np.ndarray:
     """Entries jj, (ab + ba)/sqrt 2 and phase (ab - ba)/sqrt 2, a < b, along m's last (vec) axis."""
     a, b = np.triu_indices(d, k=1)

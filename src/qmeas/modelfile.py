@@ -22,7 +22,7 @@ from .core import (
     kraus_from_choi,
 )
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, hermitian_eig
 
 SCHEMA_VERSION = "1"
 
@@ -75,8 +75,14 @@ def _matrices(items: Any) -> tuple[np.ndarray, ...]:
     return tuple(_matrix_from_json(m) for m in items)
 
 
-def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> np.ndarray:
-    """Alternative channel payload: Choi matrix plus [dim_out, dim_in]."""
+def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
+    """Alternative channel or operation payload: Choi matrix plus [dim_out, dim_in].
+
+    kraus_from_choi reduces the matrix (and rejects one that is not Hermitian or not CP).
+    The matrix's own partial trace over the output, (sum K^dag K)^T, must meet the trace
+    condition at atol_equality; the reduced family is validated at that tolerance plus
+    the weight the reduction dropped.
+    """
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(n) and n > 0 for n in dims)):
         raise ValidationError("choi payload requires positive integer dims: [dim_out, dim_in]")
@@ -84,7 +90,17 @@ def _kraus_from_choi_doc(doc: dict, tol: Tolerances) -> np.ndarray:
     choi = _matrix_from_json(doc["choi"])
     if choi.shape != (dim_out * dim_in, dim_out * dim_in):
         raise ValidationError(f"choi shape {choi.shape} does not match dims {dims}")
-    return kraus_from_choi(choi, dim_out, dim_in, tol)[0]
+    kraus, dropped = kraus_from_choi(choi, dim_out, dim_in, tol)
+    kraus_sum = np.trace(choi.reshape(dim_out, dim_in, dim_out, dim_in), axis1=0, axis2=2).T
+    if cls is Channel:
+        dev = np.abs(kraus_sum - np.eye(dim_in)).max()
+        if not dev <= tol.atol_equality:
+            raise ValidationError(f"choi partial trace deviates from identity by {dev:.3e}")
+    else:
+        top = hermitian_eig(kraus_sum, tol)[0][0]
+        if not top <= 1.0 + tol.atol_equality:
+            raise ValidationError(f"choi partial trace has eigenvalue {top:.12f} > 1")
+    return cls(kraus, tol, dropped)
 
 
 def encode(obj) -> dict:
@@ -132,7 +148,7 @@ def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
     if kind in ("channel", "operation"):
         cls = Channel if kind == "channel" else Operation
         if "choi" in doc:
-            return cls(_kraus_from_choi_doc(doc, tol), tol)
+            return _from_choi_doc(doc, cls, tol)
         return cls(_matrices(_field(doc, "kraus")), tol)
     if kind == "instrument":
         ops = tuple(Operation(_matrices(kraus), tol) for kraus in _field(doc, "operations"))

@@ -6,18 +6,19 @@ relevant effects, repeatability compares I_x^*(E_y) with delta_xy E_x, and
 ideality tests invariance on a basis of operators supported where the
 effect attains 1.  Extremality is decided by linear independence of the
 products of a minimal Kraus family, which is necessary and sufficient.
+`decide` is the one decision path for all five: the CLI's check verbs,
+`evaluate_properties` and Table 1's witnesses go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .classify import ObservableClassification
 from .core import (
     BLOCK_ENTRIES,
-    Channel,
     Instrument,
     MeasurementScheme,
     Observable,
@@ -28,7 +29,7 @@ from .core import (
     scheme_to_instrument,
     superop_distance,
 )
-from .errors import SchemeMismatch
+from .errors import QmeasError, SchemeMismatch
 from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank
 
 IDEAL_BASIS_RESIDUAL = 1e-8
@@ -42,27 +43,6 @@ NOT_COVERED = "not_covered"
 IDEAL_TRUE = "true"
 IDEAL_FALSE = "false"
 IDEAL_NOT_APPLICABLE = "not_applicable"
-
-
-def invariance(channel: Channel, effects, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether Phi^*(F) = F within atol_equality for every effect F, and max |Phi^*(F) - F|.
-
-    Phi is an instrument's total channel I_X.
-    """
-    f = np.asarray(effects, dtype=np.complex128)
-    residual = float(np.abs(apply_dual(channel, f) - f).max())
-    return residual <= tol.atol_equality, residual
-
-
-def check_non_disturbance(instrument: Instrument, other: Observable,
-                          tol: Tolerances = DEFAULT_TOL) -> bool:
-    """I_X^*(F_y) = F_y for every effect of the other observable."""
-    return invariance(instrument.total_channel(), other.effects, tol)[0]
-
-
-def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Non-disturbance of the instrument's own observable."""
-    return check_non_disturbance(instrument, instrument.induced_observable(), tol)
 
 
 def check_repeatable(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -227,7 +207,46 @@ def check_extremal_scheme_identity(scheme: MeasurementScheme, instrument: Instru
 
 
 # ---------------------------------------------------------------------------
-# one-call report
+# the one decision path
+
+
+def decide(row: str, instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
+           against: Observable | None = None) -> tuple[bool, dict]:
+    """Decide one THEOREM_ROWS property on an instrument: the verdict and the fields behind it.
+
+    The verdict's key leads the fields.  first_kind and non_disturbance hold when
+    I_X^*(F) = F within atol_equality for every effect F of the instrument's own
+    observable and of `against`, and report the residual max |I_X^*(F) - F|.
+    """
+    if row in ("first_kind", "non_disturbance"):
+        invariant = instrument.induced_observable() if row == "first_kind" else against
+        if invariant is None:
+            raise QmeasError("non_disturbance needs an observable to hold invariant")
+        f = invariant.effects
+        residual = float(np.abs(apply_dual(instrument.total_channel(), f) - f).max())
+        holds = residual <= tol.atol_equality
+        return holds, {row: holds, "residual": residual}
+    if row == "repeatable":
+        holds = check_repeatable(instrument, tol)
+        return holds, {row: holds}
+    if row == "ideal":
+        ideal = check_ideal(instrument, tol)
+        return ideal == IDEAL_TRUE, {row: ideal}
+    if row == "extremal":
+        result = check_extremal(instrument, tol)
+        return result.extremal, asdict(result)
+    raise QmeasError(f"unknown property {row!r}")
+
+
+def check_non_disturbance(instrument: Instrument, other: Observable,
+                          tol: Tolerances = DEFAULT_TOL) -> bool:
+    """I_X^*(F_y) = F_y for every effect of the other observable."""
+    return decide("non_disturbance", instrument, tol, other)[0]
+
+
+def check_first_kind(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Non-disturbance of the instrument's own observable."""
+    return decide("first_kind", instrument, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -242,19 +261,11 @@ class PropertyReport:
 
 def evaluate_properties(instrument: Instrument, tol: Tolerances = DEFAULT_TOL,
                         against: Observable | None = None) -> PropertyReport:
-    """All property verdicts; each invariance residual is computed once and thresholded."""
-    obs = instrument.induced_observable()
-    total = instrument.total_channel()
-    residuals = {}
-    first_kind, residuals["first_kind"] = invariance(total, obs.effects, tol)
-    non_disturbance = None
-    if against is not None:
-        non_disturbance, residuals["non_disturbance"] = invariance(total, against.effects, tol)
+    """decide on every row, non_disturbance only when `against` is given."""
+    fields = {row: decide(row, instrument, tol, against)[1] for row in THEOREM_ROWS
+              if row != "non_disturbance" or against is not None}
     return PropertyReport(
-        first_kind=first_kind,
-        repeatable=check_repeatable(instrument, tol),
-        ideal=check_ideal(instrument, tol),
-        extremal=check_extremal(instrument, tol),
-        non_disturbance=non_disturbance,
-        residuals=residuals,
+        **{row: f[row] for row, f in fields.items() if row != "extremal"},
+        extremal=ExtremalResult(**fields["extremal"]),
+        residuals={row: f["residual"] for row, f in fields.items() if "residual" in f},
     )

@@ -135,7 +135,7 @@ class TestDecompose:
         inst = swap_instrument()
         space = fixed_point_space(inst)
         deco = decompose(space, inst)
-        assert subspace_distance(deco.block_units(), list(space.basis), 4) < 1e-7
+        assert subspace_distance(algebra._block_units(deco.blocks), list(space.basis), 4) < 1e-7
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-11])
     def test_subspace_distance_is_the_projector_distance(self, eps):

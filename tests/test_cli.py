@@ -188,6 +188,23 @@ class TestCheck:
         assert code == EXIT_YES and report["residual"] < 1e-10
         assert len(calls) == 1
 
+    # the report of each property verb: the echo, then the verdict's key and the fields behind it
+    @pytest.mark.parametrize("verb, keys", [
+        ("nondisturbance", ["non_disturbance", "residual"]),
+        ("firstkind", ["first_kind", "residual"]),
+        ("repeatable", ["repeatable"]),
+        ("ideal", ["ideal"]),
+        ("extremal", ["extremal", "kraus_ranks", "gram_rank", "product_count"]),
+    ])
+    def test_property_report_keys_and_their_order(self, tmp_path, capsys, verb, keys):
+        built = CATALOG["luders-unsharp-qubit"].build()
+        spath, opath = tmp_path / "scheme.json", tmp_path / "obs.json"
+        modelfile.save(built["scheme"], str(spath))
+        modelfile.save(built["observable"], str(opath))
+        code, report, _ = run_json(capsys, "check", verb, str(spath), "--against", str(opath))
+        assert code in (EXIT_YES, EXIT_NO)
+        assert list(report) == ["command", "tolerances", "seed", *keys]
+
     def test_catalog_claims_are_facts_a_check_decides(self):
         built = CATALOG["luders-unsharp-qubit"].build()
         decided = set()
@@ -423,6 +440,19 @@ class TestPlumbing:
             code, _, err = run(capsys, "check", verb, str(path))
             assert code == EXIT_ERROR
             assert "'system_dim'" in err
+
+    def test_choi_payload_reduced_past_atol_gives_a_verdict(self, tmp_path, capsys):
+        # the measure-and-prepare channel onto diag(1 - 5e-9, 5e-9): its Choi matrix has
+        # eigenvalues 5e-9 below the rank cut, so the reduced Kraus family misses the identity
+        # by 5e-9, more than atol_equality; the Choi matrix itself meets it exactly
+        doc = {"schema_version": "1", "kind": "channel", "choi": None, "dims": [2, 2]}
+        choi = np.kron(np.diag([1 - 5e-9, 5e-9]), np.eye(2))
+        path = tmp_path / "ch.json"
+        for scale, codes in ((1.0, (EXIT_YES, EXIT_NO)), (1 + 1e-7, (EXIT_ERROR,))):
+            doc["choi"] = [[[z.real, z.imag] for z in row] for row in scale * choi]
+            path.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+            assert code in codes, (scale, err)
 
     def test_boolean_choi_dims_is_an_input_error(self, tmp_path, capsys):
         doc = {"schema_version": "1", "kind": "channel", "choi": [[[1.0, 0.0]]], "dims": [True, True]}

@@ -16,7 +16,6 @@ from qmeas.linalg import (
     numerical_rank,
     partial_trace,
     unembed_hermitian,
-    unvec,
     vec,
 )
 from qmeas.models import random_channel
@@ -240,7 +239,7 @@ class TestVectorization:
     def test_round_trip(self):
         rng = np.random.default_rng(37)
         a = rand_complex(rng, 5)
-        assert np.array_equal(unvec(vec(a), 5), a)
+        assert np.array_equal(vec(a).reshape(5, 5), a)
 
     def test_row_major_convention(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)

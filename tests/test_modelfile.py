@@ -91,6 +91,19 @@ class TestChoiPayload:
         back = decode(doc)
         assert superop_distance(back, ch) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["channel", "operation"])
+    def test_choi_is_checked_before_its_reduction(self, kind):
+        # sigma (x) 1 is the Choi matrix of rho -> tr[rho] sigma; sigma's eigenvalue 5e-9 lies
+        # below the rank cut, and the Kraus family without it sums to (1 - 5e-9) 1
+        choi = np.kron(np.diag([1 - 5e-9, 5e-9]), np.eye(2))
+        doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "dims": [2, 2],
+               "choi": [[[z.real, z.imag] for z in row] for row in choi]}
+        back = decode(doc)
+        assert len(back.kraus) == 2 and back.dropped == pytest.approx(1e-8)
+        doc["choi"] = [[[z.real, z.imag] for z in row] for row in (1 + 1e-7) * choi]
+        with pytest.raises(ValidationError, match="choi partial trace"):
+            decode(doc)
+
     def test_choi_requires_dims(self):
         ch = random_channel(2, 2, 2, 5)
         doc = {

@@ -17,7 +17,7 @@ from qmeas.core import (
     luders_instrument,
     scheme_to_instrument,
 )
-from qmeas.errors import SchemeMismatch
+from qmeas.errors import QmeasError, SchemeMismatch
 from qmeas.linalg import Tolerances, numerical_rank
 from qmeas.thirdlaw import check_scheme_thirdlaw
 from qmeas.models import (
@@ -52,6 +52,7 @@ from qmeas.properties import (
     check_ideal,
     check_non_disturbance,
     check_repeatable,
+    decide,
     evaluate_properties,
     theorem_predicates,
 )
@@ -353,6 +354,39 @@ class TestInvariants:
         assert report.residuals["first_kind"] < 1e-10
 
 
+class TestDecide:
+    def test_unknown_row_is_an_error(self):
+        inst = luders_instrument(completely_unsharp_pair())
+        with pytest.raises(QmeasError, match="unknown property"):
+            decide("firstkind", inst)  # a CLI verb, not a row name
+
+    def test_non_disturbance_needs_an_observable(self):
+        inst = luders_instrument(completely_unsharp_pair())
+        with pytest.raises(QmeasError):
+            decide("non_disturbance", inst)
+        with pytest.raises(QmeasError):
+            check_non_disturbance(inst, None)
+
+    def test_each_verdict_is_the_one_the_report_gives(self):
+        decided = 0
+        for entry in CATALOG.values():
+            objects = entry.build()
+            for inst in (objects.get("instrument"), objects.get("scheme")):
+                if inst is None:
+                    continue
+                if not isinstance(inst, Instrument):
+                    inst = scheme_to_instrument(inst)
+                against = objects.get("other", objects.get("observable", inst.induced_observable()))
+                r = evaluate_properties(inst, against=against)
+                reported = {"non_disturbance": r.non_disturbance, "first_kind": r.first_kind,
+                            "repeatable": r.repeatable, "ideal": r.ideal == IDEAL_TRUE,
+                            "extremal": r.extremal.extremal}
+                assert {row: decide(row, inst, against=against)[0] for row in THEOREM_ROWS} == \
+                    reported, entry.name
+                decided += 1
+        assert decided == 8  # every catalog instrument and scheme
+
+
 def _verdicts(inst, against):
     r = evaluate_properties(inst, against=against)
     return (r.first_kind, r.repeatable, r.ideal, r.extremal.extremal, r.extremal.gram_rank,
@@ -415,9 +449,7 @@ class TestFalsification:
             scheme = random_constrained_scheme(d, n, n, seed)
         assert check_scheme_thirdlaw(scheme).constrained
         inst = scheme_to_instrument(scheme)
-        report = evaluate_properties(inst)
-        found = {"first_kind": report.first_kind, "repeatable": report.repeatable,
-                 "ideal": report.ideal == IDEAL_TRUE, "extremal": report.extremal.extremal}
+        found = {row: decide(row, inst)[0] for row in THEOREM_ROWS if row != "non_disturbance"}
         verdicts = theorem_predicates(classify(inst.induced_observable()), inst.dim).verdicts
         for row, holds in found.items():
             assert not (holds and verdicts[row] == IMPOSSIBLE), (row, family)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qmeas import thirdlaw
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
 from qmeas.errors import InfeasibleDimensions, NotEndomorphic
-from qmeas.linalg import dagger, hs_norm, kron, numerical_rank, unvec, vec
+from qmeas.linalg import dagger, hs_norm, kron, numerical_rank, vec
 from qmeas.models import (
     build_extremal_model,
     build_luders_scheme,
@@ -145,7 +145,7 @@ class TestFixedState:
             avg = right @ np.linalg.solve(dagger(left) @ right, dagger(left))
             assert hs_norm(avg @ s - avg) < 1e-10
             assert hs_norm(avg @ avg - avg) < 1e-12
-            assert hs_norm(unvec(avg @ vec(np.eye(3) / 3), 3) - fixed.mixture_limit) < 1e-12
+            assert hs_norm((avg @ vec(np.eye(3) / 3)).reshape(3, 3) - fixed.mixture_limit) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.2, 0.1, 0.01])
     def test_slowly_mixing_amplitude_damping(self, gamma):
