@@ -121,6 +121,8 @@ def run_check(verb: str, obj, tol: Tolerances,
 
 
 def cmd_check(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
+    if args.against and args.what != "nondisturbance":
+        raise QmeasError(f"--against is only for nondisturbance, not {args.what}")
     obj = modelfile.load(args.path, tol)
     against = modelfile.load(args.against, tol) if args.against else None
     return run_check(args.what, obj, tol, against)
@@ -162,12 +164,11 @@ def cmd_table1(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     all_verified = True
     for column in TABLE1_COLUMNS:
         obs = representatives[column]
-        predicates = theorem_predicates(classify(obs, tol), obs.dim)
-        for row in THEOREM_ROWS:
-            if predicates.verdicts[row] != POSSIBLE:
-                cells[row][column] = {"verdict": "x", "anchor": predicates.reasons[row]}
+        for row, cell in theorem_predicates(classify(obs, tol), obs.dim).items():
+            if cell.verdict != POSSIBLE:
+                cells[row][column] = {"verdict": "x", "anchor": cell.reason}
                 continue
-            name = predicates.witnesses[row]
+            name = cell.witness
             if name not in built:
                 built[name] = _witness(name, tol)
             verified = _witness_holds(name, built[name], row, column, tol)

@@ -32,7 +32,6 @@ from .core import (
 from .errors import QmeasError, SchemeMismatch
 from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank
 
-IDEAL_BASIS_RESIDUAL = 1e-8
 SCHEME_IDENTITY_RESIDUAL = 1e-7
 SCHEME_IMPLEMENTS_RESIDUAL = 1e-8
 
@@ -69,7 +68,7 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
     for op, wx, vx in zip(instrument.operations, w, v):
         q = vx[:, attains_one(wx, tol)]
         units = np.einsum("ai,bj->ijab", q, q.conj()).reshape(-1, instrument.dim, instrument.dim)
-        if np.abs(apply(op, units) - units).max() > IDEAL_BASIS_RESIDUAL:
+        if np.abs(apply(op, units) - units).max() > tol.atol_equality:
             return IDEAL_FALSE
     return IDEAL_TRUE
 
@@ -111,67 +110,58 @@ THEOREM_ROWS = ("non_disturbance", "first_kind", "repeatable", "ideal", "extrema
 
 
 @dataclass(frozen=True)
-class TheoremPredicates:
-    """Row verdicts: can a constrained scheme realize the property for this class?
+class Cell:
+    """One Table 1 cell: can a constrained scheme realize the row's property for this class?
 
-    witnesses names, for each possible row, the CATALOG entry whose scheme
+    witness names, for a possible cell, the CATALOG entry whose scheme
     realizes the property for an observable of the class.
     """
 
-    verdicts: dict
-    reasons: dict
-    witnesses: dict
+    verdict: str
+    reason: str
+    witness: str | None = None
 
 
-def theorem_predicates(c: ObservableClassification, dim: int) -> TheoremPredicates:
-    verdicts: dict[str, str] = {}
-    reasons: dict[str, str] = {}
-    witnesses: dict[str, str] = {}
-
+def theorem_predicates(c: ObservableClassification, dim: int) -> dict[str, Cell]:
+    """The cell of every THEOREM_ROWS row for an observable's class."""
     if c.is_completely_unsharp:
-        verdicts["non_disturbance"] = POSSIBLE
-        reasons["non_disturbance"] = "completely unsharp: a commuting observable survives undisturbed"
-        witnesses["non_disturbance"] = "luders-unsharp-qubit"
+        non_disturbance = Cell(POSSIBLE, "completely unsharp: a commuting observable survives undisturbed",
+                               "luders-unsharp-qubit")
     elif c.is_norm1:
-        verdicts["non_disturbance"] = IMPOSSIBLE
-        reasons["non_disturbance"] = ("norm-1 effects: not every observable commuting with E "
-                                      "can stay undisturbed")
+        non_disturbance = Cell(IMPOSSIBLE, "norm-1 effects: not every observable commuting with E "
+                                           "can stay undisturbed")
     elif c.is_small_rank:
-        verdicts["non_disturbance"] = IMPOSSIBLE
-        reasons["non_disturbance"] = "a rank-1 effect collapses the fixed-point algebra to scalars"
+        non_disturbance = Cell(IMPOSSIBLE, "a rank-1 effect collapses the fixed-point algebra to scalars")
     else:
-        verdicts["non_disturbance"] = NOT_COVERED
-        reasons["non_disturbance"] = "between the decided classes"
+        non_disturbance = Cell(NOT_COVERED, "between the decided classes")
 
     if c.is_commutative and c.is_completely_unsharp:
-        verdicts["first_kind"] = POSSIBLE
-        reasons["first_kind"] = "commutative and completely unsharp: own-observable invariance attainable"
-        witnesses["first_kind"] = "luders-unsharp-qubit"
+        first_kind = Cell(POSSIBLE, "commutative and completely unsharp: own-observable invariance "
+                                    "attainable", "luders-unsharp-qubit")
     else:
-        verdicts["first_kind"] = IMPOSSIBLE
-        reasons["first_kind"] = "first-kindness needs a commutative completely unsharp observable"
-
-    verdicts["repeatable"] = IMPOSSIBLE
-    reasons["repeatable"] = "repeatability is excluded outright under rank non-decrease"
-    verdicts["ideal"] = IMPOSSIBLE
-    reasons["ideal"] = "ideality is excluded outright under rank non-decrease"
+        first_kind = Cell(IMPOSSIBLE, "first-kindness needs a commutative completely unsharp observable")
 
     if min(c.per_effect_ranks) ** 2 < dim:
-        verdicts["extremal"] = IMPOSSIBLE
-        reasons["extremal"] = "an effect has rank below sqrt(dim)"
+        extremal = Cell(IMPOSSIBLE, "an effect has rank below sqrt(dim)")
+    elif len(c.per_effect_ranks) > dim ** 2:
+        # each outcome gives at least one product K^dag K, and the products must be independent
+        extremal = Cell(IMPOSSIBLE, "more outcomes than dim^2: extremality needs n <= d^2")
     elif c.is_completely_unsharp:
-        verdicts["extremal"] = POSSIBLE
-        reasons["extremal"] = "completely unsharp: a Luders instrument with independent effects"
-        witnesses["extremal"] = "luders-unsharp-qubit"
+        extremal = Cell(POSSIBLE, "completely unsharp: a Luders instrument with independent effects",
+                        "luders-unsharp-qubit")
     elif c.is_norm1:
-        verdicts["extremal"] = POSSIBLE
-        reasons["extremal"] = "norm-1 with rank bound met: a non-unitary qubit-ancilla scheme"
-        witnesses["extremal"] = "extremal-two-qubit"
+        extremal = Cell(POSSIBLE, "norm-1 with rank bound met: a non-unitary qubit-ancilla scheme",
+                        "extremal-two-qubit")
     else:
-        verdicts["extremal"] = NOT_COVERED
-        reasons["extremal"] = "rank bound satisfied but no catalog witness"
+        extremal = Cell(NOT_COVERED, "rank bound satisfied but no catalog witness")
 
-    return TheoremPredicates(verdicts, reasons, witnesses)
+    return {
+        "non_disturbance": non_disturbance,
+        "first_kind": first_kind,
+        "repeatable": Cell(IMPOSSIBLE, "repeatability is excluded outright under rank non-decrease"),
+        "ideal": Cell(IMPOSSIBLE, "ideality is excluded outright under rank non-decrease"),
+        "extremal": extremal,
+    }
 
 
 # ---------------------------------------------------------------------------

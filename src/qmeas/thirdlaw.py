@@ -184,18 +184,9 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
     weights = lam.copy()
     for _ in range(copies):
         weights = np.kron(weights, p)
-    slots = weights.size
-    block = m_dim ** copies
+    moved = np.concatenate([weights[weights > 0], weights[weights <= 0]])
 
-    nonzero = np.flatnonzero(weights > 0)
-    zero = np.flatnonzero(weights <= 0)
-    perm = np.empty(slots, dtype=np.intp)
-    perm[nonzero] = np.arange(nonzero.size)
-    perm[zero] = np.arange(nonzero.size, slots)
-    moved = np.zeros(slots)
-    moved[perm] = weights
-
-    system_weights = moved.reshape(n_dim, block).sum(axis=1)
+    system_weights = moved.reshape(n_dim, -1).sum(axis=1)
     restricted = State(v_rho @ np.diag(system_weights) @ v_rho.conj().T, tol)
 
     v0 = v_rho[:, 0]

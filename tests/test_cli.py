@@ -114,6 +114,17 @@ class TestCheck:
         assert code == EXIT_ERROR
         assert "--against" in err
 
+    def test_against_is_only_for_nondisturbance(self, tmp_path, capsys):
+        spath, cpath = tmp_path / "scheme.json", tmp_path / "channel.json"
+        modelfile.save(CATALOG["luders-unsharp-qubit"].build()["scheme"], str(spath))
+        modelfile.save(CATALOG["rank-drop-qutrit"].build()["channel"], str(cpath))
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{")
+        for against in (cpath, malformed):
+            code, out, err = run(capsys, "check", "firstkind", str(spath), "--against", str(against))
+            assert (code, out) == (EXIT_ERROR, "")
+            assert err == "error: --against is only for nondisturbance, not firstkind\n"
+
     def test_nondisturbance_yes(self, tmp_path, capsys):
         _, other, inst = build_nondisturbance_example()
         ipath, opath = tmp_path / "inst.json", tmp_path / "other.json"
@@ -151,6 +162,22 @@ class TestCheck:
         code, report, _ = run_json(capsys, "check", "ideal", str(path2))
         assert code == EXIT_NO and report["ideal"] == "not_applicable"
 
+    def test_ideal_residual_is_cut_at_atol_equality(self, tmp_path, capsys):
+        # flip(1e-4, 1e-4): its sharp observable is neither repeatable nor first kind at the
+        # default atol, so it cannot be ideal; its ideal residual is about 1e-8
+        lam = mu = 1e-4
+        ket = np.eye(4)  # |s, a> is ket[2 s + a]
+        k0 = sum(np.outer(ket[3 * s], ket[2 * s]) for s in range(2))  # |s, s><s, 0|
+        k1 = sum(np.outer(ket[3 * s], ket[2 * s + 1]) for s in range(2))  # |s, s><s, 1|
+        k2 = sum(np.outer(ket[s + 1], ket[2 * s + 1]) for s in range(2))  # |s, s+1 mod 2><s, 1|
+        interaction = Channel((k0, np.sqrt(1 - mu) * k1, np.sqrt(mu) * k2))
+        scheme = MeasurementScheme(2, State.diagonal([1 - lam, lam]), interaction, pointer_observable(2))
+        assert run_check("ideal", scheme, DEFAULT_TOL) == (False, {"ideal": "false"})
+        path = tmp_path / "flip.json"
+        modelfile.save(scheme, str(path))
+        code, report, _ = run_json(capsys, "check", "ideal", str(path), "--tol-atol", "1e-8")
+        assert code == EXIT_YES and report["ideal"] == "true"
+
     def test_extremal_reports_ranks(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         modelfile.save(extremal_instrument(), str(path))
@@ -184,7 +211,8 @@ class TestCheck:
         ipath, opath = tmp_path / "inst.json", tmp_path / "obs.json"
         modelfile.save(luders_instrument(completely_unsharp_pair()), str(ipath))
         modelfile.save(completely_unsharp_pair(), str(opath))
-        code, report, _ = run_json(capsys, "check", verb, str(ipath), "--against", str(opath))
+        against = ["--against", str(opath)] if verb == "nondisturbance" else []
+        code, report, _ = run_json(capsys, "check", verb, str(ipath), *against)
         assert code == EXIT_YES and report["residual"] < 1e-10
         assert len(calls) == 1
 
@@ -201,7 +229,8 @@ class TestCheck:
         spath, opath = tmp_path / "scheme.json", tmp_path / "obs.json"
         modelfile.save(built["scheme"], str(spath))
         modelfile.save(built["observable"], str(opath))
-        code, report, _ = run_json(capsys, "check", verb, str(spath), "--against", str(opath))
+        against = ["--against", str(opath)] if verb == "nondisturbance" else []
+        code, report, _ = run_json(capsys, "check", verb, str(spath), *against)
         assert code in (EXIT_YES, EXIT_NO)
         assert list(report) == ["command", "tolerances", "seed", *keys]
 
@@ -257,8 +286,8 @@ class TestTable1:
 
         def predicates(c, dim):
             p = theorem_predicates(c, dim)
-            if "extremal" in p.witnesses:
-                p.witnesses["extremal"] = "luders-unsharp-qubit"
+            if p["extremal"].witness is not None:
+                p["extremal"] = dataclasses.replace(p["extremal"], witness="luders-unsharp-qubit")
             return p
 
         monkeypatch.setattr(cli, "theorem_predicates", predicates)
@@ -627,6 +656,7 @@ class TestReductionsKeepTheExitContract:
         for verb in CHECK_VERBS:
             if verb == "channel-thirdlaw":
                 continue  # a channel verb: a scheme is the wrong kind of input
+            argv = ["check", verb, str(path)] + (["--against", str(against)] if verb == "nondisturbance" else [])
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-                code = main(["check", verb, str(path), "--against", str(against)])
+                code = main(argv)
             assert code in (EXIT_YES, EXIT_NO), (verb, weights, err.getvalue())

@@ -46,6 +46,7 @@ from qmeas.properties import (
     IMPOSSIBLE,
     POSSIBLE,
     THEOREM_ROWS,
+    Cell,
     check_extremal,
     check_extremal_scheme_identity,
     check_first_kind,
@@ -275,27 +276,43 @@ class TestTheoremPredicates:
     def test_sharp_rank_one(self):
         c = classify(pointer_observable(2))
         p = theorem_predicates(c, 2)
-        assert tuple(p.verdicts[row] for row in THEOREM_ROWS) == (
+        assert tuple(p[row].verdict for row in THEOREM_ROWS) == (
             "impossible", "impossible", "impossible", "impossible", "impossible"
         )
 
     def test_completely_unsharp_pair(self):
         obs = completely_unsharp_pair()
         p = theorem_predicates(classify(obs), 2)
-        assert p.verdicts["non_disturbance"] == "possible"
-        assert p.verdicts["first_kind"] == "possible"
-        assert p.verdicts["repeatable"] == "impossible"
-        assert p.verdicts["ideal"] == "impossible"
-        assert p.verdicts["extremal"] == "possible"
+        assert p["non_disturbance"].verdict == "possible"
+        assert p["first_kind"].verdict == "possible"
+        assert p["repeatable"].verdict == "impossible"
+        assert p["ideal"].verdict == "impossible"
+        assert p["extremal"].verdict == "possible"
 
     def test_degenerate_sharp(self):
         effects = tuple(
             np.kron(np.eye(2), np.outer(e, e)).astype(complex) for e in np.eye(2)
         )
         p = theorem_predicates(classify(Observable(effects)), 4)
-        assert p.verdicts["non_disturbance"] == "impossible"
-        assert p.verdicts["extremal"] == "possible"
-        assert p.witnesses["extremal"] == "extremal-two-qubit"
+        assert p["non_disturbance"].verdict == "impossible"
+        assert p["extremal"].verdict == "possible"
+        assert p["extremal"].witness == "extremal-two-qubit"
+
+    def test_more_outcomes_than_dim_squared_exclude_extremality(self):
+        # every outcome gives a product K^dag K, and more than d^2 of them are dependent
+        for d in (2, 3):
+            for n in (2, 3, 5, 10):
+                for seed in range(3):
+                    c = classify(random_povm(d, n, seed, "completely-unsharp"))
+                    p = theorem_predicates(c, d)
+                    first_kind = "possible" if c.is_commutative else "impossible"
+                    assert tuple(p[row].verdict for row in THEOREM_ROWS[:4]) == (
+                        "possible", first_kind, "impossible", "impossible"), (d, n, seed)
+                    if n > d ** 2:
+                        assert p["extremal"] == Cell(IMPOSSIBLE, "more outcomes than dim^2: "
+                                                                 "extremality needs n <= d^2")
+                    else:
+                        assert p["extremal"].verdict == POSSIBLE, (d, n, seed)
 
     def test_possible_verdicts_name_a_catalog_entry_that_claims_them(self):
         possible = 0
@@ -306,10 +323,10 @@ class TestTheoremPredicates:
                         continue
                     for seed in range(3):
                         p = theorem_predicates(classify(random_povm(d, n, seed, mode)), d)
-                        rows = {row for row, v in p.verdicts.items() if v == POSSIBLE}
-                        assert set(p.witnesses) == rows
+                        rows = {row for row, cell in p.items() if cell.verdict == POSSIBLE}
+                        assert {row for row, cell in p.items() if cell.witness is not None} == rows
                         for row in rows:
-                            expected = CATALOG[p.witnesses[row]].expected
+                            expected = CATALOG[p[row].witness].expected
                             assert expected.get("constrained") is True
                             assert expected.get(row) is True
                         possible += len(rows)
@@ -450,6 +467,6 @@ class TestFalsification:
         assert check_scheme_thirdlaw(scheme).constrained
         inst = scheme_to_instrument(scheme)
         found = {row: decide(row, inst)[0] for row in THEOREM_ROWS if row != "non_disturbance"}
-        verdicts = theorem_predicates(classify(inst.induced_observable()), inst.dim).verdicts
+        cells = theorem_predicates(classify(inst.induced_observable()), inst.dim)
         for row, holds in found.items():
-            assert not (holds and verdicts[row] == IMPOSSIBLE), (row, family)
+            assert not (holds and cells[row].verdict == IMPOSSIBLE), (row, family)
