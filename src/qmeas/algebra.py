@@ -1,7 +1,7 @@
 """Fixed-point spaces of instrument duals and their factor decomposition.
 
-The fixed points of the dual total map of an instrument, read from the real
-SVD in thirdlaw.cesaro_average, form a unital *-closed operator space; for
+The fixed points of the dual total map of an instrument, from the bordered
+kernel solves of thirdlaw.cesaro_average, form a unital *-closed space; for
 the schemes this package certifies it is an algebra and splits as a direct
 sum of factors L(K_alpha) (x) 1_{R_alpha}.  The splitting is computed
 numerically: eigenvalue clustering of a generic central element gives each

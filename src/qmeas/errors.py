@@ -18,7 +18,7 @@ class NonHermitian(QmeasError):
 
 
 class NoConvergence(QmeasError):
-    """An iterative routine exhausted its budget without converging."""
+    """A numerical routine could not certify its result within its cut."""
 
 
 class NotPSD(QmeasError):

@@ -10,6 +10,7 @@ cut in the package is written once.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,12 +62,21 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1)
 
 
-def _hermitian_combinations(m: np.ndarray, d: int, phase: complex) -> np.ndarray:
-    """Entries jj, (ab + ba)/sqrt 2 and phase (ab - ba)/sqrt 2, a < b, along m's last (vec) axis."""
+@lru_cache
+def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec indices of the entries jj, ab and ba (a < b) that the Hermitian coordinates combine."""
     a, b = np.triu_indices(d, k=1)
-    jj, ab, ba = np.arange(d) * (d + 1), a * d + b, b * d + a
-    plus, minus = (m[..., ab] + m[..., ba]) / np.sqrt(2.0), (m[..., ab] - m[..., ba]) / np.sqrt(2.0)
-    return np.concatenate([m[..., jj], plus, phase * minus], axis=-1)
+    index = np.arange(d) * (d + 1), a * d + b, b * d + a
+    for i in index:
+        i.setflags(write=False)
+    return index
+
+
+def _hermitian_combinations(m: np.ndarray, d: int, phase: complex, axis: int = -1) -> np.ndarray:
+    """Entries jj, (ab + ba)/sqrt 2 and phase (ab - ba)/sqrt 2, a < b, along one vec axis of m."""
+    jj, ab, ba = _hermitian_index(d)
+    p, q, r = np.take(m, ab, axis), np.take(m, ba, axis), np.sqrt(0.5)
+    return np.concatenate([np.take(m, jj, axis), (p + q) * r, (p - q) * (phase * r)], axis)
 
 
 def embed_hermitian(h: np.ndarray) -> np.ndarray:
@@ -76,16 +86,18 @@ def embed_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def unembed_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    a, b = np.triu_indices(d, k=1)
-    h = np.zeros(x.shape[:-1] + (d, d), dtype=np.complex128)
-    h[..., range(d), range(d)] = x[..., :d]
-    h[..., a, b] = (x[..., d:d + a.size] + 1j * x[..., d + a.size:]) / np.sqrt(2.0)
-    return h + dagger(np.triu(h, 1))
+    jj, ab, ba = _hermitian_index(d)
+    h = np.zeros(x.shape[:-1] + (d * d,), dtype=np.complex128)
+    h[..., jj] = x[..., :d]
+    h[..., ab] = (x[..., d:d + ab.size] + 1j * x[..., d + ab.size:]) * np.sqrt(0.5)
+    h[..., ba] = h[..., ab].conj()
+    return h.reshape(x.shape[:-1] + (d, d))
 
 
 def hermitian_superoperator(superop: np.ndarray, d: int) -> np.ndarray:
-    """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is unitary, never formed."""
-    return _hermitian_combinations(_hermitian_combinations(superop, d, 1j).T, d, -1j).T.real
+    """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is unitary, never formed:
+    T S gathers contiguous rows of S, then (T S) T^dag gathers columns."""
+    return _hermitian_combinations(_hermitian_combinations(superop, d, -1j, 0), d, 1j).real
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:

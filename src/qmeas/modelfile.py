@@ -104,7 +104,20 @@ def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
 
 
 def encode(obj) -> dict:
-    """Document for one supported object; nested objects encode recursively."""
+    """Document for one supported object; nested objects encode recursively.  A family saved
+    without the weight its reduction dropped must still decode at its own tol."""
+    doc = _document(obj)
+    dropped = obj.induced_observable().dropped if isinstance(obj, Instrument) else getattr(obj, "dropped", 0)
+    if dropped > 0:
+        try:
+            decode(doc, obj.tol)
+        except ValidationError as exc:
+            raise ValidationError(f"{doc['kind']} would not load back without the weight {dropped:.3e} "
+                                  f"its reduction dropped: {exc}") from exc
+    return doc
+
+
+def _document(obj) -> dict:
     if isinstance(obj, State):
         return {"schema_version": SCHEMA_VERSION, "kind": "state",
                 "matrix": _matrix_to_json(obj.matrix)}

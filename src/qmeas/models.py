@@ -70,12 +70,7 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    a0 = p0.copy()
-    a1 = p0 / 2.0
-    a2 = p1 / 2.0
-    a3 = _proj(plus) / 2.0
-    a4 = _proj(minus) / 2.0
-    a5 = p1.copy()
+    a0, a1, a2, a3, a4, a5 = p0, p0 / 2.0, p1 / 2.0, _proj(plus) / 2.0, _proj(minus) / 2.0, p1
 
     e0 = kron(a0, p0) + kron(a2 + a4, p1)
     e1 = kron(a1 + a3, p1) + kron(a5, p0)
@@ -192,15 +187,9 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
     """Kraus operators K_{x,f} = V_f (x) |phi_f><x| of the measurement channel."""
     v0 = np.diag([np.sqrt(0.25), np.sqrt(0.75)]).astype(np.complex128)
     v1 = np.array([[0.0, np.sqrt(0.25)], [np.sqrt(0.75), 0.0]], dtype=np.complex128)
-    phi0 = _ket(0, 2)
-    phi1 = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    vs = (v0, v1)
-    phis = (phi0, phi1)
-    return {
-        (x, f): kron(vs[f], np.outer(phis[f], _ket(x, 2).conj()))
-        for x in range(2)
-        for f in range(2)
-    }
+    phis = (_ket(0, 2), np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
+    return {(x, f): kron(v, np.outer(phi, _ket(x, 2).conj()))
+            for x in range(2) for f, (v, phi) in enumerate(zip((v0, v1), phis))}
 
 
 def extremal_instrument() -> Instrument:
@@ -470,41 +459,10 @@ class CatalogEntry:
     expected: dict
 
 
-def _catalog_nondisturbance() -> dict:
-    e, f, instrument = build_nondisturbance_example()
-    return {"observable": e, "other": f, "instrument": instrument}
-
-
 def _catalog_luders_cu() -> dict:
     obs = completely_unsharp_pair()
     return {"observable": obs, "scheme": build_luders_scheme(obs),
             "instrument": luders_instrument(obs)}
-
-
-def _catalog_shift() -> dict:
-    q = (0.5, 0.3, 0.2)
-    return {"observable": shift_observable(3, q), "scheme": build_shift_scheme(3, q)}
-
-
-def _catalog_ideality() -> dict:
-    obs, instrument = build_ideality_example()
-    return {"observable": obs, "instrument": instrument}
-
-
-def _catalog_extremal() -> dict:
-    scheme = build_extremal_model()
-    return {"scheme": scheme, "instrument": extremal_instrument(),
-            "observable": extremal_instrument().induced_observable()}
-
-
-def _catalog_swap() -> dict:
-    xi = State.diagonal([0.7, 0.3])
-    scheme = build_swap_scheme(xi)
-    return {"scheme": scheme, "xi": xi}
-
-
-def _catalog_rank_drop() -> dict:
-    return {"channel": build_rank_drop_channel()}
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -513,7 +471,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "nondisturbance-two-qubit",
             "commuting-pair model: E's instrument preserves a non-commuting F",
-            _catalog_nondisturbance,
+            lambda: dict(zip(("observable", "other", "instrument"), build_nondisturbance_example())),
             {"non_disturbance": True, "commutator_norm_min": 0.1},
         ),
         CatalogEntry(
@@ -525,31 +483,33 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "shift-first-kind",
             "unitary shift register measuring a commutative unsharp observable first-kind",
-            _catalog_shift,
+            lambda: {"observable": shift_observable(3, (0.5, 0.3, 0.2)),
+                     "scheme": build_shift_scheme(3, (0.5, 0.3, 0.2))},
             {"constrained": True, "first_kind": True},
         ),
         CatalogEntry(
             "ideality-qutrit",
             "norm-1 observable on C^3 with an ideal, non-repeatable instrument",
-            _catalog_ideality,
+            lambda: dict(zip(("observable", "instrument"), build_ideality_example())),
             {"ideal": "true", "repeatable": False},
         ),
         CatalogEntry(
             "extremal-two-qubit",
             "constrained scheme achieving an extremal instrument for a sharp rank-2 pair",
-            _catalog_extremal,
+            lambda: {"scheme": build_extremal_model(), "instrument": extremal_instrument(),
+                     "observable": extremal_instrument().induced_observable()},
             {"constrained": True, "extremal": True, "gram_rank": 8},
         ),
         CatalogEntry(
             "swap-nondisturbance",
             "partial swap readout whose fixed points are the whole first factor",
-            _catalog_swap,
+            lambda: {"scheme": build_swap_scheme(State.diagonal([0.7, 0.3])), "xi": State.diagonal([0.7, 0.3])},
             {"constrained": True, "block_dims": (2, 2)},
         ),
         CatalogEntry(
             "rank-drop-qutrit",
             "constrained channel that still collapses a rank-2 input",
-            _catalog_rank_drop,
+            lambda: {"channel": build_rank_drop_channel()},
             {"constrained": True},
         ),
     )

@@ -6,7 +6,7 @@ the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
 state: the Cesaro limit on the complete mixture, which cesaro_average
-reads, with the dual fixed points, from one real SVD.
+reads, with the dual fixed points, from a values-only SVD and bordered solves.
 """
 
 from __future__ import annotations
@@ -88,18 +88,33 @@ class FixedPoints:
     mixture_limit: np.ndarray
 
 
-def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
-    """Fixed points of a channel and its dual, and the exact Cesaro limit, from one real SVD.
+def _borders(n: int, k: int) -> np.ndarray:
+    """Orthonormal n x k borders U and V, stacked, from a fixed-seed draw; numpy's global RNG is untouched."""
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((2, n, k)))[0]
 
-    S_r - 1, in orthonormal Hermitian coordinates, has right and left kernels R and L;
-    eigenvalue 1 is semisimple, so the Cesaro limit is the projector R (L^T R)^-1 L^T.
+
+def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
+    """Fixed points of a channel and its dual, and the exact Cesaro limit.
+
+    a = S_r - 1, in orthonormal Hermitian coordinates, has right and left kernels R and L of
+    dimension k = d^2 - cut_rank(singular values of a).  For n x k borders U, V, M = a + U V^T is
+    invertible and M^-1 U, M^-T V span R and L (bordered null vectors, Govaerts, SIAM 2000); their
+    residuals must meet rank_cut.  Eigenvalue 1 is semisimple: the limit is R (L^T R)^-1 L^T.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
     d = channel.dim_in
-    u, sv, vh = np.linalg.svd(hermitian_superoperator(channel.superoperator, d) - np.eye(d * d))
-    rank = cut_rank(sv, tol)
-    right, left = vh[rank:], u[:, rank:].T  # rows: the kernel vectors
+    a = hermitian_superoperator(channel.superoperator, d) - np.eye(d * d)
+    sv = np.linalg.svd(a, compute_uv=False)
+    borders = _borders(d * d, d * d - cut_rank(sv, tol))
+    m = a + borders[0] @ borders[1].T
+    try:
+        right, left = np.linalg.qr(np.linalg.solve(np.stack([m, m.T]), borders))[0].swapaxes(1, 2)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"bordered kernel solve: {exc}") from exc
+    residual = max(hs_norm(a @ right.T), hs_norm(left @ a))  # rows of right, left: the kernel vectors
+    if not residual <= rank_cut(sv, tol):
+        raise NoConvergence(f"bordered kernel residual {residual:.3e} exceeds the rank cut")
     limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
     return FixedPoints(*(unembed_hermitian(x, d) for x in (right, left, limit)))
 

@@ -17,9 +17,11 @@ from qmeas.modelfile import SCHEMA_VERSION, decode, dumps, encode, load, loads, 
 from qmeas.models import (
     build_extremal_model,
     completely_unsharp_pair,
+    pointer_observable,
     random_channel,
     random_full_rank_state,
     random_povm,
+    trivial_swap_scheme,
 )
 
 
@@ -124,6 +126,23 @@ class TestChoiPayload:
         }
         with pytest.raises(ValidationError):
             decode(doc)
+
+
+class TestDroppedWeight:
+    def test_reduced_instrument_that_would_not_load_back_is_refused(self):
+        # the ancilla's 5e-9 lies below the rank cut, so each outcome's Kraus family drops
+        # 5e-9 of weight; without it the saved effects miss the identity by 1e-8 > atol_equality
+        scheme = trivial_swap_scheme(State.diagonal([1 - 5e-9, 5e-9]), pointer_observable(2))
+        instrument = scheme_to_instrument(scheme)
+        assert sum(op.dropped for op in instrument.operations) == pytest.approx(1e-8)
+        with pytest.raises(ValidationError, match="weight 1.000e-08"):
+            encode(instrument)
+        assert isinstance(roundtrip(scheme), type(scheme))  # the scheme itself dropped nothing
+
+    def test_dropped_weight_within_tolerance_still_saves(self):
+        channel = Channel.measure_prepare([(np.eye(2), np.diag([1 - 1e-10, 1e-10]))])
+        assert channel.dropped > 0
+        assert np.array_equal(roundtrip(channel).kraus, channel.kraus)
 
 
 class TestValidation:

@@ -7,13 +7,25 @@ from hypothesis import strategies as st
 
 from qmeas import thirdlaw
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
-from qmeas.errors import InfeasibleDimensions, NotEndomorphic
-from qmeas.linalg import dagger, hs_norm, kron, numerical_rank, vec
+from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic
+from qmeas.linalg import (
+    DEFAULT_TOL,
+    cut_rank,
+    dagger,
+    embed_hermitian,
+    hermitian_superoperator,
+    hs_norm,
+    kron,
+    numerical_rank,
+    unembed_hermitian,
+    vec,
+)
 from qmeas.models import (
     build_extremal_model,
     build_luders_scheme,
     build_rank_drop_channel,
     build_shift_scheme,
+    build_swap_scheme,
     completely_unsharp_pair,
     pointer_observable,
     random_bistochastic_channel,
@@ -160,6 +172,84 @@ class TestFixedState:
         res = full_rank_fixed_state(Channel(kraus))
         assert res.is_full_rank
         assert np.abs(res.state.matrix - np.diag([p, 1 - p])).max() < 1e-10
+
+
+def full_svd_fixed_points(channel, tol=DEFAULT_TOL):
+    """Dense reference: both kernels of S_r - 1 read off one full SVD at the same cut."""
+    d = channel.dim_in
+    u, sv, vh = np.linalg.svd(hermitian_superoperator(channel.superoperator, d) - np.eye(d * d))
+    rank = cut_rank(sv, tol)
+    right, left = vh[rank:], u[:, rank:].T
+    limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
+    return unembed_hermitian(right, d), unembed_hermitian(left, d), unembed_hermitian(limit, d)
+
+
+def span_projector(basis):
+    """Orthogonal projector onto the span of a stacked HS-orthonormal Hermitian basis."""
+    x = embed_hermitian(basis)
+    return x.T @ x
+
+
+def slowly_mixing_channel(d, eps=1e-3):
+    """(1 - eps) id + eps Psi for a constrained Psi: a unique fixed state, spectral gap about eps."""
+    kraus = np.sqrt(eps) * random_constrained_channel(d, 3).kraus
+    return Channel(np.concatenate([np.sqrt(1 - eps) * np.eye(d)[None], kraus]))
+
+
+KERNEL_REGIMES = {  # name -> (channel, kernel dimension k of S_r - 1)
+    "k=1 constrained": (lambda: random_constrained_channel(5, 0), 1),
+    "k=d unitary": (lambda: Channel.unitary(random_unitary(5, np.random.default_rng(2))), 5),
+    "k>n/2 swap interaction": (lambda: build_swap_scheme(State.diagonal([0.7, 0.3])).interaction, 40),
+    "k=n identity": (lambda: Channel.identity(4), 16),
+    "slowly mixing": (lambda: slowly_mixing_channel(4), 1),
+}
+
+
+class TestBorderedKernels:
+    @pytest.mark.parametrize("regime", sorted(KERNEL_REGIMES))
+    def test_matches_the_full_svd_reference(self, regime):
+        build, k = KERNEL_REGIMES[regime]
+        ch = build()
+        fixed = cesaro_average(ch)
+        right, left, limit = full_svd_fixed_points(ch)
+        assert len(fixed.fixed) == len(right) == len(fixed.dual_fixed) == len(left) == k
+        assert np.abs(span_projector(fixed.fixed) - span_projector(right)).max() < 1e-9
+        assert np.abs(span_projector(fixed.dual_fixed) - span_projector(left)).max() < 1e-9
+        assert np.abs(fixed.mixture_limit - limit).max() < 1e-9
+
+    def test_no_svd_returns_singular_vectors(self, monkeypatch):
+        channels, svd, flags = [build() for build, _ in KERNEL_REGIMES.values()], np.linalg.svd, []
+
+        def recorded_svd(a, *args, **kwargs):
+            flags.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        for ch in channels:
+            cesaro_average(ch)
+        assert flags == [False] * len(channels)
+
+    def test_repeated_calls_are_bitwise_equal_and_leave_the_global_rng(self):
+        ch = random_constrained_channel(6, 1)
+        np.random.seed(12345)
+        before = np.random.get_state()
+        first, second = cesaro_average(ch), cesaro_average(ch)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+        for a, b in zip((first.fixed, first.dual_fixed, first.mixture_limit),
+                        (second.fixed, second.dual_fixed, second.mixture_limit)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("degenerate, channel", [
+        (lambda b: np.zeros_like(b), lambda: Channel.unitary(random_unitary(4, np.random.default_rng(0)))),
+        (lambda b: np.repeat(b[:, :, :1], b.shape[2], axis=2),  # every column the same: rank 1
+         lambda: Channel.unitary(random_unitary(4, np.random.default_rng(0)))),
+        (lambda b: np.zeros_like(b), lambda: Channel.identity(3)),  # M = 0: the solve itself fails
+    ], ids=["zero", "rank-1", "zero-on-identity"])
+    def test_degenerate_borders_raise_instead_of_a_wrong_kernel(self, monkeypatch, degenerate, channel):
+        borders = thirdlaw._borders
+        monkeypatch.setattr(thirdlaw, "_borders", lambda n, k: degenerate(borders(n, k)))
+        with pytest.raises(NoConvergence):
+            cesaro_average(channel())
 
 
 CHANNEL_FAMILIES = {
