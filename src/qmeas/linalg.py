@@ -159,7 +159,9 @@ def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 def kernel_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of a."""
     a = as_complex_matrix(a)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    if a.shape[0] > a.shape[1]:  # its R factor has the same singular values and right vectors
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a)
     return vh[cut_rank(s, tol):].conj().T
 
 

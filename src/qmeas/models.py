@@ -360,14 +360,9 @@ def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
         if dim <= outcomes:
             raise ValidationError("norm1-unsharp mode needs dim > outcomes")
         u = random_unitary(dim, rng)
-        effects = []
         shares = np.stack([_interior_weights(outcomes, rng) for _ in range(dim - outcomes)])
-        for x in range(outcomes):
-            e = _proj(u[:, x])
-            for extra in range(dim - outcomes):
-                e = e + shares[extra, x] * _proj(u[:, outcomes + extra])
-            effects.append(e)
-        return Observable(tuple(effects))
+        weights = np.concatenate([np.eye(outcomes), shares])  # [j, x]: the weight of |u_j><u_j| in E_x
+        return Observable(np.einsum("jx,aj,bj->xab", weights, u, u.conj()))
     if mode == "completely-unsharp":
         e, eps = _random_povm_generic(dim, outcomes, rng).effects, 0.2
         traces = np.trace(e, axis1=1, axis2=2).real
@@ -435,15 +430,10 @@ def completely_unsharp_pair() -> Observable:
 
 def table1_observables() -> dict[str, Observable]:
     """One representative per observable class column."""
-    qubit_sharp = Observable((np.diag([1.0, 0.0]).astype(np.complex128),
-                              np.diag([0.0, 1.0]).astype(np.complex128)))
-    rank2_sharp = Observable(tuple(
-        kron(np.eye(2), _proj(_ket(x, 2))) for x in range(2)
-    ))
     norm1, _ = build_ideality_example()
     return {
-        "small-rank": qubit_sharp,
-        "sharp": rank2_sharp,
+        "small-rank": pointer_observable(2),
+        "sharp": Observable(np.kron(np.eye(2), pointer_observable(2).effects)),  # 1 (x) |x><x|
         "norm-1": norm1,
         "completely-unsharp": completely_unsharp_pair(),
     }

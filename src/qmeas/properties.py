@@ -30,7 +30,7 @@ from .core import (
     superop_distance,
 )
 from .errors import QmeasError, SchemeMismatch
-from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank
+from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank, rank_cut
 
 SCHEME_IDENTITY_RESIDUAL = 1e-7
 SCHEME_IMPLEMENTS_RESIDUAL = 1e-8
@@ -86,18 +86,25 @@ class ExtremalResult:
 def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalResult:
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
-    The criterion is basis-independent: any other minimal family spans the
-    same product set.  The rows vec(K_a^dag K_b) are made one row block (a slice of a's of one
-    family) at a time; over several blocks, each is reduced by a QR as it is made: the stacked
-    R factors keep their singular values, so numerical_rank's cut is unchanged.
+    The criterion is basis-independent: any other minimal family spans the same product set.
+    The rows vec(K_a^dag K_b) are made one row block (a slice of a's of one family) at a time.
+    Several blocks are folded into one running R factor, which keeps their singular values.  The
+    fold stops at d^2 rows whose smallest singular value exceeds rank_cut at W = sum_x |f_x|_F^2:
+    W bounds the largest singular value of all products and more rows lower none, so the rank is d^2.
     """
     families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)[0]
                 for op in instrument.operations]
-    count = sum(len(f) ** 2 for f in families)
-    blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, f[0].size)  # rows vec(K_a^dag K_b)
+    count, span = sum(len(f) ** 2 for f in families), instrument.dim ** 2
+    blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, span)  # rows vec(K_a^dag K_b)
               for f in families for a in row_blocks(f, len(f)))
-    several = count * families[0][0].size > BLOCK_ENTRIES  # one block goes to the SVD: a QR only adds cost
-    r = np.concatenate([np.linalg.qr(b, mode="r") for b in blocks] if several else list(blocks))
+    if count * span <= BLOCK_ENTRIES:  # one block goes to the SVD: a QR only adds cost
+        r = np.concatenate(list(blocks))
+    else:
+        cut, r = rank_cut(np.array([sum(np.vdot(f, f).real for f in families)]), tol), np.empty((0, span))
+        for b in blocks:
+            r = np.linalg.qr(np.concatenate([r, b]), mode="r")
+            if len(r) == span and np.linalg.svd(r, compute_uv=False)[-1] > cut:
+                break  # numerical_rank(r) is span: its cut is at most the one at W
     gram_rank = numerical_rank(r, tol)
     return ExtremalResult(gram_rank == count, tuple(len(f) for f in families), gram_rank, count)
 

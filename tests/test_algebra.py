@@ -16,12 +16,16 @@ from qmeas.algebra import (
 )
 from qmeas.core import Instrument, Observable, Operation, State, luders_instrument, scheme_to_instrument
 from qmeas.errors import DecompositionMismatch, DimensionMismatch, NotAnAlgebra
-from qmeas.linalg import dagger, hs_norm
+from qmeas.linalg import cut_rank, dagger, hs_norm
 from qmeas.models import (
+    build_luders_scheme,
     build_shift_scheme,
     build_swap_scheme,
     completely_unsharp_pair,
     pointer_observable,
+    random_constrained_scheme,
+    random_full_rank_state,
+    random_povm,
     random_unitary,
     shift_observable,
     trivial_instrument,
@@ -175,6 +179,33 @@ class TestDecompose:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         decompose(fixed_point_space(inst), inst)
         assert calls == {"cesaro_average": 1, "svd": 1, "compute_uv": False}
+
+    # the center's kernel from the commutator map's R factor against one from an SVD of the whole map
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("kind", ["random-4", "random-6", "swap-4", "luders-4", "shift-5"])
+    def test_center_kernel_from_the_r_factor_leaves_the_decomposition_unchanged(self, kind, seed,
+                                                                                   monkeypatch):
+        rng = np.random.default_rng(seed)
+        scheme = {
+            "random-4": lambda: random_constrained_scheme(4, 4, 2, seed),
+            "random-6": lambda: random_constrained_scheme(6, 4, 2, seed),
+            "swap-4": lambda: build_swap_scheme(random_full_rank_state(4, seed)),
+            "luders-4": lambda: build_luders_scheme(random_povm(4, 3, seed, mode="completely-unsharp")),
+            "shift-5": lambda: build_shift_scheme(5, 0.5 * rng.dirichlet(np.ones(5)) + 0.1),
+        }[kind]()
+        inst = scheme_to_instrument(scheme)
+        space = fixed_point_space(inst)
+        got = decompose(space, inst)
+
+        def svd_kernel(a, tol):
+            _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+            return vh[cut_rank(s, tol):].conj().T
+        monkeypatch.setattr(algebra, "kernel_basis", svd_kernel)
+        want = decompose(space, inst)
+        assert [(b.dim_k, b.dim_r) for b in got.blocks] == [(b.dim_k, b.dim_r) for b in want.blocks]
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.abs(np.diag(a.omega.matrix) - np.diag(b.omega.matrix)).max() < 1e-12
+        assert abs(got.reconstruction_residual - want.reconstruction_residual) < 1e-12
 
     @pytest.mark.parametrize("make", [
         swap_instrument,

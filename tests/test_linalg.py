@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from qmeas.algebra import _commutators, fixed_point_space
+from qmeas.core import scheme_to_instrument
 from qmeas.errors import DimensionMismatch, NonHermitian, NotPSD, ValidationError
 from qmeas.linalg import (
     Tolerances,
+    cut_rank,
     dagger,
     eigenvalue_clusters,
     embed_hermitian,
@@ -18,7 +21,7 @@ from qmeas.linalg import (
     unembed_hermitian,
     vec,
 )
-from qmeas.models import random_channel
+from qmeas.models import build_swap_scheme, random_channel, random_full_rank_state
 
 
 def rand_complex(rng, n, m=None):
@@ -265,6 +268,34 @@ class TestKernelAndClusters:
 
     def test_kernel_empty_for_full_rank(self):
         assert kernel_basis(np.eye(3)).shape[1] == 0
+
+    # tall maps with planted kernels of dimension 0, 1 and several, and the commutator map of
+    # the d = 4 swap scheme's fixed-point algebra (4096 x 16), the shape algebra's center takes
+    @pytest.mark.parametrize("case", ["planted-0", "planted-1", "planted-5", "swap-commutators"])
+    def test_tall_kernels_match_a_full_svd_and_form_no_tall_u(self, case, monkeypatch):
+        rng = np.random.default_rng(41)
+        if case == "swap-commutators":
+            space = fixed_point_space(scheme_to_instrument(build_swap_scheme(random_full_rank_state(4, 41))))
+            b = space.basis
+            a = np.moveaxis(_commutators(b, b), 0, -1).reshape(-1, len(b))
+        else:
+            k = int(case.split("-")[1])
+            planted = np.linalg.qr(rand_complex(rng, 12, k))[0]
+            a = rand_complex(rng, 200, 12) @ (np.eye(12) - planted @ dagger(planted))
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        reference = vh[cut_rank(s):].conj().T
+        svds, svd = [], np.linalg.svd
+
+        def recorded(m, *args, **kwargs):
+            svds.append((np.shape(m), kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        null = kernel_basis(a)
+        assert not [shape for shape, uv in svds if uv and shape[0] > shape[1]]
+        assert null.shape == reference.shape
+        assert np.abs(null @ dagger(null) - reference @ dagger(reference)).max() < 1e-12
+        if case.startswith("planted"):
+            assert np.abs(null @ dagger(null) - planted @ dagger(planted)).max() < 1e-12
 
     def test_eigenvalue_clusters(self):
         w = np.array([2.0, 2.0 - 1e-9, 1.0, 0.5, 0.5 - 1e-8])

@@ -59,6 +59,28 @@ from qmeas.properties import (
 )
 
 
+def _products(families) -> np.ndarray:
+    """Rows vec(K_a^dag K_b) of every family, all at once: the reference for check_extremal."""
+    return np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
+                           for f in families])
+
+
+def _minimal(instrument) -> list[np.ndarray]:
+    return [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in)[0]
+            for op in instrument.operations]
+
+
+def _counting_qr(monkeypatch) -> list:
+    """Record the shape of every np.linalg.qr input from here on."""
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 class TestNonDisturbance:
     def test_two_qubit_example(self):
         first, second, inst = build_nondisturbance_example()
@@ -190,18 +212,23 @@ class TestExtremal:
     # of 22 and 1, full rank 64;
     # "repeated": d = 16, outcome 1 repeats outcome 0's operators scaled, so 100 of the
     # 100 + 100 + 36 = 236 products (row blocks of 128) coincide up to scale: rank 136
-    @pytest.mark.parametrize("case, d, count, rank", [("remainder", 8, 629, 64), ("repeated", 16, 236, 136)])
-    def test_row_block_reduction_keeps_the_rank_of_the_products(self, case, d, count, rank):
+    # qr_calls: the remainder's first block already spans M_8, so the fold stops there; the
+    # repeated products never reach d^2 = 256 rows, so all three blocks are folded
+    @pytest.mark.parametrize("case, d, count, rank, qr_calls",
+                             [("remainder", 8, 629, 64, 1), ("repeated", 16, 236, 136, 3)])
+    def test_row_block_reduction_keeps_the_rank_of_the_products(self, case, d, count, rank, qr_calls,
+                                                                monkeypatch):
         if case == "remainder":
             ks = random_channel(d, d, 33, 3).kraus
             families = (ks[:23], ks[23:])
         else:
             ks = random_channel(d, d, 16, 3).kraus
             families = (np.sqrt(0.3) * ks[:10], np.sqrt(0.7) * ks[:10], ks[10:])
-        res = check_extremal(Instrument(tuple(Operation(f) for f in families)))
-        minimal = [kraus_from_rows(f.reshape(len(f), -1), d, d)[0] for f in families]
-        products = np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
-                                   for f in minimal])
+        instrument = Instrument(tuple(Operation(f) for f in families))
+        calls = _counting_qr(monkeypatch)
+        res = check_extremal(instrument)
+        assert len(calls) == qr_calls
+        products = _products(_minimal(instrument))
         assert len(products) == res.product_count == count
         assert count % (BLOCK_ENTRIES // d ** 2) != 0
         assert res.gram_rank == numerical_rank(products) == rank
@@ -214,8 +241,7 @@ class TestExtremal:
         ks = random_channel(d, d, 13 if d == 14 else 72, 5).kraus
         families = (ks,) if d == 14 else (ks[:36], ks[36:])
         res = check_extremal(Instrument(tuple(Operation(f) for f in families)))
-        products = np.concatenate([np.einsum("aji,bjk->abik", f.conj(), f).reshape(len(f) ** 2, -1)
-                                   for f in families])
+        products = _products(families)
         per_block = BLOCK_ENTRIES // (len(families[0]) * d * d)  # a's of the first family per block
         assert products.size > BLOCK_ENTRIES and len(families[0]) % per_block != 0
         rank = numerical_rank(products)
@@ -235,6 +261,65 @@ class TestExtremal:
             tracemalloc.stop()
         assert res.product_count == 8192 and not res.extremal
         assert peak < 4e6
+
+    def test_the_fold_stops_once_the_first_block_spans_every_operator(self, monkeypatch):
+        # the benchmark's largest random scheme: 16 row blocks of 512 products, the first of which
+        # already spans M_8 with smallest singular value 0.065, far above the cut at W = 8
+        instrument = scheme_to_instrument(random_constrained_scheme(8, 4, 2, 0))
+        calls = _counting_qr(monkeypatch)
+        res = check_extremal(instrument)
+        assert calls == [(512, 64)]
+        assert res.gram_rank == numerical_rank(_products(_minimal(instrument))) == 64
+        assert (res.product_count, res.extremal) == (8192, False)
+
+    def test_the_fold_stops_at_the_block_that_completes_the_span(self, monkeypatch):
+        # d = 8: four outcomes of diagonal Kraus operators (64 products each, spanning only the
+        # 8 diagonal units), one generic outcome of 8 operators whose 64 products span M_8, and four
+        # more diagonal outcomes: nine row blocks, R has 64 rows from the first block on, and the
+        # span is complete after the fifth
+        d, rng = 8, np.random.default_rng(19)
+        diagonal = [np.sqrt(0.1) * np.stack([np.diag(row) for row in random_unitary(d, rng)])
+                    for _ in range(8)]
+        generic = np.sqrt(0.2) * random_channel(d, d, d, 19).kraus
+        instrument = Instrument(tuple(Operation(f) for f in diagonal[:4] + [generic] + diagonal[4:]))
+        assert numerical_rank(_products(_minimal(instrument)[:4])) == d
+        calls = _counting_qr(monkeypatch)
+        res = check_extremal(instrument)
+        assert len(calls) == 5
+        assert res.gram_rank == numerical_rank(_products(_minimal(instrument))) == d * d
+        assert (res.product_count, res.extremal) == (9 * 64, False)
+
+    def test_the_stop_cuts_at_the_bound_on_all_products_not_at_the_prefix(self, monkeypatch):
+        # d = 8.  Outcome 0, K_j = c |0><j|, has the 64 products c^2 |j><k|: they span M_8 with
+        # every singular value c^2 = 1.6 rank_threshold, above the cut at their own largest one
+        # (1 rank_threshold) but below the cut at W = 8.  Outcome 1, sqrt(0.9) 1, adds the
+        # product 0.9 1 of norm 2.5, and seven outcomes of diagonal operators add diagonal
+        # products only.  So all products have rank 8: the off-diagonal units sit below their cut.
+        d, rng, c2 = 8, np.random.default_rng(23), 1.6e-8
+        first = np.sqrt(c2) * np.stack([np.outer(np.eye(d)[0], np.eye(d)[j]) for j in range(d)])
+        q = (0.1 - c2) / 7
+        diagonal = [np.sqrt(q) * np.stack([np.diag(row) for row in random_unitary(d, rng)])
+                    for _ in range(7)]
+        instrument = Instrument(tuple(Operation(f) for f in [first, np.sqrt(0.9) * np.eye(d)[None]]
+                                      + diagonal))
+        minimal = _minimal(instrument)
+        assert numerical_rank(_products(minimal[:1])) == d * d
+        calls = _counting_qr(monkeypatch)
+        res = check_extremal(instrument)
+        assert len(calls) == 9
+        assert res.gram_rank == numerical_rank(_products(minimal)) == d
+        assert (res.product_count, res.extremal) == (64 + 1 + 7 * 64, False)
+
+    # W = sum_x |f_x|_F^2 bounds the largest singular value of all products, which the stop needs
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(2, 4), m=st.integers(1, 12),
+           n=st.integers(1, 4))
+    def test_total_weight_bounds_every_singular_value_of_the_products(self, seed, d, m, n):
+        cuts = np.sort(np.random.default_rng(seed).integers(0, m + 1, n - 1))
+        parts = [f for f in np.split(random_channel(d, d, m, seed).kraus, cuts) if len(f)]
+        families = _minimal(Instrument(tuple(Operation(f) for f in parts)))
+        w = sum(np.vdot(f, f).real for f in families)
+        assert np.linalg.svd(_products(families), compute_uv=False)[0] <= w * (1 + 1e-12)
 
     def test_minimal_kraus_drops_redundancy(self):
         obs = pointer_observable(2)
@@ -451,10 +536,13 @@ class TestFalsification:
     undisturbed, which contradicts only the "some F" reading.
     """
 
+    # Luders schemes up to n = 10 outcomes reach n > d^2, where the counting bound excludes
+    # extremality; the other families stay at n <= 3 to bound the run time
     @settings(max_examples=200, deadline=None)
     @given(family=st.sampled_from(("luders", "shift", "swap", "random")),
-           d=st.integers(2, 3), n=st.integers(2, 3), seed=st.integers(0, 2 ** 31 - 1))
-    def test_found_properties_are_not_impossible(self, family, d, n, seed):
+           d=st.integers(2, 3), data=st.data(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_found_properties_are_not_impossible(self, family, d, data, seed):
+        n = data.draw(st.integers(2, 10 if family == "luders" else 3), label="n")
         rng = np.random.default_rng(seed)
         if family == "luders":
             scheme = build_luders_scheme(random_povm(d, n, seed, "completely-unsharp"))
