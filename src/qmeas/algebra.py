@@ -24,7 +24,6 @@ import numpy as np
 from .core import Instrument, Observable, State
 from .errors import DecompositionMismatch, DegenerateCenter, DimensionMismatch, NotAnAlgebra
 from .linalg import (
-    CLUSTER_GAP,
     DEFAULT_TOL,
     Tolerances,
     cut_rank,
@@ -35,14 +34,11 @@ from .linalg import (
     hermitianize,
     hs_norm,
     kernel_basis,
-    kron,
     partial_trace,
+    rank_cut,
     unembed_hermitian,
 )
 from .thirdlaw import FixedPoints, cesaro_average
-
-PRODUCT_RESIDUAL = 1e-7
-RECONSTRUCTION_LIMIT = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +98,14 @@ def fixed_point_space(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def verify_algebra(space: OperatorSubspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Contains identity, adjoint-closed, and closed under products (residual < 1e-7)."""
+    """Contains identity (within atol_equality * dim), adjoint- and product-closed (within atol_equality)."""
     eye = np.eye(space.dim, dtype=np.complex128)
-    if hs_norm(eye - space.project(eye)) > PRODUCT_RESIDUAL * space.dim:
+    if hs_norm(eye - space.project(eye)) > tol.atol_equality * space.dim:
         return False
     b = space.basis
     products = (b[:, None] @ b[None]).reshape(-1, space.dim, space.dim)
     for x in (dagger(b), products):
-        if np.linalg.norm(x - space.project(x), axis=(1, 2)).max() > PRODUCT_RESIDUAL:
+        if np.linalg.norm(x - space.project(x), axis=(1, 2)).max() > tol.atol_equality:
             return False
     return True
 
@@ -177,7 +173,7 @@ def _central_frames(center: np.ndarray, tol: Tolerances,
     z = len(center)
     for _ in range(5):
         w, v = hermitian_eig(np.tensordot(rng.standard_normal(z), center, axes=1), tol)
-        clusters = eigenvalue_clusters(w)
+        clusters = eigenvalue_clusters(w, tol)
         if len(clusters) == z:
             return [v[:, idx] for idx in clusters]
     raise DegenerateCenter(f"could not separate {z} blocks after resampling")
@@ -194,20 +190,20 @@ def _block_unitary(block_basis: np.ndarray, dim_k: int, dim_r: int, tol: Toleran
     rank, n = dim_k * dim_r, len(block_basis)
     for _ in range(5):
         w, v = hermitian_eig(np.tensordot(rng.standard_normal(n), block_basis, axes=1), tol)
-        clusters = eigenvalue_clusters(w)
+        clusters = eigenvalue_clusters(w, tol)
         if len(clusters) != dim_k or any(idx.size != dim_r for idx in clusters):
             continue
         frames = np.stack([v[:, idx] for idx in clusters])  # (dim_k, rank, dim_r)
         y = np.tensordot(rng.standard_normal(n), block_basis, axes=1)
         a, s, bh = np.linalg.svd(dagger(frames[0]) @ y @ frames[1:])
-        if np.any(s[:, -1] <= CLUSTER_GAP):
+        if np.any(s[:, -1] <= rank_cut(s, tol)):
             continue
         u = np.concatenate([frames[0], *(frames[1:] @ dagger(a @ bh))], axis=1)
-        if np.abs(dagger(u) @ u - np.eye(rank)).max() > PRODUCT_RESIDUAL:
+        if np.abs(dagger(u) @ u - np.eye(rank)).max() > tol.atol_equality:
             continue
         c = dagger(u) @ block_basis @ u
         c_k = partial_trace(c, (dim_k, dim_r), "second") / dim_r
-        if np.linalg.norm(c - np.kron(c_k, np.eye(dim_r)), axis=(1, 2)).max() <= PRODUCT_RESIDUAL:
+        if np.linalg.norm(c - np.kron(c_k, np.eye(dim_r)), axis=(1, 2)).max() <= tol.atol_equality:
             return u
     raise DegenerateCenter("matrix-unit construction failed after resampling")
 
@@ -238,7 +234,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
         omega = partial_trace(dagger(fact) @ rho_av @ fact, (dim_k, dim_r), "first")
         w_om, u_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)
         # in the eigenbasis u_om of R, omega is diag(w_om)
-        fact = fact @ kron(np.eye(dim_k), u_om)
+        fact = fact @ np.kron(np.eye(dim_k), u_om)
         blocks.append(FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om), tol)))
 
     residual = subspace_distance(_block_units(blocks), space.basis, space.dim, tol)
@@ -271,7 +267,7 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
     """
     effects = _stack(observable.effects, decomposition.space.dim)
     comms = _commutators(effects, decomposition.space.basis)
-    if np.abs(comms).max() > RECONSTRUCTION_LIMIT:
+    if np.abs(comms).max() > tol.atol_equality:
         raise DecompositionMismatch("effect does not commute with the fixed-point span")
     per_block = []
     rebuilt = np.zeros_like(effects)
@@ -281,7 +277,7 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
         rebuilt += w @ np.kron(np.eye(k), comps) @ dagger(w)
         per_block.append(comps)
     residuals = np.abs(effects - rebuilt).max(axis=(1, 2))
-    if residuals.max() > RECONSTRUCTION_LIMIT:
+    if residuals.max() > tol.atol_equality:
         raise DecompositionMismatch(f"effect reconstruction residual {residuals.max():.3e}")
     return EffectBlockDecomposition(observable.outcomes, tuple(zip(*per_block)),
                                     tuple(residuals.tolist()))

@@ -1,8 +1,8 @@
 """Classify observables into the structural classes the impossibility results sort by.
 
-Flags are decided numerically: an eigenvalue counts as 0 below linalg.rank_cut
-and as 1 when linalg.attains_one holds, both at rank_threshold, and eigenvalue
-multiplicities are detected with linalg.CLUSTER_GAP.
+Flags are decided numerically at rank_threshold: an eigenvalue counts as 0 below
+linalg.rank_cut and as 1 when linalg.attains_one holds, and eigenvalues closer
+than rank_cut fall in one linalg.eigenvalue_clusters cluster.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Observabl
         is_norm1=norm1,
         is_commutative=bool(commutative),
         is_small_rank=any(r == 1 for r in ranks),
-        is_non_degenerate=any(p.size and len(eigenvalue_clusters(p)) == p.size for p in positive),
+        is_non_degenerate=any(p.size and len(eigenvalue_clusters(p, tol)) == p.size for p in positive),
         is_completely_unsharp=all(r == d and not attains_one(v, tol) for r, v in zip(ranks, norms)),
         per_effect_ranks=ranks,
         per_effect_norms=norms,

@@ -209,7 +209,7 @@ def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
         xi = State.pure(np.array([1.0, 0.0]))
         result = purify_via_unconstrained(random_full_rank_state(2, args.seed), xi,
                                           random_full_rank_state(2, args.seed + 1), tol)
-        reached = result.fidelity > 1.0 - 1e-9
+        reached = result.fidelity > 1.0 - tol.atol_equality
         return reached, {"copies": result.copies, "fidelity": result.fidelity, "target_reached": reached}
 
     if args.name == "luders-scheme":
@@ -218,7 +218,7 @@ def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
         pairs = zip(scheme_to_instrument(scheme, tol).operations, luders_instrument(obs, tol).operations)
         residual = max(superop_distance(a, b) for a, b in pairs)
         constrained = check_scheme_thirdlaw(scheme, tol).constrained
-        return constrained and residual < 1e-9, {
+        return constrained and residual < tol.atol_equality, {
             "constrained": constrained,
             "instrument_residual": residual,
             "effects": [[float(v) for v in np.diag(e).real] for e in obs.effects],
@@ -234,11 +234,11 @@ def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
             np.linalg.norm(decomposition.blocks[0].omega.matrix - xi.matrix)
         ) if blocks == [(2, 2)] else float("inf")
         eb = effect_blocks(instrument.induced_observable(), decomposition, tol)
-        return blocks == [(2, 2)] and omega_dist < 1e-8, {
+        return blocks == [(2, 2)] and omega_dist < tol.atol_equality, {
             "fixed_space_dim": space.dim,
             "blocks": blocks,
             "reconstruction_residual": decomposition.reconstruction_residual,
-            "omega_matches_ancilla": omega_dist < 1e-8,
+            "omega_matches_ancilla": omega_dist < tol.atol_equality,
             "omega_distance": omega_dist,
             "effect_block_spectra": [[[float(v) for v in spec] for spec in per_outcome]
                                      for per_outcome in eb.spectra()],

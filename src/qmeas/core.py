@@ -31,7 +31,6 @@ from .linalg import (
     dagger,
     hermitian_eig,
     hs_norm,
-    kron,
     matrix_sqrt_psd,
     partial_trace,
 )
@@ -440,7 +439,7 @@ def restriction_map(b: np.ndarray, xi: State, system_dim: int) -> np.ndarray:
     Evaluates to tr_A[B (1 (x) xi)]; implemented directly from that identity.
     """
     b = _operands(b, system_dim * xi.dim)
-    return partial_trace(b @ kron(np.eye(system_dim), xi.matrix), (system_dim, xi.dim), "second")
+    return partial_trace(b @ np.kron(np.eye(system_dim), xi.matrix), (system_dim, xi.dim), "second")
 
 
 def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> Instrument:

@@ -21,9 +21,12 @@ from .errors import DimensionMismatch, NoConvergence, NonHermitian, NotPSD, Vali
 class Tolerances:
     """Numerical cutoffs used throughout the package.
 
-    atol_equality   absolute tolerance for matrix equality and validation
-    rank_threshold  relative cutoff for counting singular values / eigenvalues,
-                    kernels included, and for an eigenvalue to attain 1
+    atol_equality   absolute cutoff for every equality residual: validation, matrix
+                    equality, algebra closure, block unitarity, effect reconstruction,
+                    scheme identities and the demos' targets
+    rank_threshold  relative cutoff (rank_cut) for every rank-like decision: counting
+                    singular values / eigenvalues, kernels included, an eigenvalue
+                    attaining 1, gaps between eigenvalue clusters, fixed-state residuals
     """
 
     atol_equality: float = 1e-9
@@ -37,8 +40,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-CLUSTER_GAP = 1e-6  # minimum separation between distinct eigenvalue clusters
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -98,13 +99,6 @@ def hermitian_superoperator(superop: np.ndarray, d: int) -> np.ndarray:
     """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is unitary, never formed:
     T S gathers contiguous rows of S, then (T S) T^dag gathers columns."""
     return _hermitian_combinations(_hermitian_combinations(superop, d, -1j, 0), d, 1j).real
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=np.complex128)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -188,10 +182,10 @@ def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
-def eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
-    """Group sorted-descending values into clusters separated by more than CLUSTER_GAP.
+def eigenvalue_clusters(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """Group sorted-descending values into clusters separated by more than rank_cut(|values|).
 
     Returns index arrays into the input (which must be sorted descending).
     """
-    breaks = np.flatnonzero(np.abs(np.diff(values)) > CLUSTER_GAP) + 1
+    breaks = np.flatnonzero(np.abs(np.diff(values)) > rank_cut(np.abs(values), tol)) + 1
     return np.split(np.arange(values.size), breaks) if values.size else []

@@ -33,7 +33,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
-    kron,
     matrix_sqrt_psd,
     numerical_rank,
 )
@@ -72,14 +71,14 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     a0, a1, a2, a3, a4, a5 = p0, p0 / 2.0, p1 / 2.0, _proj(plus) / 2.0, _proj(minus) / 2.0, p1
 
-    e0 = kron(a0, p0) + kron(a2 + a4, p1)
-    e1 = kron(a1 + a3, p1) + kron(a5, p0)
-    f0 = kron(a0, p0) + kron(a1 + a4, p1)
-    f1 = kron(a2 + a3, p1) + kron(a5, p0)
+    e0 = np.kron(a0, p0) + np.kron(a2 + a4, p1)
+    e1 = np.kron(a1 + a3, p1) + np.kron(a5, p0)
+    f0 = np.kron(a0, p0) + np.kron(a1 + a4, p1)
+    f1 = np.kron(a2 + a3, p1) + np.kron(a5, p0)
 
     out00, out10 = _proj(_ket(0, 4)), _proj(_ket(2, 4))  # prepared |00><00|, |10><10|
-    op0 = Operation.measure_prepare([(kron(a0, p0) + kron(a4, p1), out00), (kron(a2, p1), out10)])
-    op1 = Operation.measure_prepare([(kron(a5, p0) + kron(a3, p1), out10), (kron(a1, p1), out00)])
+    op0 = Operation.measure_prepare([(np.kron(a0, p0) + np.kron(a4, p1), out00), (np.kron(a2, p1), out10)])
+    op1 = Operation.measure_prepare([(np.kron(a5, p0) + np.kron(a3, p1), out10), (np.kron(a1, p1), out00)])
     instrument = Instrument((op0, op1))
     return Observable((e0, e1)), Observable((f0, f1)), instrument
 
@@ -188,7 +187,7 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
     v0 = np.diag([np.sqrt(0.25), np.sqrt(0.75)]).astype(np.complex128)
     v1 = np.array([[0.0, np.sqrt(0.25)], [np.sqrt(0.75), 0.0]], dtype=np.complex128)
     phis = (_ket(0, 2), np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0))
-    return {(x, f): kron(v, np.outer(phi, _ket(x, 2).conj()))
+    return {(x, f): np.kron(v, np.outer(phi, _ket(x, 2).conj()))
             for x in range(2) for f, (v, phi) in enumerate(zip((v0, v1), phis))}
 
 
@@ -210,7 +209,7 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
         xi = State.diagonal([2.0 / 3.0, 1.0 / 3.0])
     if numerical_rank(xi.matrix) < 2 or xi.dim != 2:
         raise NotFullRank("ancilla state must be a full-rank qubit state")
-    e1 = Channel.unitary(kron(np.eye(2), swap_unitary(2)))
+    e1 = Channel.unitary(np.kron(np.eye(2), swap_unitary(2)))
     # the measurement channel on the system, the ancilla idle
     e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()))
     return MeasurementScheme(
@@ -239,7 +238,7 @@ def build_swap_scheme(xi: State) -> MeasurementScheme:
     if numerical_rank(xi.matrix) < xi.dim:
         raise NotFullRank("ancilla state must be full-rank")
     d = xi.dim
-    interaction = Channel.unitary(kron(np.eye(d), swap_unitary(d)))
+    interaction = Channel.unitary(np.kron(np.eye(d), swap_unitary(d)))
     return MeasurementScheme(
         system_dim=d * d,
         ancilla=xi,

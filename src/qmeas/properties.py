@@ -32,9 +32,6 @@ from .core import (
 from .errors import QmeasError, SchemeMismatch
 from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank, rank_cut
 
-SCHEME_IDENTITY_RESIDUAL = 1e-7
-SCHEME_IMPLEMENTS_RESIDUAL = 1e-8
-
 POSSIBLE = "possible"
 IMPOSSIBLE = "impossible"
 NOT_COVERED = "not_covered"
@@ -190,7 +187,7 @@ def check_extremal_scheme_identity(scheme: MeasurementScheme, instrument: Instru
         superop_distance(a, b)
         for a, b in zip(induced.operations, instrument.operations)
     )
-    if dist > SCHEME_IMPLEMENTS_RESIDUAL * instrument.dim:
+    if dist > tol.atol_equality * instrument.dim:
         raise SchemeMismatch(f"scheme's instrument is {dist:.3e} away from the claimed one")
 
     ds = scheme.system_dim
@@ -198,7 +195,7 @@ def check_extremal_scheme_identity(scheme: MeasurementScheme, instrument: Instru
     eye_a = np.eye(scheme.ancilla_dim)
     return all(
         np.abs(apply_dual(scheme.interaction, np.kron(units, z))
-               - np.kron(apply_dual(op, units), eye_a)).max() <= SCHEME_IDENTITY_RESIDUAL
+               - np.kron(apply_dual(op, units), eye_a)).max() <= tol.atol_equality
         for z, op in zip(scheme.pointer.effects, instrument.operations)
     )
 

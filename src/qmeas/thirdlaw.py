@@ -31,8 +31,6 @@ from .linalg import (
     unembed_hermitian,
 )
 
-FIXED_STATE_RESIDUAL = 1e-8  # checked on the Kraus operators, not on the S_r the state came from
-
 
 @dataclass(frozen=True)
 class ThirdLawVerdict:
@@ -131,12 +129,12 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
 
     The limit is always a fixed state; it is full-rank exactly when the
     channel is constrained.  Raises NoConvergence when the state still
-    moves by more than FIXED_STATE_RESIDUAL under the Kraus operators.
+    moves by more than rank_threshold under the Kraus operators.
     """
     rho = cesaro_average(channel, tol).mixture_limit
     state = State(rho / np.trace(rho).real, tol)
-    residual = hs_norm(apply(channel, state) - state.matrix)
-    if residual > FIXED_STATE_RESIDUAL:
+    residual = hs_norm(apply(channel, state) - state.matrix)  # on the Kraus operators, not on S_r
+    if residual > tol.rank_threshold:  # the state is read off a kernel cut at rank_cut
         raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
     return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == channel.dim_in)
 

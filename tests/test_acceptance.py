@@ -23,7 +23,7 @@ from qmeas.core import (
     superop_distance,
 )
 from qmeas.errors import InfeasibleDimensions
-from qmeas.linalg import hs_norm, kron, numerical_rank
+from qmeas.linalg import hs_norm, numerical_rank
 from qmeas.models import (
     build_extremal_model,
     build_luders_scheme,
@@ -99,7 +99,7 @@ def test_criterion_02_extremal_model():
     dim = inst.dim
 
     induced_ok = all(
-        np.abs(e - kron(np.eye(2), np.outer(v, v))).max() <= 1e-9
+        np.abs(e - np.kron(np.eye(2), np.outer(v, v))).max() <= 1e-9
         for e, v in zip(obs.effects, np.eye(2))
     )
     res = check_extremal(inst)

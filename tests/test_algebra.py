@@ -16,7 +16,7 @@ from qmeas.algebra import (
 )
 from qmeas.core import Instrument, Observable, Operation, State, luders_instrument, scheme_to_instrument
 from qmeas.errors import DecompositionMismatch, DimensionMismatch, NotAnAlgebra
-from qmeas.linalg import cut_rank, dagger, hs_norm
+from qmeas.linalg import Tolerances, cut_rank, dagger, hs_norm
 from qmeas.models import (
     build_luders_scheme,
     build_shift_scheme,
@@ -104,6 +104,13 @@ class TestVerifyAlgebra:
         raiser[0, 1] = 1.0
         span = OperatorSubspace(2, (np.eye(2, dtype=complex) / np.sqrt(2), raiser))
         assert not verify_algebra(span)
+
+    def test_closure_is_cut_at_atol_equality(self):
+        # span{1, h}, h with eigenvalues 1, 1 + 3e-8, -1: h^2 misses the span by about 1e-8
+        span = OperatorSubspace(3, hermitian_basis([np.eye(3), np.diag([1.0, 1.0 + 3e-8, -1.0])], 3))
+        assert len(span) == 2
+        assert not verify_algebra(span)
+        assert verify_algebra(span, Tolerances(atol_equality=1e-7))
 
     def test_hermitian_basis_spans_and_orthonormalizes(self):
         basis = hermitian_basis([SX, 2.0 * SX, SY], 2)
@@ -307,6 +314,18 @@ class TestEffectBlocks:
         obs = Observable((proj, np.eye(3) - proj))
         with pytest.raises(DecompositionMismatch):
             effect_blocks(obs, deco)
+
+    def test_commutator_and_reconstruction_are_cut_at_atol_equality(self):
+        inst = shift_instrument()
+        deco = decompose(fixed_point_space(inst), inst)
+        e = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        e[0, 1] = e[1, 0] = 1e-8  # commutes with the diagonal fixed points up to about 1e-8
+        obs = Observable((e, np.eye(3) - e))
+        with pytest.raises(DecompositionMismatch):
+            effect_blocks(obs, deco)
+        eb = effect_blocks(obs, deco, Tolerances(atol_equality=1e-7))
+        assert 1e-9 < max(eb.residuals) < 1e-7
+
 
 
 class TestCommutant:

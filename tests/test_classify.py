@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmeas.classify import ObservableClassification, classify
 from qmeas.core import Observable
-from qmeas.linalg import dagger, kron
+from qmeas.linalg import Tolerances, dagger
 from qmeas.models import (
     CATALOG,
     build_ideality_example,
@@ -41,12 +41,18 @@ class TestClassifyExamples:
         assert not c.is_small_rank
 
     def test_degenerate_sharp_rank2(self):
-        effects = tuple(kron(np.eye(2), p) for p in pointer_observable(2).effects)
+        effects = tuple(np.kron(np.eye(2), p) for p in pointer_observable(2).effects)
         c = classify(Observable(effects))
         assert c.is_sharp
         assert c.per_effect_ranks == (2, 2)
         assert not c.is_small_rank
         assert not c.is_non_degenerate
+
+    def test_multiplicity_is_cut_at_rank_cut(self):
+        e = np.diag([0.5, 0.5 - 1e-7])
+        obs = Observable((e, np.eye(2) - e))
+        assert classify(obs).is_non_degenerate
+        assert not classify(obs, Tolerances(rank_threshold=1e-6)).is_non_degenerate
 
     def test_rank1_sharp_qubit(self):
         c = classify(pointer_observable(2))

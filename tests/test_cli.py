@@ -332,6 +332,21 @@ class TestDemos:
         assert report["constrained"] is True
         assert report["instrument_residual"] < 1e-9
 
+    def test_luders_scheme_residual_is_cut_at_atol_equality(self, capsys, monkeypatch):
+        def rotated(obs, tol):  # exp(i h) after each Luders operation: about 1e-8 away
+            h = np.zeros((obs.dim, obs.dim))
+            h[0, 1] = h[1, 0] = 1e-8
+            w, v = np.linalg.eigh(h)
+            u = (v * np.exp(1j * w)) @ v.conj().T
+            return Instrument(tuple(Operation(u @ op.kraus) for op in luders_instrument(obs, tol).operations))
+        monkeypatch.setattr(cli, "luders_instrument", rotated)
+        code, report, _ = run_json(capsys, "demo", "luders-scheme")
+        assert code == EXIT_NO
+        assert 1e-9 < report["instrument_residual"] < 1e-7
+        code, report, _ = run_json(capsys, "demo", "luders-scheme", "--tol-atol", "1e-7")
+        assert code == EXIT_YES
+        assert report["tolerances"]["atol_equality"] == 1e-7
+
     def test_decompose(self, capsys):
         code, report, _ = run_json(capsys, "demo", "decompose")
         assert code == EXIT_YES

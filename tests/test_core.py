@@ -29,7 +29,7 @@ from qmeas.core import (
     superop_distance,
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
-from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, kron, vec
+from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, vec
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -408,8 +408,8 @@ class TestCompose:
         rng = np.random.default_rng(9)
         rho_a = rand_complex(rng, 2)
         rho_b = rand_complex(rng, 2)
-        lhs = apply(t, kron(rho_a, rho_b))
-        rhs = kron(apply(a, rho_a), apply(b, rho_b))
+        lhs = apply(t, np.kron(rho_a, rho_b))
+        rhs = np.kron(apply(a, rho_a), apply(b, rho_b))
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -500,7 +500,7 @@ class TestSchemeFactorization:
         gamma = restriction_map(b, xi, 3)
         rho = rand_complex(rng, 3)
         lhs = np.trace(gamma @ rho)
-        rhs = np.trace(b @ kron(rho, xi.matrix))
+        rhs = np.trace(b @ np.kron(rho, xi.matrix))
         assert abs(lhs - rhs) < 1e-10
 
     def test_restriction_map_of_a_stack(self):
@@ -526,7 +526,7 @@ class TestSchemeFactorization:
                 for b in range(ds):
                     unit = np.zeros((ds, ds), dtype=complex)
                     unit[a, b] = 1.0
-                    lifted = apply_dual(scheme.interaction, kron(unit, z))
+                    lifted = apply_dual(scheme.interaction, np.kron(unit, z))
                     cols.append(vec(restriction_map(lifted, scheme.ancilla, ds)))
             assert np.abs(scheme_dual_superoperator(scheme, x) - np.stack(cols, axis=1)).max() < 1e-12
 
@@ -583,7 +583,7 @@ class TestSchemeFactorization:
             "swap": lambda: build_swap_scheme(random_full_rank_state(2, seed)),
         }[kind]()
         v = random_unitary(scheme.ancilla_dim, np.random.default_rng(seed))
-        lifted = kron(np.eye(scheme.system_dim), v)  # 1 (x) V on system (x) ancilla
+        lifted = np.kron(np.eye(scheme.system_dim), v)  # 1 (x) V on system (x) ancilla
         rotated = MeasurementScheme(
             scheme.system_dim,
             State(v @ scheme.ancilla.matrix @ dagger(v)),

@@ -1,6 +1,10 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import qmeas
 from qmeas.algebra import _commutators, fixed_point_space
 from qmeas.core import scheme_to_instrument
 from qmeas.errors import DimensionMismatch, NonHermitian, NotPSD, ValidationError
@@ -14,7 +18,6 @@ from qmeas.linalg import (
     hermitian_superoperator,
     hs_norm,
     kernel_basis,
-    kron,
     matrix_sqrt_psd,
     numerical_rank,
     partial_trace,
@@ -50,6 +53,22 @@ class TestTolerances:
     def test_rejects_out_of_range(self, field, bad):
         with pytest.raises(ValidationError):
             Tolerances(**{field: bad})
+
+    def test_no_threshold_outside_tolerances(self):
+        """No module-level float constant, and no comparison with a float literal,
+        in (0, 1e-3) anywhere in the package: every cut reads a Tolerances field."""
+        package = os.path.dirname(qmeas.__file__)
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            roots = [n.value for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value]
+            roots += [n for n in ast.walk(tree) if isinstance(n, ast.Compare)]
+            found += [f"{name}:{c.lineno}" for root in roots for c in ast.walk(root)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, float) and 0 < abs(c.value) < 1e-3]
+        assert found == []
 
 
 class TestHermitianEig:
@@ -150,7 +169,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         rho = rand_psd(rng, 3)
         xi = rand_psd(rng, 2)
-        out = partial_trace(kron(rho, xi), (3, 2), "second")
+        out = partial_trace(np.kron(rho, xi), (3, 2), "second")
         assert np.abs(out - rho * np.trace(xi)).max() < 1e-10
 
     def test_maximally_entangled(self):
@@ -302,6 +321,11 @@ class TestKernelAndClusters:
         clusters = eigenvalue_clusters(w)
         sizes = [c.size for c in clusters]
         assert sizes == [2, 1, 2]
+
+    def test_cluster_gap_is_rank_cut(self):
+        w = np.array([1.0, 1.0 - 1e-7])
+        assert [c.size for c in eigenvalue_clusters(w)] == [1, 1]
+        assert [c.size for c in eigenvalue_clusters(w, Tolerances(rank_threshold=1e-6))] == [2]
 
     def test_clusters_cover_all_indices(self):
         w = np.array([3.0, 1.0, 1.0, 0.0])

@@ -7,7 +7,7 @@ from qmeas import models
 from qmeas.core import (Channel, Instrument, Observable, Operation, State, apply, scheme_to_instrument,
                         superop_distance)
 from qmeas.errors import BadDistribution, NotCompletelyUnsharp, NotFullRank, ValidationError
-from qmeas.linalg import hermitian_eig, hs_norm, kron, matrix_sqrt_psd, numerical_rank
+from qmeas.linalg import hermitian_eig, hs_norm, matrix_sqrt_psd, numerical_rank
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
@@ -267,7 +267,7 @@ def _loop_shift_unitary(n):
     u = np.zeros((n * n, n * n), dtype=np.complex128)
     for m in range(n):
         for k in range(n):
-            u += kron(_unit(k, k, n), _unit((m + k) % n, m, n))
+            u += np.kron(_unit(k, k, n), _unit((m + k) % n, m, n))
     return u
 
 
@@ -282,7 +282,7 @@ def _loop_luders_interaction(observable):
     for x in range(n):
         k = np.zeros((d * n, d * n), dtype=np.complex128)
         for a in range(n):
-            k += kron(roots[(x + a) % n], _unit((x + a) % n, a, n))
+            k += np.kron(roots[(x + a) % n], _unit((x + a) % n, a, n))
         kraus.append(k)
     return kraus
 

@@ -350,6 +350,19 @@ class TestSchemeIdentity:
         with pytest.raises(SchemeMismatch):
             check_extremal_scheme_identity(scheme, other)
 
+    def test_residuals_are_cut_at_atol_equality(self):
+        scheme = build_extremal_model()
+        inst = scheme_to_instrument(scheme)
+        h = np.zeros((inst.dim, inst.dim))
+        h[0, 1] = h[1, 0] = 1e-8
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(1j * w)) @ v.conj().T  # exp(i h): the claimed instrument moves by about 1e-8
+        claimed = Instrument(tuple(Operation(u @ op.kraus) for op in inst.operations))
+        with pytest.raises(SchemeMismatch):  # implemented within atol_equality * dim
+            check_extremal_scheme_identity(scheme, claimed)
+        assert not check_extremal_scheme_identity(scheme, claimed, Tolerances(atol_equality=3e-9))
+        assert check_extremal_scheme_identity(scheme, claimed, Tolerances(atol_equality=1e-8))
+
     def test_dimension_mismatch_rejected(self):
         scheme = build_extremal_model()
         other = luders_instrument(pointer_observable(3))

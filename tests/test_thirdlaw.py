@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,12 @@ from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
 from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic
 from qmeas.linalg import (
     DEFAULT_TOL,
+    Tolerances,
     cut_rank,
     dagger,
     embed_hermitian,
     hermitian_superoperator,
     hs_norm,
-    kron,
     numerical_rank,
     unembed_hermitian,
     vec,
@@ -146,6 +147,18 @@ class TestFixedState:
     def test_rejects_rectangular(self):
         with pytest.raises(NotEndomorphic):
             full_rank_fixed_state(random_channel(2, 3, 2, 0))
+
+    def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
+        exact = thirdlaw.cesaro_average
+
+        def perturbed(channel, tol):  # the limit moved by 5e-9 Z off the fixed state 1/2
+            fixed = exact(channel, tol)
+            return dataclasses.replace(fixed, mixture_limit=fixed.mixture_limit + np.diag([5e-9, -5e-9]))
+        monkeypatch.setattr(thirdlaw, "cesaro_average", perturbed)
+        ch = Channel.measure_prepare([(np.eye(2), np.eye(2) / 2)])  # every state to 1/2
+        assert 1e-9 < full_rank_fixed_state(ch).residual < 1e-8
+        with pytest.raises(NoConvergence):
+            full_rank_fixed_state(ch, Tolerances(rank_threshold=1e-9))
 
     def test_cesaro_invariance_and_idempotence(self):
         for seed in range(3):
@@ -303,13 +316,13 @@ class TestCompositionClosure:
         xi = random_full_rank_state(da, 5)
         w, v = np.linalg.eigh(xi.matrix)
         attach = Channel(tuple(
-            kron(np.eye(ds), np.sqrt(wi) * v[:, i:i + 1]) for i, wi in enumerate(w)
+            np.kron(np.eye(ds), np.sqrt(wi) * v[:, i:i + 1]) for i, wi in enumerate(w)
         ))
         assert check_channel_thirdlaw(attach).constrained
 
         u = random_unitary(ds * da, rng)
         trace_out = Channel(tuple(
-            kron(np.eye(ds), e.reshape(1, -1)).astype(complex) for e in np.eye(da)
+            np.kron(np.eye(ds), e.reshape(1, -1)).astype(complex) for e in np.eye(da)
         ))
         assert check_channel_thirdlaw(trace_out).constrained
         open_dynamics = compose(trace_out, compose(Channel.unitary(u), attach))
