@@ -4,12 +4,12 @@ The fixed points of the dual total map of an instrument, from the bordered
 kernel solves of thirdlaw.cesaro_average, form a unital *-closed space; for
 the schemes this package certifies it is an algebra and splits as a direct
 sum of factors L(K_alpha) (x) 1_{R_alpha}.  The splitting is computed
-numerically: eigenvalue clustering of a generic central element gives each
-block's orthonormal columns Q (its minimal central projection is Q Q^dag).
-Each block is split in those coordinates, on the algebra Q^dag A Q: a generic
-element's clusters, aligned by the polar factors of a second element's
-off-diagonal blocks, form a unitary U with U^dag B U = B_K (x) 1_R, and the
-factorizer isometry W : K (x) R -> range(Q) is Q U.
+numerically from one generic pair x, y of the algebra: the eigenvalue
+clusters of x are its minimal projections, y links exactly the clusters of
+one block, and the polar factors of y's off-diagonal blocks align a block's
+clusters into its factorizer isometry W : K (x) R -> C^d, with
+W^dag B W = B_K (x) 1_R for every element B.  Every split is certified on
+the whole basis before it is returned.
 
 All random draws come from one seeded generator so results reproduce.
 """
@@ -17,7 +17,6 @@ All random draws come from one seeded generator so results reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
@@ -29,20 +28,17 @@ from .linalg import (
     cut_rank,
     dagger,
     eigenvalue_clusters,
-    embed_hermitian,
     hermitian_eig,
     hermitianize,
     hs_norm,
-    kernel_basis,
     partial_trace,
     rank_cut,
-    unembed_hermitian,
 )
 from .thirdlaw import FixedPoints, cesaro_average
 
 
 # ---------------------------------------------------------------------------
-# Hermitian bases for *-closed spans
+# operator spans and fixed-point spaces
 
 
 def _stack(mats, dim: int) -> np.ndarray:
@@ -56,14 +52,6 @@ def _stack(mats, dim: int) -> np.ndarray:
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a_x, b_y] for every pair from two stacks, indexed [x, y]."""
     return a[:, None] @ b[None] - b[None] @ a[:, None]
-
-
-def hermitian_basis(mats, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """HS-orthonormal Hermitian basis, stacked, of the *-closed complex span of mats."""
-    m = _stack(mats, dim)
-    rows = embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
-    _, s, vh = np.linalg.svd(rows.reshape(-1, dim * dim), full_matrices=False)
-    return unembed_hermitian(vh[:cut_rank(s, tol)], dim)
 
 
 @dataclass(frozen=True)
@@ -138,12 +126,13 @@ class FactorDecomposition:
 
 
 def _block_units(blocks) -> np.ndarray:
-    """Images W (e_ij (x) 1_R) W^dag spanning the reconstructed algebra, stacked."""
-    return np.concatenate([
-        blk.factorizer @ np.kron(np.eye(blk.dim_k ** 2).reshape(-1, blk.dim_k, blk.dim_k),
-                                 np.eye(blk.dim_r)) @ dagger(blk.factorizer)
-        for blk in blocks
-    ])
+    """Images W (e_ij (x) 1_R) W^dag = W_i W_j^dag spanning the reconstructed algebra, stacked;
+    W_i is the factorizer's block of columns for K's basis vector i."""
+    units = []
+    for blk in blocks:
+        w = blk.factorizer.reshape(-1, blk.dim_k, blk.dim_r).swapaxes(0, 1)  # (dim_k, d, dim_r)
+        units.append((w[:, None] @ dagger(w)[None]).reshape(-1, *blk.projection.shape))
+    return np.concatenate(units)
 
 
 def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -157,55 +146,54 @@ def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -
     return 1.0 if len(qa) != len(qb) else float(np.linalg.norm(qa - (qa @ dagger(qb)) @ qb, 2))
 
 
-def _center_basis(space: OperatorSubspace, tol: Tolerances) -> np.ndarray:
-    """Hermitian basis of the center: elements commuting with every basis matrix."""
-    b = space.basis
-    # row (y, i, k), column x: entry [B_x, B_y]_ik, so the kernel holds the central coefficients
-    commutator_map = np.moveaxis(_commutators(b, b), 0, -1).reshape(-1, len(b))
-    coeff = kernel_basis(commutator_map, tol)
-    return hermitian_basis(np.tensordot(coeff.T, b, axes=1), space.dim, tol)
+def _factorizers(space: OperatorSubspace, tol: Tolerances,
+                 rng: np.random.Generator) -> list[tuple[np.ndarray, int, int]]:
+    """Per block, its factorizer W : K (x) R -> C^d with dim_k and dim_r, from one generic pair.
 
-
-def _central_frames(center: np.ndarray, tol: Tolerances,
-                    rng: np.random.Generator) -> list[np.ndarray]:
-    """Cluster the spectrum of a generic central element; per block, the orthonormal
-    columns Q of one cluster, whose minimal central projection is Q Q^dag."""
-    z = len(center)
-    for _ in range(5):
-        w, v = hermitian_eig(np.tensordot(rng.standard_normal(z), center, axes=1), tol)
-        clusters = eigenvalue_clusters(w, tol)
-        if len(clusters) == z:
-            return [v[:, idx] for idx in clusters]
-    raise DegenerateCenter(f"could not separate {z} blocks after resampling")
-
-
-def _block_unitary(block_basis: np.ndarray, dim_k: int, dim_r: int, tol: Tolerances,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Unitary U on C^rank with U^dag B U = B_K (x) 1_R for every block basis element B.
-
-    A generic element x has dim_k eigenvalue clusters of dim_r columns V_i; the polar
-    factor of V_0^dag y V_i, for a second generic element y, aligns cluster i's R basis
-    with cluster 0's, and the aligned columns, cluster by cluster, are U in (k, r) order.
+    A generic element x has one eigenvalue cluster per minimal projection, dim_r columns V_i
+    each; a second generic element y links clusters i and j, ||V_i^dag y V_j||_F above
+    rank_cut of ||y||_F, exactly when they lie in one block.  A block is the clusters linked
+    to its first, V_0; the polar factor of V_0^dag y V_j aligns cluster j's R basis with
+    V_0's, and the aligned columns, cluster by cluster, are W in (k, r) order.  The blocks
+    are certified: W's side by side form a unitary U, U^dag B U is zero across blocks and
+    B_K (x) 1_R within each for every basis element B, and sum dim_k^2 is the span's dimension.
     """
-    rank, n = dim_k * dim_r, len(block_basis)
+    b, n = space.basis, len(space)
     for _ in range(5):
-        w, v = hermitian_eig(np.tensordot(rng.standard_normal(n), block_basis, axes=1), tol)
+        x, y = np.tensordot(rng.standard_normal((2, n)), b, axes=1)
+        w, v = hermitian_eig(x, tol)
         clusters = eigenvalue_clusters(w, tol)
-        if len(clusters) != dim_k or any(idx.size != dim_r for idx in clusters):
-            continue
-        frames = np.stack([v[:, idx] for idx in clusters])  # (dim_k, rank, dim_r)
-        y = np.tensordot(rng.standard_normal(n), block_basis, axes=1)
-        a, s, bh = np.linalg.svd(dagger(frames[0]) @ y @ frames[1:])
-        if np.any(s[:, -1] <= rank_cut(s, tol)):
-            continue
-        u = np.concatenate([frames[0], *(frames[1:] @ dagger(a @ bh))], axis=1)
-        if np.abs(dagger(u) @ u - np.eye(rank)).max() > tol.atol_equality:
-            continue
-        c = dagger(u) @ block_basis @ u
-        c_k = partial_trace(c, (dim_k, dim_r), "second") / dim_r
-        if np.linalg.norm(c - np.kron(c_k, np.eye(dim_r)), axis=(1, 2)).max() <= tol.atol_equality:
-            return u
-    raise DegenerateCenter("matrix-unit construction failed after resampling")
+        yv = dagger(v) @ y @ v
+        starts = [idx[0] for idx in clusters]  # clusters are runs of consecutive columns
+        links = np.add.reduceat(np.add.reduceat(np.abs(yv) ** 2, starts, 0), starts, 1)
+        linked = np.sqrt(links) > rank_cut(np.array(hs_norm(y)), tol)
+        facts, free = [], np.ones(len(clusters), dtype=bool)
+        for i in range(len(clusters)):
+            if not free[i]:
+                continue
+            free[i] = False
+            members = np.flatnonzero(linked[i] & free)
+            free[members] = False
+            if any(clusters[j].size != clusters[i].size for j in members):
+                break
+            cols = [v[:, clusters[i]]]
+            for j in members:
+                a, _, bh = np.linalg.svd(yv[np.ix_(clusters[i], clusters[j])])
+                cols.append(v[:, clusters[j]] @ dagger(a @ bh))
+            facts.append((np.concatenate(cols, axis=1), len(cols), clusters[i].size))
+        else:
+            u = np.concatenate([f for f, _, _ in facts], axis=1)
+            c, at = dagger(u) @ b @ u, 0
+            for _, k, r in facts:  # subtract each diagonal block's B_K (x) 1_R; the rest must vanish
+                s = slice(at, at + k * r)
+                c_k = partial_trace(c[:, s, s], (k, r), "second") / r
+                c[:, s, s].reshape(n, k, r, k, r)[:] -= c_k[:, :, None, :, None] * np.eye(r)[:, None]
+                at += k * r
+            if (sum(k * k for _, k, _ in facts) == n
+                    and np.abs(dagger(u) @ u - np.eye(space.dim)).max() <= tol.atol_equality
+                    and np.linalg.norm(c, axis=(1, 2)).max() <= tol.atol_equality):
+                return facts
+    raise DegenerateCenter("could not split the algebra into certified blocks after resampling")
 
 
 def decompose(space: OperatorSubspace, instrument: Instrument,
@@ -213,29 +201,16 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     """Split a fixed-point algebra into factors and extract the block states."""
     if not verify_algebra(space, tol):
         raise NotAnAlgebra("span fails identity/adjoint/product closure")
-    rng = np.random.default_rng(seed)
-    frames = _central_frames(_center_basis(space, tol), tol, rng)
-
+    facts = _factorizers(space, tol, np.random.default_rng(seed))
     rho_av = (space.fixed_points or cesaro_average(instrument.total_channel(), tol)).mixture_limit
 
     blocks = []
-    for q in frames:
-        rank = q.shape[1]
-        block_basis = hermitian_basis(dagger(q) @ space.basis @ q, rank, tol)
-        bdim = len(block_basis)
-        dim_k = isqrt(bdim)
-        if dim_k * dim_k != bdim:
-            raise NotAnAlgebra(f"block algebra dimension {bdim} is not a perfect square")
-        if rank % dim_k != 0:
-            raise NotAnAlgebra(f"projection rank {rank} not divisible by dim K = {dim_k}")
-        dim_r = rank // dim_k
-
-        fact = q @ _block_unitary(block_basis, dim_k, dim_r, tol, rng)
+    for fact, dim_k, dim_r in facts:
         omega = partial_trace(dagger(fact) @ rho_av @ fact, (dim_k, dim_r), "first")
         w_om, u_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)
         # in the eigenbasis u_om of R, omega is diag(w_om)
-        fact = fact @ np.kron(np.eye(dim_k), u_om)
-        blocks.append(FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om), tol)))
+        rotated = (fact.reshape(-1, dim_k, dim_r) @ u_om).reshape(fact.shape)  # fact (1_K (x) u_om)
+        blocks.append(FactorBlock(fact @ dagger(fact), dim_k, dim_r, rotated, State(np.diag(w_om), tol)))
 
     residual = subspace_distance(_block_units(blocks), space.basis, space.dim, tol)
     return FactorDecomposition(space, tuple(blocks), float(residual))

@@ -40,8 +40,9 @@ BLOCK_ENTRIES = 2 ** 15  # complex entries (512 KiB) in one row block of a produ
 
 def row_blocks(a: np.ndarray, copies: int = 1):
     """Consecutive slices of a along axis 0, each of at most BLOCK_ENTRIES entries or one row,
-    counting each entry copies times: a product of a block with a stack of that many operands."""
-    c = max(1, BLOCK_ENTRIES // (copies * (a.size // len(a))))
+    counting each entry copies times (at least once): a product of a block with a stack of that
+    many operands."""
+    c = max(1, BLOCK_ENTRIES // (max(1, copies) * (a.size // len(a))))
     return (a[j:j + c] for j in range(0, len(a), c))
 
 

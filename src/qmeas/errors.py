@@ -46,7 +46,7 @@ class NotAnAlgebra(QmeasError):
 
 
 class DegenerateCenter(QmeasError):
-    """Random central elements failed to separate the blocks after resampling."""
+    """Random generic pairs failed to split an algebra into certified blocks after resampling."""
 
 
 class DecompositionMismatch(QmeasError):

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,25 @@ from qmeas.algebra import (
     decompose,
     effect_blocks,
     fixed_point_space,
-    hermitian_basis,
     subspace_distance,
     verify_algebra,
 )
 from qmeas.core import Instrument, Observable, Operation, State, luders_instrument, scheme_to_instrument
-from qmeas.errors import DecompositionMismatch, DimensionMismatch, NotAnAlgebra
-from qmeas.linalg import Tolerances, cut_rank, dagger, hs_norm
+from qmeas.errors import DecompositionMismatch, DegenerateCenter, DimensionMismatch, NotAnAlgebra
+from qmeas.linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    cut_rank,
+    dagger,
+    eigenvalue_clusters,
+    embed_hermitian,
+    hermitian_eig,
+    hermitianize,
+    hs_norm,
+    kernel_basis,
+    partial_trace,
+    unembed_hermitian,
+)
 from qmeas.models import (
     build_luders_scheme,
     build_shift_scheme,
@@ -43,6 +57,65 @@ def swap_instrument():
 
 def shift_instrument():
     return scheme_to_instrument(build_shift_scheme(3, (0.5, 0.3, 0.2)))
+
+
+def block_instrument(shape, rng, kraus_count=4):
+    """A two-outcome instrument on C^d, d = sum k r over the (k, r) of shape, whose dual fixed
+    algebra is U ((+)_alpha L(C^k) (x) 1_{C^r}) U^dag; returns it with U and the total effect
+    of outcome "0" on each block's R.
+
+    Its Kraus operators are (+)_alpha 1_k (x) A_{alpha,i}, with A_{alpha,i} the rows of a random
+    isometry C^r -> C^kraus_count (x) C^r, a random channel on R_alpha whose dual fixes only the
+    scalars; even i go to outcome "0", odd i to "1", and all are conjugated by a random U."""
+    d = sum(k * r for k, r in shape)
+    kraus, effects, at = np.zeros((kraus_count, d, d), dtype=complex), [], 0
+    for k, r in shape:
+        g = rng.standard_normal((kraus_count * r, r)) + 1j * rng.standard_normal((kraus_count * r, r))
+        a = np.linalg.qr(g)[0].reshape(kraus_count, r, r)
+        kraus[:, at:at + k * r, at:at + k * r] = np.kron(np.eye(k), a)
+        effects.append((dagger(a[::2]) @ a[::2]).sum(axis=0))
+        at += k * r
+    u = random_unitary(d, rng)
+    kraus = u @ kraus @ dagger(u)
+    return Instrument((Operation(kraus[::2]), Operation(kraus[1::2])), ("0", "1")), u, effects
+
+
+# The center-kernel construction decompose used before the generic pair, kept as a reference: the
+# center is the kernel of the commutator map, a generic central element's eigenvalue clusters give
+# each block's columns Q, and the block algebra Q^dag A Q is split by a generic pair of its own.
+
+def hermitian_basis(mats, dim, tol=DEFAULT_TOL):
+    """HS-orthonormal Hermitian basis, stacked, of the *-closed complex span of mats."""
+    m = algebra._stack(mats, dim)
+    rows = embed_hermitian(np.stack([hermitianize(m), (m - dagger(m)) / 2j], axis=1))
+    _, s, vh = np.linalg.svd(rows.reshape(-1, dim * dim), full_matrices=False)
+    return unembed_hermitian(vh[:cut_rank(s, tol)], dim)
+
+
+def center_kernel_decompose(space, tol=DEFAULT_TOL, seed=0):
+    rng = np.random.default_rng(seed)
+    b = space.basis
+    commutator_map = np.moveaxis(algebra._commutators(b, b), 0, -1).reshape(-1, len(b))
+    center = hermitian_basis(np.tensordot(kernel_basis(commutator_map, tol).T, b, axes=1), space.dim, tol)
+    w, v = hermitian_eig(np.tensordot(rng.standard_normal(len(center)), center, axes=1), tol)
+    clusters = eigenvalue_clusters(w, tol)
+    assert len(clusters) == len(center)
+    blocks = []
+    for q in (v[:, idx] for idx in clusters):
+        block_basis = hermitian_basis(dagger(q) @ b @ q, q.shape[1], tol)
+        dim_k = isqrt(len(block_basis))
+        dim_r = q.shape[1] // dim_k
+        assert dim_k * dim_k == len(block_basis) and dim_k * dim_r == q.shape[1]
+        x, y = np.tensordot(rng.standard_normal((2, len(block_basis))), block_basis, axes=1)
+        w, v_block = hermitian_eig(x, tol)
+        frames = np.stack([v_block[:, idx] for idx in eigenvalue_clusters(w, tol)])
+        a, _, bh = np.linalg.svd(dagger(frames[0]) @ y @ frames[1:])
+        fact = q @ np.concatenate([frames[0], *(frames[1:] @ dagger(a @ bh))], axis=1)
+        omega = partial_trace(dagger(fact) @ space.fixed_points.mixture_limit @ fact, (dim_k, dim_r), "first")
+        w_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)[0]
+        blocks.append(algebra.FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om))))
+    residual = subspace_distance(algebra._block_units(blocks), b, space.dim, tol)
+    return algebra.FactorDecomposition(space, tuple(blocks), residual)
 
 
 class TestFixedPointSpace:
@@ -112,13 +185,6 @@ class TestVerifyAlgebra:
         assert not verify_algebra(span)
         assert verify_algebra(span, Tolerances(atol_equality=1e-7))
 
-    def test_hermitian_basis_spans_and_orthonormalizes(self):
-        basis = hermitian_basis([SX, 2.0 * SX, SY], 2)
-        assert len(basis) == 2
-        for b in basis:
-            assert np.abs(b - b.conj().T).max() < 1e-12
-            assert abs(hs_norm(b) - 1.0) < 1e-12
-
 
 class TestDecompose:
     def test_partial_swap_single_factor(self):
@@ -187,11 +253,10 @@ class TestDecompose:
         decompose(fixed_point_space(inst), inst)
         assert calls == {"cesaro_average": 1, "svd": 1, "compute_uv": False}
 
-    # the center's kernel from the commutator map's R factor against one from an SVD of the whole map
+    # the generic pair against the center-kernel reference, blocks matched by central projection
     @pytest.mark.parametrize("seed", [0, 5, 11])
     @pytest.mark.parametrize("kind", ["random-4", "random-6", "swap-4", "luders-4", "shift-5"])
-    def test_center_kernel_from_the_r_factor_leaves_the_decomposition_unchanged(self, kind, seed,
-                                                                                   monkeypatch):
+    def test_generic_pair_matches_the_center_kernel_construction(self, kind, seed):
         rng = np.random.default_rng(seed)
         scheme = {
             "random-4": lambda: random_constrained_scheme(4, 4, 2, seed),
@@ -202,17 +267,88 @@ class TestDecompose:
         }[kind]()
         inst = scheme_to_instrument(scheme)
         space = fixed_point_space(inst)
-        got = decompose(space, inst)
-
-        def svd_kernel(a, tol):
-            _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-            return vh[cut_rank(s, tol):].conj().T
-        monkeypatch.setattr(algebra, "kernel_basis", svd_kernel)
-        want = decompose(space, inst)
-        assert [(b.dim_k, b.dim_r) for b in got.blocks] == [(b.dim_k, b.dim_r) for b in want.blocks]
-        for a, b in zip(got.blocks, want.blocks):
+        got, want = decompose(space, inst), center_kernel_decompose(space)
+        assert len(got.blocks) == len(want.blocks)
+        match = [min(want.blocks, key=lambda b: hs_norm(a.projection - b.projection)) for a in got.blocks]
+        assert len({id(b) for b in match}) == len(match)
+        for a, b in zip(got.blocks, match):
+            assert hs_norm(a.projection - b.projection) < 1e-9
+            assert (a.dim_k, a.dim_r) == (b.dim_k, b.dim_r)
             assert np.abs(np.diag(a.omega.matrix) - np.diag(b.omega.matrix)).max() < 1e-12
-        assert abs(got.reconstruction_residual - want.reconstruction_residual) < 1e-12
+        assert got.reconstruction_residual < 1e-12 and want.reconstruction_residual < 1e-12
+
+    def test_calls_neither_kernel_basis_nor_hermitian_basis(self, monkeypatch):
+        import qmeas
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decompose must not build a center")
+        for module in vars(qmeas).values():
+            for name in ("kernel_basis", "hermitian_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert not hasattr(algebra, "kernel_basis") and not hasattr(algebra, "hermitian_basis")
+        inst, _, _ = block_instrument([(2, 1), (1, 2)], np.random.default_rng(3))
+        deco = decompose(fixed_point_space(inst), inst)
+        assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == [(1, 2), (2, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+           .filter(lambda shape: sum(k * r for k, r in shape) <= 9),
+           useed=st.integers(0, 2 ** 31 - 1))
+    def test_mixed_blocks(self, shape, useed):
+        inst, u, effects = block_instrument(shape, np.random.default_rng(useed))
+        space = fixed_point_space(inst)
+        assert len(space) == sum(k * k for k, _ in shape)
+        deco = decompose(space, inst)
+        assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == sorted(shape)
+        assert deco.reconstruction_residual < 1e-7
+        eb = effect_blocks(inst.induced_observable(), deco)
+        assert max(eb.residuals) < 1e-9
+        # block alpha of the decomposition is the prescribed block with projection U P_alpha U^dag
+        at, prescribed = 0, []
+        for k, r in shape:
+            p = np.zeros((len(u), len(u)))
+            p[at:at + k * r, at:at + k * r] = np.eye(k * r)
+            prescribed.append(u @ p @ dagger(u))
+            at += k * r
+        for blk, comps in zip(deco.blocks, eb.blocks[0]):
+            alpha = min(range(len(shape)), key=lambda a: hs_norm(prescribed[a] - blk.projection))
+            assert hs_norm(prescribed[alpha] - blk.projection) < 1e-8
+            assert (blk.dim_k, blk.dim_r) == shape[alpha]
+            assert np.allclose(np.linalg.eigvalsh(comps), np.linalg.eigvalsh(effects[alpha]),
+                               rtol=0, atol=1e-9)
+
+    # blocks (2, 1) and (1, 2); x = U diag(1, 0, 0, 0) U^dag merges a cluster of the first block
+    # with the second block's, so one linked component has clusters of sizes 1 and 3
+    @pytest.mark.parametrize("bad_x", ["identity", "coincident"])
+    @pytest.mark.parametrize("bad_pairs", [1, 4, 5])
+    def test_degenerate_pairs_are_resampled(self, bad_x, bad_pairs, monkeypatch):
+        inst, u, _ = block_instrument([(2, 1), (1, 2)], np.random.default_rng(17))
+        space = fixed_point_space(inst)
+        x = np.eye(4) if bad_x == "identity" else u @ np.diag([1.0, 0, 0, 0]) @ dagger(u)
+        coeff = np.einsum("nij,ji->n", space.basis, x).real  # <B_n, x>, B_n Hermitian
+        default_rng, draws = np.random.default_rng, []
+
+        class BadPairs:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                draw = self.rng.standard_normal(size)
+                if len(draws) < bad_pairs:
+                    draw[0] = coeff
+                draws.append(size)
+                return draw
+        monkeypatch.setattr(np.random, "default_rng", BadPairs)
+        if bad_pairs == 5:
+            with pytest.raises(DegenerateCenter):
+                decompose(space, inst)
+            assert len(draws) == 5
+        else:
+            deco = decompose(space, inst)
+            assert len(draws) == bad_pairs + 1
+            assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == [(1, 2), (2, 1)]
+            assert deco.reconstruction_residual < 1e-12
 
     @pytest.mark.parametrize("make", [
         swap_instrument,

@@ -454,6 +454,18 @@ class TestApplyAndDuality:
             assert np.abs(got[i] - apply(ch, rhos[i])).max() < 1e-13
             assert np.abs(got_dual[i] - apply_dual(ch, effects[i])).max() < 1e-13
 
+    def test_empty_stack_maps_to_an_empty_stack(self):
+        ch = random_channel(3, 2, 4, 7)  # dim_in 3, dim_out 2
+        out = apply(ch, np.zeros((0, 3, 3)))
+        assert out.shape == (0, 2, 2) and out.dtype == np.complex128
+        assert apply(Channel.identity(2), np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    def test_dual_of_an_empty_stack_is_an_empty_stack(self):
+        ch = random_channel(3, 2, 4, 7)
+        out = apply_dual(ch, np.zeros((0, 2, 2)))
+        assert out.shape == (0, 3, 3) and out.dtype == np.complex128
+        assert apply_dual(Channel.identity(2), np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])  # one operator, or a row block's count + offset
     @pytest.mark.parametrize("d_out, d_in", [(32, 32), (16, 32)])
     def test_blocked_sandwich_matches_the_per_operator_sum(self, d_out, d_in, offset):
