@@ -235,7 +235,7 @@ def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
         ) if blocks == [(2, 2)] else float("inf")
         eb = effect_blocks(instrument.induced_observable(), decomposition, tol)
         return blocks == [(2, 2)] and omega_dist < tol.atol_equality, {
-            "fixed_space_dim": space.dim,
+            "fixed_space_dim": len(space),
             "blocks": blocks,
             "reconstruction_residual": decomposition.reconstruction_residual,
             "omega_matches_ancilla": omega_dist < tol.atol_equality,

@@ -1,13 +1,18 @@
 """JSON round-trip format for states, observables, channels, and schemes.
 
 Complex entries are stored as [re, im] pairs so files are valid JSON and
-round-trip exactly (Python's float repr is shortest-exact).  Every document
-carries a schema_version and a kind tag.
+round-trip exactly (Python's float repr is shortest-exact).  A matrix or a whole
+operator family crosses the JSON boundary in one numpy step: encode lists the
+float64 view of the stack, decode checks the leaf types, builds one float64 array
+and reinterprets it as complex128, which keeps every bit, signed zeros included.
+Files are compact one-line JSON.  Every document carries a schema_version and a
+kind tag.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -27,23 +32,37 @@ from .linalg import DEFAULT_TOL, Tolerances, hermitian_eig
 SCHEMA_VERSION = "1"
 
 _KINDS = ("state", "observable", "operation", "channel", "instrument", "scheme")
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+def _pairs(a: np.ndarray) -> list:
+    """A stored complex128 matrix or stack as nested lists with one [re, im] pair per entry."""
+    return a[..., None].view(np.float64).tolist()
 
 
-def _entry(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise ValidationError("malformed matrix entry: true and false are not numbers")
-    return complex(re, im)
-
-
-def _matrix_from_json(rows: Any) -> np.ndarray:
+def _array(nested: Any, ndim: int) -> np.ndarray:
+    """ndim-deep nested lists of [re, im] pairs as one complex array of ndim - 1 axes.  The leaf
+    types are checked first, since a float64 array would read "1.5", null and true as numbers."""
     try:
-        return np.array([[_entry(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        leaves = nested
+        for _ in range(ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+        if bool in types:
+            raise ValidationError("malformed matrix entry: true and false are not numbers")
+        for t in types:
+            if not issubclass(t, _NUMBERS):
+                raise ValidationError(f"malformed matrix entry: {t.__name__} is not a number")
+        a = np.array(nested, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
+    if a.size == 0 and a.ndim < ndim:
+        return a.astype(np.complex128)  # no entries at all: the constructors report the empty matrix
+    if a.ndim != ndim or a.shape[-1] != 2:
+        raise ValidationError(f"malformed matrix entry: expected [re, im] pairs {ndim} lists deep, "
+                              f"got shape {a.shape}")
+    a.setflags(write=False)
+    return a.view(np.complex128)[..., 0]
 
 
 def _is_int(value) -> bool:
@@ -69,12 +88,6 @@ def _labels(doc: dict) -> tuple:
     return labels
 
 
-def _matrices(items: Any) -> tuple[np.ndarray, ...]:
-    if not isinstance(items, list):
-        raise ValidationError(f"expected a list of matrices, got {type(items).__name__}")
-    return tuple(_matrix_from_json(m) for m in items)
-
-
 def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
     """Alternative channel or operation payload: Choi matrix plus [dim_out, dim_in].
 
@@ -87,7 +100,7 @@ def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
     if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(n) and n > 0 for n in dims)):
         raise ValidationError("choi payload requires positive integer dims: [dim_out, dim_in]")
     dim_out, dim_in = dims
-    choi = _matrix_from_json(doc["choi"])
+    choi = _array(doc["choi"], 3)
     if choi.shape != (dim_out * dim_in, dim_out * dim_in):
         raise ValidationError(f"choi shape {choi.shape} does not match dims {dims}")
     kraus, dropped = kraus_from_choi(choi, dim_out, dim_in, tol)
@@ -120,21 +133,21 @@ def encode(obj) -> dict:
 def _document(obj) -> dict:
     if isinstance(obj, State):
         return {"schema_version": SCHEMA_VERSION, "kind": "state",
-                "matrix": _matrix_to_json(obj.matrix)}
+                "matrix": _pairs(obj.matrix)}
     if isinstance(obj, Observable):
         return {"schema_version": SCHEMA_VERSION, "kind": "observable",
                 "outcomes": list(obj.outcomes),
-                "effects": [_matrix_to_json(e) for e in obj.effects]}
+                "effects": _pairs(obj.effects)}
     if isinstance(obj, Channel):
         return {"schema_version": SCHEMA_VERSION, "kind": "channel",
-                "kraus": [_matrix_to_json(k) for k in obj.kraus]}
+                "kraus": _pairs(obj.kraus)}
     if isinstance(obj, Operation):
         return {"schema_version": SCHEMA_VERSION, "kind": "operation",
-                "kraus": [_matrix_to_json(k) for k in obj.kraus]}
+                "kraus": _pairs(obj.kraus)}
     if isinstance(obj, Instrument):
         return {"schema_version": SCHEMA_VERSION, "kind": "instrument",
                 "outcomes": list(obj.outcomes),
-                "operations": [[_matrix_to_json(k) for k in op.kraus] for op in obj.operations]}
+                "operations": [_pairs(op.kraus) for op in obj.operations]}
     if isinstance(obj, MeasurementScheme):
         return {"schema_version": SCHEMA_VERSION, "kind": "scheme",
                 "system_dim": obj.system_dim,
@@ -155,16 +168,16 @@ def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
     if kind not in _KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
     if kind == "state":
-        return State(_matrix_from_json(_field(doc, "matrix")), tol)
+        return State(_array(_field(doc, "matrix"), 3), tol)
     if kind == "observable":
-        return Observable(_matrices(_field(doc, "effects")), _labels(doc), tol)
+        return Observable(_array(_field(doc, "effects"), 4), _labels(doc), tol)
     if kind in ("channel", "operation"):
         cls = Channel if kind == "channel" else Operation
         if "choi" in doc:
             return _from_choi_doc(doc, cls, tol)
-        return cls(_matrices(_field(doc, "kraus")), tol)
+        return cls(_array(_field(doc, "kraus"), 4), tol)
     if kind == "instrument":
-        ops = tuple(Operation(_matrices(kraus), tol) for kraus in _field(doc, "operations"))
+        ops = tuple(Operation(_array(kraus, 4), tol) for kraus in _field(doc, "operations"))
         return Instrument(ops, _labels(doc), tol)
     return MeasurementScheme(
         system_dim=_field(doc, "system_dim", int),
@@ -182,8 +195,8 @@ def _part(doc: dict, key: str, cls: type, tol: Tolerances):
     return obj
 
 
-def dumps(obj, indent: int | None = None) -> str:
-    return json.dumps(encode(obj), indent=indent)
+def dumps(obj) -> str:
+    return json.dumps(encode(obj))
 
 
 def loads(text: str, tol: Tolerances = DEFAULT_TOL):
@@ -196,7 +209,7 @@ def loads(text: str, tol: Tolerances = DEFAULT_TOL):
 
 def save(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=2))
+        fh.write(dumps(obj))
         fh.write("\n")
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qmeas
 from qmeas import cli, modelfile
+from qmeas.algebra import fixed_point_space
 from qmeas.cli import CHECK_VERBS, EXIT_ERROR, EXIT_NO, EXIT_YES, main, run_check
 from qmeas.core import Channel, Instrument, MeasurementScheme, Operation, State, luders_instrument
 from qmeas.linalg import DEFAULT_TOL, Tolerances
@@ -354,6 +355,14 @@ class TestDemos:
         assert report["omega_matches_ancilla"] is True
         assert report["reconstruction_residual"] < 1e-7
 
+    def test_decompose_reports_the_fixed_point_space_dimension(self, capsys, monkeypatch):
+        # the dimension of the span of fixed points, not that of the Hilbert space they act on
+        instruments, real = [], cli.fixed_point_space
+        monkeypatch.setattr(cli, "fixed_point_space", lambda inst, tol: instruments.append(inst) or real(inst, tol))
+        code, report, _ = run_json(capsys, "demo", "decompose")
+        assert code == EXIT_YES
+        assert report["fixed_space_dim"] == len(fixed_point_space(instruments[0]))
+
 
 class TestGen:
     def test_list(self, capsys):
@@ -515,6 +524,15 @@ class TestPlumbing:
         code, _, err = run(capsys, "classify", str(path))
         assert code == EXIT_ERROR
         assert "true and false" in err
+
+    def test_huge_integer_matrix_entry_is_an_input_error(self, tmp_path, capsys):
+        # an integer too large for a float64 is not a matrix entry, not a crash
+        text = modelfile.dumps(pointer_observable(2)).replace("1.0", "9" * 401, 1)
+        path = tmp_path / "obs.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "malformed matrix entry" in err and "OverflowError" not in err
 
     def test_boolean_outcome_labels_are_an_input_error(self, tmp_path, capsys):
         for obj, verb in ((pointer_observable(2), "classify"),

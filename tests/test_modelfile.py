@@ -6,6 +6,8 @@ import pytest
 from qmeas.core import (
     Channel,
     Instrument,
+    MeasurementScheme,
+    Observable,
     Operation,
     State,
     luders_instrument,
@@ -15,12 +17,14 @@ from qmeas.core import (
 from qmeas.errors import ValidationError
 from qmeas.modelfile import SCHEMA_VERSION, decode, dumps, encode, load, loads, save
 from qmeas.models import (
+    CATALOG,
     build_extremal_model,
     completely_unsharp_pair,
     pointer_observable,
     random_channel,
     random_full_rank_state,
     random_povm,
+    table1_observables,
     trivial_swap_scheme,
 )
 
@@ -79,6 +83,116 @@ class TestRoundTrip:
         raw = json.loads(path.read_text())
         assert raw["schema_version"] == SCHEMA_VERSION
         assert raw["kind"] == "state"
+
+
+def stacks(obj) -> list:
+    """Every matrix or operator stack an object holds, a scheme's parts included."""
+    if isinstance(obj, MeasurementScheme):
+        return [a for part in (obj.ancilla, obj.interaction, obj.pointer) for a in stacks(part)]
+    if isinstance(obj, Instrument):
+        return [op.kraus for op in obj.operations]
+    if isinstance(obj, State):
+        return [obj.matrix]
+    return [obj.effects if isinstance(obj, Observable) else obj.kraus]
+
+
+class TestSavedFiles:
+    @pytest.mark.parametrize("name", [*sorted(CATALOG), "table1"])
+    def test_every_shipped_object_round_trips_bit_for_bit(self, tmp_path, name):
+        objects = table1_observables() if name == "table1" else CATALOG[name].build()
+        for key, obj in objects.items():
+            path = tmp_path / f"{key}.json"
+            save(obj, str(path))
+            assert path.read_text(encoding="utf-8") == json.dumps(encode(obj)) + "\n"
+            back = load(str(path))
+            assert type(back) is type(obj)
+            for a, b in zip(stacks(back), stacks(obj), strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b), key
+                for part in (a.real, b.real), (a.imag, b.imag):  # signed zeros too
+                    assert np.array_equal(*map(np.signbit, part)), key
+
+
+def stack_documents() -> dict:
+    """One document per way a matrix stack is stored, with a getter for that stack."""
+    channel = random_channel(2, 2, 2, 5)
+    choi = {"schema_version": SCHEMA_VERSION, "kind": "channel", "dims": [2, 2],
+            "choi": [[[z.real, z.imag] for z in row] for row in channel.choi]}
+    return {
+        "state": (encode(State.complete_mixture(2)), lambda doc: doc["matrix"]),
+        "observable": (encode(pointer_observable(2)), lambda doc: doc["effects"]),
+        "channel": (encode(channel), lambda doc: doc["kraus"]),
+        "instrument": (encode(luders_instrument(completely_unsharp_pair())), lambda doc: doc["operations"][0]),
+        "choi": (choi, lambda doc: doc["choi"]),
+    }
+
+
+def first_row(stack: list) -> list:
+    """The first row of [re, im] pairs in a nested stack."""
+    while isinstance(stack[0][0], list):
+        stack = stack[0]
+    return stack
+
+
+class TestDecoderTypeChecks:
+    """The decoder builds one float64 array per stack, and numpy would read "1.5", null and true
+    as numbers, and fail on an integer too large for a float with OverflowError."""
+
+    @pytest.mark.parametrize("where", sorted(stack_documents()))
+    @pytest.mark.parametrize("leaf", ["1.5", None, 10 ** 401], ids=["string", "null", "huge"])
+    def test_leaf_that_is_not_a_number_is_malformed(self, where, leaf):
+        doc, stack = stack_documents()[where]
+        first_row(stack(doc))[0][0] = leaf
+        with pytest.raises(ValidationError, match="malformed matrix entry"):
+            decode(doc)
+        with pytest.raises(ValidationError, match="malformed matrix entry"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", sorted(stack_documents()))
+    def test_boolean_leaf_is_not_a_number(self, where):
+        doc, stack = stack_documents()[where]
+        first_row(stack(doc))[0] = [True, False]
+        with pytest.raises(ValidationError, match="true and false"):
+            decode(doc)
+
+    @pytest.mark.parametrize("where", sorted(stack_documents()))
+    @pytest.mark.parametrize("change", ["short pair", "long pair", "ragged row", "too deep", "too shallow"])
+    def test_misshapen_stack_is_malformed(self, where, change):
+        doc, stack = stack_documents()[where]
+        row = first_row(stack(doc))
+        if change == "short pair":
+            row[0] = row[0][:1]
+        elif change == "long pair":
+            row[0] = row[0] + [0.0]
+        elif change == "ragged row":
+            row.append([0.0, 0.0])
+        elif change == "too deep":
+            row[:] = [[pair] for pair in row]
+        else:
+            row[:] = [re for re, _ in row]
+        with pytest.raises(ValidationError, match="malformed matrix entry"):
+            decode(doc)
+
+    def test_family_of_matrices_that_differ_in_shape_is_malformed(self):
+        doc = encode(pointer_observable(2))
+        doc["effects"][1] = [[[1.0, 0.0]]]
+        with pytest.raises(ValidationError, match="malformed matrix entry"):
+            decode(doc)
+
+    @pytest.mark.parametrize("kraus", [[], [[]], [[[]]], [[[]], [[]]]])
+    def test_zero_size_kraus_operators_are_empty(self, kraus):
+        channel = encode(random_channel(2, 2, 2, 5))
+        channel["kraus"] = kraus
+        instrument = encode(luders_instrument(completely_unsharp_pair()))
+        instrument["operations"][0] = kraus
+        for doc in (channel, instrument):
+            with pytest.raises(ValidationError, match="empty"):
+                decode(doc)
+
+    def test_numpy_scalar_leaves_are_numbers(self):
+        obs = pointer_observable(2)
+        doc = encode(obs)
+        doc["effects"] = [[[[np.int64(re), np.float32(im)] for re, im in row] for row in e] for e in doc["effects"]]
+        assert np.array_equal(decode(doc).effects, obs.effects)
 
 
 class TestChoiPayload:
