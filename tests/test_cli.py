@@ -526,7 +526,7 @@ class TestPlumbing:
         assert "true and false" in err
 
     def test_huge_integer_matrix_entry_is_an_input_error(self, tmp_path, capsys):
-        # an integer too large for a float64 is not a matrix entry, not a crash
+        # an integer too large for a float64 is an input error, not a crash
         text = modelfile.dumps(pointer_observable(2)).replace("1.0", "9" * 401, 1)
         path = tmp_path / "obs.json"
         path.write_text(text)
