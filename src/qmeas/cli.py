@@ -294,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The qmeas parser; built once per process, since parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-atol", type=float, default=None,
-                        help="equality tolerance (env QMEAS_TOL_ATOL overrides the default); below "
-                             "about 1e-15 the package's own exact constructions fail validation (exit 2)")
-    common.add_argument("--tol-rank", type=float, default=None, help="rank threshold")
+                        help="equality tolerance (env QMEAS_TOL_ATOL overrides the default); "
+                             "both tolerances must be at least 64 eps, about 1.4e-14 (else exit 2)")
+    common.add_argument("--tol-rank", type=float, default=None, help="rank threshold of every decision")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")

@@ -12,8 +12,8 @@ Operator families are stored as one read-only complex128 array of shape
 (n, d_out, d_in): Observable.effects and the .kraus of Operation and Channel.
 A read-only C-contiguous complex128 array over memory no writeable array owns is
 stored as given, any other input copied once.  Superoperators and Choi matrices are
-computed from the Kraus stack on every access, not stored.  The Kraus reductions return
-the weight they drop, and what is built from them is validated at atol_equality plus it.
+computed from the Kraus stack on every access, not stored.  The Kraus reductions drop only
+round-off (float_rank), so each builds the map it was given; rank_cut is for verdicts.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
-    cut_rank,
     dagger,
+    float_rank,
     hermitian_eig,
     hs_norm,
     matrix_sqrt_psd,
@@ -121,7 +121,6 @@ class Observable:
     effects: np.ndarray  # read-only (n, dim, dim)
     outcomes: tuple[str, ...] = ()
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
-    dropped: float = field(default=0.0, repr=False, compare=False)  # weight a reduction dropped
 
     def __post_init__(self) -> None:
         effects = _family(self.effects, "effect")
@@ -133,14 +132,14 @@ class Observable:
             raise ValidationError("outcome labels do not match effect count")
         if len(set(outcomes)) != n:
             raise ValidationError("outcome labels must be unique")
-        atol, slack = self.tol.atol_equality, self.tol.atol_equality + self.dropped
+        atol = self.tol.atol_equality
         w, _ = hermitian_eig(effects, self.tol)
         for label, top, bottom, peak in zip(outcomes, w[:, 0], w[:, -1], np.abs(effects).max(axis=(1, 2))):
-            if bottom < -slack or top > 1.0 + slack:
+            if bottom < -atol or top > 1.0 + atol:
                 raise ValidationError(f"effect {label!r} spectrum [{bottom:.3e}, {top:.3e}] leaves [0,1]")
             if peak <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
-        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n + self.dropped:
+        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n:
             raise ValidationError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(outcomes))
@@ -179,9 +178,8 @@ class _KrausMap:
 
     @classmethod
     def measure_prepare(cls, pairs, tol: Tolerances = DEFAULT_TOL):
-        """rho -> sum_i tr[G_i rho] sigma_i by measure_prepare_kraus, validated at the weight it dropped."""
-        kraus, dropped = measure_prepare_kraus(pairs, tol)
-        return cls(kraus, tol, dropped)
+        """rho -> sum_i tr[G_i rho] sigma_i, with the Kraus operators of measure_prepare_kraus."""
+        return cls(measure_prepare_kraus(pairs, tol), tol)
 
     @property
     def choi(self) -> np.ndarray:
@@ -207,12 +205,11 @@ class Operation(_KrausMap):
 
     kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
-    dropped: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         w, _ = hermitian_eig(self._kraus_sum(), self.tol)
-        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus) + self.dropped:
+        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus):
             raise ValidationError(f"sum K^dag K has eigenvalue {w[0]:.12f} > 1")
 
 
@@ -222,12 +219,11 @@ class Channel(_KrausMap):
 
     kraus: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
-    dropped: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         dev = np.abs(self._kraus_sum() - np.eye(self.dim_in)).max()
-        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)) + self.dropped:
+        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)):
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
 
     @staticmethod
@@ -260,8 +256,7 @@ class Instrument:
         for op in ops:
             if op.dim_in != d or op.dim_out != d:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
-        observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol,
-                                sum(op.dropped for op in ops))
+        observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol)
         object.__setattr__(self, "operations", ops)
         object.__setattr__(self, "outcomes", observable.outcomes)
         object.__setattr__(self, "_observable", observable)
@@ -280,7 +275,7 @@ class Instrument:
     def total_channel(self) -> Channel:
         kraus = np.concatenate([op.kraus for op in self.operations])
         kraus.setflags(write=False)
-        return Channel(kraus, self.tol, self._observable.dropped)
+        return Channel(kraus, self.tol)
 
 
 @dataclass(frozen=True)
@@ -358,7 +353,7 @@ def compose(after: _KrausMap, before: _KrausMap):
     ks = after.kraus[:, None] @ before.kraus[None]
     ks.setflags(write=False)
     cls = Channel if isinstance(after, Channel) and isinstance(before, Channel) else Operation
-    return cls(ks.reshape(-1, after.dim_out, before.dim_in), after.tol, after.dropped + before.dropped)
+    return cls(ks.reshape(-1, after.dim_out, before.dim_in), after.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +361,36 @@ def compose(after: _KrausMap, before: _KrausMap):
 
 
 def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Minimal Kraus family, stacked, from a Choi matrix, and the weight sum |w| it drops.
+                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Minimal Kraus family, stacked in descending norm, from a Choi matrix.
 
-    Eigenvalues w at or below rank_cut are discarded;
-    an eigenvalue below -10*atol means the map is not CP.
+    Eigenvalues w at the float_rank floor are round-off and discarded;
+    an eigenvalue below -atol_equality means the map is not CP.
     """
     c = as_complex_matrix(choi)
     if c.shape != (dim_out * dim_in, dim_out * dim_in):
         raise DimensionMismatch("Choi matrix shape does not match dims")
     w, v = hermitian_eig(c, tol)
-    if w[-1] < -10 * tol.atol_equality:
+    if w[-1] < -tol.atol_equality:
         raise NotCP(f"Choi eigenvalue {w[-1]:.3e}")
-    r = cut_rank(w, tol)
+    r = float_rank(w, len(w))
     if not r:
         raise NotCP("Choi matrix is numerically zero")
-    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in), float(np.abs(w[r:]).sum())
+    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in)
 
 
-def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Minimal Kraus family (stacked) of the map with Kraus rows vec(K_i) in v, and the weight s^2 it drops.
+def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
+    """Minimal Kraus family, stacked in descending norm, of the map with Kraus rows vec(K_i) in v.
 
     Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
+    The floor applies to those eigenvalues s^2: the root of a round-off s^2 is no Kraus operator.
     """
     _, s, vh = np.linalg.svd(v, full_matrices=False)
-    r = cut_rank(s * s, tol)
+    r = float_rank(s * s, max(v.shape))
     if not r:
         raise NotCP("Kraus rows are numerically zero")
-    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in), float(s[r:] @ s[r:])
+    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in)
 
 
 def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
@@ -407,24 +402,22 @@ def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
 # instruments from observables and schemes
 
 
-def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i),
-    and the weight sum |g s| of the eigenvalue pairs it drops.
+def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Kraus operators sqrt(g s) |s><g| of rho -> sum_i tr[G_i rho] sigma_i, for pairs (G_i, sigma_i).
 
-    (g, |g>) and (s, |s>) run over the eigenpairs of the PSD G_i and sigma_i that cut_rank counts.
+    (g, |g>) and (s, |s>) run over the eigenpairs of the PSD G_i and sigma_i above the float_rank floor.
     """
     g_ops, sigmas = zip(*pairs)
     g, gv = hermitian_eig(np.array(g_ops, dtype=np.complex128), tol)
     s, sv = hermitian_eig(np.array([_as_matrix(x) for x in sigmas]), tol)
-    families, dropped = [], 0.0
+    families = []
     for gx, gvx, sx, svx in zip(g, gv, s, sv):
-        m, n = cut_rank(gx, tol), cut_rank(sx, tol)
-        dropped += np.abs(gx[m:]).sum() * np.abs(sx).sum() + np.abs(gx[:m]).sum() * np.abs(sx[n:]).sum()
+        m, n = float_rank(gx, len(gx)), float_rank(sx, len(sx))
         kets, bras = svx[:, :n].T, gvx[:, :m].conj().T  # rows |s_j>, <g_i|
         outers = kets[None, :, :, None] * bras[:, None, None, :]  # [i, j] = |s_j><g_i|
         amplitudes = np.sqrt(gx[:m, None] * sx[:n])[:, :, None, None]
         families.append((amplitudes * outers).reshape(m * n, len(svx), len(gvx)))
-    return np.concatenate(families), float(dropped)
+    return np.concatenate(families)
 
 
 def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -460,12 +453,11 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
               for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_x stacked over x
     if len(kraus) * da * da <= ds * ds:
-        families = [kraus_from_rows(v, ds, ds, tol) for v in np.concatenate(list(blocks), axis=1)]
+        families = [kraus_from_rows(v, ds, ds) for v in np.concatenate(list(blocks), axis=1)]
     else:
         chois = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
         families = [kraus_from_choi(choi, ds, ds, tol) for choi in chois]
-    return Instrument(tuple(Operation(ks, tol, dropped) for ks, dropped in families),
-                      scheme.pointer.outcomes, tol)
+    return Instrument(tuple(Operation(ks, tol) for ks in families), scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:

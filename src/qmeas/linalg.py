@@ -1,10 +1,10 @@
 """Dense complex linear algebra with explicit tolerance handling.
 
 All matrices are numpy complex128 arrays.  Equality, rank, and kernel
-decisions are never made against exact zero: every count of nonzero
-singular values or eigenvalues is cut_rank, every "attains 1" test is
-attains_one, both at a :class:`Tolerances` instance, so each numerical
-cut in the package is written once.
+decisions are never made against exact zero: every count of nonzero singular values
+or eigenvalues is cut_rank, every "attains 1" test is attains_one, both at a
+:class:`Tolerances` instance, so each numerical cut in the package is written once.
+A construction drops only the round-off below float_rank's floor, and decides nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NonHermitian, NotPSD, ValidationError
+
+
+EPS = float(np.finfo(np.float64).eps)
+TOL_FLOOR = 64 * EPS  # smallest Tolerances field: exact constructions meet no finer cut
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (0.0 < v < 1e-2):
-                raise ValidationError(f"{f.name} must lie in (0, 1e-2), got {v!r}")
+            if not (TOL_FLOOR <= v < 1e-2):
+                raise ValidationError(f"{f.name} must lie in [{TOL_FLOOR:.1e}, 1e-2), got {v!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -135,6 +139,11 @@ def rank_cut(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
 def cut_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of s above rank_cut; for s sorted descending, the leading s that count as nonzero."""
     return int(np.count_nonzero(s > rank_cut(s, tol)))
+
+
+def float_rank(s: np.ndarray, size: int) -> int:
+    """Number of s above eps * size * max(1, max s): matrix_rank's round-off floor, size the larger side."""
+    return int(np.count_nonzero(s > EPS * size * max(1.0, float(np.max(s)) if s.size else 0.0)))
 
 
 def attains_one(v, tol: Tolerances = DEFAULT_TOL):

@@ -91,10 +91,9 @@ def _labels(doc: dict) -> tuple:
 def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
     """Alternative channel or operation payload: Choi matrix plus [dim_out, dim_in].
 
-    kraus_from_choi reduces the matrix (and rejects one that is not Hermitian or not CP).
     The matrix's own partial trace over the output, (sum K^dag K)^T, must meet the trace
-    condition at atol_equality; the reduced family is validated at that tolerance plus
-    the weight the reduction dropped.
+    condition at atol_equality; then kraus_from_choi reduces the matrix (and rejects one
+    that is not Hermitian or not CP).
     """
     dims = doc.get("dims")
     if not (isinstance(dims, list) and len(dims) == 2 and all(_is_int(n) and n > 0 for n in dims)):
@@ -103,7 +102,6 @@ def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
     choi = _array(doc["choi"], 3)
     if choi.shape != (dim_out * dim_in, dim_out * dim_in):
         raise ValidationError(f"choi shape {choi.shape} does not match dims {dims}")
-    kraus, dropped = kraus_from_choi(choi, dim_out, dim_in, tol)
     kraus_sum = np.trace(choi.reshape(dim_out, dim_in, dim_out, dim_in), axis1=0, axis2=2).T
     if cls is Channel:
         dev = np.abs(kraus_sum - np.eye(dim_in)).max()
@@ -113,24 +111,11 @@ def _from_choi_doc(doc: dict, cls: type, tol: Tolerances):
         top = hermitian_eig(kraus_sum, tol)[0][0]
         if not top <= 1.0 + tol.atol_equality:
             raise ValidationError(f"choi partial trace has eigenvalue {top:.12f} > 1")
-    return cls(kraus, tol, dropped)
+    return cls(kraus_from_choi(choi, dim_out, dim_in, tol), tol)
 
 
 def encode(obj) -> dict:
-    """Document for one supported object; nested objects encode recursively.  A family saved
-    without the weight its reduction dropped must still decode at its own tol."""
-    doc = _document(obj)
-    dropped = obj.induced_observable().dropped if isinstance(obj, Instrument) else getattr(obj, "dropped", 0)
-    if dropped > 0:
-        try:
-            decode(doc, obj.tol)
-        except ValidationError as exc:
-            raise ValidationError(f"{doc['kind']} would not load back without the weight {dropped:.3e} "
-                                  f"its reduction dropped: {exc}") from exc
-    return doc
-
-
-def _document(obj) -> dict:
+    """Document for one supported object; nested objects encode recursively."""
     if isinstance(obj, State):
         return {"schema_version": SCHEMA_VERSION, "kind": "state",
                 "matrix": _pairs(obj.matrix)}

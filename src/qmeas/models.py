@@ -169,10 +169,10 @@ def build_ideality_example() -> tuple[Observable, Instrument]:
     e_plus = np.diag([0.0, 0.5, 1.0]).astype(np.complex128)
 
     # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
-    reprepare, dropped = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
+    reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
 
     def op(keep: int) -> Operation:
-        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]), DEFAULT_TOL, dropped)
+        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]))
 
     instrument = Instrument((op(0), op(2)), ("minus", "plus"))
     return Observable((e_minus, e_plus), ("minus", "plus")), instrument

@@ -30,7 +30,8 @@ from .core import (
     superop_distance,
 )
 from .errors import QmeasError, SchemeMismatch
-from .linalg import DEFAULT_TOL, Tolerances, attains_one, dagger, hermitian_eig, numerical_rank, rank_cut
+from .linalg import (DEFAULT_TOL, Tolerances, attains_one, cut_rank, dagger, hermitian_eig, numerical_rank,
+                     rank_cut)
 
 POSSIBLE = "possible"
 IMPOSSIBLE = "impossible"
@@ -84,13 +85,15 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     """Linear independence of all products K_i^dag K_j of minimal Kraus families.
 
     The criterion is basis-independent: any other minimal family spans the same product set.
+    Each family's Kraus rank is decided at rank_cut on its weights |K_i|_F^2.
     The rows vec(K_a^dag K_b) are made one row block (a slice of a's of one family) at a time.
     Several blocks are folded into one running R factor, which keeps their singular values.  The
     fold stops at d^2 rows whose smallest singular value exceeds rank_cut at W = sum_x |f_x|_F^2:
     W bounds the largest singular value of all products and more rows lower none, so the rank is d^2.
     """
-    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in, tol)[0]
+    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in)
                 for op in instrument.operations]
+    families = [f[:cut_rank((np.abs(f) ** 2).sum(axis=(1, 2)), tol)] for f in families]  # descending norms
     count, span = sum(len(f) ** 2 for f in families), instrument.dim ** 2
     blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, span)  # rows vec(K_a^dag K_b)
               for f in families for a in row_blocks(f, len(f)))

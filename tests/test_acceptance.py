@@ -277,7 +277,7 @@ def test_criterion_10_duality_and_round_trips():
     worst_choi = 0.0
     for seed in range(20):
         ch = random_channel(2 + seed % 2, 2 + (seed + 1) % 2, 2 + seed % 3, seed)
-        back = Channel(kraus_from_choi(ch.choi, ch.dim_out, ch.dim_in)[0])
+        back = Channel(kraus_from_choi(ch.choi, ch.dim_out, ch.dim_in))
         worst_choi = max(worst_choi, superop_distance(back, ch))
     ok = ok and worst_choi < 1e-8
     _report(10, "Heisenberg pairing and Choi round trips", ok,

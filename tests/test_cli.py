@@ -559,6 +559,26 @@ class TestPlumbing:
         code, _, _ = run(capsys, "check", "channel-thirdlaw", str(path), "--tol-atol", "1e-3")
         assert code == EXIT_YES
 
+    @pytest.mark.parametrize("flag, field", [("--tol-atol", "atol_equality"), ("--tol-rank", "rank_threshold")])
+    def test_tolerance_below_the_floor_is_an_input_error(self, capsys, flag, field):
+        # 1e-15 lies below the floor of 64 eps
+        code, _, err = run(capsys, "demo", "purify", "--seed", "5", flag, "1e-15")
+        assert code == EXIT_ERROR
+        assert field in err
+
+    def test_choi_eigenvalue_is_cut_at_minus_atol(self, tmp_path, capsys):
+        # the identity channel's Choi matrix |00>+|11> plus delta (|11><11| - |01><01|), whose partial
+        # trace over the output is still the identity: its smallest eigenvalue is -delta
+        phi = np.array([1.0, 0.0, 0.0, 1.0])
+        path = tmp_path / "ch.json"
+        for delta, want in ((3e-10, EXIT_YES), (3e-9, EXIT_ERROR)):
+            choi = np.outer(phi, phi) + delta * np.diag([0.0, -1.0, 0.0, 1.0])
+            path.write_text(json.dumps({"schema_version": modelfile.SCHEMA_VERSION, "kind": "channel",
+                                        "dims": [2, 2], "choi": [[[z, 0.0] for z in row] for row in choi]}))
+            code, _, err = run(capsys, "check", "channel-thirdlaw", str(path))
+            assert code == want, err
+        assert "Choi eigenvalue -3.000e-09" in err
+
     def test_malformed_env_tolerance_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QMEAS_TOL_ATOL", "abc")
         path = tmp_path / "obs.json"

@@ -305,19 +305,19 @@ class TestChoiKraus:
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0
         assert np.abs(ch.choi - np.outer(psi, psi.conj())).max() < 1e-12
-        kraus = kraus_from_choi(ch.choi, 2, 2)[0]
+        kraus = kraus_from_choi(ch.choi, 2, 2)
         assert len(kraus) == 1
 
     def test_extremal_operation_minimal_count(self):
         ks = extremal_model_kraus()
         op = Operation((ks[(0, 0)], ks[(0, 1)]))
-        kraus = kraus_from_choi(op.choi, 4, 4)[0]
+        kraus = kraus_from_choi(op.choi, 4, 4)
         assert len(kraus) == 2
 
     def test_round_trip_random(self):
         for seed in range(10):
             ch = random_channel(3, 3, 4, seed)
-            back = Operation(kraus_from_choi(ch.choi, 3, 3)[0])
+            back = Operation(kraus_from_choi(ch.choi, 3, 3))
             assert superop_distance(ch, back) < 1e-8
 
     def test_choi_from_superop_consistent(self):
@@ -344,8 +344,8 @@ class TestChoiKraus:
         rng = np.random.default_rng(count)
         v = rand_complex(rng, count, 3) @ rand_complex(rng, 3, 6)
         choi = v.T @ v.conj()
-        from_rows = kraus_from_rows(v, 2, 3)[0]
-        from_choi = kraus_from_choi(choi, 2, 3)[0]
+        from_rows = kraus_from_rows(v, 2, 3)
+        from_choi = kraus_from_choi(choi, 2, 3)
         assert len(from_rows) == len(from_choi) == 3
         for fam in (from_rows, from_choi):
             rows = np.array(fam).reshape(len(fam), -1)
@@ -353,11 +353,12 @@ class TestChoiKraus:
         with pytest.raises(NotCP):
             kraus_from_rows(np.zeros((count, 6)), 2, 3)
 
-    def test_rows_are_cut_at_the_rank_threshold(self):
-        # squared singular values 2 and 2e-6: the Kraus count follows rank_threshold
-        v = np.array([vec(np.eye(2)), 1e-3 * vec(np.diag([1.0, -1.0]))])
-        assert len(kraus_from_rows(v, 2, 2)[0]) == 2
-        assert len(kraus_from_rows(v, 2, 2, Tolerances(rank_threshold=1e-4))[0]) == 1
+    def test_rows_are_floored_at_round_off_not_at_the_rank_threshold(self):
+        # squared singular values 2 and 2e-12 (below the default rank cut): both operators are kept;
+        # 2 and 2e-20 (a weight of 1e-20 relative, below the round-off floor): one is
+        small = np.array([vec(np.eye(2)), 1e-6 * vec(np.diag([1.0, -1.0]))])
+        assert len(kraus_from_rows(small, 2, 2)) == 2
+        assert len(kraus_from_rows(small * [[1.0], [1e-4]], 2, 2)) == 1
 
     def test_measure_prepare_family_matches_the_per_pair_loop(self):
         pairs = [(np.diag([1.0, 0.0, 0.0]), random_full_rank_state(3, 1)),
@@ -368,7 +369,7 @@ class TestChoiKraus:
             s, sv = hermitian_eig(getattr(sigma, "matrix", sigma))
             expected += [np.sqrt(g[i] * s[j]) * np.outer(sv[:, j], gv[:, i].conj())
                          for i in range(cut_rank(g)) for j in range(cut_rank(s))]
-        family = measure_prepare_kraus(pairs)[0]
+        family = measure_prepare_kraus(pairs)
         assert family.shape == (7, 3, 3) and np.array_equal(family, np.array(expected))
         rho = random_full_rank_state(3, 2).matrix
         want = sum(np.trace(g_op @ rho) * getattr(sigma, "matrix", sigma) for g_op, sigma in pairs)
@@ -563,7 +564,7 @@ class TestSchemeFactorization:
                 assert np.abs(direct - op.dual_superoperator).max() < 1e-10
                 # minimal Kraus count: the rank of the oracle's Choi matrix
                 choi = dagger(direct).reshape(ds, ds, ds, ds).transpose(0, 2, 1, 3).reshape(ds * ds, -1)
-                assert len(op.kraus) == len(kraus_from_choi(choi, ds, ds)[0])
+                assert len(op.kraus) == len(kraus_from_choi(choi, ds, ds))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1), dims=st.sampled_from(((2, 2), (3, 2), (2, 3))),

@@ -9,11 +9,13 @@ from qmeas.algebra import _commutators, fixed_point_space
 from qmeas.core import scheme_to_instrument
 from qmeas.errors import DimensionMismatch, NonHermitian, NotPSD, ValidationError
 from qmeas.linalg import (
+    TOL_FLOOR,
     Tolerances,
     cut_rank,
     dagger,
     eigenvalue_clusters,
     embed_hermitian,
+    float_rank,
     hermitian_eig,
     hermitian_superoperator,
     hs_norm,
@@ -49,10 +51,13 @@ class TestTolerances:
         assert t.rank_threshold == 1e-8
 
     @pytest.mark.parametrize("field", ["atol_equality", "rank_threshold"])
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-2, 0.5])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-15, 1e-2, 0.5])
     def test_rejects_out_of_range(self, field, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=field):
             Tolerances(**{field: bad})
+
+    def test_floor_is_accepted(self):
+        assert Tolerances(TOL_FLOOR, TOL_FLOOR).atol_equality == 64 * np.finfo(np.float64).eps
 
     def test_no_threshold_outside_tolerances(self):
         """No module-level float constant, and no comparison with a float literal,
@@ -69,6 +74,19 @@ class TestTolerances:
             found += [f"{name}:{c.lineno}" for root in roots for c in ast.walk(root)
                       if isinstance(c, ast.Constant) and isinstance(c.value, float) and 0 < abs(c.value) < 1e-3]
         assert found == []
+
+
+class TestFloatRank:
+    def test_floor_is_eps_times_size_times_the_scale(self):
+        eps = np.finfo(np.float64).eps
+        assert float_rank(np.array([1.0, 5 * eps, 3 * eps]), 4) == 2
+        assert float_rank(np.array([1e-3, 5 * eps, 3 * eps]), 4) == 2  # the scale is at least 1
+        assert float_rank(np.array([10.0, 5 * eps, 3 * eps]), 4) == 1
+
+    def test_matches_matrix_rank(self):
+        rng = np.random.default_rng(3)
+        a = 2 * rand_complex(rng, 6, 2) @ rand_complex(rng, 2, 4)
+        assert float_rank(np.linalg.svd(a, compute_uv=False), 6) == np.linalg.matrix_rank(a) == 2
 
 
 class TestHermitianEig:

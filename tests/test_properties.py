@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qmeas.classify import classify
 from qmeas.core import (
     BLOCK_ENTRIES,
+    Channel,
     Instrument,
+    MeasurementScheme,
     Observable,
     Operation,
     State,
@@ -66,7 +68,7 @@ def _products(families) -> np.ndarray:
 
 
 def _minimal(instrument) -> list[np.ndarray]:
-    return [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in)[0]
+    return [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in)
             for op in instrument.operations]
 
 
@@ -326,7 +328,7 @@ class TestExtremal:
         p0 = obs.effects[0].astype(complex)
         # same operation written with a split Kraus family
         op_related = luders_instrument(obs).operations[0]
-        fam = kraus_from_choi(op_related.choi, 2, 2)[0]
+        fam = kraus_from_choi(op_related.choi, 2, 2)
         assert len(fam) == 1
         assert np.abs(fam[0] @ fam[0].conj().T - p0).max() < 1e-10
 
@@ -571,3 +573,37 @@ class TestFalsification:
         cells = theorem_predicates(classify(inst.induced_observable()), inst.dim)
         for row, holds in found.items():
             assert not (holds and cells[row].verdict == IMPOSSIBLE), (row, family)
+
+
+def _flip_scheme(lam: float, mu: float) -> MeasurementScheme:
+    """flip(lam, mu): the ancilla diag(1 - lam, lam) records s, but its |1> branch writes s+1 (mod 2)
+    with probability mu.  The exact instrument dephases the system, first kind for every lam, mu."""
+    kraus = np.zeros((3, 2, 2, 2, 2))  # K[i][(s a), (t b)]
+    for s in (0, 1):
+        kraus[0, s, s, s, 0] = 1.0
+        kraus[1, s, s, s, 1] = np.sqrt(1 - mu)
+        kraus[2, s, 1 - s, s, 1] = np.sqrt(mu)
+    return MeasurementScheme(2, State.diagonal([1 - lam, lam]), Channel(kraus.reshape(3, 4, 4)),
+                             pointer_observable(2))
+
+
+class TestFlipScheme:
+    GRID = np.logspace(-9, -2, 8)
+
+    def test_first_kind_at_every_weight(self):
+        """A weight lam * mu below the rank cut is still part of the instrument: no verdict may
+        change the exactly first-kind scheme into one that is not, and repeatable implies first
+        kind (sum the repeatability identity over x)."""
+        verdicts = {}
+        for lam in self.GRID:
+            for mu in self.GRID:
+                inst = scheme_to_instrument(_flip_scheme(lam, mu))
+                verdicts[lam, mu] = decide("first_kind", inst)[0], decide("repeatable", inst)[0]
+        assert [key for key, (first, _) in verdicts.items() if not first] == []
+        assert [key for key, (first, rep) in verdicts.items() if rep and not first] == []
+
+    def test_the_exact_effects_are_built(self):
+        lam = mu = 1e-5
+        effects = scheme_to_instrument(_flip_scheme(lam, mu)).induced_observable().effects
+        p = lam * mu
+        assert np.abs(effects - np.array([np.diag([1 - p, p]), np.diag([p, 1 - p])])).max() < 1e-15
