@@ -91,7 +91,7 @@ class State:
         if w[-1] < -self.tol.atol_equality:
             raise ValidationError(f"state has negative eigenvalue {w[-1]:.3e}")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > self.tol.atol_equality * m.shape[0]:
+        if abs(tr - 1.0) > self.tol.atol_equality:
             raise ValidationError(f"state trace {tr!r} is not 1")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -139,7 +139,7 @@ class Observable:
                 raise ValidationError(f"effect {label!r} spectrum [{bottom:.3e}, {top:.3e}] leaves [0,1]")
             if peak <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
-        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol * n:
+        if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol:
             raise ValidationError("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "outcomes", tuple(outcomes))
@@ -209,7 +209,7 @@ class Operation(_KrausMap):
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         w, _ = hermitian_eig(self._kraus_sum(), self.tol)
-        if not w[0] <= 1.0 + self.tol.atol_equality * len(self.kraus):
+        if not w[0] <= 1.0 + self.tol.atol_equality:
             raise ValidationError(f"sum K^dag K has eigenvalue {w[0]:.12f} > 1")
 
 
@@ -223,7 +223,7 @@ class Channel(_KrausMap):
     def __post_init__(self) -> None:
         object.__setattr__(self, "kraus", _family(self.kraus, "Kraus operator"))
         dev = np.abs(self._kraus_sum() - np.eye(self.dim_in)).max()
-        if not dev <= self.tol.atol_equality * max(1, len(self.kraus)):
+        if not dev <= self.tol.atol_equality:
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
 
     @staticmethod
@@ -445,6 +445,7 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     G[(x r q), (a b)] = sqrt(Z_x)[r, a] sqrt(xi)[b, q] per block of the K_i.
     kraus_from_rows reduces at most ds^2 rows; more are reduced by kraus_from_choi
     from their Choi matrix V_x^T conj(V_x), a real Gram product summed over the blocks.
+    An outcome with tr E_x = |V_x|_F^2 = tr Choi_x <= atol_equality never occurs: rejected, unreduced.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
     kraus = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
@@ -453,11 +454,15 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
               for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_x stacked over x
     if len(kraus) * da * da <= ds * ds:
-        families = [kraus_from_rows(v, ds, ds) for v in np.concatenate(list(blocks), axis=1)]
+        inputs = np.concatenate(list(blocks), axis=1)
+        weights, reduce = np.linalg.norm(inputs, axis=(1, 2)) ** 2, lambda v: kraus_from_rows(v, ds, ds)
     else:
-        chois = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
-        families = [kraus_from_choi(choi, ds, ds, tol) for choi in chois]
-    return Instrument(tuple(Operation(ks, tol) for ks in families), scheme.pointer.outcomes, tol)
+        inputs = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
+        weights, reduce = np.trace(inputs, axis1=1, axis2=2).real, lambda c: kraus_from_choi(c, ds, ds, tol)
+    for label, weight in zip(scheme.pointer.outcomes, weights):
+        if not weight > tol.atol_equality:
+            raise ValidationError(f"outcome {label!r} never occurs: its induced effect is zero")
+    return Instrument(tuple(Operation(reduce(v), tol) for v in inputs), scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:

@@ -183,10 +183,10 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") 
 
 
 def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unique PSD square root, of one matrix or each of a stack; small negative eigenvalues clip to 0."""
+    """Unique PSD square root of one matrix or each of a stack; eigenvalues in [-atol_equality, 0) clip to 0."""
     w, v = hermitian_eig(a, tol)
-    if w.size and w[..., -1].min() < -10 * tol.atol_equality:
-        raise NotPSD(f"eigenvalue {w[..., -1].min():.3e} below -10*atol")
+    if w.size and w[..., -1].min() < -tol.atol_equality:
+        raise NotPSD(f"eigenvalue {w[..., -1].min():.3e} below -{tol.atol_equality:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 

@@ -136,10 +136,10 @@ def build_shift_scheme(n: int, q, tol: Tolerances = DEFAULT_TOL) -> MeasurementS
     q = np.asarray(q, dtype=float)
     if n < 2 or q.shape != (n,):
         raise BadDistribution(f"need n >= 2 weights, got shape {q.shape} for n={n}")
-    if abs(q.sum() - 1.0) > tol.atol_equality * n:
-        raise BadDistribution(f"weights sum to {q.sum()!r}, not 1")
+    if abs(q.sum() - 1.0) > tol.atol_equality:
+        raise BadDistribution(f"weights sum to {float(q.sum())!r}, not 1")
     if q.min() <= 0.05:
-        raise BadDistribution(f"smallest weight {q.min()!r} must exceed 0.05")
+        raise BadDistribution(f"smallest weight {float(q.min())!r} must exceed 0.05")
     k, m = np.divmod(np.arange(n * n), n)  # U = sum_k |k><k| (x) sum_m |m+k><m|
     return MeasurementScheme(
         system_dim=n,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Channel, MeasurementScheme, State, apply, apply_dual, fidelity, row_blocks
+from .core import Channel, MeasurementScheme, State, apply, fidelity, row_blocks
 from .errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from .linalg import (
     DEFAULT_TOL,
@@ -61,20 +61,13 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     Independent route from check_channel_thirdlaw: a CP map's dual kills
     some A^dag A != 0 iff it kills a rank-one projector, iff the frame
-    operator sum_i K_i K_i^dag is singular.  When a kernel vector exists
-    its projector is confirmed to be annihilated before answering False.
+    operator F = sum_i K_i K_i^dag is singular.  Its smallest eigenpair
+    (w_min, phi) is its own witness: since 0 <= Phi^*(|phi><phi|) <= Phi^*(1) = 1,
+    ||Phi^*(|phi><phi|)||_2^2 <= tr Phi^*(|phi><phi|) = <phi|F|phi> = w_min.
     """
     rows = (k.swapaxes(0, 1).reshape(channel.dim_out, -1) for k in row_blocks(channel.kraus))
     frame = sum(row @ dagger(row) for row in rows)  # [K_1 ... K_c] [K_1 ... K_c]^dag per block
-    w, v = hermitian_eig(frame, tol)
-    cut = rank_cut(w, tol)
-    if w[-1] > cut:
-        return True
-    phi = v[:, -1]
-    killed = apply_dual(channel, np.outer(phi, phi.conj()))
-    if hs_norm(killed) > np.sqrt(cut):
-        raise NoConvergence("frame operator nearly singular but witness projector survives")
-    return False
+    return _full_rank(hermitian_eig(frame, tol)[0], tol)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,18 @@ class TestClassify:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("ds, da", [(2, 2), (1, 3)], ids=["kraus rows", "choi"])
+    def test_outcome_that_never_occurs_is_named(self, tmp_path, capsys, ds, da):
+        # ancilla |0><0|, the identity interaction and a sharp pointer: outcome '1' has zero effect
+        scheme = MeasurementScheme(ds, State.diagonal([1.0] + [0.0] * (da - 1)),
+                                   Channel.identity(ds * da), pointer_observable(da))
+        path = tmp_path / "scheme.json"
+        modelfile.save(scheme, str(path))
+        assert run(capsys, "check", "scheme-thirdlaw", str(path))[0] == EXIT_NO
+        code, _, err = run(capsys, "check", "firstkind", str(path))
+        assert code == EXIT_ERROR
+        assert "outcome '1' never occurs: its induced effect is zero" in err
+
     def test_channel_thirdlaw_yes(self, tmp_path, capsys):
         path = tmp_path / "ch.json"
         modelfile.save(random_constrained_channel(3, 1), str(path))

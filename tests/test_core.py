@@ -30,6 +30,7 @@ from qmeas.core import (
 )
 from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
 from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, vec
+from qmeas.modelfile import SCHEMA_VERSION, decode
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -121,6 +122,49 @@ class TestChannelValidation:
     def test_operation_rejects_excess(self):
         with pytest.raises(ValidationError):
             Operation((np.diag([1.5, 1.0]),))
+
+
+class TestValidationAtAtolEquality:
+    """Every validity identity is cut at atol_equality itself, whatever the size of the object."""
+
+    @pytest.mark.parametrize("delta, loads", [(5e-10, True), (5e-7, False)])
+    @pytest.mark.parametrize("form", ["one operator", "1000 operators", "choi payload"])
+    @pytest.mark.parametrize("cls", [Channel, Operation])
+    def test_one_verdict_per_map(self, cls, form, delta, loads):
+        # sqrt(1 + delta) 1 on a qubit: sum K^dag K = (1 + delta) 1 in every representation
+        if form == "choi payload":
+            kind = "channel" if cls is Channel else "operation"
+            choi = (1 + delta) * np.outer(vec(np.eye(2)), vec(np.eye(2)))
+            doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "dims": [2, 2],
+                   "choi": [[[z.real, z.imag] for z in row] for row in choi]}
+            build, given = decode, doc
+        else:
+            n = 1 if form == "one operator" else 1000
+            build, given = cls, np.tile(np.sqrt((1 + delta) / n) * np.eye(2), (n, 1, 1))
+        if loads:
+            assert isinstance(build(given), cls)
+        else:
+            with pytest.raises(ValidationError):
+                build(given)
+
+    @pytest.mark.parametrize("delta, loads", [(5e-10, True), (3e-9, False)])
+    def test_state_trace_is_not_scaled_by_the_dimension(self, delta, loads):
+        m = (1 + delta) * np.eye(4) / 4
+        if loads:
+            State(m)
+        else:
+            with pytest.raises(ValidationError, match="trace"):
+                State(m)
+
+    @pytest.mark.parametrize("delta, loads", [(5e-10, True), (4e-9, False)])
+    def test_observable_sum_is_not_scaled_by_the_outcome_count(self, delta, loads):
+        effects = np.tile(np.eye(2) / 8, (8, 1, 1))
+        effects[0, 0, 0] += delta
+        if loads:
+            Observable(effects)
+        else:
+            with pytest.raises(ValidationError, match="sum to the identity"):
+                Observable(effects)
 
 
 class TestOperatorStacks:

@@ -62,18 +62,56 @@ class TestTolerances:
     def test_no_threshold_outside_tolerances(self):
         """No module-level float constant, and no comparison with a float literal,
         in (0, 1e-3) anywhere in the package: every cut reads a Tolerances field."""
-        package = os.path.dirname(qmeas.__file__)
         found = []
-        for name in sorted(os.listdir(package)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(package, name)) as f:
-                tree = ast.parse(f.read())
+        for name, tree in _package_trees():
             roots = [n.value for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value]
             roots += [n for n in ast.walk(tree) if isinstance(n, ast.Compare)]
             found += [f"{name}:{c.lineno}" for root in roots for c in ast.walk(root)
                       if isinstance(c, ast.Constant) and isinstance(c.value, float) and 0 < abs(c.value) < 1e-3]
         assert found == []
+
+    def test_atol_equality_is_never_scaled(self):
+        """atol_equality is itself the cut of every validity identity: no product or quotient
+        with it, or with a name bound to it, anywhere in the package, except the two HS-norm
+        conversions that take atol_equality times the dimension."""
+        documented = {"verify_algebra", "check_extremal_scheme_identity"}
+        found = [(name, scope, line) for name, tree in _package_trees() for scope, line in _scaled_atol(tree)]
+        assert [f for f in found if f[1] not in documented] == []
+        assert {f[1] for f in found} == documented  # the walk sees the conversions it allows
+
+
+def _package_trees():
+    """(file name, parsed module) for each module of the package."""
+    package = os.path.dirname(qmeas.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                yield name, ast.parse(f.read())
+
+
+def _scaled_atol(tree) -> list:
+    """(enclosing function, line) of each product or quotient with atol_equality or an alias of it."""
+    aliases = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Attribute) and n.value.attr == "atol_equality"
+               for t in n.targets if isinstance(t, ast.Name)}
+
+    def is_atol(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "atol_equality"
+                or isinstance(node, ast.Name) and node.id in aliases)
+
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))
+                and (is_atol(node.left) or is_atol(node.right))):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
 
 
 class TestFloatRank:
@@ -257,6 +295,11 @@ class TestMatrixSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             matrix_sqrt_psd(np.diag([1.0, -0.5]))
+
+    def test_negative_eigenvalue_is_cut_at_atol_equality(self):
+        assert np.array_equal(matrix_sqrt_psd(np.diag([1.0, -5e-10])), np.diag([1.0, 0.0]))
+        with pytest.raises(NotPSD, match="below -1.0e-09"):
+            matrix_sqrt_psd(np.diag([1.0, -5e-9]))
 
     def test_stack_equals_per_matrix_calls(self):
         rng = np.random.default_rng(30)

@@ -207,8 +207,10 @@ class TestChoiPayload:
         back = decode(doc)
         assert superop_distance(back, ch) < 1e-8
 
-    @pytest.mark.parametrize("kind", ["channel", "operation"])
-    def test_choi_is_checked_before_its_reduction(self, kind):
+    @pytest.mark.parametrize("kind, message", [("channel", "deviates from identity"),
+                                               ("operation", r"eigenvalue .* > 1")],
+                             ids=["channel", "operation"])
+    def test_choi_payload_is_validated_as_built(self, kind, message):
         # sigma (x) 1 is the Choi matrix of rho -> tr[rho] sigma; sigma's eigenvalue 5e-9 lies
         # below the rank cut but far above round-off, so the reduction keeps it
         choi = np.kron(np.diag([1 - 5e-9, 5e-9]), np.eye(2))
@@ -218,7 +220,7 @@ class TestChoiPayload:
         assert len(back.kraus) == 4
         assert np.abs(back.choi - choi).max() < 1e-15  # the superoperator reshuffles the same entries
         doc["choi"] = [[[z.real, z.imag] for z in row] for row in (1 + 1e-7) * choi]
-        with pytest.raises(ValidationError, match="choi partial trace"):
+        with pytest.raises(ValidationError, match=message):  # the constructor's own check
             decode(doc)
 
     def test_choi_requires_dims(self):

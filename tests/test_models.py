@@ -203,6 +203,13 @@ class TestGuards:
         with pytest.raises(BadDistribution):
             build_shift_scheme(1, (1.0,))
 
+    def test_shift_weights_sum_is_cut_at_atol_equality(self):
+        build_shift_scheme(3, (0.5 + 5e-10, 0.3, 0.2))
+        with pytest.raises(BadDistribution, match=r"weights sum to 1\.00000000\d*, not 1$"):
+            build_shift_scheme(3, (0.5 + 2e-9, 0.3, 0.2))
+        with pytest.raises(BadDistribution, match=r"smallest weight 0\.05 must"):
+            build_shift_scheme(3, (0.5, 0.45, 0.05))
+
     def test_luders_scheme_needs_completely_unsharp(self):
         with pytest.raises(NotCompletelyUnsharp):
             build_luders_scheme(pointer_observable(2))
