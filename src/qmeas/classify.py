@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable
-from .linalg import DEFAULT_TOL, Tolerances, attains_one, cut_rank, eigenvalue_clusters, hermitian_eig
+from .linalg import DEFAULT_TOL, Tolerances, attains_one, cut_rank, eigenvalue_clusters
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,12 @@ class ObservableClassification:
 
 
 def classify(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> ObservableClassification:
-    """Every flag from one eigendecomposition of the effect stack and one product E_x E_y per pair."""
+    """Every flag from the effect stack's kept eigendecomposition and one product E_x E_y per pair."""
     effects = observable.effects
     n, d = len(effects), observable.dim
     atol = tol.atol_equality
 
-    spectra = hermitian_eig(effects, tol)[0]  # [x] descending
+    spectra = observable.eig(tol)[0]  # [x] descending
     ranks = tuple(cut_rank(np.abs(w), tol) for w in spectra)
     norms = tuple(float(w[0]) for w in spectra)
     positive = [w[:cut_rank(w, tol)] for w in spectra]

@@ -33,7 +33,7 @@ from .core import (
     superop_distance,
 )
 from .errors import QmeasError
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .algebra import decompose, effect_blocks, fixed_point_space
 from .models import (
     CATALOG,
@@ -70,12 +70,12 @@ TABLE1_COLUMNS = {
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     atol = args.tol_atol
     if atol is None:
-        raw = os.environ.get("QMEAS_TOL_ATOL", Tolerances().atol_equality)
+        raw = os.environ.get("QMEAS_TOL_ATOL", DEFAULT_TOL.atol_equality)
         try:
             atol = float(raw)
         except ValueError:
             raise QmeasError(f"QMEAS_TOL_ATOL={raw!r} is not a number") from None
-    rank = args.tol_rank if args.tol_rank is not None else Tolerances().rank_threshold
+    rank = args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_threshold
     return Tolerances(atol_equality=atol, rank_threshold=rank)
 
 

@@ -11,7 +11,9 @@ Conventions, fixed once for the whole package:
 Operator families are stored as one read-only complex128 array of shape
 (n, d_out, d_in): Observable.effects and the .kraus of Operation and Channel.
 A read-only C-contiguous complex128 array over memory no writeable array owns is
-stored as given, any other input copied once.  Superoperators and Choi matrices are
+stored as given, any other input copied once.  Each family is eigendecomposed once, as validated:
+State and Observable keep those eigenpairs (eig), and an Instrument keeps its induced observable,
+whose one stacked eigh checks every outcome's sum K^dag K.  Superoperators and Choi matrices are
 computed from the Kraus stack on every access, not stored.  The Kraus reductions drop only
 round-off (float_rank), so each builds the map it was given; rank_cut is for verdicts.
 """
@@ -33,6 +35,7 @@ from .linalg import (
     hs_norm,
     matrix_sqrt_psd,
     partial_trace,
+    psd_root,
 )
 
 BLOCK_ENTRIES = 2 ** 15  # complex entries (512 KiB) in one row block of a product over a stack
@@ -76,24 +79,35 @@ def _family(ops, what: str) -> np.ndarray:
 # value types
 
 
+class _Spectral:
+    """Shared by State and Observable, which keep their validation's hermitian_eig pairs read-only."""
+
+    def eig(self, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """hermitian_eig(matrix or effects, tol): the kept pairs, unless tol's atol_equality is finer
+        than the one validated at; then hermitian_eig runs again, so the Hermiticity gate is tol's."""
+        operators, w, v = self._eig
+        return hermitian_eig(operators, tol) if tol.atol_equality < self.tol.atol_equality else (w, v)
+
+
 @dataclass(frozen=True)
-class State:
+class State(_Spectral):
     """Density matrix: Hermitian, PSD, unit trace."""
 
     matrix: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix)
+        m = _freeze(as_complex_matrix(self.matrix))
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"state matrix must be square, got {m.shape}")
-        w, _ = hermitian_eig(m, self.tol)
+        w, v = hermitian_eig(m, self.tol)
         if w[-1] < -self.tol.atol_equality:
             raise ValidationError(f"state has negative eigenvalue {w[-1]:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > self.tol.atol_equality:
             raise ValidationError(f"state trace {tr!r} is not 1")
-        object.__setattr__(self, "matrix", _freeze(m))
+        w.flags.writeable = v.flags.writeable = False
+        self.__dict__.update(matrix=m, _eig=(m, w, v))
 
     @property
     def dim(self) -> int:
@@ -115,7 +129,7 @@ class State:
 
 
 @dataclass(frozen=True)
-class Observable:
+class Observable(_Spectral):
     """Discrete POVM: labelled effects, each 0 <= E_x <= 1, summing to identity."""
 
     effects: np.ndarray  # read-only (n, dim, dim)
@@ -133,16 +147,16 @@ class Observable:
         if len(set(outcomes)) != n:
             raise ValidationError("outcome labels must be unique")
         atol = self.tol.atol_equality
-        w, _ = hermitian_eig(effects, self.tol)
+        w, v = hermitian_eig(effects, self.tol)
         for label, top, bottom, peak in zip(outcomes, w[:, 0], w[:, -1], np.abs(effects).max(axis=(1, 2))):
             if bottom < -atol or top > 1.0 + atol:
-                raise ValidationError(f"effect {label!r} spectrum [{bottom:.3e}, {top:.3e}] leaves [0,1]")
+                raise ValidationError(f"effect {label!r} spectrum [{bottom:.12g}, {top:.12g}] leaves [0,1]")
             if peak <= atol:
                 raise ValidationError(f"effect {label!r} is the zero matrix")
         if not np.abs(effects.sum(0) - np.eye(d)).max() <= atol:
             raise ValidationError("effects do not sum to the identity")
-        object.__setattr__(self, "effects", effects)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
+        w.flags.writeable = v.flags.writeable = False
+        self.__dict__.update(effects=effects, outcomes=tuple(outcomes), _eig=(effects, w, v))
 
     @property
     def dim(self) -> int:
@@ -257,9 +271,17 @@ class Instrument:
             if op.dim_in != d or op.dim_out != d:
                 raise DimensionMismatch("instrument operations must share one endomorphic dimension")
         observable = Observable([op._kraus_sum() for op in ops], self.outcomes, self.tol)
-        object.__setattr__(self, "operations", ops)
-        object.__setattr__(self, "outcomes", observable.outcomes)
-        object.__setattr__(self, "_observable", observable)
+        self.__dict__.update(operations=ops, outcomes=observable.outcomes, _observable=observable)
+
+    @classmethod
+    def from_kraus(cls, families, outcomes: tuple = (), tol: Tolerances = DEFAULT_TOL) -> "Instrument":
+        """One Kraus family per outcome.  The operations skip Operation's own check, which the induced
+        observable's one stacked eigh makes for all: it cuts each sum K^dag K at 1 + atol_equality."""
+        ops = []
+        for kraus in families:
+            ops.append(object.__new__(Operation))
+            ops[-1].__dict__.update(kraus=_family(kraus, "Kraus operator"), tol=tol)
+        return cls(tuple(ops), outcomes, tol)
 
     @property
     def dim(self) -> int:
@@ -360,37 +382,44 @@ def compose(after: _KrausMap, before: _KrausMap):
 # representation changes
 
 
-def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Minimal Kraus family, stacked in descending norm, from a Choi matrix.
+def kraus_from_choi(choi: np.ndarray, dim_out: int, dim_in: int, tol: Tolerances = DEFAULT_TOL):
+    """Minimal Kraus family, stacked in descending norm, from a Choi matrix; from an (n, D, D)
+    stack of them, the list of their families, from one eigh.
 
     Eigenvalues w at the float_rank floor are round-off and discarded;
     an eigenvalue below -atol_equality means the map is not CP.
     """
-    c = as_complex_matrix(choi)
-    if c.shape != (dim_out * dim_in, dim_out * dim_in):
+    c, size = np.asarray(choi, dtype=np.complex128), dim_out * dim_in
+    if c.ndim not in (2, 3) or c.shape[-2:] != (size, size):
         raise DimensionMismatch("Choi matrix shape does not match dims")
     w, v = hermitian_eig(c, tol)
-    if w[-1] < -tol.atol_equality:
-        raise NotCP(f"Choi eigenvalue {w[-1]:.3e}")
-    r = float_rank(w, len(w))
-    if not r:
-        raise NotCP("Choi matrix is numerically zero")
-    return (v[:, :r] * np.sqrt(w[:r])).T.reshape(r, dim_out, dim_in)
+    if w[..., -1].min() < -tol.atol_equality:
+        raise NotCP(f"Choi eigenvalue {w[..., -1].min():.3e}")
+    families = []
+    for wx, vx in zip(w.reshape(-1, size), v.reshape(-1, size, size)):
+        r = float_rank(wx, size)
+        if not r:
+            raise NotCP("Choi matrix is numerically zero")
+        families.append((vx[:, :r] * np.sqrt(wx[:r])).T.reshape(r, dim_out, dim_in))
+    return families if c.ndim == 3 else families[0]
 
 
-def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int) -> np.ndarray:
-    """Minimal Kraus family, stacked in descending norm, of the map with Kraus rows vec(K_i) in v.
+def kraus_from_rows(v: np.ndarray, dim_out: int, dim_in: int):
+    """Minimal Kraus family, stacked in descending norm, of the map with Kraus rows vec(K_i) in v;
+    for an (n, rows, D) stack of such v, the list of their families, from one SVD.
 
     Choi = V^T conj(V): its eigenpairs are V's squared singular values and right singular
     vectors, so a thin SVD of V replaces kraus_from_choi's eigh of the D x D Choi matrix.
     The floor applies to those eigenvalues s^2: the root of a round-off s^2 is no Kraus operator.
     """
     _, s, vh = np.linalg.svd(v, full_matrices=False)
-    r = float_rank(s * s, max(v.shape))
-    if not r:
-        raise NotCP("Kraus rows are numerically zero")
-    return (s[:r, None] * vh[:r]).reshape(r, dim_out, dim_in)
+    families = []
+    for sx, vhx in zip(s.reshape(-1, s.shape[-1]), vh.reshape((-1,) + vh.shape[-2:])):
+        r = float_rank(sx * sx, max(v.shape[-2:]))
+        if not r:
+            raise NotCP("Kraus rows are numerically zero")
+        families.append((sx[:r, None] * vhx[:r]).reshape(r, dim_out, dim_in))
+    return families if v.ndim == 3 else families[0]
 
 
 def superop_distance(a: _KrausMap, b: _KrausMap) -> float:
@@ -422,8 +451,7 @@ def measure_prepare_kraus(pairs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def luders_instrument(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """Instrument with single Kraus sqrt(E_x) per outcome."""
-    ops = tuple(Operation((root,), tol) for root in matrix_sqrt_psd(observable.effects, tol))
-    return Instrument(ops, observable.outcomes, tol)
+    return Instrument.from_kraus(psd_root(*observable.eig(tol), tol)[:, None], observable.outcomes, tol)
 
 
 def restriction_map(b: np.ndarray, xi: State, system_dim: int) -> np.ndarray:
@@ -449,8 +477,8 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
     kraus = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
-    roots = matrix_sqrt_psd(scheme.pointer.effects, tol)
-    g = np.einsum("xra,bq->xrqab", roots, matrix_sqrt_psd(scheme.ancilla.matrix, tol)).reshape(-1, da * da)
+    roots = psd_root(*scheme.pointer.eig(tol), tol)
+    g = np.einsum("xra,bq->xrqab", roots, psd_root(*scheme.ancilla.eig(tol), tol)).reshape(-1, da * da)
     blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
               for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_x stacked over x
     if len(kraus) * da * da <= ds * ds:
@@ -462,7 +490,7 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     for label, weight in zip(scheme.pointer.outcomes, weights):
         if not weight > tol.atol_equality:
             raise ValidationError(f"outcome {label!r} never occurs: its induced effect is zero")
-    return Instrument(tuple(Operation(reduce(v), tol) for v in inputs), scheme.pointer.outcomes, tol)
+    return Instrument.from_kraus(reduce(inputs), scheme.pointer.outcomes, tol)
 
 
 def scheme_dual_superoperator(scheme: MeasurementScheme, outcome_index: int) -> np.ndarray:

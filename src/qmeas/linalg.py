@@ -119,13 +119,14 @@ def hermitian_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndar
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"square matrix or (n, d, d) stack required, got shape {a.shape}")
-    dev = np.abs(a - dagger(a)).max() if a.size else 0.0
+    ah = dagger(a)
+    dev = np.abs(a - ah).max() if a.size else 0.0
     if not np.isfinite(dev):
         raise ValidationError("matrix has non-finite entries")
     if dev > tol.atol_equality:
         raise NonHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol.atol_equality:.1e}")
     try:
-        w, v = np.linalg.eigh(hermitianize(a))
+        w, v = np.linalg.eigh(0.5 * (a + ah))  # hermitianize(a), with the dagger formed once
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NoConvergence(str(exc)) from exc
     return w[..., ::-1], v[..., ::-1]  # eigh sorts ascending
@@ -184,7 +185,11 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], traced: str = "second") 
 
 def matrix_sqrt_psd(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unique PSD square root of one matrix or each of a stack; eigenvalues in [-atol_equality, 0) clip to 0."""
-    w, v = hermitian_eig(a, tol)
+    return psd_root(*hermitian_eig(a, tol), tol)
+
+
+def psd_root(w: np.ndarray, v: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """matrix_sqrt_psd from hermitian_eig's eigenpairs (w, v), with its NotPSD cut at tol."""
     if w.size and w[..., -1].min() < -tol.atol_equality:
         raise NotPSD(f"eigenvalue {w[..., -1].min():.3e} below -{tol.atol_equality:.1e}")
     w = np.clip(w, 0.0, None)

@@ -152,8 +152,8 @@ def decode(doc: dict, tol: Tolerances = DEFAULT_TOL):
             return _from_choi_doc(doc, cls, tol)
         return cls(_array(_field(doc, "kraus"), 4), tol)
     if kind == "instrument":
-        ops = tuple(Operation(_array(kraus, 4), tol) for kraus in _field(doc, "operations"))
-        return Instrument(ops, _labels(doc), tol)
+        families = [_array(kraus, 4) for kraus in _field(doc, "operations")]
+        return Instrument.from_kraus(families, _labels(doc), tol)
     return MeasurementScheme(
         system_dim=_field(doc, "system_dim", int),
         ancilla=_part(doc, "ancilla", State, tol),

@@ -22,7 +22,6 @@ from .core import (
     Instrument,
     MeasurementScheme,
     Observable,
-    Operation,
     State,
     compose,
     luders_instrument,
@@ -35,6 +34,7 @@ from .linalg import (
     dagger,
     matrix_sqrt_psd,
     numerical_rank,
+    psd_root,
 )
 
 
@@ -77,9 +77,9 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     f1 = np.kron(a2 + a3, p1) + np.kron(a5, p0)
 
     out00, out10 = _proj(_ket(0, 4)), _proj(_ket(2, 4))  # prepared |00><00|, |10><10|
-    op0 = Operation.measure_prepare([(np.kron(a0, p0) + np.kron(a4, p1), out00), (np.kron(a2, p1), out10)])
-    op1 = Operation.measure_prepare([(np.kron(a5, p0) + np.kron(a3, p1), out10), (np.kron(a1, p1), out00)])
-    instrument = Instrument((op0, op1))
+    instrument = Instrument.from_kraus([
+        measure_prepare_kraus([(np.kron(a0, p0) + np.kron(a4, p1), out00), (np.kron(a2, p1), out10)]),
+        measure_prepare_kraus([(np.kron(a5, p0) + np.kron(a3, p1), out10), (np.kron(a1, p1), out00)])])
     return Observable((e0, e1)), Observable((f0, f1)), instrument
 
 
@@ -87,8 +87,8 @@ def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None
     """I_x(rho) = tr[E_x rho] sigma_x; measure-and-reprepare with no coherence kept."""
     if outputs is None:
         outputs = tuple(State.complete_mixture(observable.dim) for _ in observable.effects)
-    ops = tuple(Operation.measure_prepare([pair]) for pair in zip(observable.effects, outputs))
-    return Instrument(ops, observable.outcomes)
+    families = [measure_prepare_kraus([pair]) for pair in zip(observable.effects, outputs)]
+    return Instrument.from_kraus(families, observable.outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def luders_interaction_channel(observable: Observable) -> Channel:
     n, d = len(observable), observable.dim
     x, a = np.arange(n)[:, None], np.arange(n)
     kraus = np.zeros((n, d, n, d, n), dtype=np.complex128)  # K_x[(s, y), (t, a)]
-    kraus[x, :, (x + a) % n, :, a] = matrix_sqrt_psd(observable.effects)[(x + a) % n]
+    kraus[x, :, (x + a) % n, :, a] = psd_root(*observable.eig())[(x + a) % n]
     return Channel(kraus.reshape(n, d * n, d * n))
 
 
@@ -171,10 +171,8 @@ def build_ideality_example() -> tuple[Observable, Instrument]:
     # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
     reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
 
-    def op(keep: int) -> Operation:
-        return Operation(np.concatenate([_proj(_ket(keep, d))[None], reprepare]))
-
-    instrument = Instrument((op(0), op(2)), ("minus", "plus"))
+    families = [np.concatenate([_proj(_ket(keep, d))[None], reprepare]) for keep in (0, 2)]
+    instrument = Instrument.from_kraus(families, ("minus", "plus"))
     return Observable((e_minus, e_plus), ("minus", "plus")), instrument
 
 
@@ -194,8 +192,7 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
 def extremal_instrument() -> Instrument:
     """The instrument the extremal scheme induces, from its analytic Kraus form."""
     ks = extremal_model_kraus()
-    ops = tuple(Operation((ks[(x, 0)], ks[(x, 1)])) for x in range(2))
-    return Instrument(ops)
+    return Instrument.from_kraus([(ks[(x, 0)], ks[(x, 1)]) for x in range(2)])
 
 
 def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
@@ -414,7 +411,7 @@ def random_instrument(dim: int, outcomes: int, seed: int) -> Instrument:
     """Random instrument: Kraus operators of a random channel split across outcomes."""
     rng = np.random.default_rng(seed)
     total = random_channel(dim, dim, outcomes * 2, int(rng.integers(2 ** 31)))
-    return Instrument(tuple(Operation(ks) for ks in total.kraus.reshape(outcomes, 2, dim, dim)))
+    return Instrument.from_kraus(total.kraus.reshape(outcomes, 2, dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +451,16 @@ def _catalog_luders_cu() -> dict:
             "instrument": luders_instrument(obs)}
 
 
+def _catalog_extremal() -> dict:
+    instrument = extremal_instrument()
+    return {"scheme": build_extremal_model(), "instrument": instrument, "observable": instrument.induced_observable()}
+
+
+def _catalog_swap() -> dict:
+    xi = State.diagonal([0.7, 0.3])
+    return {"scheme": build_swap_scheme(xi), "xi": xi}
+
+
 CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
@@ -485,14 +492,13 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "extremal-two-qubit",
             "constrained scheme achieving an extremal instrument for a sharp rank-2 pair",
-            lambda: {"scheme": build_extremal_model(), "instrument": extremal_instrument(),
-                     "observable": extremal_instrument().induced_observable()},
+            _catalog_extremal,
             {"constrained": True, "extremal": True, "gram_rank": 8},
         ),
         CatalogEntry(
             "swap-nondisturbance",
             "partial swap readout whose fixed points are the whole first factor",
-            lambda: {"scheme": build_swap_scheme(State.diagonal([0.7, 0.3])), "xi": State.diagonal([0.7, 0.3])},
+            _catalog_swap,
             {"constrained": True, "block_dims": (2, 2)},
         ),
         CatalogEntry(

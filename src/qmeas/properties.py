@@ -30,8 +30,7 @@ from .core import (
     superop_distance,
 )
 from .errors import QmeasError, SchemeMismatch
-from .linalg import (DEFAULT_TOL, Tolerances, attains_one, cut_rank, dagger, hermitian_eig, numerical_rank,
-                     rank_cut)
+from .linalg import DEFAULT_TOL, Tolerances, attains_one, cut_rank, dagger, numerical_rank, rank_cut
 
 POSSIBLE = "possible"
 IMPOSSIBLE = "impossible"
@@ -60,7 +59,7 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
     on the eigenvalue-1 eigenspace Q_x, so invariance is tested on the units
     |q_i><q_j| of an orthonormal basis of Q_x.
     """
-    w, v = hermitian_eig(instrument.induced_observable().effects, tol)
+    w, v = instrument.induced_observable().eig(tol)
     if not attains_one(w[:, 0], tol).all():
         return IDEAL_NOT_APPLICABLE
     for op, wx, vx in zip(instrument.operations, w, v):

@@ -134,7 +134,7 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
 
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Full-rank ancilla state and constrained interaction channel."""
-    w, _ = hermitian_eig(scheme.ancilla.matrix, tol)
+    w, _ = scheme.ancilla.eig(tol)
     if not _full_rank(w, tol):
         return ThirdLawVerdict(False, float(w[-1]))
     return check_channel_thirdlaw(scheme.interaction, tol)
@@ -182,8 +182,8 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
     r = numerical_rank(xi.matrix, tol)
     copies = minimal_copy_count(r, n_dim, m_dim)  # raises when xi is full-rank
 
-    lam, v_rho = hermitian_eig(rho0.matrix, tol)
-    p, _ = hermitian_eig(xi.matrix, tol)
+    lam, v_rho = rho0.eig(tol)
+    p, _ = xi.eig(tol)
     p = np.clip(p, 0.0, None)
     p[r:] = 0.0
 

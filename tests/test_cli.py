@@ -85,6 +85,17 @@ class TestCheck:
         assert code == EXIT_ERROR
         assert "outcome '1' never occurs: its induced effect is zero" in err
 
+    def test_an_operation_above_one_is_named(self, tmp_path, capsys):
+        # outcome 'up' has sum K^dag K = diag(1 + 1e-6, 0): the instrument's one stacked check
+        # of its outcomes rejects it, as the operation's own check did
+        kraus = ([np.sqrt(1 + 1e-6) * np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])])
+        doc = modelfile.encode(Instrument.from_kraus(kraus, ("up", "down"), Tolerances(atol_equality=1e-5)))
+        path = tmp_path / "instrument.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", "repeatable", str(path))
+        assert code == EXIT_ERROR
+        assert "effect 'up' spectrum [0, 1.000001] leaves [0,1]" in err
+
     def test_channel_thirdlaw_yes(self, tmp_path, capsys):
         path = tmp_path / "ch.json"
         modelfile.save(random_constrained_channel(3, 1), str(path))

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -28,9 +27,9 @@ from qmeas.core import (
     scheme_to_instrument,
     superop_distance,
 )
-from qmeas.errors import DimensionMismatch, NotCP, QmeasError, ValidationError
+from qmeas.errors import DimensionMismatch, NonHermitian, NotCP, QmeasError, ValidationError
 from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, vec
-from qmeas.modelfile import SCHEMA_VERSION, decode
+from qmeas.modelfile import SCHEMA_VERSION, decode, dumps, loads
 from qmeas.models import (
     build_extremal_model,
     build_ideality_example,
@@ -52,6 +51,14 @@ from qmeas.models import (
 )
 from qmeas.properties import check_ideal
 from qmeas.thirdlaw import check_scheme_thirdlaw
+
+
+def recorded(monkeypatch, module, name: str) -> list:
+    """Shapes of the first argument of every later call to module.name."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda a, *args, **kwargs: calls.append(np.shape(a)) or fn(a, *args, **kwargs))
+    return calls
 
 
 def rand_complex(rng, n, m=None):
@@ -241,16 +248,53 @@ class TestOperatorStacks:
 
     @pytest.mark.parametrize("module", ["qmeas.core", "qmeas.classify", "qmeas.properties"])
     def test_one_eigendecomposition_per_observable(self, module, monkeypatch):
+        # validation eigendecomposes the stack once; classify and check_ideal read the kept pairs
         obs = pointer_observable(3)
         instrument = luders_instrument(obs)
-        run = {"qmeas.core": lambda: Observable(obs.effects),
-               "qmeas.classify": lambda: classify(obs),
-               "qmeas.properties": lambda: check_ideal(instrument)}[module]
-        calls = []
-        monkeypatch.setattr(importlib.import_module(module), "hermitian_eig",
-                            lambda a, *args: calls.append(np.shape(a)) or hermitian_eig(a, *args))
+        run, expected = {"qmeas.core": (lambda: Observable(obs.effects), [(3, 3, 3)]),
+                         "qmeas.classify": (lambda: classify(obs), []),
+                         "qmeas.properties": (lambda: check_ideal(instrument), [])}[module]
+        calls = recorded(monkeypatch, np.linalg, "eigh")
         run()
-        assert calls == [(3, 3, 3)]
+        assert calls == expected
+
+    @pytest.mark.parametrize("scheme, reductions", [
+        (random_constrained_scheme(2, 3, 2, 4), {"eigh": [(2, 4, 4)], "svd": []}),
+        (build_extremal_model(), {"eigh": [], "svd": [(2, 16, 16)]}),
+    ], ids=["choi", "kraus rows"])
+    def test_scheme_to_instrument_reduces_all_outcomes_in_one_call(self, monkeypatch, scheme, reductions):
+        # one reduction of both outcomes, one validation eigh of the two sum K^dag K (ds = 2, 4);
+        # the ancilla's and the pointer's roots come from their kept eigenpairs
+        calls = {name: recorded(monkeypatch, np.linalg, name) for name in ("eigh", "svd")}
+        scheme_to_instrument(scheme)
+        ds = scheme.system_dim
+        assert calls == {"eigh": reductions["eigh"] + [(2, ds, ds)], "svd": reductions["svd"]}
+
+    def test_decoding_an_instrument_eigendecomposes_once(self, monkeypatch):
+        text = dumps(random_instrument(2, 3, 0))
+        calls = recorded(monkeypatch, np.linalg, "eigh")
+        loads(text)
+        assert calls == [(3, 2, 2)]
+
+    @pytest.mark.parametrize("obj", [random_full_rank_state(3, 1), random_povm(3, 4, 2)],
+                             ids=["state", "observable"])
+    def test_kept_eigenpairs_are_read_only_and_bit_equal_to_a_fresh_eig(self, obj):
+        w, v = obj.eig()
+        assert not w.flags.writeable and not v.flags.writeable
+        fresh = hermitian_eig(obj.matrix if isinstance(obj, State) else obj.effects)
+        assert [x.tobytes() for x in (w, v)] == [x.tobytes() for x in fresh]
+        assert obj.eig(Tolerances(atol_equality=1e-6)) == (w, v)  # a coarser tol reads the kept pairs
+
+    def test_a_finer_tol_still_meets_the_hermiticity_gate(self):
+        m = np.diag([0.6, 0.4]).astype(complex)
+        m[0, 1] = 1e-7  # Hermiticity deviation 1e-7
+        coarse = Tolerances(atol_equality=1e-6)
+        scheme = MeasurementScheme(2, State(m, coarse), Channel.identity(4), pointer_observable(2))
+        assert len(scheme_to_instrument(scheme, coarse)) == 2
+        with pytest.raises(NonHermitian):
+            scheme_to_instrument(scheme)
+        with pytest.raises(NonHermitian):
+            check_scheme_thirdlaw(scheme)
 
 
 class TestInstrumentValidation:
@@ -264,6 +308,15 @@ class TestInstrumentValidation:
         eff = inst.induced_observable().effects
         assert np.abs(eff[0] - np.diag([0.75, 0.25])).max() < 1e-12
         assert inst.induced_observable() is inst.induced_observable()  # validated once, kept
+
+
+    def test_from_kraus_builds_the_instrument_of_its_operations(self):
+        families = [np.sqrt(p) * np.eye(2)[None] for p in (0.25, 0.75)]
+        inst = Instrument.from_kraus(iter(families), ("a", "b"))  # any iterable, read once
+        ref = Instrument(tuple(Operation(f) for f in families), ("a", "b"))
+        assert inst.outcomes == ref.outcomes
+        assert all(np.array_equal(a.kraus, b.kraus) and a.tol == b.tol
+                   for a, b in zip(inst.operations, ref.operations))
 
 
 class TestLudersInstrument:
@@ -396,6 +449,18 @@ class TestChoiKraus:
             assert np.linalg.norm(rows.T @ rows.conj() - choi) < 1e-12 * np.linalg.norm(choi)
         with pytest.raises(NotCP):
             kraus_from_rows(np.zeros((count, 6)), 2, 3)
+
+    def test_a_stack_reduces_each_member_as_alone(self):
+        rng = np.random.default_rng(3)
+        v = np.stack([rand_complex(rng, 5, r) @ rand_complex(rng, r, 6) for r in (2, 3)])  # ranks 2, 3
+        choi = v.swapaxes(1, 2) @ v.conj()
+        for reduce, stack in ((kraus_from_rows, v), (kraus_from_choi, choi)):
+            families = reduce(stack, 2, 3)
+            assert [len(f) for f in families] == [2, 3]
+            for family, member in zip(families, stack):
+                assert family.tobytes() == reduce(member, 2, 3).tobytes()
+        with pytest.raises(NotCP):  # a zero member is no map, as alone
+            kraus_from_rows(np.stack([v[0], np.zeros((5, 6))]), 2, 3)
 
     def test_rows_are_floored_at_round_off_not_at_the_rank_threshold(self):
         # squared singular values 2 and 2e-12 (below the default rank cut): both operators are kept;
