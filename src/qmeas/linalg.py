@@ -68,41 +68,38 @@ def vec(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache
-def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vec indices of the entries jj, ab and ba (a < b) that the Hermitian coordinates combine."""
-    a, b = np.triu_indices(d, k=1)
-    index = np.arange(d) * (d + 1), a * d + b, b * d + a
-    for i in index:
-        i.setflags(write=False)
-    return index
-
-
-def _hermitian_combinations(m: np.ndarray, d: int, phase: complex, axis: int = -1) -> np.ndarray:
-    """Entries jj, (ab + ba)/sqrt 2 and phase (ab - ba)/sqrt 2, a < b, along one vec axis of m."""
-    jj, ab, ba = _hermitian_index(d)
-    p, q, r = np.take(m, ab, axis), np.take(m, ba, axis), np.sqrt(0.5)
-    return np.concatenate([np.take(m, jj, axis), (p + q) * r, (p - q) * (phase * r)], axis)
+def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (d, d) mask of the entries on and above the diagonal, and weights 1 on it, sqrt 2 off it."""
+    upper, weight = np.triu(np.ones((d, d), dtype=bool)), np.where(np.eye(d, dtype=bool), 1.0, np.sqrt(2.0))
+    upper.flags.writeable = weight.flags.writeable = False
+    return upper, weight
 
 
 def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """Isometry T vec(h) from Hermitian matrices (one or a stack) onto R^(d*d), for real SVDs."""
-    d = h.shape[-1]
-    return _hermitian_combinations(h.reshape(h.shape[:-2] + (d * d,)), d, -1j).real
+    """Isometry T vec(h) from Hermitian matrices (one or a stack) onto R^(d*d), for real SVDs: entry ac
+    is h_aa on the diagonal, sqrt 2 Re h_ac above it and sqrt 2 Im h_ac below it."""
+    upper, weight = _coordinates(h.shape[-1])
+    return (np.where(upper, h.real, h.imag) * weight).reshape(h.shape[:-2] + (-1,))
 
 
 def unembed_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    jj, ab, ba = _hermitian_index(d)
-    h = np.zeros(x.shape[:-1] + (d * d,), dtype=np.complex128)
-    h[..., jj] = x[..., :d]
-    h[..., ab] = (x[..., d:d + ab.size] + 1j * x[..., d + ab.size:]) * np.sqrt(0.5)
-    h[..., ba] = h[..., ab].conj()
-    return h.reshape(x.shape[:-1] + (d, d))
+    """Inverse of embed_hermitian on the last axis: h = z + z^dag, z = x on and above the diagonal and
+    i x below it, times half the weight."""
+    upper, weight = _coordinates(d)
+    z = x.reshape(x.shape[:-1] + (d, d)) * (np.where(upper, weight, 1j * weight) / 2)
+    return z + dagger(z)
 
 
 def hermitian_superoperator(superop: np.ndarray, d: int) -> np.ndarray:
-    """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is unitary, never formed:
-    T S gathers contiguous rows of S, then (T S) T^dag gathers columns."""
-    return _hermitian_combinations(_hermitian_combinations(superop, d, -1j, 0), d, 1j).real
+    """Real T S T^dag of a Hermiticity-preserving S on d x d matrices; T is never formed.  With S read as
+    [a, c, b, e], Z is S times T's weight on row ac, and times -i below the diagonal, so T takes Re Z.
+    Column be is Re (Z_be + Z_eb) on and above the diagonal, Im (Z_eb - Z_be) below, times half the weight."""
+    upper, weight = _coordinates(d)
+    z = superop.reshape(d, d, d, d) * np.where(upper, weight, -1j * weight)[:, :, None, None]
+    out = z.real + z.real.swapaxes(2, 3)
+    np.copyto(out, z.imag.swapaxes(2, 3) - z.imag, where=~upper)
+    out *= weight / 2
+    return out.reshape(d * d, d * d)
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -142,6 +139,11 @@ def cut_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > rank_cut(s, tol)))
 
 
+def full_rank(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """No eigenvalue w of a Hermitian matrix falls to cut_rank's cut; its singular values are the |w|."""
+    return cut_rank(np.abs(w), tol) == w.size
+
+
 def float_rank(s: np.ndarray, size: int) -> int:
     """Number of s above eps * size * max(1, max s): matrix_rank's round-off floor, size the larger side."""
     return int(np.count_nonzero(s > EPS * size * max(1.0, float(np.max(s)) if s.size else 0.0)))
@@ -154,10 +156,7 @@ def attains_one(v, tol: Tolerances = DEFAULT_TOL):
 
 def numerical_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above rank_cut."""
-    a = as_complex_matrix(a)
-    if a.size == 0:
-        return 0
-    return cut_rank(np.linalg.svd(a, compute_uv=False), tol)
+    return cut_rank(np.linalg.svd(as_complex_matrix(a), compute_uv=False), tol)
 
 
 def kernel_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

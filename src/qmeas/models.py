@@ -32,8 +32,8 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
+    full_rank,
     matrix_sqrt_psd,
-    numerical_rank,
     psd_root,
 )
 
@@ -204,7 +204,7 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
     """
     if xi is None:
         xi = State.diagonal([2.0 / 3.0, 1.0 / 3.0])
-    if numerical_rank(xi.matrix) < 2 or xi.dim != 2:
+    if xi.dim != 2 or not full_rank(xi.eig(xi.tol)[0]):  # the kept spectrum, cut at the default tolerances
         raise NotFullRank("ancilla state must be a full-rank qubit state")
     e1 = Channel.unitary(np.kron(np.eye(2), swap_unitary(2)))
     # the measurement channel on the system, the ancilla idle
@@ -232,7 +232,7 @@ def build_swap_scheme(xi: State) -> MeasurementScheme:
     Measures 1 (x) |x><x| on the system pair; the fixed-point algebra of the
     induced instrument is everything on the first factor.
     """
-    if numerical_rank(xi.matrix) < xi.dim:
+    if not full_rank(xi.eig(xi.tol)[0]):  # the kept spectrum, cut at the default tolerances
         raise NotFullRank("ancilla state must be full-rank")
     d = xi.dim
     interaction = Channel.unitary(np.kron(np.eye(d), swap_unitary(d)))

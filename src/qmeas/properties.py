@@ -94,6 +94,7 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
                 for op in instrument.operations]
     families = [f[:cut_rank((np.abs(f) ** 2).sum(axis=(1, 2)), tol)] for f in families]  # descending norms
     count, span = sum(len(f) ** 2 for f in families), instrument.dim ** 2
+    ranks = tuple(len(f) for f in families)
     blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, span)  # rows vec(K_a^dag K_b)
               for f in families for a in row_blocks(f, len(f)))
     if count * span <= BLOCK_ENTRIES:  # one block goes to the SVD: a QR only adds cost
@@ -103,9 +104,10 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
         for b in blocks:
             r = np.linalg.qr(np.concatenate([r, b]), mode="r")
             if len(r) == span and np.linalg.svd(r, compute_uv=False)[-1] > cut:
-                break  # numerical_rank(r) is span: its cut is at most the one at W
+                # the rank is span, which numerical_rank(r) would find again: its cut is at most the one at W
+                return ExtremalResult(span == count, ranks, span, count)
     gram_rank = numerical_rank(r, tol)
-    return ExtremalResult(gram_rank == count, tuple(len(f) for f in families), gram_rank, count)
+    return ExtremalResult(gram_rank == count, ranks, gram_rank, count)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state: the Cesaro limit on the complete mixture, which cesaro_average
-reads, with the dual fixed points, from a values-only SVD and bordered solves.
+state: the Cesaro limit on the complete mixture, which cesaro_average reads, with the dual
+fixed points, from a values-only SVD and bordered solves in entrywise Hermitian coordinates.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .linalg import (
     cut_rank,
     dagger,
     embed_hermitian,
+    full_rank,
     hermitian_eig,
     hermitian_superoperator,
     hs_norm,
-    numerical_rank,
     rank_cut,
     unembed_hermitian,
 )
@@ -48,12 +48,7 @@ class ThirdLawVerdict:
 def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Rank test on the image of the complete mixture."""
     w, _ = hermitian_eig(apply(channel, np.eye(channel.dim_in) / channel.dim_in), tol)
-    return ThirdLawVerdict(_full_rank(w, tol), float(w[-1]))
-
-
-def _full_rank(w: np.ndarray, tol: Tolerances) -> bool:
-    """No eigenvalue of a Hermitian matrix falls to numerical_rank's cut; its singular values are the |w|."""
-    return cut_rank(np.abs(w), tol) == w.size
+    return ThirdLawVerdict(full_rank(w, tol), float(w[-1]))
 
 
 def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -67,7 +62,7 @@ def check_faithfulness(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     rows = (k.swapaxes(0, 1).reshape(channel.dim_out, -1) for k in row_blocks(channel.kraus))
     frame = sum(row @ dagger(row) for row in rows)  # [K_1 ... K_c] [K_1 ... K_c]^dag per block
-    return _full_rank(hermitian_eig(frame, tol)[0], tol)
+    return full_rank(hermitian_eig(frame, tol)[0], tol)
 
 
 @dataclass(frozen=True)
@@ -80,27 +75,33 @@ class FixedPoints:
 
 
 def _borders(n: int, k: int) -> np.ndarray:
-    """Orthonormal n x k borders U and V, stacked, from a fixed-seed draw; numpy's global RNG is untouched."""
-    return np.linalg.qr(np.random.default_rng(0).standard_normal((2, n, k)))[0]
+    """Orthonormal n x k borders U and V, stacked, from a fixed-seed draw (numpy's global RNG untouched),
+    with the identity first: a channel's dual fixes it, and a fixed state overlaps it by 1/sqrt d or more."""
+    g = np.random.default_rng(0).standard_normal((2, n, k))
+    g[:, :, :1] = embed_hermitian(np.eye(round(n ** 0.5)))[:, None]
+    return np.linalg.qr(g)[0]
 
 
 def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
     """Fixed points of a channel and its dual, and the exact Cesaro limit.
 
-    a = S_r - 1, in orthonormal Hermitian coordinates, has right and left kernels R and L of
-    dimension k = d^2 - cut_rank(singular values of a).  For n x k borders U, V, M = a + U V^T is
+    a = S_r - 1, in embed_hermitian's coordinates and with 1 taken off in place, has kernels R and L
+    of dimension k = d^2 - cut_rank(singular values of a).  For n x k borders U, V, M = a + U V^T is
     invertible and M^-1 U, M^-T V span R and L (bordered null vectors, Govaerts, SIAM 2000); their
     residuals must meet rank_cut.  Eigenvalue 1 is semisimple: the limit is R (L^T R)^-1 L^T.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
-    d = channel.dim_in
-    a = hermitian_superoperator(channel.superoperator, d) - np.eye(d * d)
+    d, n = channel.dim_in, channel.dim_in ** 2
+    a = hermitian_superoperator(channel.superoperator, d)
+    a.flat[:: n + 1] -= 1.0
     sv = np.linalg.svd(a, compute_uv=False)
-    borders = _borders(d * d, d * d - cut_rank(sv, tol))
-    m = a + borders[0] @ borders[1].T
+    borders = _borders(n, n - cut_rank(sv, tol))
+    pair = np.empty((2, n, n))  # M = a + U V^T and M^T, for one stacked solve
+    np.add(a, borders[0] @ borders[1].T, out=pair[0])
+    pair[1] = pair[0].T
     try:
-        right, left = np.linalg.qr(np.linalg.solve(np.stack([m, m.T]), borders))[0].swapaxes(1, 2)
+        right, left = np.linalg.qr(np.linalg.solve(pair, borders))[0].swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"bordered kernel solve: {exc}") from exc
     residual = max(hs_norm(a @ right.T), hs_norm(left @ a))  # rows of right, left: the kernel vectors
@@ -120,8 +121,8 @@ class FixedStateResult:
 def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedStateResult:
     """Cesaro limit of the channel powers applied to the complete mixture.
 
-    The limit is always a fixed state; it is full-rank exactly when the
-    channel is constrained.  Raises NoConvergence when the state still
+    The limit is always a fixed state; it is full-rank, by the spectrum the State keeps, exactly
+    when the channel is constrained.  Raises NoConvergence when the state still
     moves by more than rank_threshold under the Kraus operators.
     """
     rho = cesaro_average(channel, tol).mixture_limit
@@ -129,13 +130,13 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
     residual = hs_norm(apply(channel, state) - state.matrix)  # on the Kraus operators, not on S_r
     if residual > tol.rank_threshold:  # the state is read off a kernel cut at rank_cut
         raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
-    return FixedStateResult(state, float(residual), numerical_rank(state.matrix, tol) == channel.dim_in)
+    return FixedStateResult(state, float(residual), full_rank(state.eig(tol)[0], tol))
 
 
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
     """Full-rank ancilla state and constrained interaction channel."""
     w, _ = scheme.ancilla.eig(tol)
-    if not _full_rank(w, tol):
+    if not full_rank(w, tol):
         return ThirdLawVerdict(False, float(w[-1]))
     return check_channel_thirdlaw(scheme.interaction, tol)
 
@@ -177,15 +178,13 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
     n_dim, m_dim = rho0.dim, xi.dim
     if target.dim != n_dim:
         raise NotFullRank("target must live on the system space")
-    if numerical_rank(rho0.matrix, tol) < n_dim:
-        raise NotFullRank("rho0 must be full-rank")
-    r = numerical_rank(xi.matrix, tol)
-    copies = minimal_copy_count(r, n_dim, m_dim)  # raises when xi is full-rank
-
     lam, v_rho = rho0.eig(tol)
+    if not full_rank(lam, tol):
+        raise NotFullRank("rho0 must be full-rank")
     p, _ = xi.eig(tol)
-    p = np.clip(p, 0.0, None)
-    p[r:] = 0.0
+    r = cut_rank(np.abs(p), tol)
+    copies = minimal_copy_count(r, n_dim, m_dim)  # raises when xi is full-rank
+    p = np.where(np.arange(m_dim) < r, p, 0.0)  # the kept weights are above the cut, so positive
 
     weights = lam.copy()
     for _ in range(copies):

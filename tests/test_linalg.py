@@ -3,10 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmeas
+from qmeas import linalg
 from qmeas.algebra import _commutators, fixed_point_space
-from qmeas.core import scheme_to_instrument
+from qmeas.core import apply, scheme_to_instrument
 from qmeas.errors import DimensionMismatch, NonHermitian, NotPSD, ValidationError
 from qmeas.linalg import (
     TOL_FLOOR,
@@ -413,3 +416,27 @@ class TestHermitianCoordinates:
         got = hermitian_superoperator(s, d)
         assert np.isrealobj(got)
         assert np.abs(got - dense.real).max() < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 7), data=st.data())
+    def test_entrywise_coordinates_carry_every_channel(self, d, data):
+        seed = data.draw(st.integers(0, 2 ** 31 - 1))
+        channel = random_channel(d, d, data.draw(st.integers(1, 2 * d * d)), seed)
+        rng = np.random.default_rng(seed)
+        h = np.array([rand_hermitian(rng, d) for _ in range(data.draw(st.integers(1, 4)))])
+        x = embed_hermitian(h)
+        assert np.isrealobj(x) and x.shape == (len(h), d * d)
+        # entry ac: h_aa on the diagonal, sqrt 2 Re h_ac above it, sqrt 2 Im h_ac below it
+        above, below, diagonal = np.triu_indices(d, 1), np.tril_indices(d, -1), np.diag_indices(d)
+        entries = x.reshape(-1, d, d)
+        assert np.array_equal(entries[(...,) + diagonal], h[(...,) + diagonal].real)
+        assert np.abs(entries[(...,) + above] - np.sqrt(2) * h[(...,) + above].real).max(initial=0) < 1e-15
+        assert np.abs(entries[(...,) + below] - np.sqrt(2) * h[(...,) + below].imag).max(initial=0) < 1e-15
+        # a real isometry for the HS inner product, inverted by unembed_hermitian on the stack
+        assert np.abs(x @ x.T - np.einsum("iab,jba->ij", h, h).real).max() < 1e-12
+        assert np.abs(unembed_hermitian(x, d) - h).max() < 1e-14
+        # S_r acts on the coordinates as the channel acts on the matrices
+        s_r = hermitian_superoperator(channel.superoperator, d)
+        assert np.abs(x @ s_r.T - embed_hermitian(apply(channel, h))).max() < 1e-12
+        # the cached coordinate arrays are O(d^2), never d^4
+        assert all(a.shape == (d, d) and not a.flags.writeable for a in linalg._coordinates(d))

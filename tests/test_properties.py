@@ -274,6 +274,19 @@ class TestExtremal:
         assert res.gram_rank == numerical_rank(_products(_minimal(instrument))) == 64
         assert (res.product_count, res.extremal) == (8192, False)
 
+    def test_a_certified_full_span_takes_no_second_svd(self, monkeypatch):
+        # the fold's SVD of R certifies rank d^2; beside it only kraus_from_rows' SVD per operation
+        instrument = scheme_to_instrument(random_constrained_scheme(8, 4, 2, 0))
+        svd, calls = np.linalg.svd, []
+
+        def recorded_svd(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        res = check_extremal(instrument)
+        assert calls == [True] * len(instrument.operations) + [False]
+        assert (res.gram_rank, res.product_count, res.extremal) == (64, 8192, False)
+
     def test_the_fold_stops_at_the_block_that_completes_the_span(self, monkeypatch):
         # d = 8: four outcomes of diagonal Kraus operators (64 products each, spanning only the
         # 8 diagonal units), one generic outcome of 8 operators whose 64 products span M_8, and four

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from qmeas import thirdlaw
 from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
-from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic
+from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from qmeas.linalg import (
     DEFAULT_TOL,
     Tolerances,
     cut_rank,
     dagger,
     embed_hermitian,
+    full_rank,
     hermitian_superoperator,
     hs_norm,
     numerical_rank,
@@ -148,6 +149,45 @@ class TestFixedState:
         with pytest.raises(NotEndomorphic):
             full_rank_fixed_state(random_channel(2, 3, 2, 0))
 
+    def test_the_only_svd_is_the_values_only_one_of_s_r(self, monkeypatch):
+        # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix
+        channels = [random_constrained_channel(4, 0), random_low_rank_preparation(4, 2, 0),
+                    Channel.unitary(random_unitary(4, np.random.default_rng(1)))]
+        svd, calls = np.linalg.svd, []
+
+        def recorded_svd(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        for ch in channels:
+            full_rank_fixed_state(ch)
+        assert calls == [((16, 16), False)] * len(channels)
+
+
+class TestRankAtTheCut:
+    """A State's rank is read off its kept spectrum; on both sides of the cut it is numerical_rank's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_kept_spectrum_decides_as_the_svd(self, offset, seed):
+        w, rng = DEFAULT_TOL.rank_threshold * (1 + offset), np.random.default_rng(seed)
+        u2, u3 = random_unitary(2, rng), random_unitary(3, rng)
+        qubit = State(u2 @ np.diag([1 - w, w]) @ dagger(u2))
+        xi = State(u3 @ np.diag([1 - w, w, 0.0]) @ dagger(u3))  # rank 2 or 1 on a qutrit
+        full = offset > 0
+        assert (numerical_rank(qubit.matrix) == 2) is full_rank(qubit.eig()[0]) is full
+        assert numerical_rank(xi.matrix) == cut_rank(np.abs(xi.eig()[0])) == (2 if full else 1)
+        if full:  # a rank-2 resource on a qutrit needs two copies for a qubit system
+            res = purify_via_unconstrained(random_full_rank_state(2, seed), xi, random_full_rank_state(2, seed + 1))
+            assert res.copies == 2
+        for decide in (build_swap_scheme, build_extremal_model,
+                       lambda rho0: purify_via_unconstrained(rho0, State.pure([1.0, 0.0]), rho0)):
+            if full:
+                decide(qubit)
+            else:
+                with pytest.raises(NotFullRank):
+                    decide(qubit)
+
     def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
         exact = thirdlaw.cesaro_average
 
@@ -229,6 +269,18 @@ class TestBorderedKernels:
         assert np.abs(span_projector(fixed.fixed) - span_projector(right)).max() < 1e-9
         assert np.abs(span_projector(fixed.dual_fixed) - span_projector(left)).max() < 1e-9
         assert np.abs(fixed.mixture_limit - limit).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_unital_channel_with_one_fixed_point_is_bordered_by_its_kernels(self, seed):
+        # U = V = the identity's coordinates span both kernels of a, so M = a + U V^T has a's nonzero
+        # singular values and 1: M is as well conditioned as a's spectral gap allows
+        a = hermitian_superoperator(random_bistochastic_channel(4, 3, seed).superoperator, 4) - np.eye(16)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert cut_rank(sv) == 15
+        u, v = thirdlaw._borders(16, 1)
+        assert np.abs(np.abs(u.T @ embed_hermitian(np.eye(4))) - 2).max() < 1e-14 and np.array_equal(u, v)
+        bordered = np.linalg.svd(a + u @ v.T, compute_uv=False)
+        assert np.abs(np.sort(bordered) - np.sort(np.append(sv[:15], 1.0))).max() < 1e-13
 
     def test_no_svd_returns_singular_vectors(self, monkeypatch):
         channels, svd, flags = [build() for build, _ in KERNEL_REGIMES.values()], np.linalg.svd, []
