@@ -163,31 +163,6 @@ class TestFixedState:
             full_rank_fixed_state(ch)
         assert calls == [((16, 16), False)] * len(channels)
 
-
-class TestRankAtTheCut:
-    """A State's rank is read off its kept spectrum; on both sides of the cut it is numerical_rank's."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
-    def test_kept_spectrum_decides_as_the_svd(self, offset, seed):
-        w, rng = DEFAULT_TOL.rank_threshold * (1 + offset), np.random.default_rng(seed)
-        u2, u3 = random_unitary(2, rng), random_unitary(3, rng)
-        qubit = State(u2 @ np.diag([1 - w, w]) @ dagger(u2))
-        xi = State(u3 @ np.diag([1 - w, w, 0.0]) @ dagger(u3))  # rank 2 or 1 on a qutrit
-        full = offset > 0
-        assert (numerical_rank(qubit.matrix) == 2) is full_rank(qubit.eig()[0]) is full
-        assert numerical_rank(xi.matrix) == cut_rank(np.abs(xi.eig()[0])) == (2 if full else 1)
-        if full:  # a rank-2 resource on a qutrit needs two copies for a qubit system
-            res = purify_via_unconstrained(random_full_rank_state(2, seed), xi, random_full_rank_state(2, seed + 1))
-            assert res.copies == 2
-        for decide in (build_swap_scheme, build_extremal_model,
-                       lambda rho0: purify_via_unconstrained(rho0, State.pure([1.0, 0.0]), rho0)):
-            if full:
-                decide(qubit)
-            else:
-                with pytest.raises(NotFullRank):
-                    decide(qubit)
-
     def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
         exact = thirdlaw.cesaro_average
 
@@ -225,6 +200,31 @@ class TestRankAtTheCut:
         res = full_rank_fixed_state(Channel(kraus))
         assert res.is_full_rank
         assert np.abs(res.state.matrix - np.diag([p, 1 - p])).max() < 1e-10
+
+
+class TestRankAtTheCut:
+    """A State's rank is read off its kept spectrum; on both sides of the cut it is numerical_rank's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_kept_spectrum_decides_as_the_svd(self, offset, seed):
+        w, rng = DEFAULT_TOL.rank_threshold * (1 + offset), np.random.default_rng(seed)
+        u2, u3 = random_unitary(2, rng), random_unitary(3, rng)
+        qubit = State(u2 @ np.diag([1 - w, w]) @ dagger(u2))
+        xi = State(u3 @ np.diag([1 - w, w, 0.0]) @ dagger(u3))  # rank 2 or 1 on a qutrit
+        full = offset > 0
+        assert (numerical_rank(qubit.matrix) == 2) is full_rank(qubit.eig()[0]) is full
+        assert numerical_rank(xi.matrix) == cut_rank(np.abs(xi.eig()[0])) == (2 if full else 1)
+        if full:  # a rank-2 resource on a qutrit needs two copies for a qubit system
+            res = purify_via_unconstrained(random_full_rank_state(2, seed), xi, random_full_rank_state(2, seed + 1))
+            assert res.copies == 2
+        for decide in (build_swap_scheme, build_extremal_model,
+                       lambda rho0: purify_via_unconstrained(rho0, State.pure([1.0, 0.0]), rho0)):
+            if full:
+                decide(qubit)
+            else:
+                with pytest.raises(NotFullRank):
+                    decide(qubit)
 
 
 def full_svd_fixed_points(channel, tol=DEFAULT_TOL):
