@@ -182,14 +182,9 @@ def _render_table(report: dict) -> None:
     columns = report["columns"]
     mark = {"yes": "yes", "x": " x "}
     width = max(len(c) for c in columns) + 2
-    header = " " * 18 + "".join(c.rjust(width) for c in columns)
-    print(header)
+    print(" " * 18 + "".join(c.rjust(width) for c in columns))
     for row in THEOREM_ROWS:
-        cells = report["rows"][row]
-        line = row.ljust(18)
-        for c in columns:
-            line += mark[cells[c]["verdict"]].rjust(width)
-        print(line)
+        print(row.ljust(18) + "".join(mark[report["rows"][row][c]["verdict"]].rjust(width) for c in columns))
     print(f"match: {report['match']}")
     for row in THEOREM_ROWS:
         for c in columns:

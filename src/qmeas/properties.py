@@ -90,15 +90,18 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
     fold stops at d^2 rows whose smallest singular value exceeds rank_cut at W = sum_x |f_x|_F^2:
     W bounds the largest singular value of all products and more rows lower none, so the rank is d^2.
     """
-    families = [kraus_from_rows(op.kraus.reshape(len(op.kraus), -1), op.dim_out, op.dim_in)
-                for op in instrument.operations]
-    families = [f[:cut_rank((np.abs(f) ** 2).sum(axis=(1, 2)), tol)] for f in families]  # descending norms
-    count, span = sum(len(f) ** 2 for f in families), instrument.dim ** 2
+    kraus, dim, minimal = [op.kraus for op in instrument.operations], instrument.dim, {}
+    for count in {len(k) for k in kraus}:  # one stacked reduction per Kraus count
+        same = [x for x, k in enumerate(kraus) if len(k) == count]
+        rows = np.stack([kraus[x].reshape(count, -1) for x in same])
+        minimal.update(zip(same, kraus_from_rows(rows, dim, dim)))
+    families = [f[:cut_rank((np.abs(f) ** 2).sum(axis=(1, 2)), tol)] for _, f in sorted(minimal.items())]
+    count, span = sum(len(f) ** 2 for f in families), dim ** 2
     ranks = tuple(len(f) for f in families)
     blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, span)  # rows vec(K_a^dag K_b)
-              for f in families for a in row_blocks(f, len(f)))
+              for f in families if len(f) for a in row_blocks(f, len(f)))
     if count * span <= BLOCK_ENTRIES:  # one block goes to the SVD: a QR only adds cost
-        r = np.concatenate(list(blocks))
+        r = np.concatenate([np.empty((0, span)), *blocks])
     else:
         cut, r = rank_cut(np.array([sum(np.vdot(f, f).real for f in families)]), tol), np.empty((0, span))
         for b in blocks:

@@ -5,13 +5,15 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state: the Cesaro limit on the complete mixture, which cesaro_average reads, with the dual
-fixed points, from a values-only SVD and bordered solves in entrywise Hermitian coordinates.
+state: the Cesaro limit on the complete mixture, which cesaro_average reads, with the dual fixed
+points, from a values-only SVD and bordered solves in entrywise Hermitian coordinates: one LU
+when the kernel is one-dimensional, since the dual fixes 1, and one batched pair otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -88,26 +90,32 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     a = S_r - 1, in embed_hermitian's coordinates and with 1 taken off in place, has kernels R and L
     of dimension k = d^2 - cut_rank(singular values of a).  For n x k borders U, V, M = a + U V^T is
     invertible and M^-1 U, M^-T V span R and L (bordered null vectors, Govaerts, SIAM 2000); their
-    residuals must meet rank_cut.  Eigenvalue 1 is semisimple: the limit is R (L^T R)^-1 L^T.
+    residuals must meet rank_cut.  A channel's dual fixes 1, so for k = 1 L is 1's coordinates e and
+    only M X = U is solved, unless ||e^T a|| misses the cut (a map accepted at a loose atol_equality).
+    Eigenvalue 1 is semisimple: the limit is R (L^T R)^-1 L^T.  k = 0 raises NoConvergence.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
     d, n = channel.dim_in, channel.dim_in ** 2
     a = hermitian_superoperator(channel.superoperator, d)
     a.flat[:: n + 1] -= 1.0
-    sv = np.linalg.svd(a, compute_uv=False)
-    borders = _borders(n, n - cut_rank(sv, tol))
-    pair = np.empty((2, n, n))  # M = a + U V^T and M^T, for one stacked solve
+    sv, one = np.linalg.svd(a, compute_uv=False), embed_hermitian(np.eye(d))
+    cut, k = rank_cut(sv, tol), n - cut_rank(sv, tol)
+    if not k:
+        raise NoConvergence(f"no fixed point: S - 1 has smallest singular value {sv[-1]:.3e} > {cut:.3e}")
+    borders, left = _borders(n, k), one[None] / d ** 0.5  # the dual of a trace-preserving map fixes 1
+    pair = np.empty((1 if k == 1 and hs_norm(left @ a) <= cut else 2, n, n))  # M = a + U V^T; M^T if L != e
     np.add(a, borders[0] @ borders[1].T, out=pair[0])
-    pair[1] = pair[0].T
+    pair[1:] = pair[0].T
     try:
-        right, left = np.linalg.qr(np.linalg.solve(pair, borders))[0].swapaxes(1, 2)
+        right, *dual = np.linalg.qr(np.linalg.solve(pair, borders[:len(pair)]))[0].swapaxes(1, 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"bordered kernel solve: {exc}") from exc
+    left = dual[0] if dual else left
     residual = max(hs_norm(a @ right.T), hs_norm(left @ a))  # rows of right, left: the kernel vectors
-    if not residual <= rank_cut(sv, tol):
+    if not residual <= cut:
         raise NoConvergence(f"bordered kernel residual {residual:.3e} exceeds the rank cut")
-    limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
+    limit = np.linalg.solve(left @ right.T, left @ (one / d)) @ right
     return FixedPoints(*(unembed_hermitian(x, d) for x in (right, left, limit)))
 
 
@@ -152,9 +160,8 @@ def minimal_copy_count(rank_xi: int, system_dim: int, ancilla_dim: int) -> int:
     for d_count in range(1, 13):
         if (rank_xi ** d_count) * system_dim <= ancilla_dim ** d_count:
             return d_count
-    raise InfeasibleDimensions(
-        f"no D <= 12 satisfies rank^D * {system_dim} <= {ancilla_dim}^D for rank {rank_xi}"
-    )
+    raise InfeasibleDimensions(f"no D <= 12 satisfies rank^D * {system_dim} <= {ancilla_dim}^D "
+                               f"for rank {rank_xi}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +176,10 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
                              tol: Tolerances = DEFAULT_TOL) -> PurificationResult:
     """Prepare `target` exactly from a known full-rank state and D rank-deficient copies.
 
-    A permutation on C^N (x) (C^M)^tensor-D moves every nonzero weight of
-    rho0 (x) xi^(x)D into the n=0 slice; everything is diagonal in the joint
-    eigenbasis, so the permutation acts on the weight vector directly.  The
-    restriction to the system is then pure, and a measure-and-prepare channel
-    relabels it to the target.
+    A permutation on C^N (x) (C^M)^tensor-D moves every nonzero weight of rho0 (x) xi^(x)D into the
+    n=0 slice; everything is diagonal in the joint eigenbasis, so the permutation acts on the weight
+    vector directly.  The restriction to the system is then pure, and a measure-and-prepare channel
+    relabels it to the target.  xi enters as its renormalised truncation to the r weights above rank_cut.
     """
     n_dim, m_dim = rho0.dim, xi.dim
     if target.dim != n_dim:
@@ -184,19 +190,15 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
     p, _ = xi.eig(tol)
     r = cut_rank(np.abs(p), tol)
     copies = minimal_copy_count(r, n_dim, m_dim)  # raises when xi is full-rank
-    p = np.where(np.arange(m_dim) < r, p, 0.0)  # the kept weights are above the cut, so positive
+    p = np.where(np.arange(m_dim) < r, p, 0.0) / p[:r].sum()  # xi's rank-r truncation: positive weights
 
-    weights = lam.copy()
-    for _ in range(copies):
-        weights = np.kron(weights, p)
+    weights = reduce(np.kron, [p] * copies, lam)
     moved = np.concatenate([weights[weights > 0], weights[weights <= 0]])
 
     system_weights = moved.reshape(n_dim, -1).sum(axis=1)
     restricted = State(v_rho @ np.diag(system_weights) @ v_rho.conj().T, tol)
 
-    v0 = v_rho[:, 0]
-    prep = preparation_channel(v0, target, tol)
-    out = State(apply(prep, restricted), tol)
+    out = State(apply(preparation_channel(v_rho[:, 0], target, tol), restricted), tol)
     return PurificationResult(copies, restricted, out, fidelity(out, target, tol))
 
 

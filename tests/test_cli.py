@@ -222,6 +222,14 @@ class TestCheck:
         code, report, _ = run_json(capsys, "check", "extremal", str(path), "--tol-rank", "1e-4")
         assert code == EXIT_YES and report["kraus_ranks"] == [1]
 
+    def test_an_outcome_cut_to_no_kraus_operator_gets_a_verdict(self, tmp_path, capsys):
+        # outcome 0, sqrt(5e-9) 1 on a qubit, has weight 1e-8, at the rank cut
+        path = tmp_path / "inst.json"
+        modelfile.save(Instrument.from_kraus([[np.sqrt(5e-9) * np.eye(2)], [np.sqrt(1 - 5e-9) * np.eye(2)]]),
+                       str(path))
+        code, report, _ = run_json(capsys, "check", "extremal", str(path))
+        assert code == EXIT_YES and report["kraus_ranks"] == [0, 1] and report["product_count"] == 1
+
     @pytest.mark.parametrize("verb", ["firstkind", "nondisturbance"])
     def test_invariance_verbs_build_one_total_channel(self, tmp_path, capsys, monkeypatch, verb):
         calls = []

@@ -275,7 +275,8 @@ class TestExtremal:
         assert (res.product_count, res.extremal) == (8192, False)
 
     def test_a_certified_full_span_takes_no_second_svd(self, monkeypatch):
-        # the fold's SVD of R certifies rank d^2; beside it only kraus_from_rows' SVD per operation
+        # the fold's SVD of R certifies rank d^2; beside it only kraus_from_rows' one stacked SVD
+        # per Kraus count
         instrument = scheme_to_instrument(random_constrained_scheme(8, 4, 2, 0))
         svd, calls = np.linalg.svd, []
 
@@ -284,7 +285,7 @@ class TestExtremal:
             return svd(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         res = check_extremal(instrument)
-        assert calls == [True] * len(instrument.operations) + [False]
+        assert calls == [True] * len({len(op.kraus) for op in instrument.operations}) + [False]
         assert (res.gram_rank, res.product_count, res.extremal) == (64, 8192, False)
 
     def test_the_fold_stops_at_the_block_that_completes_the_span(self, monkeypatch):
@@ -324,6 +325,31 @@ class TestExtremal:
         assert len(calls) == 9
         assert res.gram_rank == numerical_rank(_products(minimal)) == d
         assert (res.product_count, res.extremal) == (64 + 1 + 7 * 64, False)
+
+    def test_families_of_one_kraus_count_are_reduced_in_one_stacked_svd(self, monkeypatch):
+        # Kraus counts 2, 3, 2, 3, 1 on a qutrit: one SVD per count, then the products' SVD
+        families = np.split(random_channel(3, 3, 11, 7).kraus, [2, 5, 7, 10])
+        instrument = Instrument(tuple(Operation(f) for f in families))
+        minimal, svd, shapes = _minimal(instrument), np.linalg.svd, []
+
+        def recorded_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        res = check_extremal(instrument)
+        assert sorted(shapes[:3]) == [(1, 1, 9), (2, 2, 9), (2, 3, 9)] and shapes[3:] == [(27, 9)]
+        assert res.kraus_ranks == tuple(len(f) for f in minimal) == (2, 3, 2, 3, 1)
+        assert res.gram_rank == numerical_rank(_products(minimal)) == 9 and not res.extremal
+
+    def test_a_family_cut_to_no_operator_has_kraus_rank_0(self):
+        # outcome 0, sqrt(5e-9) 1 on a qubit, has weight 1e-8, at the rank cut: no product is left
+        eye = np.eye(2)
+        res = check_extremal(Instrument.from_kraus([[np.sqrt(5e-9) * eye], [np.sqrt(1 - 5e-9) * eye]]))
+        assert (res.extremal, res.kraus_ranks, res.gram_rank, res.product_count) == (True, (0, 1), 1, 1)
+        # 300 outcomes of weight 2/300, every one at or below the cut 9e-3: no product at all
+        tol = Tolerances(rank_threshold=9e-3)
+        res = check_extremal(Instrument.from_kraus([[np.sqrt(1 / 300) * eye]] * 300, tol=tol), tol)
+        assert (res.extremal, res.kraus_ranks, res.gram_rank, res.product_count) == (True, (0,) * 300, 0, 0)
 
     # W = sum_x |f_x|_F^2 bounds the largest singular value of all products, which the stop needs
     @settings(max_examples=40, deadline=None)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeas import thirdlaw
-from qmeas.core import Channel, State, apply, compose, scheme_to_instrument
+from qmeas.algebra import fixed_point_space
+from qmeas.core import Channel, Instrument, State, apply, compose, scheme_to_instrument
 from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from qmeas.linalg import (
     DEFAULT_TOL,
@@ -19,6 +20,7 @@ from qmeas.linalg import (
     hermitian_superoperator,
     hs_norm,
     numerical_rank,
+    rank_cut,
     unembed_hermitian,
     vec,
 )
@@ -148,6 +150,17 @@ class TestFixedState:
     def test_rejects_rectangular(self):
         with pytest.raises(NotEndomorphic):
             full_rank_fixed_state(random_channel(2, 3, 2, 0))
+
+    def test_a_map_without_a_fixed_point_raises(self):
+        # Kraus operators scaled by sqrt(1 + 5e-8), accepted at atol 1e-7: S - 1 has no singular value
+        # at the rank cut, so the kernel is empty and there is no limit state to normalise
+        tol = Tolerances(1e-7, 1e-8)
+        kraus = np.sqrt(1 + 5e-8) * random_constrained_channel(4, 3).kraus
+        for call in (lambda: cesaro_average(Channel(kraus, tol), tol),
+                     lambda: full_rank_fixed_state(Channel(kraus, tol), tol),
+                     lambda: fixed_point_space(Instrument.from_kraus([kraus], tol=tol), tol)):
+            with pytest.raises(NoConvergence, match=r"smallest singular value 4\.\d+e-08 > 1\.\d+e-08"):
+                call()
 
     def test_the_only_svd_is_the_values_only_one_of_s_r(self, monkeypatch):
         # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix
@@ -282,6 +295,57 @@ class TestBorderedKernels:
         bordered = np.linalg.svd(a + u @ v.T, compute_uv=False)
         assert np.abs(np.sort(bordered) - np.sort(np.append(sv[:15], 1.0))).max() < 1e-13
 
+    def test_the_transposed_solve_returns_the_identity_border(self):
+        # u_1 = v_1 = +-1's coordinates over sqrt d, and a^T v_1 = 0 for a trace-preserving map:
+        # M^T v_1 = a^T v_1 + V U^T v_1 = v_1, so M^-T V's first column is the identity's, as L = e takes it
+        channels = [build() for build, _ in KERNEL_REGIMES.values()] + [
+            family(d, seed) for family, _ in CHANNEL_FAMILIES.values() for d in range(2, 9)
+            for seed in range(2)]
+        channels += [random_channel(d, d, 3, d) for d in range(2, 9)]
+        for ch in channels:
+            d, n = ch.dim_in, ch.dim_in ** 2
+            a = hermitian_superoperator(ch.superoperator, d) - np.eye(n)
+            u, v = thirdlaw._borders(n, n - cut_rank(np.linalg.svd(a, compute_uv=False)))
+            assert np.array_equal(u[:, 0], v[:, 0])
+            assert np.abs(np.abs(v[:, 0]) - np.abs(embed_hermitian(np.eye(d))) / np.sqrt(d)).max() < 1e-15
+            y = np.linalg.solve((a + u @ v.T).T, v)[:, 0]
+            assert min(np.abs(y - v[:, 0]).max(), np.abs(y + v[:, 0]).max()) < 1e-13
+
+    @pytest.mark.parametrize("regime", sorted(KERNEL_REGIMES))
+    def test_k_1_factors_m_alone_and_k_above_1_m_and_its_transpose_in_one_call(self, monkeypatch, regime):
+        build, k = KERNEL_REGIMES[regime]
+        ch, solve, shapes = build(), np.linalg.solve, []
+        n = ch.dim_in ** 2
+
+        def recorded_solve(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        fixed = cesaro_average(ch)
+        assert shapes == [(1 if k == 1 else 2, n, n), (k, k)]  # the kernel solve, then the limit's
+        if k == 1:
+            assert np.array_equal(fixed.dual_fixed[0], np.eye(ch.dim_in) / np.sqrt(ch.dim_in))
+
+    def test_a_dual_off_the_identity_by_more_than_the_cut_takes_the_transposed_solve(self, monkeypatch):
+        # K_i (1 + 1e-7 Y), Y = diag(1, -1, 0), for a unital qutrit channel, accepted at atol 1e-6.
+        # tr(Y 1/3) = 0 keeps the eigenvalue 1 to second order, so k = 1, but
+        # ||e^T a|| = ||Phi^*(1) - 1||_F / sqrt 3 = 1.6e-7 misses the cut: L = e would fail its residual
+        tol = Tolerances(atol_equality=1e-6)
+        tilt, e = np.eye(3) + 1e-7 * np.diag([1.0, -1.0, 0.0]), embed_hermitian(np.eye(3)) / np.sqrt(3)
+        ch = Channel(random_bistochastic_channel(3, 3, 0).kraus @ tilt, tol)
+        a = hermitian_superoperator(ch.superoperator, 3) - np.eye(9)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert cut_rank(sv, tol) == 8 and hs_norm(e @ a) > rank_cut(sv, tol)
+        solve, shapes = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: shapes.append(np.shape(m)) or solve(m, b))
+        fixed = cesaro_average(ch, tol)
+        assert shapes == [(2, 9, 9), (1, 1)]
+        right, left, limit = full_svd_fixed_points(ch, tol)
+        assert np.abs(span_projector(fixed.fixed) - span_projector(right)).max() < 1e-12
+        assert np.abs(span_projector(fixed.dual_fixed) - span_projector(left)).max() < 1e-12
+        assert np.abs(fixed.mixture_limit - limit).max() < 1e-12
+        assert np.abs(span_projector(fixed.dual_fixed) - np.outer(e, e)).max() > 1e-7
+
     def test_no_svd_returns_singular_vectors(self, monkeypatch):
         channels, svd, flags = [build() for build, _ in KERNEL_REGIMES.values()], np.linalg.svd, []
 
@@ -309,7 +373,8 @@ class TestBorderedKernels:
         (lambda b: np.repeat(b[:, :, :1], b.shape[2], axis=2),  # every column the same: rank 1
          lambda: Channel.unitary(random_unitary(4, np.random.default_rng(0)))),
         (lambda b: np.zeros_like(b), lambda: Channel.identity(3)),  # M = 0: the solve itself fails
-    ], ids=["zero", "rank-1", "zero-on-identity"])
+        (lambda b: np.zeros_like(b), lambda: random_constrained_channel(3, 0)),  # k = 1: M = a, R from 0
+    ], ids=["zero", "rank-1", "zero-on-identity", "zero-on-k=1"])
     def test_degenerate_borders_raise_instead_of_a_wrong_kernel(self, monkeypatch, degenerate, channel):
         borders = thirdlaw._borders
         monkeypatch.setattr(thirdlaw, "_borders", lambda n, k: degenerate(borders(n, k)))
@@ -430,6 +495,14 @@ class TestPurification:
         res = purify_via_unconstrained(rho0, xi, target)
         assert res.copies == 2
         assert res.fidelity > 1.0 - 1e-9
+
+    def test_a_resource_weight_at_the_cut_is_truncated_and_the_rest_renormalised(self):
+        # xi = diag(1 - 0.99e-8, 0.99e-8, 0) has rank 1 at the cut 1e-8: the protocol acts on |0><0|
+        rho0 = State.diagonal([0.6, 0.4])
+        res = purify_via_unconstrained(rho0, State.diagonal([1 - 0.99e-8, 0.99e-8, 0.0]), rho0)
+        assert res.copies == 1
+        assert np.abs(res.restricted.eig()[0] - [1.0, 0.0]).max() < 1e-15
+        assert abs(np.trace(res.state.matrix) - 1) < 1e-15 and res.fidelity > 1 - 1e-12
 
     def test_full_rank_resource_rejected(self):
         rho0 = random_full_rank_state(2, 3)
