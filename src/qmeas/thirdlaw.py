@@ -5,13 +5,13 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state: the Cesaro limit on the complete mixture, which cesaro_average reads, with the dual fixed
-points, from a values-only SVD and bordered solves in entrywise Hermitian coordinates: one LU
-when the kernel is one-dimensional, since the dual fixes 1, and one batched pair otherwise.
+state, the Cesaro limit on the complete mixture: cesaro_average solves for it by bordering, with a kernel
+dimension read off the Gram of S - 1 and certified by the residuals, or else decided by a values-only SVD.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,6 +21,7 @@ from .core import Channel, MeasurementScheme, State, apply, fidelity, row_blocks
 from .errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from .linalg import (
     DEFAULT_TOL,
+    EPS,
     Tolerances,
     cut_rank,
     dagger,
@@ -84,27 +85,11 @@ def _borders(n: int, k: int) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
-def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
-    """Fixed points of a channel and its dual, and the exact Cesaro limit.
-
-    a = S_r - 1, in embed_hermitian's coordinates and with 1 taken off in place, has kernels R and L
-    of dimension k = d^2 - cut_rank(singular values of a).  For n x k borders U, V, M = a + U V^T is
-    invertible and M^-1 U, M^-T V span R and L (bordered null vectors, Govaerts, SIAM 2000); their
-    residuals must meet rank_cut.  A channel's dual fixes 1, so for k = 1 L is 1's coordinates e and
-    only M X = U is solved, unless ||e^T a|| misses the cut (a map accepted at a loose atol_equality).
-    Eigenvalue 1 is semisimple: the limit is R (L^T R)^-1 L^T.  k = 0 raises NoConvergence.
-    """
-    if channel.dim_in != channel.dim_out:
-        raise NotEndomorphic("fixed points need dim_in == dim_out")
-    d, n = channel.dim_in, channel.dim_in ** 2
-    a = hermitian_superoperator(channel.superoperator, d)
-    a.flat[:: n + 1] -= 1.0
-    sv, one = np.linalg.svd(a, compute_uv=False), embed_hermitian(np.eye(d))
-    cut, k = rank_cut(sv, tol), n - cut_rank(sv, tol)
-    if not k:
-        raise NoConvergence(f"no fixed point: S - 1 has smallest singular value {sv[-1]:.3e} > {cut:.3e}")
-    borders, left = _borders(n, k), one[None] / d ** 0.5  # the dual of a trace-preserving map fixes 1
-    pair = np.empty((1 if k == 1 and hs_norm(left @ a) <= cut else 2, n, n))  # M = a + U V^T; M^T if L != e
+def _bordered_fixed_points(a: np.ndarray, k: int, cut: float, d: int) -> FixedPoints:
+    """For n x k borders U, V, M = a + U V^T: M^-1 U, M^-T V span a's kernels R, L (Govaerts, SIAM 2000), or
+    L = e for k = 1.  Raises NoConvergence if M is singular or a residual misses the cut."""
+    borders, left = _borders(d * d, k), embed_hermitian(np.eye(d))[None] / d ** 0.5  # e: the dual fixes 1
+    pair = np.empty((1 if k == 1 and hs_norm(left @ a) <= cut else 2, d * d, d * d))  # M; M^T if L != e
     np.add(a, borders[0] @ borders[1].T, out=pair[0])
     pair[1:] = pair[0].T
     try:
@@ -115,8 +100,35 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     residual = max(hs_norm(a @ right.T), hs_norm(left @ a))  # rows of right, left: the kernel vectors
     if not residual <= cut:
         raise NoConvergence(f"bordered kernel residual {residual:.3e} exceeds the rank cut")
-    limit = np.linalg.solve(left @ right.T, left @ (one / d)) @ right
+    limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
     return FixedPoints(*(unembed_hermitian(x, d) for x in (right, left, limit)))
+
+
+def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
+    """Fixed points of a channel and its dual, and the exact Cesaro limit R (L^T R)^-1 L^T of 1/d.
+
+    a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular
+    values at or below cut = rank_threshold max(1, ||a||_2).  The eigenvalues mu of a^T a (one syrk) are
+    their squares to within delta = 4 n eps (||a||_F^2 + mu_max), above the Gram's rounding gamma_n ||a||_F^2
+    plus a backward-stable eigensolve's p(n) eps ||a^T a||_2 (Higham, 2002, 3.5).  The k mu <= cut^2 + delta
+    are certified when the bordered residuals meet the cut: then k singular values lie at or below it
+    (Courant-Fischer), the rest above (Weyl).  Else the values-only SVD decides; k = 0 raises NoConvergence.
+    """
+    if channel.dim_in != channel.dim_out:
+        raise NotEndomorphic("fixed points need dim_in == dim_out")
+    d, n = channel.dim_in, channel.dim_in ** 2
+    a = hermitian_superoperator(channel.superoperator, d)
+    a.flat[:: n + 1] -= 1.0
+    mu = np.linalg.eigvalsh(a.T @ a)  # the same array on both sides: numpy runs a syrk
+    cut = tol.rank_threshold * max(1.0, mu[-1]) ** 0.5
+    if k := np.count_nonzero(mu <= cut ** 2 + 4 * n * EPS * (mu.sum() + mu[-1])):
+        with suppress(NoConvergence):
+            return _bordered_fixed_points(a, k, cut, d)
+    sv = np.linalg.svd(a, compute_uv=False)  # uncertified: k is cut_rank's
+    cut, k = rank_cut(sv, tol), n - cut_rank(sv, tol)
+    if not k:
+        raise NoConvergence(f"no fixed point: S - 1 has smallest singular value {sv[-1]:.3e} > {cut:.3e}")
+    return _bordered_fixed_points(a, k, cut, d)
 
 
 @dataclass(frozen=True)

@@ -233,25 +233,27 @@ class TestDecompose:
         with pytest.raises(NotAnAlgebra):
             decompose(span, trivial_instrument(pointer_observable(2)))
 
-    def test_one_cesaro_average_and_one_superoperator_svd(self, monkeypatch):
+    def test_one_cesaro_average_and_one_superoperator_eigvalsh(self, monkeypatch):
         inst = swap_instrument()
         d2 = inst.dim ** 2
-        calls = {"cesaro_average": 0, "svd": 0}
-        cesaro_average, svd = algebra.cesaro_average, np.linalg.svd
+        calls = {"cesaro_average": 0, "eigvalsh": 0, "svd": 0}
+        cesaro_average, svd, eigvalsh = algebra.cesaro_average, np.linalg.svd, np.linalg.eigvalsh
 
         def counted_cesaro_average(*args, **kwargs):
             calls["cesaro_average"] += 1
             return cesaro_average(*args, **kwargs)
 
-        def counted_svd(a, *args, **kwargs):
-            if np.shape(a) == (d2, d2):  # the superoperator's, which needs only its singular values
-                calls["svd"] += 1
-                calls["compute_uv"] = kwargs.get("compute_uv", True)
-            return svd(a, *args, **kwargs)
+        def counted(name, call):
+            def counted_call(a, *args, **kwargs):
+                if np.shape(a) == (d2, d2):  # the superoperator's, or its Gram's: the certified kernel needs no SVD
+                    calls[name] += 1
+                return call(a, *args, **kwargs)
+            return counted_call
         monkeypatch.setattr(algebra, "cesaro_average", counted_cesaro_average)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
         decompose(fixed_point_space(inst), inst)
-        assert calls == {"cesaro_average": 1, "svd": 1, "compute_uv": False}
+        assert calls == {"cesaro_average": 1, "eigvalsh": 1, "svd": 0}
 
     # the generic pair against the center-kernel reference, blocks matched by central projection
     @pytest.mark.parametrize("seed", [0, 5, 11])

@@ -12,6 +12,7 @@ from qmeas.core import Channel, Instrument, State, apply, compose, scheme_to_ins
 from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from qmeas.linalg import (
     DEFAULT_TOL,
+    EPS,
     Tolerances,
     cut_rank,
     dagger,
@@ -162,19 +163,15 @@ class TestFixedState:
             with pytest.raises(NoConvergence, match=r"smallest singular value 4\.\d+e-08 > 1\.\d+e-08"):
                 call()
 
-    def test_the_only_svd_is_the_values_only_one_of_s_r(self, monkeypatch):
-        # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix
+    def test_the_rank_step_is_one_gram_eigvalsh_and_no_svd(self, monkeypatch):
+        # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix, and the
+        # kernel dimension is certified from the Gram of S_r - 1 with no SVD of S_r either
         channels = [random_constrained_channel(4, 0), random_low_rank_preparation(4, 2, 0),
                     Channel.unitary(random_unitary(4, np.random.default_rng(1)))]
-        svd, calls = np.linalg.svd, []
-
-        def recorded_svd(a, *args, **kwargs):
-            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        calls = recorded_linalg(monkeypatch)
         for ch in channels:
             full_rank_fixed_state(ch)
-        assert calls == [((16, 16), False)] * len(channels)
+        assert calls == [("eigvalsh", (16, 16))] * len(channels)
 
     def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
         exact = thirdlaw.cesaro_average
@@ -248,6 +245,22 @@ def full_svd_fixed_points(channel, tol=DEFAULT_TOL):
     right, left = vh[rank:], u[:, rank:].T
     limit = np.linalg.solve(left @ right.T, left @ embed_hermitian(np.eye(d) / d)) @ right
     return unembed_hermitian(right, d), unembed_hermitian(left, d), unembed_hermitian(limit, d)
+
+
+def recorded_linalg(monkeypatch):
+    """Wrap np.linalg.svd and np.linalg.eigvalsh; the returned list records each call's shape (and compute_uv)."""
+    calls, svd, eigvalsh = [], np.linalg.svd, np.linalg.eigvalsh
+
+    def recorded_svd(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a), args[1] if len(args) > 1 else kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def recorded_eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.shape(a)))
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+    return calls
 
 
 def span_projector(basis):
@@ -347,15 +360,20 @@ class TestBorderedKernels:
         assert np.abs(span_projector(fixed.dual_fixed) - np.outer(e, e)).max() > 1e-7
 
     def test_no_svd_returns_singular_vectors(self, monkeypatch):
-        channels, svd, flags = [build() for build, _ in KERNEL_REGIMES.values()], np.linalg.svd, []
-
-        def recorded_svd(a, *args, **kwargs):
-            flags.append(kwargs.get("compute_uv", True))
-            return svd(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
-        for ch in channels:
+        # a certified call: one eigvalsh of the n x n Gram, no SVD; a fallback call: one values-only SVD more
+        certified = [build() for build, _ in KERNEL_REGIMES.values()]
+        fallback = [leaky_chain(1e-7), Channel(np.sqrt(1 + 5e-8) * random_constrained_channel(4, 3).kraus,
+                                               Tolerances(1e-7, 1e-8))]
+        calls = recorded_linalg(monkeypatch)
+        for ch in certified:
             cesaro_average(ch)
-        assert flags == [False] * len(channels)
+        want = [("eigvalsh", (ch.dim_in ** 2,) * 2) for ch in certified]
+        assert calls == want
+        cesaro_average(fallback[0])
+        with pytest.raises(NoConvergence, match="smallest singular value"):
+            cesaro_average(fallback[1], Tolerances(1e-7, 1e-8))
+        want += [("eigvalsh", (9, 9)), ("svd", (9, 9), False), ("eigvalsh", (16, 16)), ("svd", (16, 16), False)]
+        assert calls == want
 
     def test_repeated_calls_are_bitwise_equal_and_leave_the_global_rng(self):
         ch = random_constrained_channel(6, 1)
@@ -387,6 +405,88 @@ CHANNEL_FAMILIES = {
     "bistochastic": (lambda d, seed: random_bistochastic_channel(d, 3, seed), True),
     "low-rank preparation": (lambda d, seed: random_low_rank_preparation(d, d - 1, seed), False),
 }
+
+
+def leaky_chain(gamma):
+    """A classical 3-state chain, measured and prepared in the computational basis: states 0 and 1 exchange
+    with probability 1/2, and each leaks gamma / 2 to state 2, which leaks gamma / 2 back to each.  S - 1 has
+    one singular value 1.5 gamma (the mode (1, 1, -2)) next to singular values 1 (the coherences)."""
+    t = np.array([[0.5 - gamma / 2, 0.5, gamma / 2], [0.5, 0.5 - gamma / 2, gamma / 2],
+                  [gamma / 2, gamma / 2, 1 - gamma]])  # column x: the state prepared after outcome x
+    return Channel.measure_prepare([(np.diag(e), np.diag(col)) for e, col in zip(np.eye(3), t.T)])
+
+
+def gram_band(a, tol=DEFAULT_TOL):
+    """cesaro_average's statistic: the Gram's eigenvalues mu, the cut, and delta = 4 n eps (||a||_F^2 + mu_max)."""
+    mu = np.linalg.eigvalsh(a.T @ a)
+    return mu, tol.rank_threshold * max(1.0, mu[-1]) ** 0.5, 4 * len(a) * EPS * (hs_norm(a) ** 2 + mu[-1])
+
+
+def svd_fixed_points(a, d, tol=DEFAULT_TOL):
+    """The kernels with k decided by the values-only SVD alone, as cesaro_average's fallback computes them."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    if not cut_rank(sv, tol) < d * d:
+        raise NoConvergence("no fixed point")
+    return thirdlaw._bordered_fixed_points(a, d * d - cut_rank(sv, tol), rank_cut(sv, tol), d)
+
+
+class TestGramCertificate:
+    """The Gram's eigenvalues propose k, the bordered residuals certify it, and the SVD decides the rest."""
+
+    def test_the_chain_puts_one_singular_value_at_one_and_a_half_gamma_under_a_band_top_of_2_5e_7(self):
+        for gamma in (1e-9, 1e-7, 1e-6):
+            a = hermitian_superoperator(leaky_chain(gamma).superoperator, 3) - np.eye(9)
+            sv = np.linalg.svd(a, compute_uv=False)
+            mu, cut, delta = gram_band(a)
+            assert abs(sv[-2] - 1.5 * gamma) < 1e-6 * gamma and sv[-1] < 1e-15
+            assert np.allclose(sv[:-2], [1 + gamma / 2] + [1.0] * 6, rtol=0, atol=1e-15)
+            assert 2.5e-7 < (cut ** 2 + delta) ** 0.5 < 2.55e-7
+
+    def test_a_singular_value_in_the_band_takes_one_fallback_svd(self, monkeypatch):
+        calls = recorded_linalg(monkeypatch)
+        fixed = cesaro_average(leaky_chain(1e-7))  # two candidates; the SVD puts 1.5e-7 above the cut
+        assert calls == [("eigvalsh", (9, 9)), ("svd", (9, 9), False)] and len(fixed.fixed) == 1
+        assert np.abs(fixed.mixture_limit - np.eye(3) / 3).max() < 1e-8  # eps over the 1.5e-7 gap
+
+    def test_a_singular_value_above_the_band_is_certified(self, monkeypatch):
+        calls = recorded_linalg(monkeypatch)
+        fixed = cesaro_average(leaky_chain(1e-6))
+        assert calls == [("eigvalsh", (9, 9))] and len(fixed.fixed) == 1
+
+    def test_a_singular_value_just_under_the_cut_raises_as_the_svd_path_does(self, monkeypatch):
+        # k = 2 at the cut, but the bordered residual of the slow mode, 1.3e-8, misses it
+        calls = recorded_linalg(monkeypatch)
+        with pytest.raises(NoConvergence, match=r"bordered kernel residual 1\.3\d\de-08 exceeds the rank cut"):
+            cesaro_average(leaky_chain(1e-9))
+        assert calls == [("eigvalsh", (9, 9)), ("svd", (9, 9), False)]
+        a = hermitian_superoperator(leaky_chain(1e-9).superoperator, 3) - np.eye(9)
+        with pytest.raises(NoConvergence, match=r"bordered kernel residual 1\.3\d\de-08 exceeds the rank cut"):
+            svd_fixed_points(a, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_gamma=st.floats(-10, -3), useed=st.integers(0, 2 ** 31 - 1))
+    def test_the_kernel_dimension_is_the_svds(self, log_gamma, useed):
+        u = random_unitary(3, np.random.default_rng(useed))
+        ch = Channel(tuple(u @ k @ dagger(u) for k in leaky_chain(10.0 ** log_gamma).kraus))
+        a = hermitian_superoperator(ch.superoperator, 3) - np.eye(9)
+        try:
+            want = svd_fixed_points(a, 3)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                cesaro_average(ch)
+        else:
+            got = cesaro_average(ch)
+            assert len(got.fixed) == len(want.fixed) == 9 - cut_rank(np.linalg.svd(a, compute_uv=False))
+            assert np.abs(span_projector(got.fixed) - span_projector(want.fixed)).max() < 1e-9
+
+    def test_the_gram_eigenvalues_are_the_squared_singular_values_within_a_quarter_delta(self):
+        channels = [build() for build, _ in KERNEL_REGIMES.values()] + [
+            family(d, seed) for family, _ in CHANNEL_FAMILIES.values() for d in range(2, 9) for seed in range(2)]
+        for ch in channels:
+            n = ch.dim_in ** 2
+            a = hermitian_superoperator(ch.superoperator, ch.dim_in) - np.eye(n)
+            mu, _, delta = gram_band(a)
+            assert np.abs(mu - np.linalg.svd(a, compute_uv=False)[::-1] ** 2).max() <= delta / 4
 
 
 class TestUnitaryInvariance:
