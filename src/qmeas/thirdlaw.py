@@ -120,8 +120,8 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     a = hermitian_superoperator(channel.superoperator, d)
     a.flat[:: n + 1] -= 1.0
     mu = np.linalg.eigvalsh(a.T @ a)  # the same array on both sides: numpy runs a syrk
-    cut = tol.rank_threshold * max(1.0, mu[-1]) ** 0.5
-    if k := np.count_nonzero(mu <= cut ** 2 + 4 * n * EPS * (mu.sum() + mu[-1])):
+    cut = rank_cut(abs(mu[-1:]) ** 0.5, tol)  # mu_max = ||a||_2^2
+    if k := np.count_nonzero(mu <= cut ** 2 + 4 * n * EPS * (mu.sum() + mu[-1])):  # sum mu = ||a||_F^2
         with suppress(NoConvergence):
             return _bordered_fixed_points(a, k, cut, d)
     sv = np.linalg.svd(a, compute_uv=False)  # uncertified: k is cut_rank's

@@ -419,7 +419,7 @@ def leaky_chain(gamma):
 def gram_band(a, tol=DEFAULT_TOL):
     """cesaro_average's statistic: the Gram's eigenvalues mu, the cut, and delta = 4 n eps (||a||_F^2 + mu_max)."""
     mu = np.linalg.eigvalsh(a.T @ a)
-    return mu, tol.rank_threshold * max(1.0, mu[-1]) ** 0.5, 4 * len(a) * EPS * (hs_norm(a) ** 2 + mu[-1])
+    return mu, rank_cut(abs(mu[-1:]) ** 0.5, tol), 4 * len(a) * EPS * (hs_norm(a) ** 2 + mu[-1])
 
 
 def svd_fixed_points(a, d, tol=DEFAULT_TOL):
