@@ -86,8 +86,8 @@ def _borders(n: int, k: int) -> np.ndarray:
 
 
 def _bordered_fixed_points(a: np.ndarray, k: int, cut: float, d: int) -> FixedPoints:
-    """For n x k borders U, V, M = a + U V^T: M^-1 U, M^-T V span a's kernels R, L (Govaerts, SIAM 2000), or
-    L = e for k = 1.  Raises NoConvergence if M is singular or a residual misses the cut."""
+    """For n x k borders U, V, M = a + U V^T: M^-1 U, M^-T V span a's kernels R, L (Govaerts, SIAM 2000),
+    or L = e for k = 1 if ||e^T a|| meets the cut.  NoConvergence if M is singular or a residual misses it."""
     borders, left = _borders(d * d, k), embed_hermitian(np.eye(d))[None] / d ** 0.5  # e: the dual fixes 1
     pair = np.empty((1 if k == 1 and hs_norm(left @ a) <= cut else 2, d * d, d * d))  # M; M^T if L != e
     np.add(a, borders[0] @ borders[1].T, out=pair[0])
@@ -108,9 +108,9 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     """Fixed points of a channel and its dual, and the exact Cesaro limit R (L^T R)^-1 L^T of 1/d.
 
     a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular
-    values at or below cut = rank_threshold max(1, ||a||_2).  The eigenvalues mu of a^T a (one syrk) are
-    their squares to within delta = 4 n eps (||a||_F^2 + mu_max), above the Gram's rounding gamma_n ||a||_F^2
-    plus a backward-stable eigensolve's p(n) eps ||a^T a||_2 (Higham, 2002, 3.5).  The k mu <= cut^2 + delta
+    values at or below cut = rank_threshold max(1, ||a||_2).  The eigenvalues mu of a^T a (one syrk) are their
+    squares to within delta = 4 n eps (||a||_F^2 + mu_max), which bounds the Gram's rounding, gamma_n ||a||_F^2,
+    plus a backward-stable eigensolve's, p(n) eps ||a^T a||_2 (Higham, 2002, 3.5).  The k mu <= cut^2 + delta
     are certified when the bordered residuals meet the cut: then k singular values lie at or below it
     (Courant-Fischer), the rest above (Weyl).  Else the values-only SVD decides; k = 0 raises NoConvergence.
     """
