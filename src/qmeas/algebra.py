@@ -8,8 +8,8 @@ numerically from one generic pair x, y of the algebra: the eigenvalue
 clusters of x are its minimal projections, y links exactly the clusters of
 one block, and the polar factors of y's off-diagonal blocks align a block's
 clusters into its factorizer isometry W : K (x) R -> C^d, with
-W^dag B W = B_K (x) 1_R for every element B.  Every split is certified on
-the whole basis before it is returned.
+W^dag B W = B_K (x) 1_R for every element B.  A split is certified by the
+reconstruction residual that decompose reports: it is at most atol_equality.
 
 All random draws come from one seeded generator so results reproduce.
 """
@@ -120,18 +120,20 @@ class FactorBlock:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
+    """Blocks of space; reconstruction_residual, their units' subspace_distance from it, is <= atol_equality."""
+
     space: OperatorSubspace
     blocks: tuple[FactorBlock, ...]
     reconstruction_residual: float
 
 
-def _block_units(blocks) -> np.ndarray:
-    """Images W (e_ij (x) 1_R) W^dag = W_i W_j^dag spanning the reconstructed algebra, stacked;
-    W_i is the factorizer's block of columns for K's basis vector i."""
+def _block_units(facts) -> np.ndarray:
+    """Images W (e_ij (x) 1_R) W^dag = W_i W_j^dag spanning the reconstructed algebra, stacked, from
+    (W, dim_k, dim_r) triples; W_i is the factorizer's block of columns for K's basis vector i."""
     units = []
-    for blk in blocks:
-        w = blk.factorizer.reshape(-1, blk.dim_k, blk.dim_r).swapaxes(0, 1)  # (dim_k, d, dim_r)
-        units.append((w[:, None] @ dagger(w)[None]).reshape(-1, *blk.projection.shape))
+    for fact, dim_k, dim_r in facts:
+        w = fact.reshape(-1, dim_k, dim_r).swapaxes(0, 1)  # (dim_k, d, dim_r)
+        units.append((w[:, None] @ dagger(w)[None]).reshape(-1, len(fact), len(fact)))
     return np.concatenate(units)
 
 
@@ -147,52 +149,52 @@ def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -
 
 
 def _factorizers(space: OperatorSubspace, tol: Tolerances,
-                 rng: np.random.Generator) -> list[tuple[np.ndarray, int, int]]:
-    """Per block, its factorizer W : K (x) R -> C^d with dim_k and dim_r, from one generic pair.
+                 rng: np.random.Generator) -> tuple[list[tuple[np.ndarray, int, int]], float]:
+    """Per block, its factorizer W : K (x) R -> C^d with dim_k and dim_r; and the residual.
 
-    A generic element x has one eigenvalue cluster per minimal projection, dim_r columns V_i
-    each; a second generic element y links clusters i and j, ||V_i^dag y V_j||_F above
-    rank_cut of ||y||_F, exactly when they lie in one block.  A block is the clusters linked
-    to its first, V_0; the polar factor of V_0^dag y V_j aligns cluster j's R basis with
-    V_0's, and the aligned columns, cluster by cluster, are W in (k, r) order.  The blocks
-    are certified: W's side by side form a unitary U, U^dag B U is zero across blocks and
-    B_K (x) 1_R within each for every basis element B, and sum dim_k^2 is the span's dimension.
+    A one-dimensional span is the scalars: one block, with the identity as W and no draw.
+    Otherwise a generic element x has one eigenvalue cluster per minimal projection, dim_r
+    columns V_i each; a second generic element y links clusters i and j, ||V_i^dag y V_j||_F
+    above rank_cut of ||y||_F, exactly when they lie in one block.  A block is the clusters
+    linked to its first, V_0; the polar factor of V_0^dag y V_j aligns cluster j's R basis
+    with V_0's, and the aligned columns, cluster by cluster, are W in (k, r) order.  A split
+    is returned, else the pair redrawn up to five times, when sum dim_k^2 = len(space), the
+    W's side by side form a unitary within atol_equality, and the residual, the
+    subspace_distance of the blocks' units from the span, is at most atol_equality.
     """
     b, n = space.basis, len(space)
-    for _ in range(5):
-        x, y = np.tensordot(rng.standard_normal((2, n)), b, axes=1)
-        w, v = hermitian_eig(x, tol)
-        clusters = eigenvalue_clusters(w, tol)
-        yv = dagger(v) @ y @ v
-        starts = [idx[0] for idx in clusters]  # clusters are runs of consecutive columns
-        links = np.add.reduceat(np.add.reduceat(np.abs(yv) ** 2, starts, 0), starts, 1)
-        linked = np.sqrt(links) > rank_cut(np.array(hs_norm(y)), tol)
-        facts, free = [], np.ones(len(clusters), dtype=bool)
-        for i in range(len(clusters)):
-            if not free[i]:
-                continue
-            free[i] = False
-            members = np.flatnonzero(linked[i] & free)
-            free[members] = False
-            if any(clusters[j].size != clusters[i].size for j in members):
-                break
-            cols = [v[:, clusters[i]]]
-            for j in members:
-                a, _, bh = np.linalg.svd(yv[np.ix_(clusters[i], clusters[j])])
-                cols.append(v[:, clusters[j]] @ dagger(a @ bh))
-            facts.append((np.concatenate(cols, axis=1), len(cols), clusters[i].size))
+    for _ in range(5 if n > 1 else 1):
+        if n == 1:
+            facts = [(np.eye(space.dim, dtype=np.complex128), 1, space.dim)]
         else:
+            x, y = np.tensordot(rng.standard_normal((2, n)), b, axes=1)
+            w, v = hermitian_eig(x, tol)
+            clusters = eigenvalue_clusters(w, tol)
+            yv = dagger(v) @ y @ v
+            starts = [idx[0] for idx in clusters]  # clusters are runs of consecutive columns
+            links = np.add.reduceat(np.add.reduceat(np.abs(yv) ** 2, starts, 0), starts, 1)
+            linked = np.sqrt(links) > rank_cut(np.array(hs_norm(y)), tol)
+            facts, free = [], np.ones(len(clusters), dtype=bool)
+            for i in range(len(clusters)):
+                if not free[i]:
+                    continue
+                free[i] = False
+                members = np.flatnonzero(linked[i] & free)
+                free[members] = False
+                if any(clusters[j].size != clusters[i].size for j in members):
+                    facts = []  # a block of clusters of unequal size: redraw
+                    break
+                cols = [v[:, clusters[i]]]
+                for j in members:
+                    a, _, bh = np.linalg.svd(yv[np.ix_(clusters[i], clusters[j])])
+                    cols.append(v[:, clusters[j]] @ dagger(a @ bh))
+                facts.append((np.concatenate(cols, axis=1), len(cols), clusters[i].size))
+        if sum(k * k for _, k, _ in facts) == n:
             u = np.concatenate([f for f, _, _ in facts], axis=1)
-            c, at = dagger(u) @ b @ u, 0
-            for _, k, r in facts:  # subtract each diagonal block's B_K (x) 1_R; the rest must vanish
-                s = slice(at, at + k * r)
-                c_k = partial_trace(c[:, s, s], (k, r), "second") / r
-                c[:, s, s].reshape(n, k, r, k, r)[:] -= c_k[:, :, None, :, None] * np.eye(r)[:, None]
-                at += k * r
-            if (sum(k * k for _, k, _ in facts) == n
-                    and np.abs(dagger(u) @ u - np.eye(space.dim)).max() <= tol.atol_equality
-                    and np.linalg.norm(c, axis=(1, 2)).max() <= tol.atol_equality):
-                return facts
+            if np.abs(dagger(u) @ u - np.eye(space.dim)).max() <= tol.atol_equality:
+                residual = subspace_distance(_block_units(facts), b, space.dim, tol)
+                if residual <= tol.atol_equality:
+                    return facts, residual
     raise DegenerateCenter("could not split the algebra into certified blocks after resampling")
 
 
@@ -201,7 +203,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
     """Split a fixed-point algebra into factors and extract the block states."""
     if not verify_algebra(space, tol):
         raise NotAnAlgebra("span fails identity/adjoint/product closure")
-    facts = _factorizers(space, tol, np.random.default_rng(seed))
+    facts, residual = _factorizers(space, tol, np.random.default_rng(seed))
     rho_av = (space.fixed_points or cesaro_average(instrument.total_channel(), tol)).mixture_limit
 
     blocks = []
@@ -211,9 +213,7 @@ def decompose(space: OperatorSubspace, instrument: Instrument,
         # in the eigenbasis u_om of R, omega is diag(w_om)
         rotated = (fact.reshape(-1, dim_k, dim_r) @ u_om).reshape(fact.shape)  # fact (1_K (x) u_om)
         blocks.append(FactorBlock(fact @ dagger(fact), dim_k, dim_r, rotated, State(np.diag(w_om), tol)))
-
-    residual = subspace_distance(_block_units(blocks), space.basis, space.dim, tol)
-    return FactorDecomposition(space, tuple(blocks), float(residual))
+    return FactorDecomposition(space, tuple(blocks), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +238,9 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
 
     Each effect must commute with the fixed-point algebra, in which case it
     is 1_K (x) E_{x,alpha} on every block; the component is recovered by a
-    partial trace over K and certified by reconstructing the effect.
+    partial trace over K, and the reconstructed effect certifies the commutation.
     """
     effects = _stack(observable.effects, decomposition.space.dim)
-    comms = _commutators(effects, decomposition.space.basis)
-    if np.abs(comms).max() > tol.atol_equality:
-        raise DecompositionMismatch("effect does not commute with the fixed-point span")
     per_block = []
     rebuilt = np.zeros_like(effects)
     for blk in decomposition.blocks:
@@ -253,7 +250,8 @@ def effect_blocks(observable: Observable, decomposition: FactorDecomposition,
         per_block.append(comps)
     residuals = np.abs(effects - rebuilt).max(axis=(1, 2))
     if residuals.max() > tol.atol_equality:
-        raise DecompositionMismatch(f"effect reconstruction residual {residuals.max():.3e}")
+        raise DecompositionMismatch("effect does not commute with the fixed-point algebra: "
+                                    f"reconstruction residual {residuals.max():.3e}")
     return EffectBlockDecomposition(observable.outcomes, tuple(zip(*per_block)),
                                     tuple(residuals.tolist()))
 

@@ -5,8 +5,9 @@ full-rank output.  Testing one well-chosen input suffices: the image of
 the complete mixture is full-rank iff any full-rank input has a
 full-rank image, iff the dual map is faithful.  For endomorphic channels
 the same property is equivalent to the existence of a full-rank fixed
-state, the Cesaro limit on the complete mixture: cesaro_average solves for it by bordering, with a kernel
-dimension read off the Gram of S - 1 and certified by the residuals, or else decided by a values-only SVD.
+state, the Cesaro limit on the complete mixture: cesaro_average solves
+for it by bordering, with a kernel dimension read off the Gram of S - 1
+and certified by the residuals, or else decided by a values-only SVD.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from qmeas.core import (
     superop_distance,
 )
 from qmeas.errors import InfeasibleDimensions
-from qmeas.linalg import hs_norm, numerical_rank
+from qmeas.linalg import DEFAULT_TOL, hs_norm, numerical_rank
 from qmeas.models import (
     build_extremal_model,
     build_luders_scheme,
@@ -182,13 +182,13 @@ def test_criterion_06_fixed_point_decomposition():
     blocks = [(b.dim_k, b.dim_r) for b in swap_deco.blocks]
     omega_dist = hs_norm(swap_deco.blocks[0].omega.matrix - xi.matrix) if blocks == [(2, 2)] else np.inf
     ok = blocks == [(2, 2)] and omega_dist < 1e-8
-    ok = ok and swap_deco.reconstruction_residual < 1e-7
+    ok = ok and swap_deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
 
     shift_inst = scheme_to_instrument(build_shift_scheme(3, (0.5, 0.3, 0.2)))
     shift_space = fixed_point_space(shift_inst)
     shift_deco = decompose(shift_space, shift_inst)
     ok = ok and sorted((b.dim_k, b.dim_r) for b in shift_deco.blocks) == [(1, 1)] * 3
-    ok = ok and shift_deco.reconstruction_residual < 1e-7
+    ok = ok and shift_deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
 
     cu_inst = luders_instrument(completely_unsharp_pair())
     for inst, space in ((swap_inst, swap_space), (shift_inst, shift_space),

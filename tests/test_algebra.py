@@ -114,7 +114,8 @@ def center_kernel_decompose(space, tol=DEFAULT_TOL, seed=0):
         omega = partial_trace(dagger(fact) @ space.fixed_points.mixture_limit @ fact, (dim_k, dim_r), "first")
         w_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)[0]
         blocks.append(algebra.FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om))))
-    residual = subspace_distance(algebra._block_units(blocks), b, space.dim, tol)
+    units = algebra._block_units([(blk.factorizer, blk.dim_k, blk.dim_r) for blk in blocks])
+    residual = subspace_distance(units, b, space.dim, tol)
     return algebra.FactorDecomposition(space, tuple(blocks), residual)
 
 
@@ -191,7 +192,7 @@ class TestDecompose:
         inst = swap_instrument()
         deco = decompose(fixed_point_space(inst), inst)
         assert [(b.dim_k, b.dim_r) for b in deco.blocks] == [(2, 2)]
-        assert deco.reconstruction_residual < 1e-7
+        assert deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
         omega = deco.blocks[0].omega.matrix
         assert np.abs(omega - np.diag([0.7, 0.3])).max() < 1e-8
 
@@ -199,7 +200,7 @@ class TestDecompose:
         inst = shift_instrument()
         deco = decompose(fixed_point_space(inst), inst)
         assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == [(1, 1)] * 3
-        assert deco.reconstruction_residual < 1e-7
+        assert deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
         ranks = sorted(int(round(np.trace(b.projection).real)) for b in deco.blocks)
         assert ranks == [1, 1, 1]
 
@@ -212,7 +213,8 @@ class TestDecompose:
         inst = swap_instrument()
         space = fixed_point_space(inst)
         deco = decompose(space, inst)
-        assert subspace_distance(algebra._block_units(deco.blocks), list(space.basis), 4) < 1e-7
+        units = algebra._block_units([(b.factorizer, b.dim_k, b.dim_r) for b in deco.blocks])
+        assert subspace_distance(units, list(space.basis), 4) <= DEFAULT_TOL.atol_equality
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-11])
     def test_subspace_distance_is_the_projector_distance(self, eps):
@@ -303,7 +305,7 @@ class TestDecompose:
         assert len(space) == sum(k * k for k, _ in shape)
         deco = decompose(space, inst)
         assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == sorted(shape)
-        assert deco.reconstruction_residual < 1e-7
+        assert deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
         eb = effect_blocks(inst.induced_observable(), deco)
         assert max(eb.residuals) < 1e-9
         # block alpha of the decomposition is the prescribed block with projection U P_alpha U^dag
@@ -352,6 +354,48 @@ class TestDecompose:
             assert sorted((b.dim_k, b.dim_r) for b in deco.blocks) == [(1, 2), (2, 1)]
             assert deco.reconstruction_residual < 1e-12
 
+    @pytest.mark.parametrize("excess", [0.0, 1.0])
+    def test_the_reported_residual_is_the_thresholded_distance(self, excess, monkeypatch):
+        # the distance is lifted to atol_equality (1 + excess): at the threshold the first
+        # pair's split is returned with that distance, above it all five pairs are refused
+        inst, _, _ = block_instrument([(2, 1), (1, 2)], np.random.default_rng(17))
+        space = fixed_point_space(inst)
+        distance, seen = algebra.subspace_distance, []
+
+        def lifted(*args):
+            seen.append(max(distance(*args), DEFAULT_TOL.atol_equality * (1 + excess)))
+            return seen[-1]
+        monkeypatch.setattr(algebra, "subspace_distance", lifted)
+        if excess:
+            with pytest.raises(DegenerateCenter):
+                decompose(space, inst)
+            assert len(seen) == 5
+        else:
+            deco = decompose(space, inst)
+            assert seen == [DEFAULT_TOL.atol_equality] and deco.reconstruction_residual == seen[0]
+
+    def test_the_scalars_take_the_identity_factorizer(self, monkeypatch):
+        inst = scheme_to_instrument(random_constrained_scheme(4, 4, 2, 3))
+        space = fixed_point_space(inst)
+        rng = np.random.default_rng(0)
+        noise = hermitianize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        noisy = OperatorSubspace(space.dim, space.basis + 1e-14 * noise, space.fixed_points)
+
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def standard_normal(self, size):
+                raise AssertionError("the scalars need no generic pair")
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        deco, moved = decompose(space, inst), decompose(noisy, inst)
+        assert len(space) == 1 and [(b.dim_k, b.dim_r) for b in deco.blocks] == [(1, 4)]
+        assert np.array_equal(deco.blocks[0].factorizer, moved.blocks[0].factorizer)
+        # the factorizer is the limit state's eigenbasis: it makes omega diagonal
+        w = deco.blocks[0].factorizer
+        rho = dagger(w) @ space.fixed_points.mixture_limit @ w
+        assert np.abs(rho - np.diag(np.diag(rho))).max() < 1e-14
+
     @pytest.mark.parametrize("make", [
         swap_instrument,
         lambda: scheme_to_instrument(build_swap_scheme(State(np.diag([0.5, 0.3, 0.2]).astype(complex)))),
@@ -369,7 +413,7 @@ class TestDecompose:
         for a, b in zip(with_record.blocks, without.blocks):
             assert np.allclose(np.linalg.eigvalsh(a.omega.matrix), np.linalg.eigvalsh(b.omega.matrix),
                                rtol=0, atol=1e-9)
-        assert without.reconstruction_residual < 1e-7
+        assert without.reconstruction_residual <= DEFAULT_TOL.atol_equality
 
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(("swap", "shift", "luders")), useed=st.integers(0, 2 ** 31 - 1))
@@ -383,7 +427,7 @@ class TestDecompose:
         for i in (inst, conj):
             space = fixed_point_space(i)
             deco = decompose(space, i)
-            assert deco.reconstruction_residual < 1e-7
+            assert deco.reconstruction_residual <= DEFAULT_TOL.atol_equality
             blocks.append((len(space), sorted((b.dim_k, b.dim_r) for b in deco.blocks)))
             decos.append(deco)
             spectra.append(effect_blocks(i.induced_observable(), deco).spectra())

@@ -384,7 +384,7 @@ class TestDemos:
         assert code == EXIT_YES
         assert report["blocks"] == [[2, 2]]
         assert report["omega_matches_ancilla"] is True
-        assert report["reconstruction_residual"] < 1e-7
+        assert report["reconstruction_residual"] <= report["tolerances"]["atol_equality"]
 
     def test_decompose_reports_the_fixed_point_space_dimension(self, capsys, monkeypatch):
         # the dimension of the span of fixed points, not that of the Hilbert space they act on

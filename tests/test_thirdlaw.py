@@ -507,6 +507,45 @@ class TestUnitaryInvariance:
         assert np.abs(full_rank_fixed_state(conj).state.matrix - u @ rho @ dagger(u)).max() < 1e-10
 
 
+def prepare_near_the_cut(d, lam_f, k=1):
+    """rho -> tr(rho) diag(w) (x) id_k, with frame operator F = d diag(w) (x) 1_k and
+    lambda_min(F) = lam_f; the other weights of w are equal."""
+    w = np.full(d, (1 - lam_f / d) / (d - 1))
+    w[-1] = lam_f / d
+    channel = Channel.measure_prepare([(np.eye(d), np.diag(w))])
+    return channel if k == 1 else Channel(np.kron(channel.kraus, np.eye(k)))
+
+
+def three_routes(channel):
+    """Route 1 (image), route 2 (faithful), route 3 (fixed)."""
+    return (check_channel_thirdlaw(channel).constrained, check_faithfulness(channel),
+            full_rank_fixed_state(channel).is_full_rank)
+
+
+NEAR_THE_CUT = [(2, 2e-8, 1), (8, 5e-8, 1), (16, 1e-7, 1), (4, 5e-8, 1), (4, 5e-8, 2), (4, 5e-8, 4)]
+
+
+class TestRoutesNearTheCut:
+    """Routes 1 and 2 threshold one operator, F/d against F, at different scales; an idle
+    factor id_k keeps F's spectrum but divides route 1's statistic by k (ROADMAP item 18)."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+    @pytest.mark.parametrize("d, lam_f", [(2, 2e-8), (8, 5e-8), (16, 1e-7)])
+    def test_image_and_faithful_routes_agree(self, d, lam_f):
+        image, faithful, _ = three_routes(prepare_near_the_cut(d, lam_f))
+        assert image == faithful
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+    def test_an_idle_factor_keeps_the_image_verdict(self):
+        verdicts = [check_channel_thirdlaw(prepare_near_the_cut(4, 5e-8, k)).constrained for k in (1, 2, 4)]
+        assert len(set(verdicts)) == 1
+
+    @pytest.mark.parametrize("d, lam_f, k", NEAR_THE_CUT)
+    def test_a_full_rank_fixed_state_implies_a_faithful_dual(self, d, lam_f, k):
+        _, faithful, fixed = three_routes(prepare_near_the_cut(d, lam_f, k))
+        assert faithful or not fixed
+
+
 class TestSchemeVerdict:
     def test_luders_scheme_constrained(self):
         scheme = build_luders_scheme(completely_unsharp_pair())
