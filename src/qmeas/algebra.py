@@ -86,16 +86,12 @@ def fixed_point_space(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def verify_algebra(space: OperatorSubspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Contains identity (within atol_equality * dim), adjoint- and product-closed (within atol_equality)."""
-    eye = np.eye(space.dim, dtype=np.complex128)
-    if hs_norm(eye - space.project(eye)) > tol.atol_equality * space.dim:
-        return False
+    """Contains the identity, closed under adjoints and products: each residual x - P(x), for x the
+    identity, the basis' adjoints and the basis' pairwise products, has no entry above atol_equality."""
     b = space.basis
     products = (b[:, None] @ b[None]).reshape(-1, space.dim, space.dim)
-    for x in (dagger(b), products):
-        if np.linalg.norm(x - space.project(x), axis=(1, 2)).max() > tol.atol_equality:
-            return False
-    return True
+    return all(np.abs(x - space.project(x)).max() <= tol.atol_equality
+               for x in (np.eye(space.dim, dtype=np.complex128), dagger(b), products))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +157,11 @@ def _factorizers(space: OperatorSubspace, tol: Tolerances,
     is returned, else the pair redrawn up to five times, when sum dim_k^2 = len(space), the
     W's side by side form a unitary within atol_equality, and the residual, the
     subspace_distance of the blocks' units from the span, is at most atol_equality.
+    DegenerateCenter names the draws made and the smallest residual refused, if any.
     """
-    b, n = space.basis, len(space)
-    for _ in range(5 if n > 1 else 1):
+    b, n, refused = space.basis, len(space), []
+    tries = 5 if n > 1 else 1
+    for _ in range(tries):
         if n == 1:
             facts = [(np.eye(space.dim, dtype=np.complex128), 1, space.dim)]
         else:
@@ -195,7 +193,10 @@ def _factorizers(space: OperatorSubspace, tol: Tolerances,
                 residual = subspace_distance(_block_units(facts), b, space.dim, tol)
                 if residual <= tol.atol_equality:
                     return facts, residual
-    raise DegenerateCenter("could not split the algebra into certified blocks after resampling")
+                refused.append(residual)
+    why = (f"smallest certificate residual {min(refused):.3e} > atol_equality {tol.atol_equality:.3e}"
+           if refused else "no draw reached the certificate")
+    raise DegenerateCenter(f"no certified split of the algebra in {tries} draw(s): {why}")
 
 
 def decompose(space: OperatorSubspace, instrument: Instrument,

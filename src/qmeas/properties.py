@@ -27,7 +27,6 @@ from .core import (
     kraus_from_rows,
     row_blocks,
     scheme_to_instrument,
-    superop_distance,
 )
 from .errors import QmeasError, SchemeMismatch
 from .linalg import DEFAULT_TOL, Tolerances, attains_one, cut_rank, dagger, numerical_rank, rank_cut
@@ -72,7 +71,8 @@ def check_ideal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> str:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """extremal: the gram_rank of the Kraus products equals their product_count, sum m_x^2."""
+    """extremal: at most d^2 outcomes, and the gram_rank of the Kraus products equals their
+    product_count, sum m_x^2 (each outcome gives at least one product, and all must be independent)."""
 
     extremal: bool
     kraus_ranks: tuple[int, ...]
@@ -97,7 +97,7 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
         minimal.update(zip(same, kraus_from_rows(rows, dim, dim)))
     families = [f[:cut_rank((np.abs(f) ** 2).sum(axis=(1, 2)), tol)] for _, f in sorted(minimal.items())]
     count, span = sum(len(f) ** 2 for f in families), dim ** 2
-    ranks = tuple(len(f) for f in families)
+    ranks, few = tuple(len(f) for f in families), len(families) <= span
     blocks = ((dagger(a)[:, None] @ f[None]).reshape(-1, span)  # rows vec(K_a^dag K_b)
               for f in families if len(f) for a in row_blocks(f, len(f)))
     if count * span <= BLOCK_ENTRIES:  # one block goes to the SVD: a QR only adds cost
@@ -108,9 +108,9 @@ def check_extremal(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> Ext
             r = np.linalg.qr(np.concatenate([r, b]), mode="r")
             if len(r) == span and np.linalg.svd(r, compute_uv=False)[-1] > cut:
                 # the rank is span, which numerical_rank(r) would find again: its cut is at most the one at W
-                return ExtremalResult(span == count, ranks, span, count)
+                return ExtremalResult(few and span == count, ranks, span, count)
     gram_rank = numerical_rank(r, tol)
-    return ExtremalResult(gram_rank == count, ranks, gram_rank, count)
+    return ExtremalResult(few and gram_rank == count, ranks, gram_rank, count)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +191,10 @@ def check_extremal_scheme_identity(scheme: MeasurementScheme, instrument: Instru
     if len(induced) != len(instrument) or induced.dim != instrument.dim:
         raise SchemeMismatch("outcome sets or dimensions differ")
     dist = max(
-        superop_distance(a, b)
+        np.abs(a.superoperator - b.superoperator).max()
         for a, b in zip(induced.operations, instrument.operations)
     )
-    if dist > tol.atol_equality * instrument.dim:
+    if dist > tol.atol_equality:
         raise SchemeMismatch(f"scheme's instrument is {dist:.3e} away from the claimed one")
 
     ds = scheme.system_dim

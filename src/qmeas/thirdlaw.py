@@ -1,13 +1,13 @@
 """Rank non-decrease verdicts for channels and measurement schemes.
 
-A channel is *constrained* when every full-rank input state maps to a
-full-rank output.  Testing one well-chosen input suffices: the image of
-the complete mixture is full-rank iff any full-rank input has a
-full-rank image, iff the dual map is faithful.  For endomorphic channels
-the same property is equivalent to the existence of a full-rank fixed
-state, the Cesaro limit on the complete mixture: cesaro_average solves
-for it by bordering, with a kernel dimension read off the Gram of S - 1
-and certified by the residuals, or else decided by a values-only SVD.
+A channel is *constrained* when every full-rank input state maps to a full-rank output.
+One input decides it: the image of the identity, the frame operator F = Phi(1) = sum K K^dag,
+is full-rank iff any full-rank input has a full-rank image, iff the dual map is faithful.
+check_channel_thirdlaw and check_faithfulness cut F at rank_cut of its own spectrum, so an
+idle factor id_k, which keeps that spectrum, moves neither.  For endomorphic channels the same
+property is equivalent to the existence of a full-rank fixed state, the Cesaro limit on the
+complete mixture: cesaro_average solves for it by bordering, with a kernel dimension read off
+the Gram of S - 1 and certified by the residuals, or else decided by a values-only SVD.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .linalg import (
 class ThirdLawVerdict:
     """constrained: rank non-decrease holds.
 
-    min_output_eigenvalue is the smallest eigenvalue of the complete
-    mixture's image (for a scheme with a rank-deficient ancilla, of the
-    ancilla state).
+    min_output_eigenvalue is the smallest eigenvalue of the image Phi(1)
+    of the identity (for a scheme with a rank-deficient ancilla, of the
+    ancilla state), the statistic cut at rank_cut of that spectrum.
     """
 
     constrained: bool
@@ -50,8 +50,8 @@ class ThirdLawVerdict:
 
 
 def check_channel_thirdlaw(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
-    """Rank test on the image of the complete mixture."""
-    w, _ = hermitian_eig(apply(channel, np.eye(channel.dim_in) / channel.dim_in), tol)
+    """Rank test on Phi(1) = sum K K^dag, the frame operator check_faithfulness forms as a Gram."""
+    w, _ = hermitian_eig(apply(channel, np.eye(channel.dim_in)), tol)
     return ThirdLawVerdict(full_rank(w, tol), float(w[-1]))
 
 

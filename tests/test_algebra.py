@@ -186,6 +186,19 @@ class TestVerifyAlgebra:
         assert not verify_algebra(span)
         assert verify_algebra(span, Tolerances(atol_equality=1e-7))
 
+    @pytest.mark.parametrize("t", [0.5e-9, 0.9e-9, 1.1e-9, 1.5e-9, 2.5e-9])
+    def test_decompose_splits_exactly_the_spans_it_accepts(self, t):
+        # the scalars tilted by t towards diag(1, -1, 1, -1): the identity misses the span by
+        # about t in its largest entry, and the certificate's subspace distance is sin t
+        span = OperatorSubspace(4, (np.cos(t) * np.eye(4) / 2 + np.sin(t) * np.diag([1.0, -1, 1, -1]) / 2,))
+        inst = Instrument.from_kraus([[np.eye(4)]])
+        assert verify_algebra(span) is (t < DEFAULT_TOL.atol_equality)
+        if t < DEFAULT_TOL.atol_equality:
+            assert decompose(span, inst).reconstruction_residual == pytest.approx(t, rel=1e-6)
+        else:
+            with pytest.raises(NotAnAlgebra):
+                decompose(span, inst)
+
 
 class TestDecompose:
     def test_partial_swap_single_factor(self):
@@ -345,7 +358,7 @@ class TestDecompose:
                 return draw
         monkeypatch.setattr(np.random, "default_rng", BadPairs)
         if bad_pairs == 5:
-            with pytest.raises(DegenerateCenter):
+            with pytest.raises(DegenerateCenter, match=r"in 5 draw\(s\): no draw reached the certificate"):
                 decompose(space, inst)
             assert len(draws) == 5
         else:
@@ -367,12 +380,21 @@ class TestDecompose:
             return seen[-1]
         monkeypatch.setattr(algebra, "subspace_distance", lifted)
         if excess:
-            with pytest.raises(DegenerateCenter):
+            with pytest.raises(DegenerateCenter, match=r"in 5 draw\(s\): smallest certificate residual "
+                                                       r"2\.000e-09 > atol_equality 1\.000e-09"):
                 decompose(space, inst)
             assert len(seen) == 5
         else:
             deco = decompose(space, inst)
             assert seen == [DEFAULT_TOL.atol_equality] and deco.reconstruction_residual == seen[0]
+
+    def test_the_scalars_are_refused_after_one_draw(self, monkeypatch):
+        inst = scheme_to_instrument(random_constrained_scheme(4, 4, 2, 3))
+        space, distance = fixed_point_space(inst), algebra.subspace_distance
+        monkeypatch.setattr(algebra, "subspace_distance", lambda *args: max(distance(*args), 3e-9))
+        assert len(space) == 1
+        with pytest.raises(DegenerateCenter, match=r"in 1 draw\(s\): smallest certificate residual 3\.000e-09"):
+            decompose(space, inst)
 
     def test_the_scalars_take_the_identity_factorizer(self, monkeypatch):
         inst = scheme_to_instrument(random_constrained_scheme(4, 4, 2, 3))

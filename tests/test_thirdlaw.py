@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmeas import thirdlaw
@@ -70,16 +70,17 @@ class TestChannelVerdict:
         assert not verdict.constrained
         assert verdict.min_output_eigenvalue < 1e-12
 
-    @pytest.mark.parametrize("floor, constrained", [(1e-10, False), (1e-7, True)])
+    @pytest.mark.parametrize("floor, constrained", [(1e-10, False), (5.5e-9, False), (6.5e-9, True),
+                                                     (1e-7, True)])
     def test_preparation_channel_at_the_rank_cut(self, floor, constrained):
-        # rho -> tr(rho) sigma; sigma's smallest eigenvalue sits on either side of
-        # rank_threshold (1e-8), so it alone decides the verdict
+        # rho -> tr(rho) sigma; Phi(1) = 3 sigma, whose smallest eigenvalue 3 floor sits on either
+        # side of its rank_cut, rank_threshold (1e-8) times 3 * 0.6, so it alone decides the verdict
         sigma = (0.6, 0.4 - floor, floor)
         eye = np.eye(3)
         kraus = tuple(np.sqrt(s) * np.outer(eye[i], eye[j]) for i, s in enumerate(sigma) for j in range(3))
         verdict = check_channel_thirdlaw(Channel(kraus))
         assert verdict.constrained is constrained
-        assert verdict.min_output_eigenvalue == pytest.approx(floor, rel=1e-6)
+        assert verdict.min_output_eigenvalue == pytest.approx(3 * floor, rel=1e-6)
 
 
 class TestFaithfulness:
@@ -526,16 +527,14 @@ NEAR_THE_CUT = [(2, 2e-8, 1), (8, 5e-8, 1), (16, 1e-7, 1), (4, 5e-8, 1), (4, 5e-
 
 
 class TestRoutesNearTheCut:
-    """Routes 1 and 2 threshold one operator, F/d against F, at different scales; an idle
-    factor id_k keeps F's spectrum but divides route 1's statistic by k (ROADMAP item 18)."""
+    """Routes 1 and 2 threshold one operator, F = Phi(1), at rank_cut of its own spectrum; an
+    idle factor id_k keeps that spectrum, so it moves neither route."""
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
     @pytest.mark.parametrize("d, lam_f", [(2, 2e-8), (8, 5e-8), (16, 1e-7)])
     def test_image_and_faithful_routes_agree(self, d, lam_f):
         image, faithful, _ = three_routes(prepare_near_the_cut(d, lam_f))
         assert image == faithful
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
     def test_an_idle_factor_keeps_the_image_verdict(self):
         verdicts = [check_channel_thirdlaw(prepare_near_the_cut(4, 5e-8, k)).constrained for k in (1, 2, 4)]
         assert len(set(verdicts)) == 1
@@ -544,6 +543,23 @@ class TestRoutesNearTheCut:
     def test_a_full_rank_fixed_state_implies_a_faithful_dual(self, d, lam_f, k):
         _, faithful, fixed = three_routes(prepare_near_the_cut(d, lam_f, k))
         assert faithful or not fixed
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(2, 16), log_lam=st.floats(-10, -5), k=st.sampled_from([2, 3]),
+           useed=st.integers(0, 2 ** 31 - 1))
+    def test_the_routes_follow_the_cut_on_f(self, d, log_lam, k, useed):
+        # F = d diag(w) has lambda_max (d - lam_f) / (d - 1); within rounding of its cut the
+        # sandwich (route 1) and the Gram (route 2) that form F may split, so those draws are skipped
+        lam_f = 10.0 ** log_lam
+        cut = rank_cut(np.array([(d - lam_f) / (d - 1)]))
+        assume(abs(lam_f - cut) > 1e-6 * cut)
+        u = random_unitary(d, np.random.default_rng(useed))
+        phi = Channel(tuple(u @ kraus @ dagger(u) for kraus in prepare_near_the_cut(d, lam_f).kraus))
+        idle = Channel(np.kron(phi.kraus, np.eye(k)))
+        for channel in (phi, idle):
+            assert check_channel_thirdlaw(channel).constrained == check_faithfulness(channel) == (lam_f > cut)
+            if channel.dim_in <= 12:  # route 3 only where the fixed-point solve is cheap
+                assert lam_f > cut or not full_rank_fixed_state(channel).is_full_rank
 
 
 class TestSchemeVerdict:
