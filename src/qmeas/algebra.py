@@ -9,7 +9,8 @@ clusters of x are its minimal projections, y links exactly the clusters of
 one block, and the polar factors of y's off-diagonal blocks align a block's
 clusters into its factorizer isometry W : K (x) R -> C^d, with
 W^dag B W = B_K (x) 1_R for every element B.  A split is certified by the
-reconstruction residual that decompose reports: it is at most atol_equality.
+reconstruction residual that decompose reports: no block unit misses the span by more than
+atol_equality in any entry, the statistic verify_algebra cuts.
 
 All random draws come from one seeded generator so results reproduce.
 """
@@ -25,7 +26,6 @@ from .errors import DecompositionMismatch, DegenerateCenter, DimensionMismatch, 
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    cut_rank,
     dagger,
     eigenvalue_clusters,
     hermitian_eig,
@@ -75,6 +75,10 @@ class OperatorSubspace:
         coeff = np.reshape(x, (-1, flat.shape[1])) @ flat.conj().T  # <B_k, x>
         return (coeff @ flat).reshape(np.shape(x))
 
+    def residual(self, x: np.ndarray) -> float:
+        """Largest entry of x - P(x), over one operator or a stack: how far x lies outside the span."""
+        return float(np.abs(x - self.project(x)).max())
+
     def __len__(self) -> int:
         return len(self.basis)
 
@@ -86,11 +90,11 @@ def fixed_point_space(instrument: Instrument, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def verify_algebra(space: OperatorSubspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Contains the identity, closed under adjoints and products: each residual x - P(x), for x the
-    identity, the basis' adjoints and the basis' pairwise products, has no entry above atol_equality."""
+    """Contains the identity, closed under adjoints and products: the residual of the identity, of the
+    basis' adjoints and of the basis' pairwise products is at most atol_equality."""
     b = space.basis
     products = (b[:, None] @ b[None]).reshape(-1, space.dim, space.dim)
-    return all(np.abs(x - space.project(x)).max() <= tol.atol_equality
+    return all(space.residual(x) <= tol.atol_equality
                for x in (np.eye(space.dim, dtype=np.complex128), dagger(b), products))
 
 
@@ -116,7 +120,7 @@ class FactorBlock:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    """Blocks of space; reconstruction_residual, their units' subspace_distance from it, is <= atol_equality."""
+    """Blocks of space; reconstruction_residual, the residual of their units, is <= atol_equality."""
 
     space: OperatorSubspace
     blocks: tuple[FactorBlock, ...]
@@ -133,17 +137,6 @@ def _block_units(facts) -> np.ndarray:
     return np.concatenate(units)
 
 
-def subspace_distance(mats_a, mats_b, dim: int, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Spectral distance between the orthogonal projectors onto two operator spans: 1 for
-    different dimensions, else sin of the largest principal angle, ||Q_a - Q_a Q_b^dag Q_b||_2."""
-    def rows(mats):
-        a = _stack(mats, dim).reshape(-1, dim * dim)  # rows vec(m)
-        _, s, vh = np.linalg.svd(a, full_matrices=False)
-        return vh[:cut_rank(s, tol)]
-    qa, qb = rows(mats_a), rows(mats_b)
-    return 1.0 if len(qa) != len(qb) else float(np.linalg.norm(qa - (qa @ dagger(qb)) @ qb, 2))
-
-
 def _factorizers(space: OperatorSubspace, tol: Tolerances,
                  rng: np.random.Generator) -> tuple[list[tuple[np.ndarray, int, int]], float]:
     """Per block, its factorizer W : K (x) R -> C^d with dim_k and dim_r; and the residual.
@@ -155,8 +148,9 @@ def _factorizers(space: OperatorSubspace, tol: Tolerances,
     linked to its first, V_0; the polar factor of V_0^dag y V_j aligns cluster j's R basis
     with V_0's, and the aligned columns, cluster by cluster, are W in (k, r) order.  A split
     is returned, else the pair redrawn up to five times, when sum dim_k^2 = len(space), the
-    W's side by side form a unitary within atol_equality, and the residual, the
-    subspace_distance of the blocks' units from the span, is at most atol_equality.
+    W's side by side form a unitary within atol_equality, and the residual of the blocks'
+    units, the span's residual statistic that verify_algebra cuts, is at most atol_equality.
+    For the scalars that is the identity's residual, so they split exactly where verify_algebra accepts.
     DegenerateCenter names the draws made and the smallest residual refused, if any.
     """
     b, n, refused = space.basis, len(space), []
@@ -190,7 +184,7 @@ def _factorizers(space: OperatorSubspace, tol: Tolerances,
         if sum(k * k for _, k, _ in facts) == n:
             u = np.concatenate([f for f, _, _ in facts], axis=1)
             if np.abs(dagger(u) @ u - np.eye(space.dim)).max() <= tol.atol_equality:
-                residual = subspace_distance(_block_units(facts), b, space.dim, tol)
+                residual = space.residual(_block_units(facts))
                 if residual <= tol.atol_equality:
                     return facts, residual
                 refused.append(residual)

@@ -5,6 +5,7 @@ decisions are never made against exact zero: every count of nonzero singular val
 or eigenvalues is cut_rank, every "attains 1" test is attains_one, both at a
 :class:`Tolerances` instance, so each numerical cut in the package is written once.
 A construction drops only the round-off below float_rank's floor, and decides nothing.
+Where a rank is proved rather than cut, proves_definite's one Cholesky is the proof.
 """
 
 from __future__ import annotations
@@ -147,6 +148,28 @@ def full_rank(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 def float_rank(s: np.ndarray, size: int) -> int:
     """Number of s above eps * size * max(1, max s): matrix_rank's round-off floor, size the larger side."""
     return int(np.count_nonzero(s > EPS * size * max(1.0, float(np.max(s)) if s.size else 0.0)))
+
+
+def proves_definite(a: np.ndarray, floor: float = 0.0) -> bool:
+    """Whether one Cholesky proves lambda_min(a) > floor, for a real symmetric a read from its lower triangle.
+
+    A Cholesky of fl(a - t 1) that runs to completion gives G^T G = fl(a - t 1) + D with |D| <= gamma_(n+1)
+    |G^T| |G| (Higham 2002, Thm 10.3), so ||D||_2 <= gamma_(n+1) / (1 - gamma_(n+1)) tr fl(a - t 1), and
+    lambda_min(a) exceeds t less that and the diagonal's rounding (Rump, BIT Numer. Math. 46, 2006).  The
+    shift t = floor + gamma_(n+3) tr a covers both, and the rounding of t, for n below 10^6; gamma_k is
+    k u / (1 - k u), u = eps / 2.  A complex Hermitian h is definite iff [[Re h, -Im h], [Im h, Re h]] is.
+    a's diagonal is shifted in place and restored bit for bit, so the factorization makes the only copies.
+    """
+    n = len(a)
+    diagonal, k = a.diagonal().copy(), (n + 3) * EPS / 2
+    a.flat[:: n + 1] -= floor + k / (1 - k) * diagonal.sum()
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        a.flat[:: n + 1] = diagonal
+    return bool(np.isfinite(factor).all())  # a NaN pivot is not refused by every LAPACK
 
 
 def attains_one(v, tol: Tolerances = DEFAULT_TOL):

@@ -6,8 +6,9 @@ is full-rank iff any full-rank input has a full-rank image, iff the dual map is 
 check_channel_thirdlaw and check_faithfulness cut F at rank_cut of its own spectrum, so an
 idle factor id_k, which keeps that spectrum, moves neither.  For endomorphic channels the same
 property is equivalent to the existence of a full-rank fixed state, the Cesaro limit on the
-complete mixture: cesaro_average solves for it by bordering, with a kernel dimension read off
-the Gram of S - 1 and certified by the residuals, or else decided by a values-only SVD.
+complete mixture: cesaro_average solves for it by bordering, with a kernel dimension of one proved
+by one Cholesky of the Gram of S - 1, or else read off that Gram's eigenvalues, each certified by
+the residuals, or else decided by a values-only SVD.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_superoperator,
     hs_norm,
+    proves_definite,
     rank_cut,
     unembed_hermitian,
 )
@@ -86,10 +88,15 @@ def _borders(n: int, k: int) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
+def _identity_row(d: int) -> np.ndarray:
+    """e, the identity's coordinates over sqrt d, as one row: a channel's dual fixes 1, so e a = 0."""
+    return embed_hermitian(np.eye(d))[None] / d ** 0.5
+
+
 def _bordered_fixed_points(a: np.ndarray, k: int, cut: float, d: int) -> FixedPoints:
     """For n x k borders U, V, M = a + U V^T: M^-1 U, M^-T V span a's kernels R, L (Govaerts, SIAM 2000),
     or L = e for k = 1 if ||e^T a|| meets the cut.  NoConvergence if M is singular or a residual misses it."""
-    borders, left = _borders(d * d, k), embed_hermitian(np.eye(d))[None] / d ** 0.5  # e: the dual fixes 1
+    borders, left = _borders(d * d, k), _identity_row(d)
     pair = np.empty((1 if k == 1 and hs_norm(left @ a) <= cut else 2, d * d, d * d))  # M; M^T if L != e
     np.add(a, borders[0] @ borders[1].T, out=pair[0])
     pair[1:] = pair[0].T
@@ -109,18 +116,33 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     """Fixed points of a channel and its dual, and the exact Cesaro limit R (L^T R)^-1 L^T of 1/d.
 
     a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular
-    values at or below cut = rank_threshold max(1, ||a||_2).  The eigenvalues mu of a^T a (one syrk) are their
-    squares to within delta = 4 n eps (||a||_F^2 + mu_max), which bounds the Gram's rounding, gamma_n ||a||_F^2,
-    plus a backward-stable eigensolve's, p(n) eps ||a^T a||_2 (Higham, 2002, 3.5).  The k mu <= cut^2 + delta
-    are certified when the bordered residuals meet the cut: then k singular values lie at or below it
-    (Courant-Fischer), the rest above (Weyl).  Else the values-only SVD decides; k = 0 raises NoConvergence.
+    values at or below cut = rank_threshold max(1, ||a||_2).  Its left Gram g = a a^T (one syrk) has kernel L,
+    and e, the identity's coordinates over sqrt d, is in it to within ||e^T a||.  If that is <= rank_threshold,
+    k = 1 is tried first: one Cholesky (proves_definite) shows lambda_min(g + c e e^T) > cut_hi^2 + n eps
+    (||a||_F^2 + c), c = ||a||_F^2, cut_hi = rank_threshold max(1, ||a||_F) >= cut; the band covers g's rounding,
+    gamma_n ||a||_F^2 (Higham, 2002, 3.5), and the update's.  By interlacing, n - 1 singular values then lie
+    above the cut, and a k = 1 bordered residual at most rank_threshold puts the last at or below it.  Else
+    the eigenvalues mu of g are the squared singular values to within delta = 4 n eps (||a||_F^2 + mu_max), g's
+    rounding plus a backward-stable eigensolve's, p(n) eps ||g||_2.  The k mu <= cut^2 + delta are certified
+    when the bordered residuals meet the cut: then k singular values lie at or below it (Courant-Fischer), the
+    rest above (Weyl).  Else the values-only SVD decides; k = 0 raises NoConvergence.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
     d, n = channel.dim_in, channel.dim_in ** 2
     a = hermitian_superoperator(channel.superoperator, d)
     a.flat[:: n + 1] -= 1.0
-    mu = np.linalg.eigvalsh(a.T @ a)  # the same array on both sides: numpy runs a syrk
+    g = a @ a.T  # the same array on both sides: numpy runs a syrk
+    if hs_norm(_identity_row(d) @ a) <= tol.rank_threshold:
+        ones = np.ix_(*2 * [np.arange(0, n, d + 1)])  # e's support, the coordinates of 1
+        fro2, block = hs_norm(a) ** 2, g[ones]
+        g[ones] += fro2 / d  # g + c e e^T, c = ||a||_F^2
+        certified = proves_definite(g, tol.rank_threshold ** 2 * max(1.0, fro2) + 2 * n * EPS * fro2)
+        g[ones] = block
+        if certified:
+            with suppress(NoConvergence):
+                return _bordered_fixed_points(a, 1, tol.rank_threshold, d)
+    mu = np.linalg.eigvalsh(g)
     cut = rank_cut(abs(mu[-1:]) ** 0.5, tol)  # mu_max = ||a||_2^2
     if k := np.count_nonzero(mu <= cut ** 2 + 4 * n * EPS * (mu.sum() + mu[-1])):  # sum mu = ||a||_F^2
         with suppress(NoConvergence):

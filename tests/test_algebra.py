@@ -12,7 +12,6 @@ from qmeas.algebra import (
     decompose,
     effect_blocks,
     fixed_point_space,
-    subspace_distance,
     verify_algebra,
 )
 from qmeas.core import Instrument, Observable, Operation, State, luders_instrument, scheme_to_instrument
@@ -115,8 +114,7 @@ def center_kernel_decompose(space, tol=DEFAULT_TOL, seed=0):
         w_om = hermitian_eig(hermitianize(omega) / np.trace(omega).real, tol)[0]
         blocks.append(algebra.FactorBlock(q @ dagger(q), dim_k, dim_r, fact, State(np.diag(w_om))))
     units = algebra._block_units([(blk.factorizer, blk.dim_k, blk.dim_r) for blk in blocks])
-    residual = subspace_distance(units, b, space.dim, tol)
-    return algebra.FactorDecomposition(space, tuple(blocks), residual)
+    return algebra.FactorDecomposition(space, tuple(blocks), space.residual(units))
 
 
 class TestFixedPointSpace:
@@ -199,6 +197,22 @@ class TestVerifyAlgebra:
             with pytest.raises(NotAnAlgebra):
                 decompose(span, inst)
 
+    @pytest.mark.parametrize("t", [0.5e-9, 1.2e-9, 1.5e-9, 2.5e-9])
+    def test_a_tilt_over_every_entry_splits_exactly_where_it_is_accepted(self, t):
+        # h, the all-ones matrix less 1, normalised: the identity misses the span by 2 sin t cos t / sqrt 12
+        # = 0.577 t in every off-diagonal entry, so verify_algebra accepts up to t = 1.73e-9, and the
+        # certificate reads the same entry, where sin t, the spectral distance, would refuse above 1e-9
+        h = (np.ones((4, 4)) - np.eye(4)) / np.sqrt(12)
+        span = OperatorSubspace(4, (np.cos(t) * np.eye(4) / 2 + np.sin(t) * h,))
+        inst = Instrument.from_kraus([[np.eye(4)]])
+        assert verify_algebra(span) is (t < 1.7e-9)
+        if t < 1.7e-9:
+            residual = decompose(span, inst).reconstruction_residual
+            assert residual == pytest.approx(2 * t / np.sqrt(12), rel=1e-6) and residual <= DEFAULT_TOL.atol_equality
+        else:
+            with pytest.raises(NotAnAlgebra):
+                decompose(span, inst)
+
 
 class TestDecompose:
     def test_partial_swap_single_factor(self):
@@ -227,21 +241,10 @@ class TestDecompose:
         space = fixed_point_space(inst)
         deco = decompose(space, inst)
         units = algebra._block_units([(b.factorizer, b.dim_k, b.dim_r) for b in deco.blocks])
-        assert subspace_distance(units, list(space.basis), 4) <= DEFAULT_TOL.atol_equality
-
-    @pytest.mark.parametrize("eps", [1e-3, 1e-7, 1e-11])
-    def test_subspace_distance_is_the_projector_distance(self, eps):
-        rng = np.random.default_rng(7)
-        def spans(count):
-            g = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
-            return g, g + eps * rng.standard_normal((count, 3, 3))
-        def projector(mats):
-            q, _ = np.linalg.qr(np.array(mats).reshape(len(mats), -1).T)
-            return q @ q.conj().T
-        a, b = spans(4)
-        reference = np.linalg.norm(projector(a) - projector(b), 2)
-        assert abs(subspace_distance(a, b, 3) - reference) < 1e-14 + 1e-6 * reference
-        assert subspace_distance(a, b[:3], 3) == 1.0
+        assert len(units) == len(space) and space.residual(units) <= DEFAULT_TOL.atol_equality
+        # the units are orthogonal, each of HS norm^2 dim_r, so they span the space they lie in
+        gram = np.einsum("iab,jab->ij", units.conj(), units)
+        assert np.abs(gram - 2 * np.eye(len(units))).max() < 1e-12
 
     def test_rejects_non_algebra(self):
         span = OperatorSubspace(2, (np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2), SY / np.sqrt(2)))
@@ -251,8 +254,9 @@ class TestDecompose:
     def test_one_cesaro_average_and_one_superoperator_eigvalsh(self, monkeypatch):
         inst = swap_instrument()
         d2 = inst.dim ** 2
-        calls = {"cesaro_average": 0, "eigvalsh": 0, "svd": 0}
-        cesaro_average, svd, eigvalsh = algebra.cesaro_average, np.linalg.svd, np.linalg.eigvalsh
+        calls = {"cesaro_average": 0, "cholesky": 0, "eigvalsh": 0, "svd": 0}
+        cesaro_average, svd, eigvalsh, cholesky = (algebra.cesaro_average, np.linalg.svd, np.linalg.eigvalsh,
+                                                   np.linalg.cholesky)
 
         def counted_cesaro_average(*args, **kwargs):
             calls["cesaro_average"] += 1
@@ -267,8 +271,9 @@ class TestDecompose:
         monkeypatch.setattr(algebra, "cesaro_average", counted_cesaro_average)
         monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-        decompose(fixed_point_space(inst), inst)
-        assert calls == {"cesaro_average": 1, "eigvalsh": 1, "svd": 0}
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+        decompose(fixed_point_space(inst), inst)  # the swap's fixed algebra is not one-dimensional: k > 1
+        assert calls == {"cesaro_average": 1, "cholesky": 1, "eigvalsh": 1, "svd": 0}
 
     # the generic pair against the center-kernel reference, blocks matched by central projection
     @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -368,33 +373,34 @@ class TestDecompose:
             assert deco.reconstruction_residual < 1e-12
 
     @pytest.mark.parametrize("excess", [0.0, 1.0])
-    def test_the_reported_residual_is_the_thresholded_distance(self, excess, monkeypatch):
-        # the distance is lifted to atol_equality (1 + excess): at the threshold the first
-        # pair's split is returned with that distance, above it all five pairs are refused
+    def test_the_reported_residual_is_the_thresholded_one(self, excess, monkeypatch):
+        # every residual is lifted to atol_equality (1 + excess): at the threshold verify_algebra's three
+        # pass and the first pair's split is returned with that residual; above it verify_algebra would
+        # refuse the span, and _factorizers refuses all five pairs
         inst, _, _ = block_instrument([(2, 1), (1, 2)], np.random.default_rng(17))
         space = fixed_point_space(inst)
-        distance, seen = algebra.subspace_distance, []
+        residual, seen = OperatorSubspace.residual, []
 
-        def lifted(*args):
-            seen.append(max(distance(*args), DEFAULT_TOL.atol_equality * (1 + excess)))
+        def lifted(self, x):
+            seen.append(max(residual(self, x), DEFAULT_TOL.atol_equality * (1 + excess)))
             return seen[-1]
-        monkeypatch.setattr(algebra, "subspace_distance", lifted)
+        monkeypatch.setattr(OperatorSubspace, "residual", lifted)
         if excess:
             with pytest.raises(DegenerateCenter, match=r"in 5 draw\(s\): smallest certificate residual "
                                                        r"2\.000e-09 > atol_equality 1\.000e-09"):
-                decompose(space, inst)
+                algebra._factorizers(space, DEFAULT_TOL, np.random.default_rng(0))
             assert len(seen) == 5
         else:
             deco = decompose(space, inst)
-            assert seen == [DEFAULT_TOL.atol_equality] and deco.reconstruction_residual == seen[0]
+            assert seen == [DEFAULT_TOL.atol_equality] * 4 and deco.reconstruction_residual == seen[-1]
 
     def test_the_scalars_are_refused_after_one_draw(self, monkeypatch):
         inst = scheme_to_instrument(random_constrained_scheme(4, 4, 2, 3))
-        space, distance = fixed_point_space(inst), algebra.subspace_distance
-        monkeypatch.setattr(algebra, "subspace_distance", lambda *args: max(distance(*args), 3e-9))
+        space, residual = fixed_point_space(inst), OperatorSubspace.residual
+        monkeypatch.setattr(OperatorSubspace, "residual", lambda self, x: max(residual(self, x), 3e-9))
         assert len(space) == 1
         with pytest.raises(DegenerateCenter, match=r"in 1 draw\(s\): smallest certificate residual 3\.000e-09"):
-            decompose(space, inst)
+            algebra._factorizers(space, DEFAULT_TOL, np.random.default_rng(0))
 
     def test_the_scalars_take_the_identity_factorizer(self, monkeypatch):
         inst = scheme_to_instrument(random_constrained_scheme(4, 4, 2, 3))

@@ -12,6 +12,7 @@ from qmeas.algebra import _commutators, fixed_point_space
 from qmeas.core import apply, scheme_to_instrument
 from qmeas.errors import DimensionMismatch, NonHermitian, NotPSD, ValidationError
 from qmeas.linalg import (
+    EPS,
     TOL_FLOOR,
     Tolerances,
     cut_rank,
@@ -26,6 +27,7 @@ from qmeas.linalg import (
     matrix_sqrt_psd,
     numerical_rank,
     partial_trace,
+    proves_definite,
     unembed_hermitian,
     vec,
 )
@@ -440,3 +442,47 @@ class TestHermitianCoordinates:
         assert np.abs(x @ s_r.T - embed_hermitian(apply(channel, h))).max() < 1e-12
         # the cached coordinate arrays are O(d^2), never d^4
         assert all(a.shape == (d, d) and not a.flags.writeable for a in linalg._coordinates(d))
+
+
+def integer_gram(data, n):
+    """B B^T for B of shape n x (n - 1) drawn from small integers: exactly computed and exactly singular."""
+    entries = data.draw(st.lists(st.integers(-4, 4), min_size=n * (n - 1), max_size=n * (n - 1)))
+    b = np.array(entries, dtype=float).reshape(n, n - 1)
+    return b @ b.T
+
+
+def cholesky_shift(a):
+    """proves_definite's shift past its floor, gamma_(n+3) tr a."""
+    k = (len(a) + 3) * EPS / 2
+    return k / (1 - k) * np.trace(a)
+
+
+class TestProvesDefinite:
+    """A Cholesky that runs to completion on a - (floor + shift) 1 proves lambda_min(a) > floor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), m=st.integers(0, 50), data=st.data())
+    def test_never_accepts_an_exactly_singular_matrix(self, n, m, data):
+        gram = integer_gram(data, n)
+        a = gram + m * np.eye(n)  # lambda_min = m exactly
+        before = a.tobytes()
+        assert not proves_definite(gram)
+        assert not proves_definite(a, float(m))
+        assert a.tobytes() == before  # the diagonal comes back bit for bit
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 12), m=st.integers(1, 50), margin=st.floats(1.0, 1e3), data=st.data())
+    def test_accepts_once_lambda_min_clears_the_floor_by_n_plus_2_shifts(self, n, m, margin, data):
+        # Demmel's condition for a Cholesky to run to completion (Higham 2002, Thm 10.7), lambda_min of the
+        # unit-diagonal scaling above n gamma_(n+1) / (1 - gamma_(n+1)), holds once lambda_min(a) - floor
+        # exceeds (n + 2) shifts: lambda_min(a - t 1) > (n + 1) gamma_(n+3) tr a >= that times max_i a_ii
+        a = integer_gram(data, n) + m * np.eye(n)
+        before = a.tobytes()
+        assert proves_definite(a, m - (n + 2) * margin * cholesky_shift(a))
+        assert a.tobytes() == before
+
+    def test_refuses_non_finite_and_indefinite_input(self):
+        assert not proves_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert not proves_definite(np.diag([1.0, -1e-300]))
+        assert proves_definite(np.diag([1.0, 1e-10]), 0.9e-10)
+        assert not proves_definite(np.diag([1.0, 1e-10]), 1e-10)

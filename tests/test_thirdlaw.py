@@ -164,15 +164,16 @@ class TestFixedState:
             with pytest.raises(NoConvergence, match=r"smallest singular value 4\.\d+e-08 > 1\.\d+e-08"):
                 call()
 
-    def test_the_rank_step_is_one_gram_eigvalsh_and_no_svd(self, monkeypatch):
+    def test_the_rank_step_is_one_cholesky_then_at_most_one_gram_eigvalsh_and_no_svd(self, monkeypatch):
         # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix, and the
-        # kernel dimension is certified from the Gram of S_r - 1 with no SVD of S_r either
+        # kernel dimension is certified from the Gram of S_r - 1 with no SVD of S_r either: k = 1 by one
+        # Cholesky, k = d (the unitary) by the Gram's eigenvalues once the Cholesky has refused
         channels = [random_constrained_channel(4, 0), random_low_rank_preparation(4, 2, 0),
                     Channel.unitary(random_unitary(4, np.random.default_rng(1)))]
         calls = recorded_linalg(monkeypatch)
         for ch in channels:
             full_rank_fixed_state(ch)
-        assert calls == [("eigvalsh", (16, 16))] * len(channels)
+        assert calls == [("cholesky", (16, 16))] * 3 + [("eigvalsh", (16, 16))]
 
     def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
         exact = thirdlaw.cesaro_average
@@ -249,8 +250,8 @@ def full_svd_fixed_points(channel, tol=DEFAULT_TOL):
 
 
 def recorded_linalg(monkeypatch):
-    """Wrap np.linalg.svd and np.linalg.eigvalsh; the returned list records each call's shape (and compute_uv)."""
-    calls, svd, eigvalsh = [], np.linalg.svd, np.linalg.eigvalsh
+    """Wrap np.linalg.svd, eigvalsh and cholesky; the returned list records each call's shape (and compute_uv)."""
+    calls, svd, eigvalsh, cholesky = [], np.linalg.svd, np.linalg.eigvalsh, np.linalg.cholesky
 
     def recorded_svd(a, *args, **kwargs):
         calls.append(("svd", np.shape(a), args[1] if len(args) > 1 else kwargs.get("compute_uv", True)))
@@ -259,8 +260,13 @@ def recorded_linalg(monkeypatch):
     def recorded_eigvalsh(a, *args, **kwargs):
         calls.append(("eigvalsh", np.shape(a)))
         return eigvalsh(a, *args, **kwargs)
+
+    def recorded_cholesky(a, *args, **kwargs):
+        calls.append(("cholesky", np.shape(a)))
+        return cholesky(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
     return calls
 
 
@@ -361,19 +367,24 @@ class TestBorderedKernels:
         assert np.abs(span_projector(fixed.dual_fixed) - np.outer(e, e)).max() > 1e-7
 
     def test_no_svd_returns_singular_vectors(self, monkeypatch):
-        # a certified call: one eigvalsh of the n x n Gram, no SVD; a fallback call: one values-only SVD more
+        # a certified call: one Cholesky of the n x n Gram for k = 1, the Cholesky and one eigvalsh of the
+        # Gram for k > 1, no SVD; a fallback call: one values-only SVD more.  The k = 0 map has
+        # ||e^T a|| = 5e-8 above rank_threshold, so it takes no Cholesky
         certified = [build() for build, _ in KERNEL_REGIMES.values()]
         fallback = [leaky_chain(1e-7), Channel(np.sqrt(1 + 5e-8) * random_constrained_channel(4, 3).kraus,
                                                Tolerances(1e-7, 1e-8))]
         calls = recorded_linalg(monkeypatch)
         for ch in certified:
             cesaro_average(ch)
-        want = [("eigvalsh", (ch.dim_in ** 2,) * 2) for ch in certified]
+        want = []
+        for ch, (_, k) in zip(certified, KERNEL_REGIMES.values()):
+            want += [("cholesky", (ch.dim_in ** 2,) * 2)] + [("eigvalsh", (ch.dim_in ** 2,) * 2)] * (k > 1)
         assert calls == want
         cesaro_average(fallback[0])
         with pytest.raises(NoConvergence, match="smallest singular value"):
             cesaro_average(fallback[1], Tolerances(1e-7, 1e-8))
-        want += [("eigvalsh", (9, 9)), ("svd", (9, 9), False), ("eigvalsh", (16, 16)), ("svd", (16, 16), False)]
+        want += [("cholesky", (9, 9)), ("eigvalsh", (9, 9)), ("svd", (9, 9), False),
+                 ("eigvalsh", (16, 16)), ("svd", (16, 16), False)]
         assert calls == want
 
     def test_repeated_calls_are_bitwise_equal_and_leave_the_global_rng(self):
@@ -419,7 +430,7 @@ def leaky_chain(gamma):
 
 def gram_band(a, tol=DEFAULT_TOL):
     """cesaro_average's statistic: the Gram's eigenvalues mu, the cut, and delta = 4 n eps (||a||_F^2 + mu_max)."""
-    mu = np.linalg.eigvalsh(a.T @ a)
+    mu = np.linalg.eigvalsh(a @ a.T)
     return mu, rank_cut(abs(mu[-1:]) ** 0.5, tol), 4 * len(a) * EPS * (hs_norm(a) ** 2 + mu[-1])
 
 
@@ -432,7 +443,8 @@ def svd_fixed_points(a, d, tol=DEFAULT_TOL):
 
 
 class TestGramCertificate:
-    """The Gram's eigenvalues propose k, the bordered residuals certify it, and the SVD decides the rest."""
+    """One Cholesky proves k = 1, or the Gram's eigenvalues propose k; the bordered residuals certify it, and
+    the SVD decides the rest."""
 
     def test_the_chain_puts_one_singular_value_at_one_and_a_half_gamma_under_a_band_top_of_2_5e_7(self):
         for gamma in (1e-9, 1e-7, 1e-6):
@@ -446,20 +458,21 @@ class TestGramCertificate:
     def test_a_singular_value_in_the_band_takes_one_fallback_svd(self, monkeypatch):
         calls = recorded_linalg(monkeypatch)
         fixed = cesaro_average(leaky_chain(1e-7))  # two candidates; the SVD puts 1.5e-7 above the cut
-        assert calls == [("eigvalsh", (9, 9)), ("svd", (9, 9), False)] and len(fixed.fixed) == 1
+        assert calls == [("cholesky", (9, 9)), ("eigvalsh", (9, 9)), ("svd", (9, 9), False)]
+        assert len(fixed.fixed) == 1
         assert np.abs(fixed.mixture_limit - np.eye(3) / 3).max() < 1e-8  # eps over the 1.5e-7 gap
 
     def test_a_singular_value_above_the_band_is_certified(self, monkeypatch):
         calls = recorded_linalg(monkeypatch)
         fixed = cesaro_average(leaky_chain(1e-6))
-        assert calls == [("eigvalsh", (9, 9))] and len(fixed.fixed) == 1
+        assert calls == [("cholesky", (9, 9))] and len(fixed.fixed) == 1
 
     def test_a_singular_value_just_under_the_cut_raises_as_the_svd_path_does(self, monkeypatch):
         # k = 2 at the cut, but the bordered residual of the slow mode, 1.3e-8, misses it
         calls = recorded_linalg(monkeypatch)
         with pytest.raises(NoConvergence, match=r"bordered kernel residual 1\.3\d\de-08 exceeds the rank cut"):
             cesaro_average(leaky_chain(1e-9))
-        assert calls == [("eigvalsh", (9, 9)), ("svd", (9, 9), False)]
+        assert calls == [("cholesky", (9, 9)), ("eigvalsh", (9, 9)), ("svd", (9, 9), False)]
         a = hermitian_superoperator(leaky_chain(1e-9).superoperator, 3) - np.eye(9)
         with pytest.raises(NoConvergence, match=r"bordered kernel residual 1\.3\d\de-08 exceeds the rank cut"):
             svd_fixed_points(a, 3)
@@ -488,6 +501,45 @@ class TestGramCertificate:
             a = hermitian_superoperator(ch.superoperator, ch.dim_in) - np.eye(n)
             mu, _, delta = gram_band(a)
             assert np.abs(mu - np.linalg.svd(a, compute_uv=False)[::-1] ** 2).max() <= delta / 4
+
+
+def certified_and_refused(channel):
+    """cesaro_average(channel), whether its Cholesky certified k = 1, and the call with proves_definite refusing."""
+    verdicts, proves_definite = [], thirdlaw.proves_definite
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thirdlaw, "proves_definite", lambda *args: verdicts.append(proves_definite(*args)) or verdicts[-1])
+        fixed = cesaro_average(channel)
+        patch.setattr(thirdlaw, "proves_definite", lambda *args: False)
+        return fixed, verdicts == [True], cesaro_average(channel)
+
+
+def fixed_point_bytes(fixed):
+    return [x.tobytes() for x in (fixed.fixed, fixed.dual_fixed, fixed.mixture_limit)]
+
+
+class TestCholeskyCertificate:
+    """A k = 1 proved by the Cholesky returns the very arrays that the eigensolve path returns."""
+
+    @pytest.mark.parametrize("regime", sorted(KERNEL_REGIMES))
+    def test_kernel_regimes(self, regime):
+        build, k = KERNEL_REGIMES[regime]
+        fixed, certified, refused = certified_and_refused(build())
+        assert certified is (k == 1) and len(fixed.fixed) == k
+        assert fixed_point_bytes(fixed) == fixed_point_bytes(refused)
+
+    @pytest.mark.parametrize("family", sorted(CHANNEL_FAMILIES))
+    def test_channel_families(self, family):
+        build, _ = CHANNEL_FAMILIES[family]
+        for d in range(2, 9):
+            fixed, certified, refused = certified_and_refused(build(d, d))
+            assert certified and fixed_point_bytes(fixed) == fixed_point_bytes(refused)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), count=st.integers(1, 6), seed=st.integers(0, 2 ** 31 - 1))
+    def test_random_channels(self, d, count, seed):
+        fixed, certified, refused = certified_and_refused(random_channel(d, d, count, seed))
+        assert certified is (len(fixed.fixed) == 1)
+        assert fixed_point_bytes(fixed) == fixed_point_bytes(refused)
 
 
 class TestUnitaryInvariance:
@@ -538,6 +590,12 @@ class TestRoutesNearTheCut:
     def test_an_idle_factor_keeps_the_image_verdict(self):
         verdicts = [check_channel_thirdlaw(prepare_near_the_cut(4, 5e-8, k)).constrained for k in (1, 2, 4)]
         assert len(set(verdicts)) == 1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: route 3 cuts the fixed state sigma (x) 1/k at "
+                                           "rank_threshold, so an idle factor moves it: (T, T, F)")
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_an_idle_factor_keeps_all_three_routes_in_agreement(self, k):
+        assert len(set(three_routes(prepare_near_the_cut(4, 5e-8, k)))) == 1
 
     @pytest.mark.parametrize("d, lam_f, k", NEAR_THE_CUT)
     def test_a_full_rank_fixed_state_implies_a_faithful_dual(self, d, lam_f, k):
