@@ -117,15 +117,16 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
 
     a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular
     values at or below cut = rank_threshold max(1, ||a||_2).  Its left Gram g = a a^T (one syrk) has kernel L,
-    and e, the identity's coordinates over sqrt d, is in it to within ||e^T a||.  If that is <= rank_threshold,
-    k = 1 is tried first: one Cholesky (proves_definite) shows lambda_min(g + c e e^T) > cut_hi^2 + n eps
-    (||a||_F^2 + c), c = ||a||_F^2, cut_hi = rank_threshold max(1, ||a||_F) >= cut; the band covers g's rounding,
-    gamma_n ||a||_F^2 (Higham, 2002, 3.5), and the update's.  By interlacing, n - 1 singular values then lie
-    above the cut, and a k = 1 bordered residual at most rank_threshold puts the last at or below it.  Else
-    the eigenvalues mu of g are the squared singular values to within delta = 4 n eps (||a||_F^2 + mu_max), g's
-    rounding plus a backward-stable eigensolve's, p(n) eps ||g||_2.  The k mu <= cut^2 + delta are certified
-    when the bordered residuals meet the cut: then k singular values lie at or below it (Courant-Fischer), the
-    rest above (Weyl).  Else the values-only SVD decides; k = 0 raises NoConvergence.
+    and e, the identity's coordinates over sqrt d, is in it to within ||e^T a||.  If that is at most
+    rank_threshold, k = 1 is tried first: one Cholesky (proves_definite, Rump 2006) shows
+    lambda_min(g + c e e^T) > cut_hi^2 + n eps (||a||_F^2 + c), for c = ||a||_F^2 and
+    cut_hi = rank_threshold max(1, ||a||_F) >= cut; the band covers g's rounding, gamma_n ||a||_F^2
+    (Higham, 2002, 3.5), and the update's.  By interlacing, n - 1 singular values then lie above the cut, and a
+    k = 1 bordered residual at most rank_threshold puts the last at or below it.  Else the eigenvalues mu of g
+    are the squared singular values to within delta = 4 n eps (||a||_F^2 + mu_max), g's rounding plus a
+    backward-stable eigensolve's, p(n) eps ||g||_2.  The k mu <= cut^2 + delta are certified when the bordered
+    residuals meet the cut: then k singular values lie at or below it (Courant-Fischer), the rest above (Weyl).
+    Else the values-only SVD decides; k = 0 raises NoConvergence.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")

@@ -8,9 +8,10 @@ the qmeas sources of CHECKOUT/src (default: this checkout), and writes each task
 output, together with every FixedPoints record cesaro_average returned during the task.
 Arrays are stored byte for byte.  The second form prints the first task whose output
 differs, and the largest float difference over all tasks; it exits 1 when anything
-differs.  --ignore skips every field or JSON key of that name, for a change that redefines
-one reported value and should move nothing else.  The workloads are imported read-only; BLAS is pinned to one thread, as the
-benchmark pins it, so that two records of one commit are equal.
+differs.  --ignore skips every field or JSON key of that name, for a change that
+redefines one reported value and should move nothing else.  The workloads are imported
+read-only; BLAS is pinned to one thread, as the benchmark pins it, so that two records
+of one commit are equal.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="record file to write")
     parser.add_argument("--root", default=ROOT, help="checkout whose src/ and bench/workloads.py are run")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two record files")
-    parser.add_argument("--ignore", action="append", default=[], metavar="KEY", help="field to leave out of --compare")
+    parser.add_argument("--ignore", action="append", default=[], metavar="KEY",
+                        help="field to leave out of --compare")
     args = parser.parse_args(argv)
     if args.compare:
         records = []
