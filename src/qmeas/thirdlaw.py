@@ -135,11 +135,11 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     a.flat[:: n + 1] -= 1.0
     g = a @ a.T  # the same array on both sides: numpy runs a syrk
     if hs_norm(_identity_row(d) @ a) <= tol.rank_threshold:
-        ones = np.ix_(*2 * [np.arange(0, n, d + 1)])  # e's support, the coordinates of 1
-        fro2, block = hs_norm(a) ** 2, g[ones]
-        g[ones] += fro2 / d  # g + c e e^T, c = ||a||_F^2
+        block = g[:: d + 1, :: d + 1]  # a view of g on e's support, the coordinates of 1
+        fro2, saved = hs_norm(a) ** 2, block.copy()
+        block += fro2 / d  # g + c e e^T, c = ||a||_F^2
         certified = proves_definite(g, tol.rank_threshold ** 2 * max(1.0, fro2) + 2 * n * EPS * fro2)
-        g[ones] = block
+        block[...] = saved
         if certified:
             with suppress(NoConvergence):
                 return _bordered_fixed_points(a, 1, tol.rank_threshold, d)
