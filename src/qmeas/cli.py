@@ -12,6 +12,7 @@ raises to the shell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -76,6 +77,14 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
             raise QmeasError(f"QMEAS_TOL_ATOL={raw!r} is not a number") from None
     rank = args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_threshold
     return Tolerances(atol_equality=atol, rank_threshold=rank)
+
+
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take integers >= 0 only, so the parser refuses the rest (exit 2)."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def cmd_classify(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
@@ -291,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="equality tolerance (env QMEAS_TOL_ATOL overrides the default); "
                              "both tolerances must be at least 64 eps, about 1.4e-14 (else exit 2)")
     common.add_argument("--tol-rank", type=float, default=None, help="rank threshold of every decision")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    common.add_argument("--seed", type=_seed, default=0,
+                        help="seed for any randomized step, an integer >= 0 (else exit 2)")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")
     fmt.add_argument("--human", action="store_true", help="aligned text report (default)")

@@ -597,6 +597,16 @@ class TestPlumbing:
         assert code == EXIT_ERROR
         assert field in err
 
+    @pytest.mark.parametrize("argv", [["demo", "purify"], ["demo", "decompose"], ["demo", "luders-scheme"],
+                                      ["table1"], ["gen", "--list"], ["classify", "obs.json"],
+                                      ["check", "extremal", "scheme.json"]])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_a_seed_below_zero_is_an_input_error_naming_the_flag(self, capsys, argv, seed):
+        # refused where it is parsed, before any file is read: numpy's generators take seeds >= 0 only
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == EXIT_ERROR and out == ""
+        assert "argument --seed" in err and "integer >= 0" in err
+
     def test_choi_eigenvalue_is_cut_at_minus_atol(self, tmp_path, capsys):
         # the identity channel's Choi matrix |00>+|11> plus delta (|11><11| - |01><01|), whose partial
         # trace over the output is still the identity: its smallest eigenvalue is -delta

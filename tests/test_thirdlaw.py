@@ -310,7 +310,7 @@ class TestBorderedKernels:
         a = hermitian_superoperator(random_bistochastic_channel(4, 3, seed).superoperator, 4) - np.eye(16)
         sv = np.linalg.svd(a, compute_uv=False)
         assert cut_rank(sv) == 15
-        u, v = thirdlaw._borders(16, 1)
+        u, v = thirdlaw._borders(embed_hermitian(np.eye(4)), 1)
         assert np.abs(np.abs(u.T @ embed_hermitian(np.eye(4))) - 2).max() < 1e-14 and np.array_equal(u, v)
         bordered = np.linalg.svd(a + u @ v.T, compute_uv=False)
         assert np.abs(np.sort(bordered) - np.sort(np.append(sv[:15], 1.0))).max() < 1e-13
@@ -325,7 +325,7 @@ class TestBorderedKernels:
         for ch in channels:
             d, n = ch.dim_in, ch.dim_in ** 2
             a = hermitian_superoperator(ch.superoperator, d) - np.eye(n)
-            u, v = thirdlaw._borders(n, n - cut_rank(np.linalg.svd(a, compute_uv=False)))
+            u, v = thirdlaw._borders(embed_hermitian(np.eye(d)), n - cut_rank(np.linalg.svd(a, compute_uv=False)))
             assert np.array_equal(u[:, 0], v[:, 0])
             assert np.abs(np.abs(v[:, 0]) - np.abs(embed_hermitian(np.eye(d))) / np.sqrt(d)).max() < 1e-15
             y = np.linalg.solve((a + u @ v.T).T, v)[:, 0]
@@ -398,6 +398,25 @@ class TestBorderedKernels:
                         (second.fixed, second.dual_fixed, second.mixture_limit)):
             assert a.tobytes() == b.tobytes()
 
+    def test_a_one_dimensional_kernel_draws_no_random_border(self, monkeypatch):
+        # k = 1 borders with the identity's coordinates alone; only the columns past the first are drawn
+        draws, default_rng = [], np.random.default_rng
+        ch, regimes = random_constrained_channel(4, 0), [build() for build, _ in KERNEL_REGIMES.values()]
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args) or default_rng(*args))
+        assert len(cesaro_average(ch).fixed) == 1 and draws == []
+        for fixed in map(cesaro_average, regimes):
+            assert len(draws) == (len(fixed.fixed) > 1)
+            draws.clear()
+
+    def test_each_call_embeds_the_identity_once(self, monkeypatch):
+        embeds, embed = [], thirdlaw.embed_hermitian
+        channels = [build() for build, _ in KERNEL_REGIMES.values()] + [leaky_chain(1e-7)]
+        monkeypatch.setattr(thirdlaw, "embed_hermitian", lambda h: embeds.append(h.shape) or embed(h))
+        for ch in channels:  # the Cholesky's k = 1, the eigensolve's k >= 1, and the SVD fallback
+            cesaro_average(ch)
+            assert embeds == [(ch.dim_in,) * 2]
+            embeds.clear()
+
     @pytest.mark.parametrize("degenerate, channel", [
         (lambda b: np.zeros_like(b), lambda: Channel.unitary(random_unitary(4, np.random.default_rng(0)))),
         (lambda b: np.repeat(b[:, :, :1], b.shape[2], axis=2),  # every column the same: rank 1
@@ -407,7 +426,7 @@ class TestBorderedKernels:
     ], ids=["zero", "rank-1", "zero-on-identity", "zero-on-k=1"])
     def test_degenerate_borders_raise_instead_of_a_wrong_kernel(self, monkeypatch, degenerate, channel):
         borders = thirdlaw._borders
-        monkeypatch.setattr(thirdlaw, "_borders", lambda n, k: degenerate(borders(n, k)))
+        monkeypatch.setattr(thirdlaw, "_borders", lambda identity, k: degenerate(borders(identity, k)))
         with pytest.raises(NoConvergence):
             cesaro_average(channel())
 
@@ -434,12 +453,19 @@ def gram_band(a, tol=DEFAULT_TOL):
     return mu, rank_cut(abs(mu[-1:]) ** 0.5, tol), 4 * len(a) * EPS * (hs_norm(a) ** 2 + mu[-1])
 
 
+def identity_border(a, d):
+    """cesaro_average's identity border: d, the identity's coordinates, e = those over sqrt d as a row, ||e^T a||."""
+    identity = embed_hermitian(np.eye(d))
+    e = identity[None] / d ** 0.5
+    return d, identity, e, hs_norm(e @ a)
+
+
 def svd_fixed_points(a, d, tol=DEFAULT_TOL):
     """The kernels with k decided by the values-only SVD alone, as cesaro_average's fallback computes them."""
     sv = np.linalg.svd(a, compute_uv=False)
     if not cut_rank(sv, tol) < d * d:
         raise NoConvergence("no fixed point")
-    return thirdlaw._bordered_fixed_points(a, d * d - cut_rank(sv, tol), rank_cut(sv, tol), d)
+    return thirdlaw._bordered_fixed_points(a, d * d - cut_rank(sv, tol), rank_cut(sv, tol), *identity_border(a, d))
 
 
 class TestGramCertificate:

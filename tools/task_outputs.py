@@ -5,10 +5,11 @@
 
 The first form runs one pass of each workload in bench/workloads.py at each seed, with
 the qmeas sources of CHECKOUT/src (default: this checkout), and writes each task's
-output, together with every FixedPoints record cesaro_average returned during the task.
-Arrays are stored byte for byte.  The second form prints the first task whose output
-differs, and the largest float difference over all tasks; it exits 1 when anything
-differs.  --ignore skips every field or JSON key of that name, for a change that
+output, together with every FixedPoints record cesaro_average returned during the task
+and that call's rank step: which of np.linalg.cholesky, eigvalsh and svd ran inside it,
+in order.  Arrays are stored byte for byte.  The second form prints the first task whose
+output differs, each call whose rank step moved, and the largest float difference over
+all tasks; it exits 1 when anything differs.  --ignore skips every field or JSON key of that name, for a change that
 redefines one reported value and should move nothing else.  The workloads are imported
 read-only; BLAS is pinned to one thread, as the benchmark pins it, so that two records
 of one commit are equal.
@@ -33,6 +34,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RANK_STEPS = ("cholesky", "eigvalsh", "svd")
 
 
 def encode(x, workdir: str):
@@ -64,11 +66,19 @@ def record(seeds: list[int], root: str) -> dict:
     spec.loader.exec_module(workloads)
     from qmeas import algebra, thirdlaw
 
-    fixed_points, out = [], {}
-    cesaro_average = thirdlaw.cesaro_average
+    fixed_points, rank_steps, out = [], [], {}
+    cesaro_average, linalg = thirdlaw.cesaro_average, {name: getattr(np.linalg, name) for name in RANK_STEPS}
 
     def recorded_cesaro_average(*args, **kwargs):
-        fixed_points.append(cesaro_average(*args, **kwargs))
+        steps = []
+        for name, step in linalg.items():
+            setattr(np.linalg, name, lambda *a, _name=name, _step=step, **k: steps.append(_name) or _step(*a, **k))
+        try:
+            fixed_points.append(cesaro_average(*args, **kwargs))
+        finally:
+            for name, step in linalg.items():
+                setattr(np.linalg, name, step)
+        rank_steps.append(steps)
         return fixed_points[-1]
     thirdlaw.cesaro_average = algebra.cesaro_average = recorded_cesaro_average
     try:
@@ -77,11 +87,12 @@ def record(seeds: list[int], root: str) -> dict:
                 with tempfile.TemporaryDirectory() as workdir:
                     for task in setup(seed, workdir):
                         fixed_points.clear()
+                        rank_steps.clear()
                         try:
                             result = {"output": task.run()}
                         except Exception as exc:  # a raising task is recorded by what it raised
                             result = {"raised": f"{type(exc).__name__}: {exc}"}
-                        result["fixed_points"] = list(fixed_points)
+                        result["fixed_points"], result["rank_steps"] = list(fixed_points), list(rank_steps)
                         key = f"{name} seed={seed} {task.label}"
                         while key in out:
                             key += "'"
@@ -158,6 +169,10 @@ def compare(a: dict, b: dict, ignore=()) -> int:
         else:
             c.walk(task, "", a[task], b[task])
     print(f"{len(a)} and {len(b)} tasks; {len(c.differing)} differ")
+    moved = [f"{task} call {i}: {x} -> {y}" for task in a if task in b
+             for i, (x, y) in enumerate(zip(a[task].get("rank_steps", []), b[task].get("rank_steps", [])))
+             if x != y]
+    print(f"rank step moved in {len(moved)} calls" + "".join(f"\n  {line}" for line in moved))
     print(f"first difference: {c.first or 'none'}")
     diff, where = c.largest
     print(f"largest float difference: {diff:.3e}" + (f" at {where}" if where else ""))
