@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmeas.classify import ObservableClassification, classify
 from qmeas.core import Observable
-from qmeas.linalg import Tolerances, dagger
+from qmeas.errors import ValidationError
+from qmeas.linalg import TOL_FLOOR, Tolerances, dagger
 from qmeas.models import (
     CATALOG,
     build_ideality_example,
@@ -151,3 +152,61 @@ class TestSymmetries:
         assert all(getattr(c, flag) == getattr(cm, flag) for flag in FLAGS)
         assert cm.per_effect_ranks == tuple(c.per_effect_ranks[x] for x in perm)
         assert np.allclose(cm.per_effect_norms, [c.per_effect_norms[x] for x in perm], atol=1e-12)
+
+
+# each Tolerances field log-uniform over the accepted range [64 eps, 1e-2)
+TOLERANCE = st.floats(np.log10(TOL_FLOOR), -2, exclude_max=True).map(lambda e: max(TOL_FLOOR, 10.0 ** e))
+ITEM_19 = "ROADMAP item 19: sharpness is a product residual cut at atol_equality, norm-1 and complete " \
+          "unsharpness are spectra cut at rank_threshold, so an eigenvalue 1 - delta with " \
+          "rank_threshold < delta <= atol_equality reads sharp, not norm-1 and completely unsharp"
+
+
+def rotated_pair(d, eigenvalues, angle, tol):
+    """{E, 1 - E} with E = U diag(eigenvalues) U^dag, U a rotation by angle of the first two coordinates."""
+    u = np.eye(d, dtype=complex)
+    u[:2, :2] = [[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]]
+    e = u @ np.diag(eigenvalues) @ dagger(u)
+    return Observable((e, np.eye(d) - e), tol=tol)
+
+
+class TestImplicationsAtEveryTolerance:
+    """Implications that follow from the class definitions, on rotated two-outcome observables whose eigenvalues
+    sit near a cut, from 0 or from 1.  A search of 4000 such draws over tolerance pairs broke sharp => norm-1 and
+    completely unsharp => not sharp, at atol_equality / rank_threshold from 1 up; those are pinned below.  It
+    broke neither implication that the hypothesis test asserts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(atol=TOLERANCE, rank=TOLERANCE, d=st.integers(2, 4), near_atol=st.booleans(), angle=st.floats(0, np.pi),
+           center=st.floats(0.05, 0.95), steps=st.lists(st.tuples(st.sampled_from(["0", "center", "1"]),
+                                                                   st.floats(-1, 1), st.booleans()),
+                                                         min_size=4, max_size=4))
+    def test_sharp_and_trivial_observables_are_commutative(self, atol, rank, d, near_atol, angle, center, steps):
+        # each eigenvalue is 0, center or 1, moved by (atol or rank) 10^u, u in [-1, 1], into [0, 1]
+        tol = Tolerances(atol, rank)
+        anchor = {"0": 0.0, "center": center, "1": 1.0}
+        eigenvalues = [min(1.0, max(0.0, anchor[a] + (1 if up else -1) * (atol if near_atol else rank) * 10.0 ** u))
+                       for a, u, up in steps[:d]]
+        try:
+            observable = rotated_pair(d, eigenvalues, angle, tol)
+        except ValidationError:  # an effect at or below atol_equality is refused as zero
+            assume(False)
+        c = classify(observable, tol)
+        assert c.is_commutative or not (c.is_sharp or c.is_trivial)
+
+    BROKEN = [(2, (1 - 1e-7, 1e-7), 0.0, 1e-6, 1e-9), (2, (1 - 1e-4, 1e-4), 0.0, 1e-3, 1e-8),
+              (2, (1 - 9.05e-3, 9.05e-3), 0.0, 9e-3, 9e-3),  # atol_equality = rank_threshold
+              (3, (1 - 3e-6, 3e-6, 1 - 2e-6), 0.7, 1e-5, 1e-6)]
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_19)
+    @pytest.mark.parametrize("d, eigenvalues, angle, atol, rank", BROKEN)
+    def test_a_sharp_observable_is_norm_1(self, d, eigenvalues, angle, atol, rank):
+        tol = Tolerances(atol, rank)
+        c = classify(rotated_pair(d, eigenvalues, angle, tol), tol)
+        assert c.is_norm1 or not c.is_sharp
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_19)
+    @pytest.mark.parametrize("d, eigenvalues, angle, atol, rank", BROKEN)
+    def test_a_completely_unsharp_observable_is_not_sharp(self, d, eigenvalues, angle, atol, rank):
+        tol = Tolerances(atol, rank)
+        c = classify(rotated_pair(d, eigenvalues, angle, tol), tol)
+        assert not (c.is_completely_unsharp and c.is_sharp)
