@@ -1,14 +1,14 @@
 """Rank non-decrease verdicts for channels and measurement schemes.
 
-A channel is *constrained* when every full-rank input state maps to a full-rank output.  One input
-decides it: the image of the identity, the frame operator F = Phi(1) = sum K K^dag, is full-rank iff
-any full-rank input has a full-rank image, iff the dual map is faithful.  check_channel_thirdlaw and
-check_faithfulness cut F at rank_cut of its own spectrum, so an idle factor id_k, which keeps that
-spectrum, moves neither.  For endomorphic channels the same property is equivalent to the existence
-of a full-rank fixed state, the Cesaro limit on the complete mixture: cesaro_average solves for it by
-bordering with the identity's coordinates, formed once per call, with a kernel dimension of one proved
-by one Cholesky of the Gram of S - 1, or else read off that Gram's eigenvalues, each certified by the
-residuals, or else decided by a values-only SVD.
+A channel is *constrained* when every full-rank input state maps to a full-rank output.
+One input decides it: the image of the identity, the frame operator F = Phi(1) = sum K K^dag,
+is full-rank iff any full-rank input has a full-rank image, iff the dual map is faithful.
+check_channel_thirdlaw and check_faithfulness cut F at rank_cut of its own spectrum, so an
+idle factor id_k, which keeps that spectrum, moves neither.  For endomorphic channels the same
+property is equivalent to the existence of a full-rank fixed state, the Cesaro limit on the
+complete mixture: cesaro_average solves for it by bordering with the identity's coordinates, formed
+once per call, with a kernel dimension of one proved by one Cholesky of the Gram of S - 1, or else
+read off that Gram's eigenvalues, each certified by the residuals, or else decided by a values-only SVD.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ class FixedPoints:
 
 
 def _borders(identity: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal n x k borders U and V, stacked, with the identity's coordinates first: a channel's dual fixes
-    1, and a fixed state overlaps it by 1/sqrt d or more.  Columns 2 to k come from a fixed-seed draw (numpy's
-    global RNG untouched); k = 1 draws nothing."""
+    """Orthonormal n x k borders U and V, stacked: the identity's coordinates (a channel's dual fixes 1, a fixed state
+    overlaps it by 1/sqrt d or more), then k - 1 columns of a fixed-seed draw, leaving numpy's global RNG alone."""
     g = np.random.default_rng(0).standard_normal((2, len(identity), k)) if k > 1 else np.empty((2, len(identity), 1))
     g[:, :, 0] = identity
     return np.linalg.qr(g)[0]
@@ -112,15 +111,15 @@ def _bordered_fixed_points(a: np.ndarray, k: int, cut: float, d: int, identity: 
 def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoints:
     """Fixed points of a channel and its dual, and the exact Cesaro limit R (L^T R)^-1 L^T of 1/d.
 
-    a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular values
-    at or below cut = rank_threshold max(1, ||a||_2).  Its left Gram g = a a^T (one syrk) has kernel L, and e, the
-    identity's coordinates over sqrt d, is in it to within ||e^T a||.  The coordinates, e and ||e^T a|| are formed
-    once and handed to every bordered solve.  If ||e^T a|| is at most rank_threshold, k = 1 is tried first: one
-    Cholesky (proves_definite, Rump 2006) shows lambda_min(g + c e e^T) > cut_hi^2 + n eps (||a||_F^2 + c), for
-    c = ||a||_F^2 and cut_hi = rank_threshold max(1, ||a||_F) >= cut; the band covers g's rounding, gamma_n
-    ||a||_F^2 (Higham, 2002, 3.5), and the update's.  By interlacing, n - 1 singular values then lie above the cut,
-    and a k = 1 bordered residual at most rank_threshold puts the last at or below it.  Else the eigenvalues mu of
-    g are the squared singular values to within delta = 4 n eps (||a||_F^2 + mu_max), g's rounding plus a
+    a = S_r - 1 in embed_hermitian's coordinates has kernels R and L of dimension k, its number of singular
+    values at or below cut = rank_threshold max(1, ||a||_2).  Its left Gram g = a a^T (one syrk) has kernel L,
+    and e, the identity's coordinates over sqrt d, is in it to within ||e^T a||, both formed once per call.  If
+    that is at most rank_threshold, k = 1 is tried first: one Cholesky (proves_definite, Rump 2006) shows
+    lambda_min(g + c e e^T) > cut_hi^2 + n eps (||a||_F^2 + c), for c = ||a||_F^2 and
+    cut_hi = rank_threshold max(1, ||a||_F) >= cut; the band covers g's rounding, gamma_n ||a||_F^2
+    (Higham, 2002, 3.5), and the update's.  By interlacing, n - 1 singular values then lie above the cut, and a
+    k = 1 bordered residual at most rank_threshold puts the last at or below it.  Else the eigenvalues mu of g
+    are the squared singular values to within delta = 4 n eps (||a||_F^2 + mu_max), g's rounding plus a
     backward-stable eigensolve's, p(n) eps ||g||_2.  The k mu <= cut^2 + delta are certified when the bordered
     residuals meet the cut: then k singular values lie at or below it (Courant-Fischer), the rest above (Weyl).
     Else the values-only SVD decides; k = 0 raises NoConvergence.
@@ -133,8 +132,9 @@ def cesaro_average(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedPoin
     g = a @ a.T  # the same array on both sides: numpy runs a syrk
     identity = embed_hermitian(np.eye(d))
     e = identity[None] / d ** 0.5  # one row: a channel's dual fixes 1, so e a = 0
-    border = d, identity, e, hs_norm(e @ a)
-    if border[-1] <= tol.rank_threshold:
+    ea = hs_norm(e @ a)
+    border = d, identity, e, ea
+    if ea <= tol.rank_threshold:
         block = g[:: d + 1, :: d + 1]  # a view of g on e's support, the coordinates of 1
         fro2, saved = hs_norm(a) ** 2, block.copy()
         block += fro2 / d  # g + c e e^T, c = ||a||_F^2

@@ -9,10 +9,10 @@ output, together with every FixedPoints record cesaro_average returned during th
 and that call's rank step: which of np.linalg.cholesky, eigvalsh and svd ran inside it,
 in order.  Arrays are stored byte for byte.  The second form prints the first task whose
 output differs, each call whose rank step moved, and the largest float difference over
-all tasks; it exits 1 when anything differs.  --ignore skips every field or JSON key of that name, for a change that
-redefines one reported value and should move nothing else.  The workloads are imported
-read-only; BLAS is pinned to one thread, as the benchmark pins it, so that two records
-of one commit are equal.
+all tasks; it exits 1 when anything differs.  --ignore skips every field or JSON key of
+that name, for a change that redefines one reported value and should move nothing else.
+The workloads are imported read-only; BLAS is pinned to one thread, as the benchmark
+pins it, so that two records of one commit are equal.
 """
 
 from __future__ import annotations
