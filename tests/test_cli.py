@@ -701,13 +701,12 @@ def catalog_commands(tmp_path_factory):
                 verb = "channel-thirdlaw" if isinstance(obj, Channel) else "scheme-thirdlaw"
                 commands.append(["check", verb, paths[key]])
             if isinstance(obj, (MeasurementScheme, Instrument)):
-                commands += [["check", verb, paths[key]] + (["--against", against] if verb == "nondisturbance"
-                                                            else [])
-                             for verb in PROPERTY_VERBS if against or verb != "nondisturbance"]
+                for verb in PROPERTY_VERBS:
+                    if verb != "nondisturbance":
+                        commands.append(["check", verb, paths[key]])
+                    elif against:
+                        commands.append(["check", verb, paths[key], "--against", against])
     return commands
-
-
-ITEM_20 = pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the CLI builds these objects at DEFAULT_TOL")
 
 
 class TestUserTolerancesReachEveryObject:
@@ -724,9 +723,9 @@ class TestUserTolerancesReachEveryObject:
             assert built and {tol for _, tol in built} == {USER_TOL}, (argv, built)
             built.clear()
 
-    @pytest.mark.parametrize("argv", [pytest.param(["table1"], marks=ITEM_20),
-                                      *(pytest.param(["demo", name], marks=ITEM_20)
-                                        for name in ("purify", "luders-scheme", "decompose"))])
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the CLI builds these objects at DEFAULT_TOL")
+    @pytest.mark.parametrize("argv", [["table1"], ["demo", "purify"], ["demo", "luders-scheme"],
+                                      ["demo", "decompose"]])
     def test_table1_and_each_demo(self, capsys, monkeypatch, argv):
         built = built_objects(monkeypatch)
         code, _, err = run(capsys, *argv, *USER_TOL_FLAGS)
