@@ -4,11 +4,13 @@ A channel is *constrained* when every full-rank input state maps to a full-rank 
 One input decides it: the image of the identity, the frame operator F = Phi(1) = sum K K^dag,
 is full-rank iff any full-rank input has a full-rank image, iff the dual map is faithful.
 check_channel_thirdlaw and check_faithfulness cut F at rank_cut of its own spectrum, so an
-idle factor id_k, which keeps that spectrum, moves neither.  For endomorphic channels the same
-property is equivalent to the existence of a full-rank fixed state, the Cesaro limit on the
-complete mixture: cesaro_average solves for it by bordering with the identity's coordinates, formed
-once per call, with a kernel dimension of one proved by one Cholesky of the Gram of S - 1, or else
-read off that Gram's eigenvalues, each certified by the residuals, or else decided by a values-only SVD.
+idle factor id_k, which keeps that spectrum, moves neither.  A full-rank fixed state sigma suffices,
+Phi(rho) >= (lambda_min(rho)/lambda_max(sigma)) sigma, but is not necessary: amplitude damping has F
+full-rank and only a pure fixed state.  full_rank_fixed_state takes the Cesaro limit on the complete
+mixture, 1/d itself when the channel fixes it; else cesaro_average solves for it by bordering with the
+identity's coordinates, formed once per call, with a kernel dimension of one proved by one Cholesky of
+the Gram of S - 1, or else read off that Gram's eigenvalues, each certified by the residuals, or else
+decided by a values-only SVD.
 """
 
 from __future__ import annotations
@@ -165,10 +167,17 @@ class FixedStateResult:
 def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> FixedStateResult:
     """Cesaro limit of the channel powers applied to the complete mixture.
 
-    The limit is always a fixed state; it is full-rank, by the spectrum the State keeps, exactly
-    when the channel is constrained.  Raises NoConvergence when the state still
-    moves by more than rank_threshold under the Kraus operators.
+    The limit is always a fixed state; its full-rank verdict reads the spectrum the State keeps.
+    A channel that moves 1/d by at most rank_threshold (every unital one) returns 1/d itself, with
+    no fixed-point solve.  Raises NoConvergence when the state still moves by more than
+    rank_threshold under the Kraus operators.
     """
+    if channel.dim_in != channel.dim_out:
+        raise NotEndomorphic("fixed points need dim_in == dim_out")
+    mixture = State(np.eye(channel.dim_in) / channel.dim_in, tol)
+    residual = hs_norm(apply(channel, mixture) - mixture.matrix)
+    if residual <= tol.rank_threshold:  # 1/d is fixed, so it is its own Cesaro limit
+        return FixedStateResult(mixture, float(residual), full_rank(mixture.eig(tol)[0], tol))
     rho = cesaro_average(channel, tol).mixture_limit
     state = State(rho / np.trace(rho).real, tol)
     residual = hs_norm(apply(channel, state) - state.matrix)  # on the Kraus operators, not on S_r

@@ -26,17 +26,19 @@ def _load_tool():
 def seed_0():
     """The tool, and its record of one pass of every workload at seed 0."""
     tool, cesaro_average = _load_tool(), thirdlaw.cesaro_average
+    full_rank_fixed_state = thirdlaw.full_rank_fixed_state
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv("QMEAS_TOL_ATOL", raising=False)
         record = tool.record([0], str(TOOL.parents[1]))
-    assert thirdlaw.cesaro_average is algebra.cesaro_average is cesaro_average  # the recorder is unbound again
+    assert thirdlaw.cesaro_average is algebra.cesaro_average is cesaro_average  # the recorders are unbound again
+    assert thirdlaw.full_rank_fixed_state is full_rank_fixed_state
     assert all(getattr(np.linalg, name) is step for name, step in RANK_STEPS.items())
     return tool, record
 
 
 def test_a_record_equals_itself_and_a_moved_entry_is_found(capsys, seed_0):
     tool, record = seed_0
-    assert len(record) == 100 and sum(len(r["fixed_points"]) for r in record.values()) == 39
+    assert len(record) == 100 and sum(len(r["fixed_points"]) for r in record.values()) == 27
     assert tool.compare(record, copy.deepcopy(record)) == 0
     assert "0 differ" in capsys.readouterr().out
 
@@ -55,19 +57,17 @@ def test_a_record_equals_itself_and_a_moved_entry_is_found(capsys, seed_0):
 
 
 def test_each_call_records_its_rank_step_and_a_moved_step_is_reported(capsys, seed_0):
-    # one Cholesky proves k = 1; it refuses the unitaries (k = d) and the swap, shift and d = 2 Luders
-    # totals, whose kernel dimension one eigvalsh of the Gram then reads
+    # one Cholesky proves k = 1; it refuses the swap, shift and d = 2 Luders totals, whose kernel dimension
+    # one eigvalsh of the Gram then reads.  Route 3 calls cesaro_average on no unital channel-routes task
     tool, record = seed_0
     steps = {label: r["rank_steps"] for label, r in record.items()}
     assert all(len(steps[label]) == len(r["fixed_points"]) for label, r in record.items())
     census = collections.Counter((label.split()[0], tuple(s)) for label, calls in steps.items() for s in calls)
-    assert census == {("channel-routes", ("cholesky",)): 18, ("scheme-reports", ("cholesky",)): 7,
-                      ("channel-routes", ("cholesky", "eigvalsh")): 6,
+    assert census == {("channel-routes", ("cholesky",)): 12, ("scheme-reports", ("cholesky",)): 7,
                       ("scheme-reports", ("cholesky", "eigvalsh")): 7,
                       ("catalog-cli", ("cholesky", "eigvalsh")): 1}
     refused = sorted(label.split(" ", 2)[2] for label, calls in steps.items() for s in calls if s != ["cholesky"])
-    assert refused == sorted([*(f"unitary d={d}" for d in (2, 4, 8, 12, 16, 20)),
-                              *(f"swap d={d}" for d in (2, 3, 4)), *(f"shift n={n}" for n in (3, 5, 8)),
+    assert refused == sorted([*(f"swap d={d}" for d in (2, 3, 4)), *(f"shift n={n}" for n in (3, 5, 8)),
                               "luders d=2 n=2", "demo decompose"])
 
     moved = copy.deepcopy(record)
@@ -78,3 +78,40 @@ def test_each_call_records_its_rank_step_and_a_moved_step_is_reported(capsys, se
     assert f"rank step moved in 1 calls\n  {task} call 0: ['cholesky'] -> ['cholesky', 'eigvalsh']" in out
     assert tool.compare(record, record) == 0
     assert "rank step moved in 0 calls" in capsys.readouterr().out
+
+
+def decode(array):
+    return np.frombuffer(base64.b64decode(array["bytes"]), dtype=array["dtype"]).reshape(array["shape"])
+
+
+def test_each_route_3_result_is_recorded_and_a_unital_channel_returns_its_own_mixture(capsys, seed_0):
+    # every channel-routes task records one FixedStateResult; the bistochastic and unitary channels fix 1/d,
+    # which route 3 returns with no cesaro_average call, and the others take one call each
+    tool, record = seed_0
+    routes = {label.split(" ", 2)[2]: r for label, r in record.items() if label.startswith("channel-routes")}
+    assert len(routes) == 24 and all(len(r["fixed_states"]) == 1 for r in routes.values())
+    assert sum(len(r["fixed_states"]) for r in record.values()) == 24
+    for label, r in routes.items():
+        fields = r["fixed_states"][0]["fields"]
+        state, d = decode(fields["state"]["fields"]["matrix"]), int(label.split("=")[1])
+        unital = label.split()[0] in ("bistochastic", "unitary")
+        assert len(r["fixed_points"]) == (0 if unital else 1)
+        assert fields["is_full_rank"] is not label.startswith("low-rank-prep")
+        assert fields["residual"] <= 1e-8 and (np.array_equal(state, np.eye(d) / d) or not unital)
+
+    moved = copy.deepcopy(record)
+    task = next(label for label in moved if label.startswith("channel-routes") and "unitary" in label)
+    moved[task]["fixed_states"][0]["fields"]["residual"] += 1e-16
+    assert tool.compare(record, moved) == 1
+    assert f"first difference: {task} at /fixed_states/0/fields/residual" in capsys.readouterr().out
+
+
+def test_a_rank_step_made_on_one_side_only_is_counted(capsys, seed_0):
+    tool, record = seed_0
+    task = next(label for label, r in record.items() if r["rank_steps"] == [["cholesky"]])
+    lost = copy.deepcopy(record)
+    lost[task]["rank_steps"], lost[task]["fixed_points"] = [], []
+    assert tool.compare(record, lost) == 1
+    assert f"rank step moved in 1 calls\n  {task} call 0: ['cholesky'] -> no call" in capsys.readouterr().out
+    assert tool.compare(lost, record) == 1
+    assert f"rank step moved in 1 calls\n  {task} call 0: no call -> ['cholesky']" in capsys.readouterr().out

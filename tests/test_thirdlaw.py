@@ -167,22 +167,25 @@ class TestFixedState:
     def test_the_rank_step_is_one_cholesky_then_at_most_one_gram_eigvalsh_and_no_svd(self, monkeypatch):
         # the full-rank verdict reads the limit state's kept spectrum, not an SVD of its matrix, and the
         # kernel dimension is certified from the Gram of S_r - 1 with no SVD of S_r either: k = 1 by one
-        # Cholesky, k = d (the unitary) by the Gram's eigenvalues once the Cholesky has refused
-        channels = [random_constrained_channel(4, 0), random_low_rank_preparation(4, 2, 0),
-                    Channel.unitary(random_unitary(4, np.random.default_rng(1)))]
+        # Cholesky, k = d (the unitary) by the Gram's eigenvalues once the Cholesky has refused.  Route 3
+        # returns the unitary's fixed 1/d with no rank step at all
+        unitary = Channel.unitary(random_unitary(4, np.random.default_rng(1)))
         calls = recorded_linalg(monkeypatch)
-        for ch in channels:
+        for ch in (random_constrained_channel(4, 0), random_low_rank_preparation(4, 2, 0)):
             full_rank_fixed_state(ch)
+        cesaro_average(unitary)
         assert calls == [("cholesky", (16, 16))] * 3 + [("eigvalsh", (16, 16))]
+        calls.clear()
+        assert full_rank_fixed_state(unitary).is_full_rank and calls == []
 
     def test_residual_is_cut_at_rank_threshold(self, monkeypatch):
         exact = thirdlaw.cesaro_average
 
-        def perturbed(channel, tol):  # the limit moved by 5e-9 Z off the fixed state 1/2
+        def perturbed(channel, tol):  # the limit moved by 5e-9 Z off the fixed state diag(0.6, 0.4)
             fixed = exact(channel, tol)
             return dataclasses.replace(fixed, mixture_limit=fixed.mixture_limit + np.diag([5e-9, -5e-9]))
         monkeypatch.setattr(thirdlaw, "cesaro_average", perturbed)
-        ch = Channel.measure_prepare([(np.eye(2), np.eye(2) / 2)])  # every state to 1/2
+        ch = Channel.measure_prepare([(np.eye(2), np.diag([0.6, 0.4]))])  # every state to diag(0.6, 0.4)
         assert 1e-9 < full_rank_fixed_state(ch).residual < 1e-8
         with pytest.raises(NoConvergence):
             full_rank_fixed_state(ch, Tolerances(rank_threshold=1e-9))
@@ -198,6 +201,34 @@ class TestFixedState:
             assert hs_norm(avg @ s - avg) < 1e-10
             assert hs_norm(avg @ avg - avg) < 1e-12
             assert hs_norm((avg @ vec(np.eye(3) / 3)).reshape(3, 3) - fixed.mixture_limit) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 6), count=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+    def test_a_unital_channel_returns_its_mixture_as_the_cesaro_limit(self, d, count, seed):
+        # a mixed-unitary channel fixes 1/d, which route 3 returns as is; cesaro_average is the reference
+        ch = random_bistochastic_channel(d, count, seed)
+        res = full_rank_fixed_state(ch)
+        assert np.array_equal(res.state.matrix, np.eye(d) / d) and res.is_full_rank
+        assert res.residual <= DEFAULT_TOL.rank_threshold
+        assert np.abs(res.state.matrix - cesaro_average(ch).mixture_limit).max() < 1e-12
+
+    def test_a_full_rank_fixed_state_is_sufficient_not_necessary(self):
+        # F = diag(1 + gamma, 1 - gamma) is full-rank, so routes 1 and 2 read the channel as constrained,
+        # but amplitude damping's only fixed state is |0><0|
+        assert three_routes(amplitude_damping(0.3)) == (True, True, False)
+
+    def test_a_channel_within_the_cut_of_unital_returns_the_mixture(self, monkeypatch):
+        # gamma = 1e-8 moves 1/2 by gamma / sqrt 2 <= rank_threshold: 1/2 is returned with no fixed-point solve
+        monkeypatch.setattr(thirdlaw, "cesaro_average", None)
+        res = full_rank_fixed_state(amplitude_damping(1e-8))
+        assert np.array_equal(res.state.matrix, np.eye(2) / 2) and res.is_full_rank
+        assert res.residual == pytest.approx(1e-8 / 2 ** 0.5, rel=1e-6)
+
+    def test_a_channel_past_the_cut_of_unital_still_takes_the_solver(self):
+        # gamma = 2e-8 moves 1/2 by 1.41e-8 > rank_threshold, so the fixed-point solve runs and refuses, as it
+        # refuses leaky_chain(1e-9)
+        with pytest.raises(NoConvergence, match="bordered kernel residual 2.980e-08 exceeds the rank cut"):
+            full_rank_fixed_state(amplitude_damping(2e-8))
 
     @pytest.mark.parametrize("gamma", [0.2, 0.1, 0.01])
     def test_slowly_mixing_amplitude_damping(self, gamma):
@@ -436,6 +467,11 @@ CHANNEL_FAMILIES = {
     "bistochastic": (lambda d, seed: random_bistochastic_channel(d, 3, seed), True),
     "low-rank preparation": (lambda d, seed: random_low_rank_preparation(d, d - 1, seed), False),
 }
+
+
+def amplitude_damping(gamma):
+    """Qubit amplitude damping: |1> decays to |0> with probability gamma, F = diag(1 + gamma, 1 - gamma)."""
+    return Channel((np.diag([1.0, np.sqrt(1 - gamma)]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])))
 
 
 def leaky_chain(gamma):

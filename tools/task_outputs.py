@@ -7,10 +7,12 @@ The first form runs one pass of each workload in bench/workloads.py at each seed
 the qmeas sources of CHECKOUT/src (default: this checkout), and writes each task's
 output, together with every FixedPoints record cesaro_average returned during the task
 and that call's rank step: which of np.linalg.cholesky, eigvalsh and svd ran inside it,
-in order.  Arrays are stored byte for byte.  The second form prints the first task whose
-output differs, each call whose rank step moved, and the largest float difference over
-all tasks; it exits 1 when anything differs.  --ignore skips every field or JSON key of
-that name, for a change that redefines one reported value and should move nothing else.
+in order; and every FixedStateResult full_rank_fixed_state returned (state, residual and
+is_full_rank).  Arrays are stored byte for byte.  The second form prints the first task
+whose output differs, each call whose rank step moved or that one side made alone, and
+the largest float difference over all tasks; it exits 1 when anything differs.  --ignore
+skips every field or JSON key of that name, for a change that redefines one reported value
+and should move nothing else.
 The workloads are imported read-only; BLAS is pinned to one thread, as the benchmark
 pins it, so that two records of one commit are equal.
 """
@@ -27,6 +29,7 @@ import argparse
 import base64
 import dataclasses
 import importlib.util
+import itertools
 import json
 import sys
 import tempfile
@@ -66,8 +69,9 @@ def record(seeds: list[int], root: str) -> dict:
     spec.loader.exec_module(workloads)
     from qmeas import algebra, thirdlaw
 
-    fixed_points, rank_steps, out = [], [], {}
+    fixed_points, rank_steps, fixed_states, out = [], [], [], {}
     cesaro_average, linalg = thirdlaw.cesaro_average, {name: getattr(np.linalg, name) for name in RANK_STEPS}
+    full_rank_fixed_state = thirdlaw.full_rank_fixed_state
 
     def recorded_cesaro_average(*args, **kwargs):
         steps = []
@@ -80,25 +84,32 @@ def record(seeds: list[int], root: str) -> dict:
                 setattr(np.linalg, name, step)
         rank_steps.append(steps)
         return fixed_points[-1]
+
+    def recorded_full_rank_fixed_state(*args, **kwargs):
+        fixed_states.append(full_rank_fixed_state(*args, **kwargs))
+        return fixed_states[-1]
     thirdlaw.cesaro_average = algebra.cesaro_average = recorded_cesaro_average
+    thirdlaw.full_rank_fixed_state = recorded_full_rank_fixed_state
     try:
         for seed in seeds:
             for name, setup in workloads.WORKLOADS.items():
                 with tempfile.TemporaryDirectory() as workdir:
                     for task in setup(seed, workdir):
-                        fixed_points.clear()
-                        rank_steps.clear()
+                        for calls in (fixed_points, rank_steps, fixed_states):
+                            calls.clear()
                         try:
                             result = {"output": task.run()}
                         except Exception as exc:  # a raising task is recorded by what it raised
                             result = {"raised": f"{type(exc).__name__}: {exc}"}
                         result["fixed_points"], result["rank_steps"] = list(fixed_points), list(rank_steps)
+                        result["fixed_states"] = list(fixed_states)
                         key = f"{name} seed={seed} {task.label}"
                         while key in out:
                             key += "'"
                         out[key] = encode(result, workdir)
     finally:
         thirdlaw.cesaro_average = algebra.cesaro_average = cesaro_average
+        thirdlaw.full_rank_fixed_state = full_rank_fixed_state
     return out
 
 
@@ -170,7 +181,8 @@ def compare(a: dict, b: dict, ignore=()) -> int:
             c.walk(task, "", a[task], b[task])
     print(f"{len(a)} and {len(b)} tasks; {len(c.differing)} differ")
     moved = [f"{task} call {i}: {x} -> {y}" for task in a if task in b
-             for i, (x, y) in enumerate(zip(a[task].get("rank_steps", []), b[task].get("rank_steps", [])))
+             for i, (x, y) in enumerate(itertools.zip_longest(a[task].get("rank_steps", []),
+                                                              b[task].get("rank_steps", []), fillvalue="no call"))
              if x != y]
     print(f"rank step moved in {len(moved)} calls" + "".join(f"\n  {line}" for line in moved))
     print(f"first difference: {c.first or 'none'}")
