@@ -209,7 +209,6 @@ class TestFixedState:
         ch = random_bistochastic_channel(d, count, seed)
         res = full_rank_fixed_state(ch)
         assert np.array_equal(res.state.matrix, np.eye(d) / d) and res.is_full_rank
-        assert res.residual <= DEFAULT_TOL.rank_threshold
         assert np.abs(res.state.matrix - cesaro_average(ch).mixture_limit).max() < 1e-12
 
     def test_a_full_rank_fixed_state_is_sufficient_not_necessary(self):
