@@ -7,7 +7,9 @@ check_channel_thirdlaw and check_faithfulness cut F at rank_cut of its own spect
 idle factor id_k, which keeps that spectrum, moves neither.  A full-rank fixed state sigma suffices,
 Phi(rho) >= (lambda_min(rho)/lambda_max(sigma)) sigma, but is not necessary: amplitude damping has F
 full-rank and only a pure fixed state.  full_rank_fixed_state takes the Cesaro limit on the complete
-mixture, 1/d itself when the channel fixes it; else cesaro_average solves for it by bordering with the
+mixture: 1/d itself when the channel fixes it (every unital channel), else Phi(1/d) normalised when the
+channel fixes that (every idempotent one, as Phi^n(1/d) = Phi(1/d) for n >= 1), fixed meaning moved by at most
+rank_threshold, the cut on the solver's residual; else cesaro_average solves for it by bordering with the
 identity's coordinates, formed once per call, with a kernel dimension of one proved by one Cholesky of
 the Gram of S - 1, or else read off that Gram's eigenvalues, each certified by the residuals, or else
 decided by a values-only SVD.
@@ -168,22 +170,25 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
     """Cesaro limit of the channel powers applied to the complete mixture.
 
     The limit is always a fixed state; its full-rank verdict reads the spectrum the State keeps.
-    A channel that moves 1/d by at most rank_threshold (every unital one) returns 1/d itself, with
-    no fixed-point solve.  Raises NoConvergence when the state still moves by more than
-    rank_threshold under the Kraus operators.
+    Two exits come first, with no fixed-point solve: 1/d when the channel moves it by at most rank_threshold
+    (every unital channel), then rho_1 = Phi(1/d) normalised when the channel moves that by at most
+    rank_threshold (every idempotent one: preparations, block preparations, conditional expectations).
+    Phi(rho_1) = rho_1 gives Phi^n(1/d) = rho_1 for n >= 1, so the Cesaro mean ((N - 1) rho_1 + 1/d) / N tends
+    to rho_1.  Else cesaro_average solves for the limit.  Raises NoConvergence when that state still moves by
+    more than rank_threshold under the Kraus operators.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
-    mixture = State(np.eye(channel.dim_in) / channel.dim_in, tol)
-    residual = hs_norm(apply(channel, mixture) - mixture.matrix)
-    if residual <= tol.rank_threshold:  # 1/d is fixed, so it is its own Cesaro limit
-        return FixedStateResult(mixture, float(residual), full_rank(mixture.eig(tol)[0], tol))
-    rho = cesaro_average(channel, tol).mixture_limit
-    state = State(rho / np.trace(rho).real, tol)
-    residual = hs_norm(apply(channel, state) - state.matrix)  # on the Kraus operators, not on S_r
-    if residual > tol.rank_threshold:  # the state is read off a kernel cut at rank_cut
-        raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
-    return FixedStateResult(state, float(residual), full_rank(state.eig(tol)[0], tol))
+    state = State(np.eye(channel.dim_in) / channel.dim_in, tol)
+    for solve in (False, True, None):  # whether the next candidate is the solver's limit; None: no next one
+        image = apply(channel, state)
+        residual = hs_norm(image - state.matrix)  # on the Kraus operators, not on S_r
+        if residual <= tol.rank_threshold:  # a fixed state is its own Cesaro limit
+            return FixedStateResult(state, float(residual), full_rank(state.eig(tol)[0], tol))
+        if solve is None:  # the solver's state is read off a kernel cut at rank_cut
+            raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
+        rho = cesaro_average(channel, tol).mixture_limit if solve else image
+        state = State(rho / np.trace(rho).real, tol)
 
 
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:

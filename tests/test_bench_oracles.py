@@ -59,21 +59,22 @@ def test_every_fixed_point_kernel_is_certified_without_an_svd(name, tmp_path, mo
     assert per_call and per_call == [0] * len(per_call)
 
 
-@pytest.mark.parametrize("name, certified, refused, unital", [
-    ("channel-routes", 12, set(),
-     {f"{family} d={d}" for family in ("bistochastic", "unitary") for d in workloads.ROUTE_DIMS}),
+@pytest.mark.parametrize("name, certified, refused, no_call", [
+    ("channel-routes", 6, set(),
+     {f"{family} d={d}" for family in ("bistochastic", "unitary", "low-rank-prep") for d in workloads.ROUTE_DIMS}),
     ("scheme-reports", 7, {f"swap d={d}" for d in workloads.SWAP_DIMS} | {f"shift n={n}" for n in workloads.SHIFT_SIZES}
      | {"luders d=2 n=2"}, set()),
 ])
-def test_one_cholesky_certifies_every_one_dimensional_kernel(name, certified, refused, unital, tmp_path, monkeypatch):
+def test_one_cholesky_certifies_every_one_dimensional_kernel(name, certified, refused, no_call, tmp_path,
+                                                             monkeypatch):
     # each task makes one cesaro_average call, and its Cholesky proves k = 1 wherever the kernel is one-dimensional:
     # a band or shift grown too wide would send every call back to the Gram's eigensolve without failing a task.
-    # Route 3 returns a unital channel's fixed 1/d with no call
+    # Route 3 returns a unital channel's fixed 1/d, and a preparation's fixed image of 1/d, with no call
     monkeypatch.delenv("QMEAS_TOL_ATOL", raising=False)
     proves_definite, verdicts = thirdlaw.proves_definite, {}
     for task in workloads.WORKLOADS[name](0, str(tmp_path)):
         calls = verdicts.setdefault(task.label, [])
         monkeypatch.setattr(thirdlaw, "proves_definite", lambda *args: calls.append(proves_definite(*args)) or calls[-1])
         task.run()
-    assert verdicts == {label: [] if label in unital else [label not in refused] for label in verdicts}
+    assert verdicts == {label: [] if label in no_call else [label not in refused] for label in verdicts}
     assert sum(v == [True] for v in verdicts.values()) == certified

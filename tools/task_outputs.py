@@ -1,6 +1,6 @@
 """Record every benchmark task's output, and compare two records.
 
-    python3 tools/task_outputs.py 0 5 11 --out change.json [--root CHECKOUT]
+    python3 tools/task_outputs.py 0 5 11 --out change.json [--root CHECKOUT] [--verdicts]
     python3 tools/task_outputs.py --compare parent.json change.json [--ignore KEY ...]
 
 The first form runs one pass of each workload in bench/workloads.py at each seed, with
@@ -12,7 +12,10 @@ is_full_rank).  Arrays are stored byte for byte.  The second form prints the fir
 whose output differs, each call whose rank step moved or that one side made alone, and
 the largest float difference over all tasks; it exits 1 when anything differs.  --ignore
 skips every field or JSON key of that name, for a change that redefines one reported value
-and should move nothing else.
+and should move nothing else.  --verdicts writes the verdict-only projection instead: exit
+codes, verdicts, route triples, block dimensions, rank steps and route 3's is_full_rank,
+each array as its shape, each JSON report parsed, and no float, so that a BLAS build does
+not move it; tests/task_verdicts.json holds it at seeds 0, 5 and 11.
 The workloads are imported read-only; BLAS is pinned to one thread, as the benchmark
 pins it, so that two records of one commit are equal.
 """
@@ -113,6 +116,20 @@ def record(seeds: list[int], root: str) -> dict:
     return out
 
 
+def verdicts(x):
+    """The verdict-only projection of a record or of any part of it: dataclasses by their fields, arrays by
+    their shapes, JSON reports parsed, floats left out."""
+    if isinstance(x, dict) and "bytes" in x:
+        return x["shape"]
+    if isinstance(x, dict):
+        if x.keys() == {"class", "fields"}:  # a dataclass, as encode writes it
+            return verdicts(x["fields"])
+        return {k: verdicts(v) for k, v in x.items() if type(v) is not float}
+    if isinstance(x, list):
+        return [verdicts(v) for v in x if type(v) is not float]
+    return verdicts(json.loads(x)) if isinstance(x, str) and x.startswith("{") else x
+
+
 class Comparison:
     """Walks two records side by side; keeps the first difference and the largest float difference."""
 
@@ -199,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two record files")
     parser.add_argument("--ignore", action="append", default=[], metavar="KEY",
                         help="field to leave out of --compare")
+    parser.add_argument("--verdicts", action="store_true", help="write the verdict-only projection")
     args = parser.parse_args(argv)
     if args.compare:
         records = []
@@ -208,8 +226,13 @@ def main(argv: list[str] | None = None) -> int:
         return compare(*records, args.ignore)
     if not args.seeds or not args.out:
         parser.error("give seeds and --out, or --compare A B")
+    out = record(args.seeds, os.path.abspath(args.root))
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record(args.seeds, os.path.abspath(args.root)), fh)
+        if args.verdicts:  # one task a line, so that a moved verdict reads as a one-line diff
+            lines = (f"{json.dumps(task)}: {json.dumps(verdicts(r))}" for task, r in out.items())
+            fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+        else:
+            json.dump(out, fh)
     return 0
 
 
