@@ -38,7 +38,7 @@ class NotFullRank(QmeasError):
 
 
 class InfeasibleDimensions(QmeasError):
-    """No admissible copy count exists within the search cap."""
+    """No copy count D satisfies rank^D * N <= M^D: the resource rank is not in [1, M)."""
 
 
 class NotAnAlgebra(QmeasError):

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .core import Channel, MeasurementScheme, State, apply, fidelity, row_blocks
-from .errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
+from .errors import DimensionMismatch, InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from .linalg import (
     DEFAULT_TOL,
     EPS,
@@ -174,21 +173,23 @@ def full_rank_fixed_state(channel: Channel, tol: Tolerances = DEFAULT_TOL) -> Fi
     (every unital channel), then rho_1 = Phi(1/d) normalised when the channel moves that by at most
     rank_threshold (every idempotent one: preparations, block preparations, conditional expectations).
     Phi(rho_1) = rho_1 gives Phi^n(1/d) = rho_1 for n >= 1, so the Cesaro mean ((N - 1) rho_1 + 1/d) / N tends
-    to rho_1.  Else cesaro_average solves for the limit.  Raises NoConvergence when that state still moves by
-    more than rank_threshold under the Kraus operators.
+    to rho_1.  Else cesaro_average solves for the limit.  Each candidate is a plain matrix, and only the one
+    returned is validated as a State.  Raises NoConvergence when the solver's limit still moves by more than
+    rank_threshold under the Kraus operators.
     """
     if channel.dim_in != channel.dim_out:
         raise NotEndomorphic("fixed points need dim_in == dim_out")
-    state = State(np.eye(channel.dim_in) / channel.dim_in, tol)
+    rho = np.eye(channel.dim_in) / channel.dim_in
     for solve in (False, True, None):  # whether the next candidate is the solver's limit; None: no next one
-        image = apply(channel, state)
-        residual = hs_norm(image - state.matrix)  # on the Kraus operators, not on S_r
+        image = apply(channel, rho)
+        residual = hs_norm(image - rho)  # on the Kraus operators, not on S_r
         if residual <= tol.rank_threshold:  # a fixed state is its own Cesaro limit
+            state = State(rho, tol)
             return FixedStateResult(state, float(residual), full_rank(state.eig(tol)[0], tol))
         if solve is None:  # the solver's state is read off a kernel cut at rank_cut
             raise NoConvergence(f"Cesaro limit residual {residual:.3e} under the channel")
         rho = cesaro_average(channel, tol).mixture_limit if solve else image
-        state = State(rho / np.trace(rho).real, tol)
+        rho = rho / np.trace(rho).real
 
 
 def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> ThirdLawVerdict:
@@ -204,14 +205,14 @@ def check_scheme_thirdlaw(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_T
 
 
 def minimal_copy_count(rank_xi: int, system_dim: int, ancilla_dim: int) -> int:
-    """Smallest D <= 12 with rank(xi)^D * N <= M^D, searched directly."""
-    if rank_xi < 1:
-        raise InfeasibleDimensions("resource state must have positive rank")
-    for d_count in range(1, 13):
-        if (rank_xi ** d_count) * system_dim <= ancilla_dim ** d_count:
-            return d_count
-    raise InfeasibleDimensions(f"no D <= 12 satisfies rank^D * {system_dim} <= {ancilla_dim}^D "
-                               f"for rank {rank_xi}")
+    """Least D with rank(xi)^D * N <= M^D, in exact integers; one exists iff 1 <= rank(xi) < M."""
+    if not 1 <= rank_xi < ancilla_dim:
+        raise InfeasibleDimensions(f"no D satisfies rank^D * {system_dim} <= {ancilla_dim}^D for rank {rank_xi}: "
+                                   "the resource needs 1 <= rank < M")
+    copies, kept, room = 1, rank_xi * system_dim, ancilla_dim  # N r^D nonzero weights, M^D slots in slice 0
+    while kept > room:
+        copies, kept, room = copies + 1, kept * rank_xi, room * ancilla_dim
+    return copies
 
 
 @dataclass(frozen=True)
@@ -226,29 +227,20 @@ def purify_via_unconstrained(rho0: State, xi: State, target: State,
                              tol: Tolerances = DEFAULT_TOL) -> PurificationResult:
     """Prepare `target` exactly from a known full-rank state and D rank-deficient copies.
 
-    A permutation on C^N (x) (C^M)^tensor-D moves every nonzero weight of rho0 (x) xi^(x)D into the
-    n=0 slice; everything is diagonal in the joint eigenbasis, so the permutation acts on the weight
-    vector directly.  The restriction to the system is then pure, and a measure-and-prepare channel
-    relabels it to the target.  xi enters as its renormalised truncation to the r weights above rank_cut.
+    A permutation on C^N (x) (C^M)^tensor-D, diagonal in the joint eigenbasis, moves the N r^D nonzero weights
+    of rho0 (x) xi^(x)D, r = rank(xi) at rank_cut, into the n = 0 slice of M^D slots; the least D that fits them
+    is minimal_copy_count's, and the system's restriction is then |v_0><v_0|, rho0's top eigenvector, in closed
+    form.  xi enters only through r.  A measure-and-prepare channel relabels |v_0><v_0| to the target.
     """
-    n_dim, m_dim = rho0.dim, xi.dim
-    if target.dim != n_dim:
-        raise NotFullRank("target must live on the system space")
+    if target.dim != rho0.dim:
+        raise DimensionMismatch("target must live on the system space")
     lam, v_rho = rho0.eig(tol)
     if not full_rank(lam, tol):
         raise NotFullRank("rho0 must be full-rank")
-    p, _ = xi.eig(tol)
-    r = cut_rank(np.abs(p), tol)
-    copies = minimal_copy_count(r, n_dim, m_dim)  # raises when xi is full-rank
-    p = np.where(np.arange(m_dim) < r, p, 0.0) / p[:r].sum()  # xi's rank-r truncation: positive weights
-
-    weights = reduce(np.kron, [p] * copies, lam)
-    moved = np.concatenate([weights[weights > 0], weights[weights <= 0]])
-
-    system_weights = moved.reshape(n_dim, -1).sum(axis=1)
-    restricted = State(v_rho @ np.diag(system_weights) @ v_rho.conj().T, tol)
-
-    out = State(apply(preparation_channel(v_rho[:, 0], target, tol), restricted), tol)
+    copies = minimal_copy_count(cut_rank(np.abs(xi.eig(tol)[0]), tol), rho0.dim, xi.dim)  # raises unless 1 <= r < M
+    top = v_rho[:, 0]
+    restricted = State(np.outer(top, top.conj()), tol)
+    out = State(apply(preparation_channel(top, target, tol), restricted), tol)
     return PurificationResult(copies, restricted, out, fidelity(out, target, tol))
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from qmeas import thirdlaw
 from qmeas.algebra import fixed_point_space
-from qmeas.core import Channel, Instrument, State, apply, compose, scheme_to_instrument
-from qmeas.errors import InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
+from qmeas.core import Channel, Instrument, State, apply, compose, fidelity, scheme_to_instrument
+from qmeas.errors import DimensionMismatch, InfeasibleDimensions, NoConvergence, NotEndomorphic, NotFullRank
 from qmeas.linalg import (
     DEFAULT_TOL,
     EPS,
@@ -51,6 +53,7 @@ from qmeas.thirdlaw import (
     check_scheme_thirdlaw,
     full_rank_fixed_state,
     minimal_copy_count,
+    preparation_channel,
     purify_via_unconstrained,
 )
 
@@ -237,6 +240,17 @@ class TestFixedState:
         monkeypatch.setattr(thirdlaw, "cesaro_average", lambda *args: calls.append(args) or cesaro_average(*args))
         assert full_rank_fixed_state(channel()).residual <= DEFAULT_TOL.rank_threshold
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("channel", [lambda: Channel.unitary(random_unitary(4, np.random.default_rng(1))),
+                                         lambda: random_low_rank_preparation(4, 2, 0),
+                                         lambda: random_constrained_channel(4, 0)],
+                             ids=["unitary", "preparation", "constrained"])
+    def test_only_the_returned_candidate_is_validated_as_a_state(self, monkeypatch, channel):
+        # 1/d, Phi(1/d) normalised and the solver's limit are tried as matrices; the one returned becomes a State
+        ch, built = channel(), []
+        monkeypatch.setattr(thirdlaw, "State", lambda *args: built.append(args) or State(*args))
+        assert full_rank_fixed_state(ch).residual <= DEFAULT_TOL.rank_threshold
+        assert len(built) == 1
 
     def test_a_full_rank_fixed_state_is_sufficient_not_necessary(self):
         # F = diag(1 + gamma, 1 - gamma) is full-rank, so routes 1 and 2 read the channel as constrained,
@@ -783,6 +797,21 @@ class TestBistochasticRank:
                 assert numerical_rank(apply(ch, rho.matrix)) >= rank
 
 
+def permuted_weight_vector(rho0, xi, target, tol=DEFAULT_TOL):
+    """The protocol simulated on the weights: lambda (x) p^(x)D for xi's renormalised rank-r truncation p,
+    nonzero weights moved to the front, each system slice summed; D from an unbounded direct search."""
+    lam, v_rho = rho0.eig(tol)
+    p = xi.eig(tol)[0]
+    r = cut_rank(np.abs(p), tol)
+    copies = next(d for d in itertools.count(1) if r ** d * rho0.dim <= xi.dim ** d)
+    p = np.where(np.arange(xi.dim) < r, p, 0.0) / p[:r].sum()
+    weights = functools.reduce(np.kron, [p] * copies, lam)
+    moved = np.concatenate([weights[weights > 0], weights[weights <= 0]])
+    restricted = State(v_rho @ np.diag(moved.reshape(rho0.dim, -1).sum(axis=1)) @ dagger(v_rho), tol)
+    out = State(apply(preparation_channel(v_rho[:, 0], target, tol), restricted), tol)
+    return copies, restricted, fidelity(out, target, tol)
+
+
 class TestPurification:
     def test_copy_count_examples(self):
         assert minimal_copy_count(1, 2, 2) == 1
@@ -790,19 +819,45 @@ class TestPurification:
         assert minimal_copy_count(2, 2, 3) == 2
 
     def test_copy_count_matches_brute_force(self):
-        for r in (1, 2, 3):
-            for n in (2, 3, 4):
-                for m in (2, 3, 4):
-                    brute = None
-                    for d in range(1, 13):
-                        if (r ** d) * n <= m ** d:
-                            brute = d
-                            break
-                    if brute is None:
-                        with pytest.raises(InfeasibleDimensions):
-                            minimal_copy_count(r, n, m)
-                    else:
-                        assert minimal_copy_count(r, n, m) == brute
+        # InfeasibleDimensions exactly when r is not in [1, m); otherwise the reference searches every D
+        for m in range(2, 6):
+            for r, n in itertools.product(range(-1, m + 3), range(1, 6)):
+                if 1 <= r < m:
+                    assert minimal_copy_count(r, n, m) == next(d for d in itertools.count(1) if r ** d * n <= m ** d)
+                else:
+                    with pytest.raises(InfeasibleDimensions):
+                        minimal_copy_count(r, n, m)
+
+    def test_copy_counts_past_twelve(self):
+        assert minimal_copy_count(7, 8, 8) == 16
+        assert minimal_copy_count(1, 10 ** 6, 2) == 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10 ** 6), m=st.integers(2, 50), data=st.data())
+    def test_copy_count_is_the_least_that_fits(self, n, m, data):
+        r = data.draw(st.integers(1, m - 1))
+        d = minimal_copy_count(r, n, m)
+        assert r ** d * n <= m ** d
+        assert d == 1 or r ** (d - 1) * n > m ** (d - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), m=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2 ** 16))
+    def test_closed_form_equals_the_permuted_weight_vector(self, n, m, data, seed):
+        r = data.draw(st.integers(1, m - 1))
+        rho0, target = random_full_rank_state(n, seed), random_full_rank_state(n, seed + 2)
+        xi = random_state_of_rank(m, r, seed + 1)
+        copies = minimal_copy_count(r, n, m)
+        assume(n * m ** copies <= 10 ** 5)
+        ref_copies, ref_restricted, ref_fidelity = permuted_weight_vector(rho0, xi, target)
+        res = purify_via_unconstrained(rho0, xi, target)
+        assert res.copies == ref_copies == copies
+        assert np.abs(res.restricted.matrix - ref_restricted.matrix).max() < 1e-14
+        assert abs(res.fidelity - ref_fidelity) < 1e-12
+
+    def test_a_target_on_another_space_is_a_dimension_error(self):
+        with pytest.raises(DimensionMismatch, match="target must live on the system space"):
+            purify_via_unconstrained(random_full_rank_state(2, 0), State.pure([1.0, 0.0, 0.0]),
+                                     random_full_rank_state(3, 1))
 
     def test_qubit_protocol_exact(self):
         rho0 = random_full_rank_state(2, 3)
