@@ -29,7 +29,6 @@ from .core import (
     MeasurementScheme,
     Observable,
     State,
-    luders_instrument,
     scheme_to_instrument,
 )
 from .errors import QmeasError
@@ -37,9 +36,6 @@ from .linalg import DEFAULT_TOL, Tolerances
 from .algebra import decompose, effect_blocks, fixed_point_space
 from .models import (
     CATALOG,
-    build_luders_scheme,
-    build_swap_scheme,
-    completely_unsharp_pair,
     random_full_rank_state,
     table1_observables,
 )
@@ -143,7 +139,7 @@ def cmd_check(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
 def _witness(name: str, tol: Tolerances) -> tuple[dict, Instrument, bool, ObservableClassification]:
     """A catalog witness's objects, the instrument its scheme induces, whether the scheme is
     constrained, and the class of the observable it measures: what every cell naming it shares."""
-    objects = CATALOG[name].build()
+    objects = CATALOG[name].build(tol)
     instrument = scheme_to_instrument(objects["scheme"], tol)
     constrained = check_scheme_thirdlaw(objects["scheme"], tol).constrained
     return objects, instrument, constrained, classify(instrument.induced_observable(), tol)
@@ -165,7 +161,7 @@ def _witness_holds(name: str, witness: tuple, row: str, column: str, tol: Tolera
 
 
 def cmd_table1(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
-    representatives = table1_observables()
+    representatives = table1_observables(tol)
 
     cells: dict[str, dict] = {row: {} for row in THEOREM_ROWS}
     built: dict[str, tuple] = {}
@@ -209,16 +205,16 @@ def _render_table(report: dict) -> None:
 
 def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     if args.name == "purify":
-        xi = State.pure(np.array([1.0, 0.0]))
-        result = purify_via_unconstrained(random_full_rank_state(2, args.seed), xi,
-                                          random_full_rank_state(2, args.seed + 1), tol)
+        xi = State.pure(np.array([1.0, 0.0]), tol)
+        result = purify_via_unconstrained(random_full_rank_state(2, args.seed, tol), xi,
+                                          random_full_rank_state(2, args.seed + 1, tol), tol)
         reached = result.fidelity > 1.0 - tol.atol_equality
         return reached, {"copies": result.copies, "fidelity": result.fidelity, "target_reached": reached}
 
     if args.name == "luders-scheme":
-        obs = completely_unsharp_pair()
-        scheme = build_luders_scheme(obs, tol)
-        pairs = zip(scheme_to_instrument(scheme, tol).operations, luders_instrument(obs, tol).operations)
+        objects = CATALOG["luders-unsharp-qubit"].build(tol)
+        obs, scheme = objects["observable"], objects["scheme"]
+        pairs = zip(scheme_to_instrument(scheme, tol).operations, objects["instrument"].operations)
         residual = max(float(np.abs(a.superoperator - b.superoperator).max()) for a, b in pairs)
         constrained = check_scheme_thirdlaw(scheme, tol).constrained
         return constrained and residual <= tol.atol_equality, {
@@ -228,8 +224,8 @@ def cmd_demo(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
         }
 
     if args.name == "decompose":
-        xi = State.diagonal([0.7, 0.3])
-        instrument = scheme_to_instrument(build_swap_scheme(xi), tol)
+        objects = CATALOG["swap-nondisturbance"].build(tol)
+        xi, instrument = objects["xi"], scheme_to_instrument(objects["scheme"], tol)
         space = fixed_point_space(instrument, tol)
         decomposition = decompose(space, instrument, tol, seed=args.seed)
         blocks = [(b.dim_k, b.dim_r) for b in decomposition.blocks]
@@ -264,7 +260,7 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerances) -> tuple[bool, dict]:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for key, obj in sorted(entry.build().items()):
+    for key, obj in sorted(entry.build(tol).items()):
         path = os.path.join(out_dir, f"{args.name}.{key}.json")
         modelfile.save(obj, path)
         written.append(path)

@@ -114,18 +114,18 @@ class State(_Spectral):
         return self.matrix.shape[0]
 
     @staticmethod
-    def complete_mixture(dim: int) -> "State":
-        return State(np.eye(dim) / dim)
+    def complete_mixture(dim: int, tol: Tolerances = DEFAULT_TOL) -> "State":
+        return State(np.eye(dim) / dim, tol)
 
     @staticmethod
-    def pure(vector) -> "State":
+    def pure(vector, tol: Tolerances = DEFAULT_TOL) -> "State":
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
         v = v / np.linalg.norm(v)
-        return State(np.outer(v, v.conj()))
+        return State(np.outer(v, v.conj()), tol)
 
     @staticmethod
-    def diagonal(weights) -> "State":
-        return State(np.diag(np.asarray(weights, dtype=np.complex128)))
+    def diagonal(weights, tol: Tolerances = DEFAULT_TOL) -> "State":
+        return State(np.diag(np.asarray(weights, dtype=np.complex128)), tol)
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ class Channel(_KrausMap):
             raise ValidationError(f"sum K^dag K deviates from identity by {dev:.3e}")
 
     @staticmethod
-    def unitary(u) -> "Channel":
-        return Channel((as_complex_matrix(u),))
+    def unitary(u, tol: Tolerances = DEFAULT_TOL) -> "Channel":
+        return Channel((as_complex_matrix(u),), tol)
 
     @staticmethod
     def identity(dim: int) -> "Channel":

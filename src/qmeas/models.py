@@ -53,17 +53,17 @@ def _permutation(images: np.ndarray) -> np.ndarray:
     return np.eye(len(images), dtype=np.complex128)[:, images]
 
 
-def pointer_observable(dim: int) -> Observable:
+def pointer_observable(dim: int, tol: Tolerances = DEFAULT_TOL) -> Observable:
     """Sharp reading of the computational basis."""
     eye = np.eye(dim, dtype=np.complex128)
-    return Observable(eye[:, :, None] * eye[:, None, :])
+    return Observable(eye[:, :, None] * eye[:, None, :], tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # two-qubit non-disturbance model
 
 
-def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
+def build_nondisturbance_example(tol: Tolerances = DEFAULT_TOL) -> tuple[Observable, Observable, Instrument]:
     """Binary E and F on two qubits: E's instrument leaves F exactly invariant
     although E and F do not commute."""
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
@@ -77,18 +77,18 @@ def build_nondisturbance_example() -> tuple[Observable, Observable, Instrument]:
     f1 = np.kron(a2 + a3, p1) + np.kron(a5, p0)
 
     out00, out10 = _proj(_ket(0, 4)), _proj(_ket(2, 4))  # prepared |00><00|, |10><10|
-    instrument = Instrument.from_kraus([
-        measure_prepare_kraus([(np.kron(a0, p0) + np.kron(a4, p1), out00), (np.kron(a2, p1), out10)]),
-        measure_prepare_kraus([(np.kron(a5, p0) + np.kron(a3, p1), out10), (np.kron(a1, p1), out00)])])
-    return Observable((e0, e1)), Observable((f0, f1)), instrument
+    instrument = Instrument.from_kraus([measure_prepare_kraus(pairs, tol) for pairs in (
+        [(np.kron(a0, p0) + np.kron(a4, p1), out00), (np.kron(a2, p1), out10)],
+        [(np.kron(a5, p0) + np.kron(a3, p1), out10), (np.kron(a1, p1), out00)])], tol=tol)
+    return Observable((e0, e1), tol=tol), Observable((f0, f1), tol=tol), instrument
 
 
 def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None = None) -> Instrument:
     """I_x(rho) = tr[E_x rho] sigma_x; measure-and-reprepare with no coherence kept."""
     if outputs is None:
-        outputs = tuple(State.complete_mixture(observable.dim) for _ in observable.effects)
-    families = [measure_prepare_kraus([pair]) for pair in zip(observable.effects, outputs)]
-    return Instrument.from_kraus(families, observable.outcomes)
+        outputs = tuple(State.complete_mixture(observable.dim, observable.tol) for _ in observable.effects)
+    families = [measure_prepare_kraus([pair], observable.tol) for pair in zip(observable.effects, outputs)]
+    return Instrument.from_kraus(families, observable.outcomes, observable.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +97,14 @@ def trivial_instrument(observable: Observable, outputs: tuple[State, ...] | None
 
 def luders_interaction_channel(observable: Observable) -> Channel:
     """K_x = sum_a sqrt(E_{x+a}) (x) |x+a><a| (indices mod N); always trace-preserving."""
-    n, d = len(observable), observable.dim
+    n, d, tol = len(observable), observable.dim, observable.tol
     x, a = np.arange(n)[:, None], np.arange(n)
     kraus = np.zeros((n, d, n, d, n), dtype=np.complex128)  # K_x[(s, y), (t, a)]
-    kraus[x, :, (x + a) % n, :, a] = psd_root(*observable.eig())[(x + a) % n]
-    return Channel(kraus.reshape(n, d * n, d * n))
+    kraus[x, :, (x + a) % n, :, a] = psd_root(*observable.eig(tol), tol)[(x + a) % n]
+    return Channel(kraus.reshape(n, d * n, d * n), tol)
 
 
-def build_luders_scheme(observable: Observable, tol: Tolerances = DEFAULT_TOL) -> MeasurementScheme:
+def build_luders_scheme(observable: Observable) -> MeasurementScheme:
     """Constrained scheme whose instrument is the Luders instrument of the observable.
 
     Exists exactly for completely unsharp observables; the interaction maps
@@ -112,14 +112,14 @@ def build_luders_scheme(observable: Observable, tol: Tolerances = DEFAULT_TOL) -
     """
     from .classify import classify
 
+    n, tol = len(observable), observable.tol
     if not classify(observable, tol).is_completely_unsharp:
         raise NotCompletelyUnsharp("every effect must have spectrum inside (0, 1)")
-    n = len(observable)
     return MeasurementScheme(
         system_dim=observable.dim,
-        ancilla=State.complete_mixture(n),
+        ancilla=State.complete_mixture(n, tol),
         interaction=luders_interaction_channel(observable),
-        pointer=pointer_observable(n),
+        pointer=pointer_observable(n, tol),
     )
 
 
@@ -143,37 +143,37 @@ def build_shift_scheme(n: int, q, tol: Tolerances = DEFAULT_TOL) -> MeasurementS
     k, m = np.divmod(np.arange(n * n), n)  # U = sum_k |k><k| (x) sum_m |m+k><m|
     return MeasurementScheme(
         system_dim=n,
-        ancilla=State.diagonal(q),
-        interaction=Channel.unitary(_permutation(k * n + (m + k) % n)),
-        pointer=pointer_observable(n),
+        ancilla=State.diagonal(q, tol),
+        interaction=Channel.unitary(_permutation(k * n + (m + k) % n), tol),
+        pointer=pointer_observable(n, tol),
     )
 
 
-def shift_observable(n: int, q) -> Observable:
+def shift_observable(n: int, q, tol: Tolerances = DEFAULT_TOL) -> Observable:
     """The diagonal observable the shift scheme measures."""
     q = np.asarray(q, dtype=float)
     x, m = np.arange(n)[:, None], np.arange(n)
     effects = np.zeros((n, n, n), dtype=np.complex128)
     effects[x, m, m] = q[(x - m) % n]
-    return Observable(effects)
+    return Observable(effects, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # ideality model on C^3
 
 
-def build_ideality_example() -> tuple[Observable, Instrument]:
+def build_ideality_example(tol: Tolerances = DEFAULT_TOL) -> tuple[Observable, Instrument]:
     """Binary norm-1 observable on C^3 with an ideal (but not repeatable) instrument."""
     d = 3
     e_minus = np.diag([1.0, 0.5, 0.0]).astype(np.complex128)
     e_plus = np.diag([0.0, 0.5, 1.0]).astype(np.complex128)
 
     # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
-    reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d))])
+    reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d, tol))], tol)
 
     families = [np.concatenate([_proj(_ket(keep, d))[None], reprepare]) for keep in (0, 2)]
-    instrument = Instrument.from_kraus(families, ("minus", "plus"))
-    return Observable((e_minus, e_plus), ("minus", "plus")), instrument
+    instrument = Instrument.from_kraus(families, ("minus", "plus"), tol)
+    return Observable((e_minus, e_plus), ("minus", "plus"), tol), instrument
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +189,13 @@ def extremal_model_kraus() -> dict[tuple[int, int], np.ndarray]:
             for x in range(2) for f, (v, phi) in enumerate(zip((v0, v1), phis))}
 
 
-def extremal_instrument() -> Instrument:
+def extremal_instrument(tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """The instrument the extremal scheme induces, from its analytic Kraus form."""
     ks = extremal_model_kraus()
-    return Instrument.from_kraus([(ks[(x, 0)], ks[(x, 1)]) for x in range(2)])
+    return Instrument.from_kraus([(ks[(x, 0)], ks[(x, 1)]) for x in range(2)], tol=tol)
+
+
+EXTREMAL_ANCILLA = (2.0 / 3.0, 1.0 / 3.0)  # the weights of the extremal scheme's default ancilla
 
 
 def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
@@ -200,20 +203,19 @@ def build_extremal_model(xi: State | None = None) -> MeasurementScheme:
 
     The interaction first swaps the second system qubit with the ancilla,
     then applies the (non-unitary) measurement channel on the system; the
-    ancilla state may be any full-rank qubit state.
+    ancilla state may be any full-rank qubit state; the default is diag(EXTREMAL_ANCILLA).
     """
-    if xi is None:
-        xi = State.diagonal([2.0 / 3.0, 1.0 / 3.0])
-    if xi.dim != 2 or not full_rank(xi.eig(xi.tol)[0]):  # the kept spectrum, cut at the default tolerances
+    xi = State.diagonal(EXTREMAL_ANCILLA) if xi is None else xi
+    if xi.dim != 2 or not full_rank(xi.eig(xi.tol)[0], xi.tol):
         raise NotFullRank("ancilla state must be a full-rank qubit state")
-    e1 = Channel.unitary(np.kron(np.eye(2), swap_unitary(2)))
+    e1 = Channel.unitary(np.kron(np.eye(2), swap_unitary(2)), xi.tol)
     # the measurement channel on the system, the ancilla idle
-    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()))
+    e2 = Channel(tuple(np.kron(k, np.eye(2)) for k in extremal_model_kraus().values()), xi.tol)
     return MeasurementScheme(
         system_dim=4,
         ancilla=xi,
         interaction=compose(e2, e1),
-        pointer=pointer_observable(2),
+        pointer=pointer_observable(2, xi.tol),
     )
 
 
@@ -232,15 +234,14 @@ def build_swap_scheme(xi: State) -> MeasurementScheme:
     Measures 1 (x) |x><x| on the system pair; the fixed-point algebra of the
     induced instrument is everything on the first factor.
     """
-    if not full_rank(xi.eig(xi.tol)[0]):  # the kept spectrum, cut at the default tolerances
+    if not full_rank(xi.eig(xi.tol)[0], xi.tol):
         raise NotFullRank("ancilla state must be full-rank")
     d = xi.dim
-    interaction = Channel.unitary(np.kron(np.eye(d), swap_unitary(d)))
     return MeasurementScheme(
         system_dim=d * d,
         ancilla=xi,
-        interaction=interaction,
-        pointer=pointer_observable(d),
+        interaction=Channel.unitary(np.kron(np.eye(d), swap_unitary(d)), xi.tol),
+        pointer=pointer_observable(d, xi.tol),
     )
 
 
@@ -251,7 +252,7 @@ def trivial_swap_scheme(xi: State, pointer: Observable) -> MeasurementScheme:
     return MeasurementScheme(
         system_dim=xi.dim,
         ancilla=xi,
-        interaction=Channel.unitary(swap_unitary(xi.dim)),
+        interaction=Channel.unitary(swap_unitary(xi.dim), xi.tol),
         pointer=pointer,
     )
 
@@ -260,14 +261,14 @@ def trivial_swap_scheme(xi: State, pointer: Observable) -> MeasurementScheme:
 # rank-drop channel fixture
 
 
-def build_rank_drop_channel() -> Channel:
+def build_rank_drop_channel(tol: Tolerances = DEFAULT_TOL) -> Channel:
     """Constrained C^3 channel that still shrinks the rank of some low-rank inputs.
 
     rho -> tr[rho |0><0|] rho_0 + tr[rho (1-|0><0|)] |1><1| with rho_0 full-rank.
     """
     p0 = _proj(_ket(0, 3))
     rho0 = np.diag([0.5, 1.0 / 3.0, 1.0 / 6.0])
-    return Channel.measure_prepare([(p0, rho0), (np.eye(3) - p0, _proj(_ket(1, 3)))])
+    return Channel.measure_prepare([(p0, rho0), (np.eye(3) - p0, _proj(_ket(1, 3)))], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +281,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_full_rank_state(dim: int, seed: int) -> State:
+def random_full_rank_state(dim: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> State:
     """Random state with smallest eigenvalue at least 0.05/dim."""
     rng = np.random.default_rng(seed)
     floor = 0.05 / dim
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     raw = g @ g.conj().T
     raw = raw / np.trace(raw).real
-    return State((1.0 - dim * floor) * raw + floor * np.eye(dim))
+    return State((1.0 - dim * floor) * raw + floor * np.eye(dim), tol)
 
 
 def random_state_of_rank(dim: int, rank: int, seed: int) -> State:
@@ -335,8 +336,7 @@ def random_low_rank_preparation(dim: int, rank: int, seed: int) -> Channel:
     return Channel.measure_prepare([(np.eye(dim), random_state_of_rank(dim, rank, seed))])
 
 
-def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> Observable:
+def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None) -> Observable:
     """Random observable; mode targets one classifier class.
 
     None: unconstrained draw (PSD blocks whitened by their sum).
@@ -367,7 +367,7 @@ def random_povm(dim: int, outcomes: int, seed: int, mode: str | None = None,
         v = random_unitary(dim, rng)[:, 0]
         lead = 0.7 * _proj(v)
         rest = _random_povm_generic(dim, max(outcomes - 1, 1), rng)
-        root = matrix_sqrt_psd(np.eye(dim) - lead, tol)
+        root = matrix_sqrt_psd(np.eye(dim) - lead)
         effects = (lead,) + tuple(root @ e @ root for e in rest.effects)
         return Observable(effects)
     raise ValidationError(f"unknown mode {mode!r}")
@@ -418,20 +418,20 @@ def random_instrument(dim: int, outcomes: int, seed: int) -> Instrument:
 # class representatives and the model catalog
 
 
-def completely_unsharp_pair() -> Observable:
+def completely_unsharp_pair(tol: Tolerances = DEFAULT_TOL) -> Observable:
     """Binary diagonal qubit pair diag(3/4, 1/4), diag(1/4, 3/4)."""
     return Observable((np.diag([0.75, 0.25]).astype(np.complex128),
-                       np.diag([0.25, 0.75]).astype(np.complex128)))
+                       np.diag([0.25, 0.75]).astype(np.complex128)), tol=tol)
 
 
-def table1_observables() -> dict[str, Observable]:
+def table1_observables(tol: Tolerances = DEFAULT_TOL) -> dict[str, Observable]:
     """One representative per observable class column."""
-    norm1, _ = build_ideality_example()
+    norm1, _ = build_ideality_example(tol)
     return {
-        "small-rank": pointer_observable(2),
-        "sharp": Observable(np.kron(np.eye(2), pointer_observable(2).effects)),  # 1 (x) |x><x|
+        "small-rank": pointer_observable(2, tol),
+        "sharp": Observable(np.kron(np.eye(2), pointer_observable(2, tol).effects), tol=tol),  # 1 (x) |x><x|
         "norm-1": norm1,
-        "completely-unsharp": completely_unsharp_pair(),
+        "completely-unsharp": completely_unsharp_pair(tol),
     }
 
 
@@ -441,23 +441,26 @@ class CatalogEntry:
 
     name: str
     description: str
-    build: Callable[[], dict]
+    builder: Callable[[Tolerances], dict]
     expected: dict
 
-
-def _catalog_luders_cu() -> dict:
-    obs = completely_unsharp_pair()
-    return {"observable": obs, "scheme": build_luders_scheme(obs),
-            "instrument": luders_instrument(obs)}
+    def build(self, tol: Tolerances = DEFAULT_TOL) -> dict:
+        return self.builder(tol)  # every object built at tol
 
 
-def _catalog_extremal() -> dict:
-    instrument = extremal_instrument()
-    return {"scheme": build_extremal_model(), "instrument": instrument, "observable": instrument.induced_observable()}
+def _catalog_luders_cu(tol: Tolerances) -> dict:
+    obs = completely_unsharp_pair(tol)
+    return {"observable": obs, "scheme": build_luders_scheme(obs), "instrument": luders_instrument(obs, tol)}
 
 
-def _catalog_swap() -> dict:
-    xi = State.diagonal([0.7, 0.3])
+def _catalog_extremal(tol: Tolerances) -> dict:
+    instrument = extremal_instrument(tol)
+    return {"scheme": build_extremal_model(State.diagonal(EXTREMAL_ANCILLA, tol)), "instrument": instrument,
+            "observable": instrument.induced_observable()}
+
+
+def _catalog_swap(tol: Tolerances) -> dict:
+    xi = State.diagonal([0.7, 0.3], tol)
     return {"scheme": build_swap_scheme(xi), "xi": xi}
 
 
@@ -467,7 +470,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "nondisturbance-two-qubit",
             "commuting-pair model: E's instrument preserves a non-commuting F",
-            lambda: dict(zip(("observable", "other", "instrument"), build_nondisturbance_example())),
+            lambda tol: dict(zip(("observable", "other", "instrument"), build_nondisturbance_example(tol))),
             {"non_disturbance": True, "commutator_norm_min": 0.1},
         ),
         CatalogEntry(
@@ -479,14 +482,14 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "shift-first-kind",
             "unitary shift register measuring a commutative unsharp observable first-kind",
-            lambda: {"observable": shift_observable(3, (0.5, 0.3, 0.2)),
-                     "scheme": build_shift_scheme(3, (0.5, 0.3, 0.2))},
+            lambda tol: {"observable": shift_observable(3, (0.5, 0.3, 0.2), tol),
+                         "scheme": build_shift_scheme(3, (0.5, 0.3, 0.2), tol)},
             {"constrained": True, "first_kind": True},
         ),
         CatalogEntry(
             "ideality-qutrit",
             "norm-1 observable on C^3 with an ideal, non-repeatable instrument",
-            lambda: dict(zip(("observable", "instrument"), build_ideality_example())),
+            lambda tol: dict(zip(("observable", "instrument"), build_ideality_example(tol))),
             {"ideal": "true", "repeatable": False},
         ),
         CatalogEntry(
@@ -504,7 +507,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "rank-drop-qutrit",
             "constrained channel that still collapses a rank-2 input",
-            lambda: {"channel": build_rank_drop_channel()},
+            lambda tol: {"channel": build_rank_drop_channel(tol)},
             {"constrained": True},
         ),
     )

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmeas
-from qmeas import cli, modelfile
+from qmeas import cli, modelfile, models
 from qmeas.algebra import fixed_point_space
 from qmeas.cli import CHECK_VERBS, EXIT_ERROR, EXIT_NO, EXIT_YES, main, run_check
 from qmeas.core import Channel, Instrument, MeasurementScheme, Observable, Operation, State, luders_instrument
-from qmeas.linalg import DEFAULT_TOL, Tolerances
+from qmeas.linalg import DEFAULT_TOL, TOL_FLOOR, Tolerances
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
@@ -26,13 +26,18 @@ from qmeas.models import (
     build_luders_scheme,
     build_nondisturbance_example,
     build_shift_scheme,
+    build_swap_scheme,
     completely_unsharp_pair,
     extremal_instrument,
+    luders_interaction_channel,
     pointer_observable,
     random_constrained_channel,
     random_constrained_scheme,
+    random_full_rank_state,
     random_low_rank_preparation,
     random_povm,
+    table1_observables,
+    trivial_instrument,
     trivial_swap_scheme,
 )
 
@@ -371,7 +376,7 @@ class TestDemos:
             w, v = np.linalg.eigh(h)
             u = (v * np.exp(1j * w)) @ v.conj().T
             return Instrument(tuple(Operation(u @ op.kraus) for op in luders_instrument(obs, tol).operations))
-        monkeypatch.setattr(cli, "luders_instrument", rotated)
+        monkeypatch.setattr(models, "luders_instrument", rotated)
         code, report, _ = run_json(capsys, "demo", "luders-scheme")
         assert code == EXIT_NO
         assert 1e-9 < report["instrument_residual"] < 1e-7
@@ -420,6 +425,18 @@ class TestGen:
         code, _, err = run(capsys, "gen", "nope", "--out", str(tmp_path))
         assert code == EXIT_ERROR
         assert "use --list" in err
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_files_do_not_depend_on_the_tolerances(self, tmp_path, capsys, monkeypatch, name):
+        """gen builds at the command's tolerances, which only gate: every written byte is the same."""
+        monkeypatch.delenv("QMEAS_TOL_ATOL", raising=False)
+        files = []
+        for flags in ((), USER_TOL_FLAGS, ("--tol-atol", repr(TOL_FLOOR), "--tol-rank", repr(TOL_FLOOR))):
+            out = tmp_path / str(len(files))
+            code, _, err = run_json(capsys, "gen", name, "--out", str(out), *flags)
+            assert code == EXIT_YES, (flags, err)
+            files.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert files[0] and files[1] == files[0] and files[2] == files[0]
 
 
 class TestPlumbing:
@@ -711,8 +728,7 @@ def catalog_commands(tmp_path_factory):
 
 class TestUserTolerancesReachEveryObject:
     """Each State, Observable, Operation, Channel and Instrument that a command builds carries the user's
-    Tolerances: those loaded from files, those built on the command line and those derived from either.
-    gen is left out: the files it writes must not depend on tolerances."""
+    Tolerances: those loaded from files, those built on the command line and those derived from either."""
 
     def test_check_and_classify_on_every_catalog_file(self, capsys, monkeypatch, catalog_commands):
         assert len(catalog_commands) == 50  # 6 classify, 5 third-law checks, 39 property checks
@@ -723,7 +739,6 @@ class TestUserTolerancesReachEveryObject:
             assert built and {tol for _, tol in built} == {USER_TOL}, (argv, built)
             built.clear()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the CLI builds these objects at DEFAULT_TOL")
     @pytest.mark.parametrize("argv", [["table1"], ["demo", "purify"], ["demo", "luders-scheme"],
                                       ["demo", "decompose"]])
     def test_table1_and_each_demo(self, capsys, monkeypatch, argv):
@@ -731,6 +746,37 @@ class TestUserTolerancesReachEveryObject:
         code, _, err = run(capsys, *argv, *USER_TOL_FLAGS)
         assert code == EXIT_YES, err
         assert [name for name, tol in built if tol != USER_TOL] == []
+
+
+# each catalog entry and builder called at one Tolerances record: given it, when the builder takes
+# no model object, else given a model object built at it
+BUILDERS = {
+    **{f"CATALOG[{name}]": entry.build for name, entry in CATALOG.items()},
+    "pointer_observable": lambda tol: pointer_observable(3, tol),
+    "table1_observables": table1_observables,
+    "random_full_rank_state": lambda tol: random_full_rank_state(3, 7, tol),
+    "State factories": lambda tol: (State.complete_mixture(2, tol), State.pure([1.0, 1.0], tol),
+                                    State.diagonal([0.7, 0.3], tol)),
+    "Channel.unitary": lambda tol: Channel.unitary(np.eye(2), tol),
+    "build_luders_scheme": lambda tol: build_luders_scheme(completely_unsharp_pair(tol)),
+    "luders_interaction_channel": lambda tol: luders_interaction_channel(completely_unsharp_pair(tol)),
+    "build_swap_scheme": lambda tol: build_swap_scheme(State.diagonal([0.7, 0.3], tol)),
+    "build_extremal_model": lambda tol: build_extremal_model(State.diagonal([0.6, 0.4], tol)),
+    "trivial_instrument": lambda tol: trivial_instrument(pointer_observable(2, tol)),
+    "trivial_swap_scheme": lambda tol: trivial_swap_scheme(State.diagonal([0.7, 0.3], tol),
+                                                          pointer_observable(2, tol)),
+}
+
+
+class TestBuildersCarryOneTolerance:
+    """The library side of the rule above: a builder that takes a model object builds every object at that
+    object's Tolerances, and one that takes none builds every object at the Tolerances it is given."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builder(self, monkeypatch, name):
+        built = built_objects(monkeypatch)
+        BUILDERS[name](USER_TOL)
+        assert built and {tol for _, tol in built} == {USER_TOL}, built
 
 
 # one-field corruptions: wrong JSON types, an empty list, an empty row (alone

@@ -7,7 +7,7 @@ from qmeas import models
 from qmeas.core import (Channel, Instrument, Observable, Operation, State, apply, scheme_to_instrument,
                         superop_distance)
 from qmeas.errors import BadDistribution, NotCompletelyUnsharp, NotFullRank, ValidationError
-from qmeas.linalg import hermitian_eig, hs_norm, matrix_sqrt_psd, numerical_rank
+from qmeas.linalg import Tolerances, hermitian_eig, hs_norm, matrix_sqrt_psd, numerical_rank
 from qmeas.models import (
     CATALOG,
     build_extremal_model,
@@ -221,6 +221,13 @@ class TestGuards:
     def test_swap_scheme_needs_full_rank_ancilla(self):
         with pytest.raises(NotFullRank):
             build_swap_scheme(State.pure([0.0, 1.0]))
+
+    @pytest.mark.parametrize("build", [build_swap_scheme, build_extremal_model])
+    def test_ancilla_rank_is_cut_at_the_ancilla_tolerances(self, build):
+        weights = [1.0 - 5e-8, 5e-8]  # 5e-8: above the default rank cut 1e-8, below 1e-6
+        assert build(State.diagonal(weights)).ancilla_dim == 2
+        with pytest.raises(NotFullRank):
+            build(State.diagonal(weights, Tolerances(rank_threshold=1e-6)))
 
 
 class TestReductionsAcceptTheirOutput:
