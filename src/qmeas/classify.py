@@ -1,8 +1,9 @@
 """Classify observables into the structural classes the impossibility results sort by.
 
-Flags are decided numerically at rank_threshold: an eigenvalue counts as 0 below
-linalg.rank_cut and as 1 when linalg.attains_one holds, and eigenvalues closer
-than rank_cut fall in one linalg.eigenvalue_clusters cluster.
+is_trivial, is_sharp and is_commutative cut a residual at atol_equality: the largest entry of E_x - tr[E_x]/d 1,
+E_x E_y - delta_xy E_x and E_x E_y - E_y E_x.  The ranks, norms and clusters behind the other flags are cut at
+rank_threshold: an eigenvalue counts as 0 below linalg.rank_cut and as 1 when linalg.attains_one holds, and
+eigenvalues closer than rank_cut fall in one linalg.eigenvalue_clusters cluster.
 """
 
 from __future__ import annotations

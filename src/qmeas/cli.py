@@ -34,11 +34,7 @@ from .core import (
 from .errors import QmeasError
 from .linalg import DEFAULT_TOL, Tolerances
 from .algebra import decompose, effect_blocks, fixed_point_space
-from .models import (
-    CATALOG,
-    random_full_rank_state,
-    table1_observables,
-)
+from .models import CATALOG, random_full_rank_state, table1_observables
 from .properties import POSSIBLE, THEOREM_ROWS, decide, theorem_predicates
 from .thirdlaw import (
     check_channel_thirdlaw,

@@ -166,11 +166,18 @@ class Observable(_Spectral):
         return len(self.effects)
 
 
+def _real_gram(v: np.ndarray) -> np.ndarray:
+    """r^T r for r, V viewed as reals (columns Re, Im interleaved): one syrk, copy-free."""
+    return v.view(np.float64).T @ v.view(np.float64)
+
+
+def _combine(g: np.ndarray) -> np.ndarray:
+    """V^T conj(V) = X^T X + Y^T Y + i (Y^T X - X^T Y) for V = X + iY, from g = _real_gram(V) or a stack of them."""
+    return g[..., 0::2, 0::2] + g[..., 1::2, 1::2] + 1j * (g[..., 1::2, 0::2] - g[..., 0::2, 1::2])
+
+
 def _gram(v: np.ndarray) -> np.ndarray:
-    """V^T conj(V) = X^T X + Y^T Y + i (Y^T X - X^T Y) for V = X + iY, from one real syrk, copy-free."""
-    r = v.view(np.float64)  # columns Re, Im interleaved
-    g = r.T @ r
-    return g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
+    return _combine(_real_gram(v))
 
 
 class _KrausMap:
@@ -345,17 +352,19 @@ def _operands(x, dim: int) -> np.ndarray:
 
 def _sandwich(kraus: np.ndarray, m: np.ndarray, dual: bool = False) -> np.ndarray:
     """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
-    per row block: one product of the stacked K_i with m, one with the block's dagger.
+    per row block: one product of the stacked K_i with m, one with the block's dagger.  An m exactly lambda 1
+    skips the first: the block stands in for K m and the sum is scaled by lambda once, so Phi(1) is one Gram.
     A block's temporaries hold one copy of it per operand, so blocks shrink as the stack grows;
     dual daggers each block, giving sum_i K_i^dag m K_i."""
+    scalar = m.ndim == 2 and np.array_equal(m, m[0, 0] * np.eye(len(m)))
     out = 0
     for k in row_blocks(kraus, m[..., 0, 0].size):
         k = dagger(k) if dual else k
         c, d_out, d_in = k.shape
-        km = (k.reshape(-1, d_in) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
+        km = k if scalar else (k.reshape(-1, d_in) @ m).reshape(m.shape[:-2] + k.shape)  # [..., i] = K_i m
         row = km.swapaxes(-3, -2).reshape(m.shape[:-2] + (d_out, c * d_in))  # [K_1 m ... K_c m]
         out = out + row @ k.transpose(0, 2, 1).reshape(c * d_in, d_out).conj()  # [K_1 ... K_c]^dag
-    return out
+    return out * m[0, 0] if scalar else out
 
 
 def apply(op: _KrausMap, rho) -> np.ndarray:
@@ -471,8 +480,8 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
     interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x): the rows
     V_x[(r q i), (s t)] = sum_ab sqrt(Z_x)[r, a] K_i[(s a), (t b)] sqrt(xi)[b, q], one GEMM of
     G[(x r q), (a b)] = sqrt(Z_x)[r, a] sqrt(xi)[b, q] per block of the K_i.
-    kraus_from_rows reduces at most ds^2 rows; more are reduced by kraus_from_choi
-    from their Choi matrix V_x^T conj(V_x), a real Gram product summed over the blocks.
+    kraus_from_rows reduces at most ds^2 rows; more are reduced by kraus_from_choi from their Choi matrix
+    V_x^T conj(V_x): the blocks' real Gram products, stacked per outcome, are summed and combined once.
     An outcome with tr E_x = |V_x|_F^2 = tr Choi_x <= atol_equality never occurs: rejected, unreduced.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
@@ -485,7 +494,7 @@ def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TO
         inputs = np.concatenate(list(blocks), axis=1)
         weights, reduce = np.linalg.norm(inputs, axis=(1, 2)) ** 2, lambda v: kraus_from_rows(v, ds, ds)
     else:
-        inputs = sum(np.stack([_gram(v) for v in vs]) for vs in blocks)
+        inputs = _combine(sum(np.stack([_real_gram(v) for v in vs]) for vs in blocks))
         weights, reduce = np.trace(inputs, axis1=1, axis2=2).real, lambda c: kraus_from_choi(c, ds, ds, tol)
     for label, weight in zip(scheme.pointer.outcomes, weights):
         if not weight > tol.atol_equality:

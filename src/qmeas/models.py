@@ -162,18 +162,19 @@ def shift_observable(n: int, q, tol: Tolerances = DEFAULT_TOL) -> Observable:
 # ideality model on C^3
 
 
+def _ideality_observable(tol: Tolerances) -> Observable:
+    """The binary norm-1 observable diag(1, 1/2, 0), diag(0, 1/2, 1) on C^3."""
+    return Observable((np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0])), ("minus", "plus"), tol)
+
+
 def build_ideality_example(tol: Tolerances = DEFAULT_TOL) -> tuple[Observable, Instrument]:
     """Binary norm-1 observable on C^3 with an ideal (but not repeatable) instrument."""
     d = 3
-    e_minus = np.diag([1.0, 0.5, 0.0]).astype(np.complex128)
-    e_plus = np.diag([0.0, 0.5, 1.0]).astype(np.complex128)
-
     # rho -> <1|rho|1> 1/6 = tr[rho |1><1|/2] times the complete mixture
     reprepare = measure_prepare_kraus([(_proj(_ket(1, d)) / 2.0, State.complete_mixture(d, tol))], tol)
 
     families = [np.concatenate([_proj(_ket(keep, d))[None], reprepare]) for keep in (0, 2)]
-    instrument = Instrument.from_kraus(families, ("minus", "plus"), tol)
-    return Observable((e_minus, e_plus), ("minus", "plus"), tol), instrument
+    return _ideality_observable(tol), Instrument.from_kraus(families, ("minus", "plus"), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +326,7 @@ def random_constrained_channel(dim: int, seed: int) -> Channel:
 def random_bistochastic_channel(dim: int, mix_count: int, seed: int) -> Channel:
     """Convex mixture of random unitaries; fixes the complete mixture."""
     rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(mix_count)) * 0.8 + 0.2 / mix_count
-    probs = probs / probs.sum()
-    kraus = tuple(np.sqrt(p) * random_unitary(dim, rng) for p in probs)
+    kraus = tuple(np.sqrt(p) * random_unitary(dim, rng) for p in _interior_weights(mix_count, rng))
     return Channel(kraus)
 
 
@@ -420,17 +419,16 @@ def random_instrument(dim: int, outcomes: int, seed: int) -> Instrument:
 
 def completely_unsharp_pair(tol: Tolerances = DEFAULT_TOL) -> Observable:
     """Binary diagonal qubit pair diag(3/4, 1/4), diag(1/4, 3/4)."""
-    return Observable((np.diag([0.75, 0.25]).astype(np.complex128),
-                       np.diag([0.25, 0.75]).astype(np.complex128)), tol=tol)
+    return Observable((np.diag([0.75, 0.25]), np.diag([0.25, 0.75])), tol=tol)
 
 
 def table1_observables(tol: Tolerances = DEFAULT_TOL) -> dict[str, Observable]:
-    """One representative per observable class column."""
-    norm1, _ = build_ideality_example(tol)
+    """One representative per observable class column, four validated objects."""
+    pointer = pointer_observable(2, tol)
     return {
-        "small-rank": pointer_observable(2, tol),
-        "sharp": Observable(np.kron(np.eye(2), pointer_observable(2, tol).effects), tol=tol),  # 1 (x) |x><x|
-        "norm-1": norm1,
+        "small-rank": pointer,
+        "sharp": Observable(np.kron(np.eye(2), pointer.effects), tol=tol),  # 1 (x) |x><x|
+        "norm-1": _ideality_observable(tol),
         "completely-unsharp": completely_unsharp_pair(tol),
     }
 

@@ -349,6 +349,23 @@ class TestTable1:
         assert len(witnesses) == 2
         assert calls == {"scheme_to_instrument": 2, "check_scheme_thirdlaw": 2}
 
+    def test_representatives_validate_four_objects(self, monkeypatch):
+        # one validated Observable per column: no discarded ideality instrument, one pointer
+        built = built_objects(monkeypatch)
+        reps = table1_observables(USER_TOL)
+        assert built == [("Observable", USER_TOL)] * 4
+        pointer = pointer_observable(2).effects
+        expected = {
+            "small-rank": (pointer, ("0", "1")),
+            "sharp": (np.kron(np.eye(2), pointer), ("0", "1")),  # 1 (x) |x><x|
+            "norm-1": (np.array([np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0])]), ("minus", "plus")),
+            "completely-unsharp": (np.array([np.diag([0.75, 0.25]), np.diag([0.25, 0.75])]), ("0", "1")),
+        }
+        assert list(reps) == list(expected)
+        for column, (effects, outcomes) in expected.items():
+            assert np.array_equal(reps[column].effects, effects) and reps[column].outcomes == outcomes, column
+        assert np.array_equal(reps["norm-1"].effects, build_ideality_example()[0].effects)
+
     def test_human_rendering(self, capsys):
         code, out, _ = run(capsys, "table1")
         assert code == EXIT_YES

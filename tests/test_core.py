@@ -27,6 +27,7 @@ from qmeas.core import (
     scheme_to_instrument,
     superop_distance,
 )
+from qmeas.core import _combine, _gram, _real_gram
 from qmeas.errors import DimensionMismatch, NonHermitian, NotCP, QmeasError, ValidationError
 from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, vec
 from qmeas.modelfile import SCHEMA_VERSION, decode, dumps, loads
@@ -64,6 +65,20 @@ def recorded(monkeypatch, module, name: str) -> list:
 def rand_complex(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+# one Kraus operator, or a row block's count + offset of them, of d_out x d_in
+BLOCK_OFFSETS = pytest.mark.parametrize("offset", [None, -1, 0, 1])
+BLOCK_SHAPES = pytest.mark.parametrize("d_out, d_in", [(32, 32), (16, 32)])
+
+
+def blocked_operation(d_out: int, d_in: int, offset):
+    """A random Operation with sum K^dag K <= 1 of BLOCK_OFFSETS' Kraus count, and the generator drawn from."""
+    rng = np.random.default_rng(d_out + (offset or 5))
+    count = 1 if offset is None else BLOCK_ENTRIES // (d_out * d_in) + offset
+    ks = rng.standard_normal((count, d_out, d_in)) + 1j * rng.standard_normal((count, d_out, d_in))
+    ks /= np.sqrt(np.linalg.norm(np.einsum("kji,kjl->il", ks.conj(), ks), 2))
+    return Operation(ks), rng
 
 
 class TestStateValidation:
@@ -576,19 +591,47 @@ class TestApplyAndDuality:
         assert out.shape == (0, 3, 3) and out.dtype == np.complex128
         assert apply_dual(Channel.identity(2), np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
-    @pytest.mark.parametrize("offset", [None, -1, 0, 1])  # one operator, or a row block's count + offset
-    @pytest.mark.parametrize("d_out, d_in", [(32, 32), (16, 32)])
+    @BLOCK_OFFSETS
+    @BLOCK_SHAPES
     def test_blocked_sandwich_matches_the_per_operator_sum(self, d_out, d_in, offset):
-        rng = np.random.default_rng(d_out + (offset or 5))
-        count = 1 if offset is None else BLOCK_ENTRIES // (d_out * d_in) + offset
-        ks = rng.standard_normal((count, d_out, d_in)) + 1j * rng.standard_normal((count, d_out, d_in))
-        ks /= np.sqrt(np.linalg.norm(np.einsum("kji,kjl->il", ks.conj(), ks), 2))  # sum K^dag K <= 1
-        op = Operation(ks)
+        op, rng = blocked_operation(d_out, d_in, offset)
+        ks = op.kraus
         rho = rng.standard_normal((3, d_in, d_in)) + 1j * rng.standard_normal((3, d_in, d_in))
         a = rng.standard_normal((3, d_out, d_out)) + 1j * rng.standard_normal((3, d_out, d_out))
         for m, b in ((rho, a), (rho[0], a[0])):  # a non-Hermitian stack, then one operator
             assert np.abs(apply(op, m) - sum(k @ m @ dagger(k) for k in ks)).max() < 1e-12
             assert np.abs(apply_dual(op, b) - sum(dagger(k) @ b @ k for k in ks)).max() < 1e-12
+
+    @BLOCK_OFFSETS
+    @BLOCK_SHAPES
+    @pytest.mark.parametrize("lam", [1.0, "1/d", 0.3 - 0.2j])
+    def test_scalar_operand_matches_the_per_operator_sum(self, d_out, d_in, offset, lam):
+        # lambda 1 skips the product K m: the sum of K K^dag (or K^dag K) scaled by lambda once
+        op, _ = blocked_operation(d_out, d_in, offset)
+        ks = op.kraus
+        m, b = ((1 / d if lam == "1/d" else lam) * np.eye(d) for d in (d_in, d_out))
+        assert np.abs(apply(op, m) - sum(k @ m @ dagger(k) for k in ks)).max() < 1e-12
+        assert np.abs(apply_dual(op, b) - sum(dagger(k) @ b @ k for k in ks)).max() < 1e-12
+
+    @BLOCK_OFFSETS
+    @BLOCK_SHAPES
+    def test_identity_operand_is_bitwise_the_general_path(self, d_out, d_in, offset):
+        # K 1 = K exactly, so Phi(1) from the skip equals Phi(1) from the product with the stack [1]
+        op, _ = blocked_operation(d_out, d_in, offset)
+        for fn, d in ((apply, d_in), (apply_dual, d_out)):
+            assert np.array_equal(fn(op, np.eye(d)), fn(op, np.eye(d)[None])[0])
+
+    @BLOCK_OFFSETS
+    @BLOCK_SHAPES
+    def test_near_scalar_operand_takes_the_general_path(self, d_out, d_in, offset):
+        op, _ = blocked_operation(d_out, d_in, offset)
+        ks = op.kraus
+        terms = ((apply, d_in, lambda k, m: k @ m @ dagger(k)), (apply_dual, d_out, lambda k, m: dagger(k) @ m @ k))
+        for fn, d, term in terms:
+            m = np.diag(np.r_[1.0, np.full(d - 1, 1.0 + 1e-15)])  # diag(1, 1 + eps, ...): not lambda 1
+            got = fn(op, m)
+            assert np.array_equal(got, fn(op, m[None])[0])  # the stack's product with m, entry for entry
+            assert np.abs(got - sum(term(k, m) for k in ks)).max() < 1e-12
 
     def test_stack_temporaries_are_bounded_by_the_operand_count(self):
         # 36 lifted matrix units against 589 interaction Kraus operators of 24 x 24: blocks sized
@@ -674,6 +717,15 @@ class TestSchemeFactorization:
                 # minimal Kraus count: the rank of the oracle's Choi matrix
                 choi = dagger(direct).reshape(ds, ds, ds, ds).transpose(0, 2, 1, 3).reshape(ds * ds, -1)
                 assert len(op.kraus) == len(kraus_from_choi(choi, ds, ds))
+
+    def test_split_gram_reproduces_the_gram(self):
+        # the multi-block scheme above, whose superoperators the test above holds within 1e-10
+        scheme = random_constrained_scheme(4, 4, 3, 5)
+        rows = scheme.interaction.kraus.reshape(5, 53, -1)  # a stack of five V, rows vec(K_i)
+        stacked = _combine(np.stack([_real_gram(v) for v in rows]))
+        assert np.array_equal(stacked, np.stack([_gram(v) for v in rows]))
+        summed = _combine(sum(_real_gram(v) for v in rows))  # summed real, combined once
+        assert np.abs(summed - scheme.interaction.choi).max() < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1), dims=st.sampled_from(((2, 2), (3, 2), (2, 3))),
