@@ -8,14 +8,14 @@ Conventions, fixed once for the whole package:
 * the Choi matrix is sum_i vec(K_i) vec(K_i)^dag = V^T conj(V), V with rows vec(K_i);
   its rank is the minimal Kraus count, and kraus_from_rows reads such a family off V.
 
-Operator families are stored as one read-only complex128 array of shape
-(n, d_out, d_in): Observable.effects and the .kraus of Operation and Channel.
-A read-only C-contiguous complex128 array over memory no writeable array owns is
-stored as given, any other input copied once.  Each family is eigendecomposed once, as validated:
-State and Observable keep those eigenpairs (eig), and an Instrument keeps its induced observable,
-whose one stacked eigh checks every outcome's sum K^dag K.  Superoperators and Choi matrices are
-computed from the Kraus stack on every access, not stored.  The Kraus reductions drop only
-round-off (float_rank), so each builds the map it was given; rank_cut is for verdicts.
+Operator families are stored as one read-only complex128 array of shape (n, d_out, d_in): Observable.effects
+and the .kraus of Operation and Channel.  A read-only C-contiguous complex128 array over memory no writeable array
+owns is stored as given, any other input copied once.  Each family is eigendecomposed once, as validated: State
+and Observable keep those eigenpairs (eig), and an Instrument keeps its induced observable, whose one stacked eigh
+checks every outcome's sum K^dag K.  Superoperators and Choi matrices are computed from the Kraus stack on every
+access, not stored.  The Kraus reductions drop only round-off (float_rank), so each builds the map it was given;
+rank_cut is for verdicts.  scheme_to_instrument lets the n outcomes of a pointer diagonal in its first effect's
+eigenvectors u_r, up to a round-off floor 16 n eps, share Gram rows <u_r|; any other keeps the rows of each sqrt(Z_x).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotCP, ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    EPS,
     Tolerances,
     as_complex_matrix,
     dagger,
@@ -176,10 +177,6 @@ def _combine(g: np.ndarray) -> np.ndarray:
     return g[..., 0::2, 0::2] + g[..., 1::2, 1::2] + 1j * (g[..., 1::2, 0::2] - g[..., 0::2, 1::2])
 
 
-def _gram(v: np.ndarray) -> np.ndarray:
-    return _combine(_real_gram(v))
-
-
 class _KrausMap:
     """Shared behaviour of Operation and Channel (Kraus-represented CP maps)."""
 
@@ -194,8 +191,8 @@ class _KrausMap:
         return self.kraus.shape[1]
 
     def _kraus_sum(self) -> np.ndarray:
-        """sum K^dag K, the conjugate of the stacked Kraus rows' _gram."""
-        return _gram(self.kraus.reshape(-1, self.dim_in)).conj()
+        """sum K^dag K, the conjugate of the stacked Kraus rows' combined real Gram."""
+        return _combine(_real_gram(self.kraus.reshape(-1, self.dim_in))).conj()
 
     @classmethod
     def measure_prepare(cls, pairs, tol: Tolerances = DEFAULT_TOL):
@@ -353,10 +350,10 @@ def _operands(x, dim: int) -> np.ndarray:
 def _sandwich(kraus: np.ndarray, m: np.ndarray, dual: bool = False) -> np.ndarray:
     """sum_i K_i m K_i^dag (m one operator or a stack) as [K_1 ... K_c] (1_c (x) m) [K_1 ... K_c]^dag
     per row block: one product of the stacked K_i with m, one with the block's dagger.  An m exactly lambda 1
-    skips the first: the block stands in for K m and the sum is scaled by lambda once, so Phi(1) is one Gram.
-    A block's temporaries hold one copy of it per operand, so blocks shrink as the stack grows;
-    dual daggers each block, giving sum_i K_i^dag m K_i."""
-    scalar = m.ndim == 2 and np.array_equal(m, m[0, 0] * np.eye(len(m)))
+    (m[0, 1] != 0 refuses one before the whole comparison) skips the first: the block stands in for K m and the
+    sum is scaled by lambda once, so Phi(1) is one Gram.  A block's temporaries hold one copy of it per operand,
+    so blocks shrink as the stack grows; dual daggers each block, giving sum_i K_i^dag m K_i."""
+    scalar = m.ndim == 2 and (len(m) < 2 or m[0, 1] == 0) and np.array_equal(m, m[0, 0] * np.eye(len(m)))
     out = 0
     for k in row_blocks(kraus, m[..., 0, 0].size):
         k = dagger(k) if dual else k
@@ -473,29 +470,47 @@ def restriction_map(b: np.ndarray, xi: State, system_dim: int) -> np.ndarray:
     return partial_trace(b @ np.kron(np.eye(system_dim), xi.matrix), (system_dim, xi.dim), "second")
 
 
+def _pointer_factors(pointer: Observable, tol: Tolerances) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows T_j, weights c[x, j] with Z_x = sum_j c[x, j] T_j^dag T_j: with U the first effect's kept eigenvectors,
+    if every D_x = U^dag Z_x U is diagonal up to 16 n eps max(1, ||Z||) (float_rank's floor; random 2-outcome POVMs
+    leave 6.9 n eps), T_r = <u_r|, c[x, r] = D_x[r, r] clipped at 0; else T_x = sqrt(Z_x), c None for [x = j]."""
+    w, v = pointer.eig(tol)
+    uh, n = v[0].conj().T, len(v[0])
+    d = (uh @ pointer.effects @ v[0]).reshape(len(w), n * n)  # row x: D_x, flattened
+    off = d[:, 1:].reshape(len(w), n - 1, n + 1)[:, :, :n]  # each D_x off its diagonal
+    if np.abs(off).max(initial=0.0) <= 16 * n * EPS * w[:, 0].max(initial=1.0):
+        return uh[:, None], np.maximum(d[:, ::n + 1].real, 0.0)
+    return psd_root(w, v, tol), None
+
+
 def scheme_to_instrument(scheme: MeasurementScheme, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """Instrument I_x(rho) = tr_A[(1 (x) Z_x) E(rho (x) xi)] with minimal Kraus forms.
 
-    I_x has the Kraus operators (1 (x) <r|) K_i (1 (x) sqrt(xi) |q>), for the
-    interaction's K_i, an ancilla basis vector q and each row <r| of sqrt(Z_x): the rows
-    V_x[(r q i), (s t)] = sum_ab sqrt(Z_x)[r, a] K_i[(s a), (t b)] sqrt(xi)[b, q], one GEMM of
-    G[(x r q), (a b)] = sqrt(Z_x)[r, a] sqrt(xi)[b, q] per block of the K_i.
-    kraus_from_rows reduces at most ds^2 rows; more are reduced by kraus_from_choi from their Choi matrix
-    V_x^T conj(V_x): the blocks' real Gram products, stacked per outcome, are summed and combined once.
+    For Z_x = sum_j c[x, j] T_j^dag T_j (_pointer_factors), I_x has the Kraus operators sqrt(c[x, j])
+    (1 (x) <r|T_j) K_i (1 (x) sqrt(xi) |q>) for the interaction's K_i, ancilla basis vectors q and rows r of T_j:
+    rows V_j[(r q i), (s t)] = sum_ab T_j[r, a] K_i[(s a), (t b)] sqrt(xi)[b, q], one GEMM per block of the K_i.
+    kraus_from_rows reduces at most ds^2 rows, of T_x = sqrt(Z_x); more are reduced by kraus_from_choi from
+    Choi_x = sum_j c[x, j] V_j^T conj(V_j), the blocks' real Gram products summed per j, weighted, combined once:
+    a commuting pointer's n outcomes share the da groups <u_r|, 1/n of the rows n sqrt(Z_x) give.
     An outcome with tr E_x = |V_x|_F^2 = tr Choi_x <= atol_equality never occurs: rejected, unreduced.
     """
     ds, da = scheme.system_dim, scheme.ancilla_dim
     kraus = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)  # K_i[(s a), (t b)]
-    roots = psd_root(*scheme.pointer.eig(tol), tol)
-    g = np.einsum("xra,bq->xrqab", roots, psd_root(*scheme.ancilla.eig(tol), tol)).reshape(-1, da * da)
-    blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
-              for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_x stacked over x
-    if len(kraus) * da * da <= ds * ds:
+    rows = len(kraus) * da * da <= ds * ds
+    t, c = (psd_root(*scheme.pointer.eig(tol), tol), None) if rows else _pointer_factors(scheme.pointer, tol)
+    g = np.einsum("jra,bq->jrqab", t, psd_root(*scheme.ancilla.eig(tol), tol)).reshape(-1, da * da)
+    blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(t), -1, ds * ds)
+              for k in row_blocks(kraus))  # each block's K_i as [(a b), (i s t)]; V_j stacked over j
+    if rows:
         inputs = np.concatenate(list(blocks), axis=1)
         weights, reduce = np.linalg.norm(inputs, axis=(1, 2)) ** 2, lambda v: kraus_from_rows(v, ds, ds)
     else:
-        inputs = _combine(sum(np.stack([_real_gram(v) for v in vs]) for vs in blocks))
-        weights, reduce = np.trace(inputs, axis1=1, axis2=2).real, lambda c: kraus_from_choi(c, ds, ds, tol)
+        grams = np.zeros((len(t), 2 * ds * ds, 2 * ds * ds))
+        for vs in blocks:
+            for gram, v in zip(grams, vs):
+                gram += _real_gram(v)
+        inputs = _combine(grams if c is None else (c @ grams.reshape(len(t), -1)).reshape(-1, *grams.shape[1:]))
+        weights, reduce = np.trace(inputs, axis1=1, axis2=2).real, lambda choi: kraus_from_choi(choi, ds, ds, tol)
     for label, weight in zip(scheme.pointer.outcomes, weights):
         if not weight > tol.atol_equality:
             raise ValidationError(f"outcome {label!r} never occurs: its induced effect is zero")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmeas.core as core
 from qmeas.classify import classify
 from qmeas.core import (
     BLOCK_ENTRIES,
@@ -23,13 +24,14 @@ from qmeas.core import (
     luders_instrument,
     measure_prepare_kraus,
     restriction_map,
+    row_blocks,
     scheme_dual_superoperator,
     scheme_to_instrument,
     superop_distance,
 )
-from qmeas.core import _combine, _gram, _real_gram
+from qmeas.core import _combine, _real_gram
 from qmeas.errors import DimensionMismatch, NonHermitian, NotCP, QmeasError, ValidationError
-from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, vec
+from qmeas.linalg import Tolerances, cut_rank, dagger, hermitian_eig, psd_root, vec
 from qmeas.modelfile import SCHEMA_VERSION, decode, dumps, loads
 from qmeas.models import (
     build_extremal_model,
@@ -79,6 +81,45 @@ def blocked_operation(d_out: int, d_in: int, offset):
     ks = rng.standard_normal((count, d_out, d_in)) + 1j * rng.standard_normal((count, d_out, d_in))
     ks /= np.sqrt(np.linalg.norm(np.einsum("kji,kjl->il", ks.conj(), ks), 2))
     return Operation(ks), rng
+
+
+def rotated_ancilla(scheme: MeasurementScheme, v: np.ndarray) -> MeasurementScheme:
+    """The same scheme in the ancilla basis V: xi, the interaction and the pointer conjugated by V."""
+    lifted = np.kron(np.eye(scheme.system_dim), v)  # 1 (x) V on system (x) ancilla
+    return MeasurementScheme(
+        scheme.system_dim,
+        State(v @ scheme.ancilla.matrix @ dagger(v)),
+        Channel(lifted @ scheme.interaction.kraus @ dagger(lifted)),
+        Observable(v @ scheme.pointer.effects @ dagger(v), scheme.outcomes),
+    )
+
+
+def per_root_families(scheme: MeasurementScheme) -> list:
+    """scheme_to_instrument's reduced families from the rows of each outcome's sqrt(Z_x), whatever the pointer:
+    the reference for shared pointer rows.  It sums through core._real_gram and reduces through core's
+    kraus_from_rows or kraus_from_choi, so that a test can record their inputs."""
+    ds, da = scheme.system_dim, scheme.ancilla_dim
+    kraus = scheme.interaction.kraus.reshape(-1, ds, da, ds, da)
+    roots = psd_root(*scheme.pointer.eig())
+    g = np.einsum("xra,bq->xrqab", roots, psd_root(*scheme.ancilla.eig())).reshape(-1, da * da)
+    blocks = ((g @ k.transpose(2, 4, 0, 1, 3).reshape(da * da, -1)).reshape(len(roots), -1, ds * ds)
+              for k in row_blocks(kraus))
+    if len(kraus) * da * da <= ds * ds:
+        return core.kraus_from_rows(np.concatenate(list(blocks), axis=1), ds, ds)
+    return core.kraus_from_choi(_combine(sum(np.stack([core._real_gram(v) for v in vs]) for vs in blocks)), ds, ds)
+
+
+def degenerate_commuting_scheme(ds: int, seed: int) -> MeasurementScheme:
+    """A random interaction with a 3-outcome pointer on C^3 diagonal in a random basis w_j, whose first effect has
+    one weight on w_0 and w_1, so its eigenvectors there are any basis of their span."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(3), size=3)  # [j, x]: the weight of |w_j><w_j| in Z_x
+    weights[1, 1:] *= (1 - weights[0, 0]) / weights[1, 1:].sum()
+    weights[1, 0] = weights[0, 0]
+    w = random_unitary(3, rng)
+    pointer = Observable(np.einsum("jx,aj,bj->xab", weights, w, w.conj()))
+    return MeasurementScheme(ds, random_full_rank_state(3, seed),
+                             random_constrained_channel(3 * ds, int(rng.integers(2 ** 31))), pointer)
 
 
 class TestStateValidation:
@@ -633,6 +674,31 @@ class TestApplyAndDuality:
             assert np.array_equal(got, fn(op, m[None])[0])  # the stack's product with m, entry for entry
             assert np.abs(got - sum(term(k, m) for k in ks)).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["generic", "scalar", "zero", "diagonal", "corner", "nan corner", "nan at 0 1",
+                                      "nan at 1 1", "inf scalar", "one by one"])
+    def test_the_early_refusal_decides_as_the_whole_comparison(self, case):
+        # m[0, 1] != 0 refuses lambda 1 before np.array_equal(m, m[0, 0] 1) runs; the skip is exactly
+        # Phi(1) m[0, 0], the general path exactly the stack's product, NaN operands included
+        d = 1 if case == "one by one" else 3
+        op = random_channel(d, d, 4, 9)
+        m = rand_complex(np.random.default_rng(10), d) if case == "generic" else (0.3 - 0.2j) * np.eye(d)
+        if case == "zero":
+            m = np.zeros((d, d), dtype=complex)
+        elif case == "diagonal":
+            m[2, 2] = 0.5
+        elif case == "corner":
+            m[2, 0] = 1e-300
+        elif case.startswith("nan"):
+            m[(0, 0) if case == "nan corner" else tuple(map(int, case[-3:].split()))] = np.nan
+        elif case == "inf scalar":
+            m = np.diag(np.full(d, np.inf)).astype(complex)
+        with np.errstate(invalid="ignore"):  # inf 1 has 0 inf = NaN off its diagonal
+            scalar = np.array_equal(m, m[0, 0] * np.eye(d))
+            assert scalar == (case in ("scalar", "zero", "one by one"))
+            for fn in (apply, apply_dual):
+                expected = fn(op, np.eye(d)) * m[0, 0] if scalar else fn(op, m[None])[0]
+                assert np.array_equal(fn(op, m), expected, equal_nan=True)
+
     def test_stack_temporaries_are_bounded_by_the_operand_count(self):
         # 36 lifted matrix units against 589 interaction Kraus operators of 24 x 24: blocks sized
         # by Kraus entries alone held 36 copies of a 512 KiB block in each of two temporaries,
@@ -723,7 +789,7 @@ class TestSchemeFactorization:
         scheme = random_constrained_scheme(4, 4, 3, 5)
         rows = scheme.interaction.kraus.reshape(5, 53, -1)  # a stack of five V, rows vec(K_i)
         stacked = _combine(np.stack([_real_gram(v) for v in rows]))
-        assert np.array_equal(stacked, np.stack([_gram(v) for v in rows]))
+        assert np.array_equal(stacked, np.stack([_combine(_real_gram(v)) for v in rows]))
         summed = _combine(sum(_real_gram(v) for v in rows))  # summed real, combined once
         assert np.abs(summed - scheme.interaction.choi).max() < 1e-12
 
@@ -748,27 +814,82 @@ class TestSchemeFactorization:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(("random", "luders", "swap")),
-           dims=st.sampled_from(((2, 2), (3, 2), (2, 3))))
+           dims=st.sampled_from(((2, 2), (3, 2), (2, 3), (2, 4))))
     def test_ancilla_basis_change(self, seed, kind, dims):
+        # a sharp pointer of 2-4 outcomes, rotated: its first effect's kernel has no preferred basis from 3 on
         ds, n = dims
         scheme = {
             "random": lambda: random_constrained_scheme(ds, n, 3, seed),
             "luders": lambda: build_luders_scheme(random_povm(ds, n, seed, mode="completely-unsharp")),
-            "swap": lambda: build_swap_scheme(random_full_rank_state(2, seed)),
+            "swap": lambda: build_swap_scheme(random_full_rank_state(n, seed)),
         }[kind]()
-        v = random_unitary(scheme.ancilla_dim, np.random.default_rng(seed))
-        lifted = np.kron(np.eye(scheme.system_dim), v)  # 1 (x) V on system (x) ancilla
-        rotated = MeasurementScheme(
-            scheme.system_dim,
-            State(v @ scheme.ancilla.matrix @ dagger(v)),
-            Channel(lifted @ scheme.interaction.kraus @ dagger(lifted)),
-            Observable(v @ scheme.pointer.effects @ dagger(v), scheme.outcomes),
-        )
+        rotated = rotated_ancilla(scheme, random_unitary(scheme.ancilla_dim, np.random.default_rng(seed)))
         pairs = zip(scheme_to_instrument(scheme).operations, scheme_to_instrument(rotated).operations)
         for op, turned in pairs:
             assert superop_distance(op, turned) <= 1e-12
             assert len(op.kraus) == len(turned.kraus)
         assert check_scheme_thirdlaw(rotated).constrained == check_scheme_thirdlaw(scheme).constrained
+
+
+def choi_rows(monkeypatch, scheme: MeasurementScheme) -> tuple[int, int]:
+    """The Kraus rows vec(K) that scheme_to_instrument and per_root_families hand to _real_gram, and check that
+    both reduce to equal Kraus counts."""
+    calls, ds = recorded(monkeypatch, core, "_real_gram"), scheme.system_dim
+    counts = [len(op.kraus) for op in scheme_to_instrument(scheme).operations]
+    shared = sum(rows for rows, cols in calls if cols == ds * ds)  # not the validation's sum K^dag K
+    calls.clear()
+    assert [len(f) for f in per_root_families(scheme)] == counts
+    return shared, sum(rows for rows, cols in calls if cols == ds * ds)
+
+
+class TestPointerFactors:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(("random", "luders", "swap", "degenerate")),
+           ds=st.sampled_from((2, 3)), n=st.sampled_from((2, 3, 4)))
+    def test_commuting_pointers_match_the_oracle_and_the_per_root_rank(self, seed, kind, ds, n):
+        # 2-outcome POVMs (ancilla dims 1-3), rotated sharp pointers of n outcomes, and a 3-outcome commuting
+        # POVM with a degenerate first effect
+        rng = np.random.default_rng(seed)
+        scheme = {
+            "random": lambda: random_constrained_scheme(ds, n - 1, 2, seed),
+            "luders": lambda: build_luders_scheme(random_povm(ds, n, seed, mode="completely-unsharp")),
+            "swap": lambda: build_swap_scheme(random_full_rank_state(n, seed)),
+            "degenerate": lambda: degenerate_commuting_scheme(ds, seed),
+        }[kind]()
+        if kind in ("luders", "swap"):
+            scheme = rotated_ancilla(scheme, random_unitary(scheme.ancilla_dim, rng))
+        inst = scheme_to_instrument(scheme)
+        for x, op in enumerate(inst.operations):
+            assert np.abs(op.dual_superoperator - scheme_dual_superoperator(scheme, x)).max() <= 1e-12
+        assert [len(op.kraus) for op in inst.operations] == [len(f) for f in per_root_families(scheme)]
+
+    @pytest.mark.parametrize("pointer", ["three outcomes", "sum within 1e-10"])
+    def test_any_other_pointer_keeps_the_choi_matrices_of_each_root(self, monkeypatch, pointer):
+        base = random_constrained_scheme(2, 3, 2, 4)
+        if pointer == "three outcomes":
+            z = random_povm(3, 3, 7)
+        else:  # a Hermitian 1e-10 h that does not commute with the first effect
+            h = rand_complex(np.random.default_rng(8), 3)
+            h = (h + dagger(h)) / np.abs(h + dagger(h)).max()
+            e = base.pointer.effects[0]
+            z = Observable((e, np.eye(3) - e + 1e-10 * h))
+            assert 5e-11 < np.abs(z.effects.sum(0) - np.eye(3)).max() < 2e-10
+        scheme = MeasurementScheme(2, base.ancilla, base.interaction, z)
+        chois, reduce = [], core.kraus_from_choi
+        monkeypatch.setattr(core, "kraus_from_choi", lambda c, *a, **k: chois.append(c) or reduce(c, *a, **k))
+        shared, rows = choi_rows(monkeypatch, scheme)
+        assert len(chois) == 2 and chois[0].tobytes() == chois[1].tobytes()
+        assert shared == rows
+
+    @pytest.mark.parametrize("scheme, n", [
+        (random_constrained_scheme(2, 3, 2, 4), 2),
+        (build_luders_scheme(random_povm(2, 3, 4, mode="completely-unsharp")), 3),
+        (build_luders_scheme(random_povm(2, 4, 4, mode="completely-unsharp")), 4),
+    ], ids=["random", "luders 3", "luders 4"])
+    def test_a_commuting_pointer_sums_one_nth_of_the_rows(self, monkeypatch, scheme, n):
+        assert len(scheme.interaction.kraus) * scheme.ancilla_dim ** 2 > scheme.system_dim ** 2  # the Choi branch
+        shared, rows = choi_rows(monkeypatch, scheme)
+        assert n * shared == rows > 0
 
 
 class TestFidelity:

@@ -1,6 +1,7 @@
 """tools/task_outputs.py records every benchmark task's output and finds the first that moved."""
 
 import base64
+import collections
 import copy
 import importlib.util
 import json
@@ -128,3 +129,32 @@ def test_a_rank_step_made_on_one_side_only_is_counted(capsys, seed_0):
     assert f"rank step moved in 1 calls\n  {task} call 0: ['cholesky'] -> no call" in capsys.readouterr().out
     assert tool.compare(lost, record) == 1
     assert f"rank step moved in 1 calls\n  {task} call 0: no call -> ['cholesky']" in capsys.readouterr().out
+
+
+def test_each_workload_reports_its_differing_tasks_and_their_largest_float_difference(capsys, seed_0):
+    tool, record = seed_0
+    totals = collections.Counter(label.split(" ", 1)[0] for label in record)
+    assert tool.compare(record, copy.deepcopy(record)) == 0
+    out = capsys.readouterr().out
+    for name, total in totals.items():
+        assert f"\n  {name}: 0 of {total} tasks differ, largest float difference 0.000e+00\n" in out
+
+    moved = copy.deepcopy(record)
+    schemes = [label for label, r in moved.items() if label.startswith("scheme-reports") and r["fixed_points"]]
+    for task, shift in zip(schemes, (1e-13, 3e-13)):
+        limit = moved[task]["fixed_points"][0]["fields"]["mixture_limit"]
+        x = np.frombuffer(base64.b64decode(limit["bytes"]), dtype=limit["dtype"]).copy()
+        x[0] += shift
+        limit["bytes"] = base64.b64encode(x.tobytes()).decode()
+    routes = [label for label in moved if label.startswith("channel-routes")]
+    moved[routes[0]]["fixed_states"][0]["fields"]["residual"] = float("nan")
+    moved[routes[1]]["fixed_states"][0]["fields"]["residual"] += 1e-16  # a later, finite difference
+    assert tool.compare(record, moved) == 1
+    out = capsys.readouterr().out
+    first, second = (decode(record[task]["fixed_points"][0]["fields"]["mixture_limit"]) for task in schemes[:2])
+    largest = max(abs(first.flat[0] + 1e-13 - first.flat[0]), abs(second.flat[0] + 3e-13 - second.flat[0]))
+    assert f"\n  catalog-cli: 0 of {totals['catalog-cli']} tasks differ, largest float difference 0.000e+00\n" in out
+    assert (f"\n  scheme-reports: 2 of {totals['scheme-reports']} tasks differ, "
+            f"largest float difference {largest:.3e}\n") in out
+    assert f"\n  channel-routes: 2 of {totals['channel-routes']} tasks differ, largest float difference nan\n" in out
+    assert f"largest float difference: nan at {routes[0]} at /fixed_states/0/fields/residual" in out

@@ -10,7 +10,8 @@ and that call's rank step: which of np.linalg.cholesky, eigvalsh and svd ran ins
 in order; and every FixedStateResult full_rank_fixed_state returned (state, residual and
 is_full_rank).  Arrays are stored byte for byte.  The second form prints the first task
 whose output differs, each call whose rank step moved or that one side made alone, and
-the largest float difference over all tasks; it exits 1 when anything differs.  --ignore
+the largest float difference over all tasks, and for each workload one line with the count
+of its tasks that differ and their largest float difference; it exits 1 when anything differs.  --ignore
 skips every field or JSON key of that name, for a change that redefines one reported value
 and should move nothing else.  --verdicts writes the verdict-only projection instead: exit
 codes, verdicts, route triples, block dimensions, rank steps and route 3's is_full_rank,
@@ -138,6 +139,7 @@ class Comparison:
         self.first: str | None = None
         self.largest = (0.0, "")
         self.differing: set[str] = set()
+        self.diffs: dict[str, list[float]] = {}  # each task's float differences
 
     def differ(self, task: str, path: str, what: str) -> None:
         self.differing.add(task)
@@ -145,8 +147,9 @@ class Comparison:
             self.first = f"{task} at {path or '/'}: {what}"
 
     def float_difference(self, task: str, path: str, diff: float) -> None:
-        if not diff <= self.largest[0]:  # a NaN difference is the largest
+        if not diff <= self.largest[0] and self.largest[0] == self.largest[0]:  # a NaN difference is the largest
             self.largest = (diff, f"{task} at {path}")
+        self.diffs.setdefault(task, []).append(diff)
 
     def walk(self, task: str, path: str, a, b) -> None:
         if isinstance(a, dict) and isinstance(b, dict) and "bytes" in a and "bytes" in b:
@@ -190,13 +193,20 @@ class Comparison:
 
 
 def compare(a: dict, b: dict, ignore=()) -> int:
-    c = Comparison(ignore)
-    for task in [*a, *(k for k in b if k not in a)]:
+    c, tasks = Comparison(ignore), [*a, *(k for k in b if k not in a)]
+    for task in tasks:
         if task not in a or task not in b:
             c.differ(task, "", "task recorded on one side only")
         else:
             c.walk(task, "", a[task], b[task])
     print(f"{len(a)} and {len(b)} tasks; {len(c.differing)} differ")
+    workloads: dict[str, list[str]] = {}
+    for task in tasks:
+        workloads.setdefault(task.split(" ", 1)[0], []).append(task)
+    for name, mine in workloads.items():
+        diff = np.max([d for task in mine for d in c.diffs.get(task, [])], initial=0.0)  # NaN if any is
+        print(f"  {name}: {len(c.differing.intersection(mine))} of {len(mine)} tasks differ, "
+              f"largest float difference {diff:.3e}")
     moved = [f"{task} call {i}: {x} -> {y}" for task in a if task in b
              for i, (x, y) in enumerate(itertools.zip_longest(a[task].get("rank_steps", []),
                                                               b[task].get("rank_steps", []), fillvalue="no call"))
